@@ -24,7 +24,7 @@ from .errors import (
     NotSplitError,
 )
 from .fields import GF, is_prime
-from .matrices import Matrix, kernel_basis
+from .matrices import Matrix, intertwining_system, kernel_basis
 from .modules import CommutingTuple, GroupElement, conjugate, inverse, is_punctual
 from .cycles import cycle, stratum
 from .polynomials import MultiPoly
@@ -80,21 +80,7 @@ def _all_matrices(fieldobj, n: int) -> Iterator[Matrix]:
 
 def _centralizer_basis(prefix: Sequence[Matrix], fieldobj, n: int) -> list[Matrix]:
     """Basis of {X : A X = X A for all A in prefix}."""
-    zero, one = fieldobj.zero(), fieldobj.one()
-    cols: list[list] = []
-    for a in range(n):
-        for b in range(n):
-            e = Matrix(fieldobj, n, n, tuple(
-                one if idx == a * n + b else zero for idx in range(n * n)
-            ))
-            col: list = []
-            for m in prefix:
-                diff = m * e - e * m
-                col.extend(diff.entries)
-            cols.append(col)
-    nrows = len(prefix) * n * n
-    system = Matrix(fieldobj, nrows, n * n,
-                    tuple(cols[j][i] for i in range(nrows) for j in range(n * n)))
+    system = intertwining_system(prefix, prefix)
     return [Matrix(fieldobj, n, n, tuple(v)) for v in kernel_basis(system)]
 
 
@@ -211,7 +197,8 @@ def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> 
         m_inv = inverse(m)
         if m_inv is not None:
             group.append(GroupElement(m, m_inv))
-    assert len(group) == glo
+    if len(group) != glo:
+        raise RuntimeError("group enumeration disagrees with |GL_n|")
     seen: set[tuple] = set()
     orbits: list[Orbit] = []
 
@@ -231,12 +218,15 @@ def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> 
                 stabilizer += 1
             if ku not in orbit_keys:
                 orbit_keys.add(ku)
-                assert is_punctual(u) == rep_punctual, "nilpotency not orbit constant"
+                if is_punctual(u) != rep_punctual:
+                    raise RuntimeError("nilpotency not orbit constant")
         seen |= orbit_keys
         size = len(orbit_keys)
-        assert size * stabilizer == glo, "orbit-stabilizer mismatch"
+        if size * stabilizer != glo:
+            raise RuntimeError("orbit-stabilizer mismatch")
         orbits.append(Orbit(representative=t, orbit_size=size, aut_order=stabilizer))
-    assert sum(o.orbit_size for o in orbits) == len(all_tuples)
+    if sum(o.orbit_size for o in orbits) != len(all_tuples):
+        raise RuntimeError("orbits do not partition the variety")
     return orbits
 
 

@@ -167,13 +167,15 @@ def _decompose(
         for lam, mult in roots:
             shifted = sep - eye.scale(lam)
             vecs = kernel_basis(shifted.power(mult))
-            assert len(vecs) == mult, "generalized eigenspace of wrong dimension"
+            if len(vecs) != mult:
+                raise RuntimeError("generalized eigenspace of wrong dimension")
             basis = columns_matrix(F, n, vecs)
             blocks: list[Matrix] = []
             point: list[Scalar] = []
             for a in t.mats:
                 restricted = solve(basis, a * basis)
-                assert restricted is not None, "joint eigenspace not invariant"
+                if restricted is None:
+                    raise RuntimeError("joint eigenspace not invariant")
                 rchi = char_poly(restricted)
                 rroots, rcof = roots_with_multiplicity(rchi)
                 if rcof.degree >= 1:
@@ -233,7 +235,8 @@ def localize(t: CommutingTuple, config: RunConfig = DEFAULT_CONFIG) -> list[Loca
     F = t.field
     basis_all = hstack([basis for _, basis, _ in parts])
     p_inv = inverse(basis_all)
-    assert p_inv is not None, "eigenspace bases do not span"
+    if p_inv is None:
+        raise RuntimeError("eigenspace bases do not span")
     g = GroupElement(p_inv, basis_all)
     return [
         LocalSummand(point, validate(blocks), g)

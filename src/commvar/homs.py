@@ -24,7 +24,7 @@ from .errors import (
     NotPunctualError,
 )
 from .fields import Field, Scalar
-from .matrices import Matrix, char_poly, det, hstack, kernel_basis, rank
+from .matrices import Matrix, char_poly, det, hstack, intertwining_system, kernel_basis, rank
 from .modules import CommutingTuple, GroupElement, group_element, is_punctual
 from .cycles import cycle
 from .errors import GenericityExhaustedError, NotSplitError
@@ -56,32 +56,10 @@ def hom_basis(s: CommutingTuple, t: CommutingTuple) -> HomSpace:
     """
     _compatible(s, t)
     F = s.field
-    ns, nt = s.n, t.n
-    unknowns = nt * ns
-    if unknowns == 0:
+    if s.n * t.n == 0:
         return HomSpace(s, t, ())
-    zero = F.zero()
-    one = F.one()
-    # Column for unknown h = E_ab: stack (E_ab A_i^s - A_i^t E_ab) over i.
-    cols: list[list[Scalar]] = []
-    for a in range(nt):
-        for b in range(ns):
-            e = Matrix(F, nt, ns, tuple(
-                one if idx == a * ns + b else zero for idx in range(nt * ns)
-            ))
-            col: list[Scalar] = []
-            for am_s, am_t in zip(s.mats, t.mats):
-                diff = e * am_s - am_t * e
-                col.extend(diff.entries)
-            cols.append(col)
-    nrows = s.d * nt * ns
-    system = Matrix(
-        F, nrows, unknowns,
-        tuple(cols[j][i] for i in range(nrows) for j in range(unknowns)),
-    )
-    basis = [
-        Matrix(F, nt, ns, tuple(v)) for v in kernel_basis(system)
-    ]
+    system = intertwining_system(s.mats, t.mats)
+    basis = [Matrix(F, t.n, s.n, tuple(v)) for v in kernel_basis(system)]
     return HomSpace(s, t, tuple(basis))
 
 
@@ -105,7 +83,8 @@ def _try_certificate(
     g = group_element(h)
     # Certificates are sound by construction; re-verify exactly anyway.
     for a, b in zip(s.mats, t.mats):
-        assert (h * a - b * h).is_zero(), "certificate fails to intertwine"
+        if not (h * a - b * h).is_zero():
+            raise RuntimeError("certificate fails to intertwine")
     return g
 
 

@@ -24,7 +24,16 @@ from .errors import (
     SizeMismatchError,
 )
 from .fields import Field, Scalar
-from .matrices import Matrix, block_diag, commutator, eval_multipoly, inverse, kernel_basis
+from .matrices import (
+    Matrix,
+    block_diag,
+    commutator,
+    eval_multipoly,
+    hstack,
+    intertwining_system,
+    inverse,
+    kernel_basis,
+)
 from .polynomials import MultiPoly, UniPoly
 
 
@@ -202,28 +211,17 @@ def tangent_space_dim(t: CommutingTuple) -> int:
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     if not pairs or n == 0:
         return d * n * n
+    # The (i, j) row block is [X_i, A_j] + [A_i, X_j]; with K(A) the system
+    # of X -> X A - A X, that is K(A_j) on X_i and -K(A_i) on X_j.
     F = t.field
-    zero = F.zero()
-    nrows = len(pairs) * n * n
-    cols: list[list[Scalar]] = []
-    basis = [Matrix(F, n, n, tuple(F.one() if idx == k else zero for idx in range(n * n)))
-             for k in range(n * n)]
-    for k in range(d):
-        for e in basis:
-            col: list[Scalar] = []
-            for (i, j) in pairs:
-                if k == i:
-                    contrib = commutator(e, t.mats[j])
-                elif k == j:
-                    contrib = commutator(t.mats[i], e)
-                else:
-                    contrib = None
-                col.extend(contrib.entries if contrib is not None else (zero,) * (n * n))
-            cols.append(col)
-    system = Matrix(
-        F, nrows, d * n * n,
-        tuple(cols[j][i] for i in range(nrows) for j in range(d * n * n)),
-    )
+    n2 = n * n
+    k = [intertwining_system([a], [a]) for a in t.mats]
+    zero_block = Matrix.zero(F, n2, n2)
+    blocks = [
+        hstack([k[j] if c == i else -k[i] if c == j else zero_block for c in range(d)])
+        for (i, j) in pairs
+    ]
+    system = Matrix(F, len(pairs) * n2, d * n2, tuple(x for b in blocks for x in b.entries))
     return len(kernel_basis(system))
 
 

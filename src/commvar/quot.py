@@ -4,7 +4,8 @@ A frame of r vectors corresponds to a map k^r -> M; the framed module is a
 quotient-scheme point exactly when the frame generates M under the
 coordinate action.  Equality of framed points is a linear problem: the
 intertwiner matching the frames is unique when it exists, because frames
-generate.
+generate, so one elimination of the intertwining system with the frame
+rows decides both its existence and its uniqueness.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from .errors import (
     WrongFrameCountError,
 )
 from .fields import Scalar
-from .matrices import Matrix, columns_matrix, det, hstack, rank, solve
-from .modules import CommutingTuple, GroupElement, group_element
+from .matrices import Matrix, columns_matrix, det, hstack, intertwining_system, inverse, rref
+from .modules import CommutingTuple, GroupElement
 
 
 @dataclass(frozen=True)
@@ -124,9 +125,11 @@ def quot_equal(f: FramedModule, g: FramedModule) -> Optional[GroupElement]:
     """Decide equality of two framed points: an isomorphism of modules
     carrying frame to frame, or None.
 
-    The combined linear system (intertwining plus frame matching) has at
-    most one solution because frames generate; a solution is automatically
-    invertible when the sizes agree.
+    One elimination of the intertwining system with the frame-matching
+    rows, augmented by the target frame, decides both questions: a pivot in
+    the right-hand column means no solution, and since frames generate the
+    coefficient part always has full column rank, so a solution is unique
+    (and invertible, as the sizes agree).
     """
     s, t = f.module, g.module
     if s.field != t.field:
@@ -146,35 +149,23 @@ def quot_equal(f: FramedModule, g: FramedModule) -> Optional[GroupElement]:
     if n == 0:
         e = Matrix.zero(F, 0, 0)
         return GroupElement(e, e)
-    # Unknown h (n x n), row-major: intertwining rows then frame rows.
-    zero, one = F.zero(), F.one()
-    cols: list[list[Scalar]] = []
-    for a in range(n):
-        for b in range(n):
-            e = Matrix(F, n, n, tuple(
-                one if idx == a * n + b else zero for idx in range(n * n)
-            ))
-            col: list[Scalar] = []
-            for am_s, am_t in zip(s.mats, t.mats):
-                diff = e * am_s - am_t * e
-                col.extend(diff.entries)
-            for v in f.frame:
-                col.extend(e.mat_vec(v))
-            cols.append(col)
-    nrows = s.d * n * n + f.r * n
-    system = Matrix(F, nrows, n * n,
-                    tuple(cols[j][i] for i in range(nrows) for j in range(n * n)))
-    rhs_entries: list[Scalar] = [zero] * (s.d * n * n)
-    for w in g.frame:
-        rhs_entries.extend(w)
-    rhs = Matrix(F, nrows, 1, tuple(rhs_entries))
-    sol = solve(system, rhs)
-    if sol is None:
+    # Unknown h (n x n), row-major; frame row (v, r) asks (h v)_r = w_r.
+    zero = F.zero()
+    frame_rows = [
+        [zero] * (r * n) + list(v) + [zero] * ((n - 1 - r) * n) for v in f.frame for r in range(n)
+    ]
+    system = intertwining_system(s.mats, t.mats, extra_rows=frame_rows)
+    rhs = [zero] * (s.d * n * n) + [x for w in g.frame for x in w]
+    R, rk, pivots = rref(hstack([system, columns_matrix(F, system.rows, [rhs])]))
+    if n * n in pivots:
         return None
-    assert rank(system) == n * n, "intertwiner not unique although frames generate"
-    h = Matrix(F, n, n, tuple(sol.entries))
-    assert det(h) != zero, "frame-matching intertwiner must be invertible"
-    return group_element(h)
+    if rk != n * n:
+        raise RuntimeError("intertwiner not unique although frames generate")
+    h = Matrix(F, n, n, R.col(n * n)[: n * n])
+    h_inv = inverse(h)
+    if h_inv is None:
+        raise RuntimeError("frame-matching intertwiner must be invertible")
+    return GroupElement(h, h_inv)
 
 
 def gl_action_on_atlas(f: FramedModule, g: GroupElement) -> FramedModule:

@@ -142,12 +142,6 @@ def random_multipoly(
     return MultiPoly.make(field, d, terms)
 
 
-def random_monic(field: Field, degree: int, rng: random.Random, span: int = 3) -> UniPoly:
-    coeffs = [random_scalar(field, rng, span) for _ in range(degree)]
-    coeffs.append(field.one())
-    return UniPoly.make(field, coeffs)
-
-
 def sample_companion_of_roots(field: Field, roots: list[Scalar]) -> CommutingTuple:
     """companion((t - r_1)...(t - r_k)) for explicit roots."""
     f = UniPoly.one(field)

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from commvar.errors import MixedFieldsError, NotSquareError, SizeMismatchError
+from commvar.errors import (
+    ArityMismatchError,
+    MixedFieldsError,
+    NotSquareError,
+    SizeMismatchError,
+)
 from commvar.fields import GF, QQ
 from commvar.matrices import (
     Matrix,
@@ -14,6 +19,7 @@ from commvar.matrices import (
     det,
     eval_multipoly,
     hstack,
+    intertwining_system,
     inverse,
     kernel_basis,
     rank,
@@ -278,3 +284,56 @@ def test_nonsquare_guards():
         char_poly(qmat([[1, 2]]))
     with pytest.raises(NotSquareError):
         inverse(qmat([[1, 2]]))
+
+
+def rand_commuting(rng, field, n, d):
+    """d commuting n x n matrices: polynomials of degree <= 2 in one random matrix."""
+    if field.characteristic:
+        m = rand_fmat(rng, field.characteristic, n)
+    else:
+        m = rand_qmat(rng, n)
+    eye = Matrix.identity(field, n)
+    return [
+        eye.scale(field.of(rng.randint(-2, 2)))
+        + m.scale(field.of(rng.randint(-2, 2)))
+        + (m * m).scale(field.of(rng.randint(-2, 2)))
+        for _ in range(d)
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=["Q", "F5", "F2"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_intertwining_system_applies_h_a_minus_b_h(field, d):
+    rng = random.Random(100 * d + field.characteristic)
+    for ns, nt in [(2, 3), (3, 2), (1, 4), (3, 3)]:
+        sources = rand_commuting(rng, field, ns, d)
+        targets = rand_commuting(rng, field, nt, d)
+        h = (rand_fmat(rng, field.characteristic, nt, ns) if field.characteristic
+             else rand_qmat(rng, nt, ns))
+        system = intertwining_system(sources, targets)
+        assert (system.rows, system.cols) == (d * nt * ns, nt * ns)
+        expected = tuple(x for a, b in zip(sources, targets) for x in (h * a - b * h).entries)
+        assert system.mat_vec(h.entries) == expected
+        # a frame row (v, r) has v at columns r*ns .. r*ns + ns - 1 and reads (h v)_r
+        frame = [tuple(field.of(rng.randint(-3, 3)) for _ in range(ns)) for _ in range(2)]
+        extra = []
+        for v in frame:
+            for r in range(nt):
+                row = [field.zero()] * (nt * ns)
+                row[r * ns : (r + 1) * ns] = v
+                extra.append(row)
+        framed = intertwining_system(sources, targets, extra_rows=extra)
+        assert framed.rows == system.rows + len(frame) * nt
+        got = framed.mat_vec(h.entries)
+        assert got[: system.rows] == expected
+        assert got[system.rows :] == tuple(x for v in frame for x in h.mat_vec(v))
+
+
+def test_intertwining_system_guards():
+    a = qmat([[1, 2], [3, 4]])
+    with pytest.raises(ArityMismatchError):
+        intertwining_system([a], [a, a])
+    with pytest.raises(ArityMismatchError):
+        intertwining_system([], [])
+    with pytest.raises(SizeMismatchError):
+        intertwining_system([a], [a], extra_rows=[[QQ.one()] * 3])
