@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import random
 import sys
@@ -448,7 +449,9 @@ def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args never mutates the parser
     p = argparse.ArgumentParser(
         prog="commvar",
         description="Exact computations with commuting matrix tuples: "

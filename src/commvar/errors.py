@@ -100,7 +100,9 @@ class WrongFrameCountError(CommvarError):
 
 
 class BudgetExceededError(CommvarError):
-    """Census enumeration would exceed the configured budget (never truncates)."""
+    """Work would exceed a fixed budget: a census larger than the configured
+    budget (never truncated), or a field size too large to decide primality
+    exactly."""
 
     code = "BUDGET_EXCEEDED"
 

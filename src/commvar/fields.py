@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Union
 
-from .errors import NonprimeQError, ParseError
+from .errors import BudgetExceededError, NonprimeQError, ParseError
 
 Scalar = Union[Fraction, int]
 
@@ -21,19 +21,43 @@ _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
+# The first 13 primes are a deterministic Miller-Rabin witness set for every
+# n below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic trial division; primes here are desk scale."""
+    """Deterministic Miller-Rabin, exact below PRIMALITY_BOUND.
+
+    Larger p is refused with BudgetExceededError rather than answered by a
+    probabilistic test or by trial division that would not finish.
+    """
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if p >= PRIMALITY_BOUND:
+        raise BudgetExceededError(
+            f"primality of {p} is not decided at or above {PRIMALITY_BOUND}",
+            size=p,
+            budget=PRIMALITY_BOUND,
+        )
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -1,14 +1,23 @@
-"""Dense exact matrices and the elimination kernel.
+"""Dense exact matrices and the elimination kernels.
 
 Everything is row-major over a single Field; 0x0 matrices are legal
 everywhere (det = 1, char poly = 1).  Elimination pivots on the first
 nonzero entry in column order, so all outputs are deterministic.
+
+``rref`` is the one elimination; ``kernel_basis``, ``solve``, ``inverse``
+and ``rank`` read its output.  It runs one of two kernels on plain int rows:
+over F_p, residue rows updated in place along the pivot row's nonzero
+entries; over Q, fraction-free Gauss-Jordan on rows cleared of denominators
+and kept primitive by a row-content gcd, converted to ``Fraction`` once at
+the end.  The reduced row echelon form is unique, so R, rank and pivots,
+down to the scalar types, are the same as those of textbook elimination
+with field operations.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -281,36 +290,108 @@ def intertwining_system(
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form; returns (R, rank, pivot columns).
 
-    Deterministic: the pivot is the first nonzero entry down each column.
+    The work runs on plain int rows: ``_rref_mod_p`` over F_p,
+    ``_rref_fraction_free`` over Q.  Both pivot on the first nonzero entry
+    down each column and R is unique, so the output, including the scalar
+    types (``Fraction`` over Q, ``int`` in [0, p) over F_p), does not depend
+    on which kernel ran.
     """
-    F = m.field
-    rows = m.to_rows()
-    zero, one = F.zero(), F.one()
-    pivots = []
+    if not m.rows:
+        return m, 0, ()
+    e, nc = m.entries, m.cols
+    rows = [list(e[i * nc : (i + 1) * nc]) for i in range(m.rows)]
+    p = m.field.characteristic
+    if p:
+        pivots = _rref_mod_p(rows, nc, p)
+    else:
+        pivots = _rref_fraction_free(rows, nc)
+    entries: list[Scalar] = []
+    for row in rows:
+        entries.extend(row)
+    return Matrix(m.field, m.rows, nc, tuple(entries)), len(pivots), tuple(pivots)
+
+
+def _rref_mod_p(rows: list[list[int]], ncols: int, p: int) -> list[int]:
+    """Gauss-Jordan on residue rows, in place; returns the pivot columns.
+
+    Each update loops over the pivot row's nonzero entries only, since the
+    intertwining systems are sparse.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if rows[i][c] != zero:
-                pivot_row = i
+    for c in range(ncols):
+        for i in range(r, nrows):
+            if rows[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != one:
-            inv = F.inv(pv)
-            rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][c] != zero:
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        prow = rows[i]
+        rows[r], rows[i] = prow, rows[r]
+        pv = prow[c]
+        if pv != 1:
+            inv = pow(pv, -1, p)
+            prow[:] = [x * inv % p for x in prow]
+        nz = [(j, y) for j, y in enumerate(prow) if y]
+        for row in rows:
+            f = row[c]
+            if f and row is not prow:
+                for j, y in nz:
+                    row[j] = (row[j] - f * y) % p
         pivots.append(c)
         r += 1
-        if r == m.rows:
+        if r == nrows:
             break
-    out = Matrix.from_rows(F, rows) if m.rows else m
-    return out, r, tuple(pivots)
+    return pivots
+
+
+def _rref_fraction_free(rows: list[list], ncols: int) -> list[int]:
+    """Gauss-Jordan over Q on integer rows, in place; returns the pivot
+    columns and leaves each row as Fractions.
+
+    Denominators are cleared row by row.  A row with entry f in the pivot
+    column becomes a*row - b*prow, where a/b = pv/f in lowest terms, and is
+    then divided by its content, so entries stay small.  Pivot row k divided
+    by its pivot is row k of R.
+    """
+    for i, row in enumerate(rows):
+        mult = lcm(*(x.denominator for x in row))
+        rows[i] = _primitive([x.numerator * (mult // x.denominator) for x in row])
+    nrows = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        prow = rows[i]
+        rows[r], rows[i] = prow, rows[r]
+        pv = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                rows[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    zero = Fraction(0)
+    for k, row in enumerate(rows):
+        if k < r:
+            pv = row[pivots[k]]
+            rows[k] = [Fraction(x, pv) if x else zero for x in row]
+        else:
+            rows[k] = [zero] * ncols
+    return pivots
+
+
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def rank(m: Matrix) -> int:

@@ -396,6 +396,26 @@ def test_help_exits_zero():
     assert code == 0
 
 
+def test_parser_built_once_and_reused():
+    assert cli._build_parser() is cli._build_parser()
+    first = run("validate", str(GOLDEN / "j2_zero.json"))
+    assert first[0] == 0
+    assert run("validate", str(GOLDEN / "j2_zero.json")) == first
+    # usage errors and --help after a successful call behave as on a fresh parser
+    assert run("-h")[0] == 0
+    assert run("validate")[0] == 2
+    assert run("no-such-command")[0] == 2
+    assert run("validate", str(GOLDEN / "j2_zero.json")) == first
+
+
+def test_field_beyond_primality_bound_is_refused():
+    code, rep = run_json(
+        "sample", "--kind", "punctual", "--field", "Fp:3317044064679887385961983"
+    )
+    assert code == 1 and rep["error"] == "BUDGET_EXCEEDED"
+    assert rep["detail"]["budget"] == 3317044064679887385961981
+
+
 # ---------------------------------------------------------------------------
 # sample kinds all emit valid, reusable documents
 

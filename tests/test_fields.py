@@ -1,9 +1,10 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from commvar.errors import NonprimeQError, ParseError
-from commvar.fields import GF, QQ, field_from_name, field_name
+from commvar.errors import BudgetExceededError, NonprimeQError, ParseError
+from commvar.fields import GF, PRIMALITY_BOUND, QQ, field_from_name, field_name, is_prime
 
 
 def test_rational_parse_canonical():
@@ -72,3 +73,42 @@ def test_field_names_round_trip():
 
 def test_elements_enumeration():
     assert list(GF(3).elements()) == [0, 1, 2]
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert [n for n in range(10**5) if is_prime(n) != _trial_division(n)] == []
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_composites():
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to the
+    # bases 2, 3, 5, 7; 318665857834031151167461 is one to every base up to 37
+    for n in [561, 3215031751, 318665857834031151167461, 2**61 + 1, (2**31 - 1) ** 2]:
+        assert not is_prime(n)
+    for n in [2**31 - 1, 2**61 - 1, 1000003]:
+        assert is_prime(n)
+
+
+def test_is_prime_refuses_at_the_bound():
+    for n in [PRIMALITY_BOUND, PRIMALITY_BOUND + 2, 2**127 - 1]:
+        with pytest.raises(BudgetExceededError) as info:
+            is_prime(n)
+        assert info.value.detail == {"size": n, "budget": PRIMALITY_BOUND}
+
+
+def test_large_prime_field_tag_parses_quickly():
+    start = time.perf_counter()
+    F = field_from_name("Fp:2305843009213693951")
+    assert time.perf_counter() - start < 1.0
+    assert F.characteristic == 2**61 - 1
+    assert F.mul(F.inv(3), 3) == 1

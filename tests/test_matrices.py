@@ -337,3 +337,85 @@ def test_intertwining_system_guards():
         intertwining_system([], [])
     with pytest.raises(SizeMismatchError):
         intertwining_system([a], [a], extra_rows=[[QQ.one()] * 3])
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernels behind rref, against the hand reducer
+
+KERNEL_FIELDS = [QQ, GF(2), GF(5), GF(1000003)]
+KERNEL_IDS = ["Q", "F2", "F5", "F1000003"]
+
+
+def _kernel_scalar(rng, field):
+    """Mostly zeros and small signed values, now and then a huge one."""
+    if field.characteristic:
+        return field.of(rng.choice([0, 0, 0, rng.randint(-9, 9), -(10**30) // 7, 10**30 + 7]))
+    return rng.choice(
+        [Fraction(0), Fraction(0), Fraction(0), Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+         Fraction(10**30, 7), Fraction(-(10**30), 7)]
+    )
+
+
+def _combination(rng, field, basis):
+    """A random linear combination of the given rows."""
+    acc = [field.zero()] * len(basis[0])
+    for row in basis:
+        c = field.of(rng.randint(-3, 3))
+        acc = [field.add(a, field.mul(c, x)) for a, x in zip(acc, row)]
+    return acc
+
+
+def _kernel_cases(rng, field):
+    cases = []
+    for _ in range(6):
+        n, m = rng.randint(1, 12), rng.randint(1, 14)
+        rows = [[_kernel_scalar(rng, field) for _ in range(m)] for _ in range(n)]
+        cases.append(rows)
+        # rank deficient: every row a combination of the first k rows
+        k = rng.randint(1, min(n, m))
+        cases.append(rows[:k] + [_combination(rng, field, rows[:k]) for _ in range(n - k)])
+        # zero rows and duplicate rows, shuffled among the others
+        mixed = rows[:9] + [[field.zero()] * m, list(rows[0]), list(rows[-1])]
+        rng.shuffle(mixed)
+        cases.append(mixed)
+    return cases
+
+
+def _assert_rref_matches_hand(mat):
+    R, rk, piv = rref(mat)
+    p = mat.field.characteristic or None
+    hr, hrk, hpiv = oracles.hand_rref(oracles.rows_of(mat), p)
+    assert (R.rows, R.cols) == (mat.rows, mat.cols)
+    assert oracles.rows_of(R) == hr
+    assert (rk, list(piv)) == (hrk, hpiv)
+    # the goldens format these scalars, so the types are part of the contract
+    if p:
+        assert all(type(x) is int and 0 <= x < p for x in R.entries)
+    else:
+        assert all(type(x) is Fraction for x in R.entries)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_rref_kernels_match_hand_reduction(field):
+    rng = random.Random(700 + field.characteristic)
+    for rows in _kernel_cases(rng, field):
+        _assert_rref_matches_hand(Matrix.from_rows(field, rows))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_rref_kernels_on_empty_shapes(field):
+    for k in (0, 1, 5):
+        _assert_rref_matches_hand(Matrix(field, 0, k, ()))
+        _assert_rref_matches_hand(Matrix(field, k, 0, ()))
+        _assert_rref_matches_hand(Matrix.zero(field, k, k + 1))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_rref_kernels_on_intertwining_systems(field):
+    rng = random.Random(800 + field.characteristic)
+    for ns, nt, d in [(2, 3, 1), (3, 3, 2), (3, 2, 3), (4, 3, 2)]:
+        sources = rand_commuting(rng, field, ns, d)
+        targets = rand_commuting(rng, field, nt, d)
+        _assert_rref_matches_hand(intertwining_system(sources, targets))
+        # the centralizer system has a kernel containing the identity
+        _assert_rref_matches_hand(intertwining_system(sources, sources))
