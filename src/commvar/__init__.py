@@ -43,7 +43,6 @@ from .errors import (
     ArityMismatchError,
     BudgetExceededError,
     CommvarError,
-    GenericityExhaustedError,
     GridBudgetExceededError,
     MixedFieldsError,
     NonprimeQError,
@@ -140,7 +139,7 @@ __all__ = [
     "CommvarError", "MixedFieldsError", "NotSquareError", "ZeroPolyError",
     "ArityMismatchError", "SizeMismatchError", "NotCommutingError",
     "SingularGroupElementError", "NotYoungDiagramError", "NotMonicError",
-    "NotSplitError", "GenericityExhaustedError", "NotPunctualError",
+    "NotSplitError", "NotPunctualError",
     "GridBudgetExceededError", "NotSurjectiveError", "WrongFrameCountError",
     "BudgetExceededError", "NonprimeQError", "ParseError", "ValidationError",
 ]

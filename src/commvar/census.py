@@ -19,7 +19,6 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
     ArityMismatchError,
     BudgetExceededError,
-    GenericityExhaustedError,
     NonprimeQError,
     NotSplitError,
 )
@@ -163,9 +162,9 @@ def enumerate_census(req: CensusRequest, config: RunConfig = DEFAULT_CONFIG) -> 
         raw += 1
         if req.per_stratum:
             try:
-                alpha = stratum(cycle(t, config))
+                alpha = stratum(cycle(t))
                 per[alpha] = per.get(alpha, 0) + 1
-            except (NotSplitError, GenericityExhaustedError):
+            except NotSplitError:
                 unsplit += 1
     return CensusResult(
         n=req.n,

@@ -71,7 +71,6 @@ def _provenance(cfg: RunConfig) -> dict:
         "seed": cfg.seed,
         "config": {
             "seed": cfg.seed,
-            "genericity_budget": cfg.genericity_budget,
             "grid_budget": cfg.grid_budget,
             "census_budget": cfg.census_budget,
         },
@@ -152,19 +151,19 @@ def _cycle_payload(c) -> list[dict]:
 
 def _cmd_cycle(args, cfg: RunConfig):
     t = _load_tuple(args.doc)
-    c = cycle(t, cfg)
+    c = cycle(t)
     return {"cycle": _cycle_payload(c), "stratum": list(stratum(c))}
 
 
 def _cmd_stratum(args, cfg: RunConfig):
     t = _load_tuple(args.doc)
-    alpha = stratum(cycle(t, cfg))
+    alpha = stratum(cycle(t))
     return {"stratum": list(alpha), "notation": partition_notation(alpha)}
 
 
 def _cmd_localize(args, cfg: RunConfig):
     t = _load_tuple(args.doc)
-    summands = localize(t, cfg)
+    summands = localize(t)
     F = t.field
     payload = [
         {

@@ -14,7 +14,6 @@ from .errors import ParseError
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 1
-    genericity_budget: int = 32  # separating-form candidates per decomposition
     grid_budget: int = 8         # max Hom dimension for a full certificate grid
     census_budget: int = 2**32   # cap on q^(d n^2) enumeration size
 

@@ -6,25 +6,21 @@ eigenspace.  Points must be rational over the base field: a tuple whose
 support lives in an extension raises NOT_SPLIT rather than answering
 approximately.
 
-Algorithm: pick a separating linear form L = sum c_i A_i from a fixed
-deterministic candidate sequence, split its characteristic polynomial,
-compute joint generalized eigenspaces, and read each coordinate off as the
-unique root of the restricted coordinate matrix's characteristic
+Algorithm: refine one coordinate at a time.  Split the space by the roots
+of char_poly(A_1) into generalized eigenspaces, restrict every coordinate
+to each of them, then split each piece by its restricted A_2, and so on.
+Commuting maps preserve each other's primary components, so this needs no
+separating linear form and works over every field, however small.  Each
+coordinate of a point is read off as a root of a characteristic
 polynomial.  (Never as trace/dim, which lies over F_p when p divides the
 block size.)
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Sequence
 
-from .config import DEFAULT_CONFIG, RunConfig
-from .errors import (
-    ArityMismatchError,
-    GenericityExhaustedError,
-    MixedFieldsError,
-    NotSplitError,
-)
+from .errors import ArityMismatchError, MixedFieldsError, NotSplitError
 from .fields import Field, Scalar
 from .matrices import (
     Matrix,
@@ -95,114 +91,54 @@ class LocalSummand:
     change_of_basis: GroupElement
 
 
-def _separating_candidates(field: Field, d: int, budget: int) -> Iterator[tuple[Scalar, ...]]:
-    """Deterministic candidate coefficient vectors for the separating form:
-    standard basis vectors first, then geometric vectors (1, k, k^2, ...)."""
-    seen: set[tuple[Scalar, ...]] = set()
-    emitted = 0
-
-    def emit(c: tuple[Scalar, ...]) -> Optional[tuple[Scalar, ...]]:
-        nonlocal emitted
-        if c in seen or emitted >= budget:
-            return None
-        seen.add(c)
-        emitted += 1
-        return c
-
-    zero, one = field.zero(), field.one()
-    for i in range(d):
-        c = emit(tuple(one if j == i else zero for j in range(d)))
-        if c is not None:
-            yield c
-        if emitted >= budget:
-            return
-    p = field.characteristic
-    k = 1
-    while emitted < budget:
-        if p and k >= p:
-            return  # geometric vectors repeat beyond k = p - 1
-        kk = field.of(k)
-        acc = one
-        vec = []
-        for _ in range(d):
-            vec.append(acc)
-            acc = field.mul(acc, kk)
-        c = emit(tuple(vec))
-        if c is not None:
-            yield c
-        k += 1
-
-
-def _decompose(
-    t: CommutingTuple, config: RunConfig
-) -> list[tuple[Point, Matrix, list[Matrix]]]:
+def _decompose(t: CommutingTuple) -> list[tuple[Point, Matrix, list[Matrix]]]:
     """Joint generalized eigenspace decomposition over the base field.
 
     Returns per support point: (point, basis columns, restricted coordinate
-    matrices), sorted by point.  Raises NOT_SPLIT as soon as any
-    characteristic polynomial in sight has an unsplit factor (sound:
-    split support makes every one of them split), and
-    GENERICITY_EXHAUSTED when all candidates collide.
+    matrices), sorted by point.  Pass i splits every piece by the roots of
+    its restricted A_i and restricts all coordinates to each generalized
+    eigenspace; a coordinate with a single root on a piece leaves it whole.
+    Raises NOT_SPLIT as soon as any characteristic polynomial in sight has
+    an unsplit factor (sound: split support makes every one of them split).
     """
     F = t.field
-    n, d = t.n, t.d
-    if n == 0:
+    if t.n == 0:
         return []
-    tried = 0
-    for c in _separating_candidates(F, d, config.genericity_budget):
-        tried += 1
-        sep = Matrix.zero(F, n, n)
-        for ci, a in zip(c, t.mats):
-            sep = sep + a.scale(ci)
-        chi = char_poly(sep)
-        roots, cofactor = roots_with_multiplicity(chi)
-        if cofactor.degree >= 1:
-            raise NotSplitError(
-                "support is not rational over the base field",
-                degrees=[cofactor.degree],
-            )
-        eye = Matrix.identity(F, n)
-        parts: list[tuple[Point, Matrix, list[Matrix]]] = []
-        collided = False
-        for lam, mult in roots:
-            shifted = sep - eye.scale(lam)
-            vecs = kernel_basis(shifted.power(mult))
-            if len(vecs) != mult:
-                raise RuntimeError("generalized eigenspace of wrong dimension")
-            basis = columns_matrix(F, n, vecs)
-            blocks: list[Matrix] = []
-            point: list[Scalar] = []
-            for a in t.mats:
-                restricted = solve(basis, a * basis)
-                if restricted is None:
+    parts: list[tuple[Point, Matrix, list[Matrix]]] = [
+        ((), Matrix.identity(F, t.n), list(t.mats))
+    ]
+    for i in range(t.d):
+        refined = []
+        for point, basis, blocks in parts:
+            a = blocks[i]
+            roots, cofactor = roots_with_multiplicity(char_poly(a))
+            if cofactor.degree >= 1:
+                raise NotSplitError(
+                    "support is not rational over the base field",
+                    degrees=[cofactor.degree],
+                )
+            if len(roots) == 1:
+                refined.append((point + (roots[0][0],), basis, blocks))
+                continue
+            eye = Matrix.identity(F, a.rows)
+            for lam, mult in roots:
+                vecs = kernel_basis((a - eye.scale(lam)).power(mult))
+                if len(vecs) != mult:
+                    raise RuntimeError("generalized eigenspace of wrong dimension")
+                sub = columns_matrix(F, a.rows, vecs)
+                restricted = [solve(sub, b * sub) for b in blocks]
+                if any(r is None for r in restricted):
                     raise RuntimeError("joint eigenspace not invariant")
-                rchi = char_poly(restricted)
-                rroots, rcof = roots_with_multiplicity(rchi)
-                if rcof.degree >= 1:
-                    raise NotSplitError(
-                        "support is not rational over the base field",
-                        degrees=[rcof.degree],
-                    )
-                if len(rroots) != 1:
-                    collided = True
-                    break
-                point.append(rroots[0][0])
-                blocks.append(restricted)
-            if collided:
-                break
-            parts.append((tuple(point), basis, blocks))
-        if not collided:
-            parts.sort(key=lambda pbb: pbb[0])
-            return parts
-    raise GenericityExhaustedError(
-        "no separating linear form within budget", candidates_tried=tried
-    )
+                refined.append((point + (lam,), basis * sub, restricted))
+        parts = refined
+    parts.sort(key=lambda pbb: pbb[0])
+    return parts
 
 
-def cycle(t: CommutingTuple, config: RunConfig = DEFAULT_CONFIG) -> Cycle:
+def cycle(t: CommutingTuple) -> Cycle:
     """The support cycle: each rational support point with the dimension
     of its joint generalized eigenspace.  Total equals n."""
-    parts = _decompose(t, config)
+    parts = _decompose(t)
     return Cycle.make(t.field, t.d, [(point, basis.cols) for point, basis, _ in parts])
 
 
@@ -221,7 +157,7 @@ def partition_notation(alpha: Sequence[int]) -> str:
     return " ".join(parts) if parts else "()"
 
 
-def localize(t: CommutingTuple, config: RunConfig = DEFAULT_CONFIG) -> list[LocalSummand]:
+def localize(t: CommutingTuple) -> list[LocalSummand]:
     """Split t into blocks along its support.
 
     Returns one summand per support point, sorted by point; the shared
@@ -229,10 +165,9 @@ def localize(t: CommutingTuple, config: RunConfig = DEFAULT_CONFIG) -> list[Loca
     exactly these blocks in order.  Each block, translated by -point, is
     punctual; the direct sum of the blocks is isomorphic to t.
     """
-    parts = _decompose(t, config)
+    parts = _decompose(t)
     if not parts:
         return []
-    F = t.field
     basis_all = hstack([basis for _, basis, _ in parts])
     p_inv = inverse(basis_all)
     if p_inv is None:
@@ -244,7 +179,7 @@ def localize(t: CommutingTuple, config: RunConfig = DEFAULT_CONFIG) -> list[Loca
     ]
 
 
-def det_pushforward(f: MultiPoly, t: CommutingTuple, config: RunConfig = DEFAULT_CONFIG) -> Scalar:
+def det_pushforward(f: MultiPoly, t: CommutingTuple) -> Scalar:
     """det f(A_1, ..., A_d); on split tuples this equals
     prod over the cycle of f(point)^mult."""
     if f.nvars != t.d:

@@ -73,12 +73,6 @@ class NotSplitError(CommvarError):
     code = "NOT_SPLIT"
 
 
-class GenericityExhaustedError(CommvarError):
-    """No separating linear form found within the candidate budget."""
-
-    code = "GENERICITY_EXHAUSTED"
-
-
 class NotPunctualError(CommvarError):
     code = "NOT_PUNCTUAL"
 

@@ -27,7 +27,7 @@ from .fields import Field, Scalar
 from .matrices import Matrix, char_poly, det, hstack, intertwining_system, kernel_basis, rank
 from .modules import CommutingTuple, GroupElement, group_element, is_punctual
 from .cycles import cycle
-from .errors import GenericityExhaustedError, NotSplitError
+from .errors import NotSplitError
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,9 @@ def is_isomorphic(
         if char_poly(a) != char_poly(b):
             return None
     try:
-        if cycle(s, config) != cycle(t, config):
+        if cycle(s) != cycle(t):
             return None
-    except (NotSplitError, GenericityExhaustedError):
+    except NotSplitError:
         pass
     if aut_dim(s) != aut_dim(t):
         return None

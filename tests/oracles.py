@@ -275,6 +275,74 @@ def count_invertible(n: int, q: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# closed-form counts of commuting pairs over F_q (Feit-Fine)
+
+
+def gl_count(n: int, q: int) -> int:
+    out = 1
+    for i in range(n):
+        out *= q**n - q**i
+    return out
+
+
+def feit_fine_pairs(n: int, q: int, punctual: bool) -> list[Fraction]:
+    """[c_0, ..., c_n]: c_m counts commuting m x m pairs over F_q, all of
+    them or (punctual) the pairs of nilpotents, as integral Fractions.
+
+    Feit-Fine: sum_m c_m/|GL_m| x^m = prod_{i>=1} prod_{j>=0} (1 - q^(1-j) x^i)^-1;
+    the nilpotent series is prod_{i>=1} prod_{j>=1} (1 - q^-j x^i)^-1.  Its
+    logarithm is sum over i, k >= 1 of w_k x^(ik) / k, with w_k = q^2k/(q^k - 1)
+    or 1/(q^k - 1); the series itself follows from f' = f * (log f)'.
+    """
+    log = [Fraction(0)] * (n + 1)
+    for i in range(1, n + 1):
+        for k in range(1, n // i + 1):
+            log[i * k] += Fraction(1 if punctual else q ** (2 * k), k * (q**k - 1))
+    f = [Fraction(1)] + [Fraction(0)] * n
+    for m in range(1, n + 1):
+        f[m] = sum(t * log[t] * f[m - t] for t in range(1, m + 1)) / m
+    return [f[m] * gl_count(m, q) for m in range(n + 1)]
+
+
+def _partitions(n: int, largest: int):
+    if n == 0:
+        yield []
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield [part] + rest
+
+
+def pair_strata(n: int, q: int) -> tuple[dict, Fraction]:
+    """Per-stratum census of commuting n x n pairs over F_q: ({alpha: count},
+    unsplit count), alpha[i-1] being the number of support points of
+    multiplicity i.
+
+    A split pair is the direct sum of its local pieces, so a stratum with
+    parts m_1..m_k counts the choices of k distinct points of F_q^2 (up to
+    permuting equal parts), times the |GL_n|/prod |GL_m_j| decompositions
+    of F_q^n into subspaces of those dimensions, times a punctual pair on
+    each subspace, translated to its point.
+    """
+    punctual = feit_fine_pairs(n, q, punctual=True)
+    strata = {}
+    for parts in _partitions(n, n):
+        alpha = tuple(parts.count(i) for i in range(1, n + 1))
+        count = Fraction(gl_count(n, q))
+        for j in range(len(parts)):
+            count *= q * q - j
+        for a in alpha:
+            for j in range(1, a + 1):
+                count /= j
+        for m in parts:
+            count *= Fraction(punctual[m], gl_count(m, q))
+        if count:
+            strata[alpha] = count
+    unsplit = feit_fine_pairs(n, q, punctual=False)[n] - sum(strata.values())
+    return strata, unsplit
+
+
+# ---------------------------------------------------------------------------
 # bridges from library objects to plain rows (read-only access)
 
 

@@ -560,7 +560,6 @@ def test_criterion_11_cli_contract(tmp_path, monkeypatch):
             (1, "VALIDATION_ERROR", ["validate", str(no_mats)]),
             (1, "NOT_COMMUTING", ["validate", str(GOLDEN / "noncommuting.json")]),
             (1, "NOT_SPLIT", ["cycle", str(GOLDEN / "unsplit_q.json")]),
-            (1, "GENERICITY_EXHAUSTED", ["cycle", str(GOLDEN / "f2_exhausted.json")]),
             (1, "NOT_PUNCTUAL", ["mingen", str(GOLDEN / "companion12.json")]),
             (1, "ARITY_MISMATCH", ["potential", str(GOLDEN / "j2_zero.json")]),
             (1, "WRONG_FRAME_COUNT", ["atlas-check", str(short_frame)]),

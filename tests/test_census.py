@@ -12,6 +12,7 @@ from commvar.census import (
     orbit_census,
 )
 from commvar.config import DEFAULT_CONFIG
+from commvar.cycles import partition_notation
 from commvar.errors import BudgetExceededError, NonprimeQError
 from commvar.fields import GF
 from commvar.modules import is_punctual
@@ -86,6 +87,18 @@ def test_census_per_stratum_partition():
     assert res.per_stratum[(2, 0)] == 36  # two distinct rational points
     assert res.unsplit_count == 12
     assert sum(res.per_stratum.values()) + res.unsplit_count == res.raw_count
+    assert (res.per_stratum, res.unsplit_count) == oracles.pair_strata(2, 2)
+
+
+def test_census_per_stratum_files_no_split_tuple_as_unsplit():
+    # 1^3 needs three distinct points of F_2^2, which no linear form over
+    # F_2 separates
+    res = enumerate_census(CensusRequest(n=3, d=2, q=2, per_stratum=True))
+    strata = {partition_notation(a): c for a, c in res.per_stratum.items()}
+    assert strata == {"1^3": 672, "1^1 2^1": 3360, "3^1": 1600}
+    assert res.unsplit_count == 1824
+    assert (res.per_stratum, res.unsplit_count) == oracles.pair_strata(3, 2)
+    assert res.raw_count == oracles.feit_fine_pairs(3, 2, punctual=False)[3]
 
 
 def test_census_unsplit_oracle_f2_pairs():

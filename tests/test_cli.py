@@ -197,7 +197,6 @@ def test_config_file_respected(tmp_path):
     assert code == 0
     assert rep["provenance"]["config"] == {
         "seed": 11,
-        "genericity_budget": 32,
         "grid_budget": 4,
         "census_budget": 2**32,
     }
@@ -283,10 +282,16 @@ def test_not_split():
     assert 2 in rep["detail"]["degrees"]
 
 
-def test_genericity_exhausted():
-    code, rep = run_json("cycle", str(GOLDEN / "f2_exhausted.json"))
-    assert code == 1 and rep["error"] == "GENERICITY_EXHAUSTED"
-    assert rep["detail"]["candidates_tried"] == 3
+def test_cycle_f2_three_points():
+    # no linear form over F_2 separates these three points
+    code, rep = run_json("cycle", str(GOLDEN / "f2_three_points.json"))
+    assert code == 0
+    assert [(e["point"], e["mult"]) for e in rep["cycle"]] == [
+        (["0", "0"], 1),
+        (["0", "1"], 1),
+        (["1", "0"], 1),
+    ]
+    assert rep["stratum"] == [3, 0, 0]
 
 
 def test_not_punctual():
@@ -365,10 +370,13 @@ def test_not_monic():
 
 
 def test_bad_config_is_parse_error(tmp_path):
+    # a retired key is refused like any other unknown key
     cfgp = tmp_path / "cfg.json"
-    cfgp.write_text('{"mystery_knob": 1}')
-    code, rep = run_json("validate", str(GOLDEN / "j2_zero.json"), "--config", str(cfgp))
-    assert code == 2 and rep["error"] == "PARSE_ERROR"
+    for key in ["mystery_knob", "genericity_budget"]:
+        cfgp.write_text(json.dumps({key: 1}))
+        code, rep = run_json("validate", str(GOLDEN / "j2_zero.json"), "--config", str(cfgp))
+        assert code == 2 and rep["error"] == "PARSE_ERROR"
+        assert key in rep["detail"]["message"]
 
 
 def test_internal_error_exit_3(monkeypatch):
