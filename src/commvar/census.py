@@ -5,8 +5,12 @@ and the Burnside identity sum(1/|Aut|) over orbits reproduces it.  The
 enumerator walks centralizer chains rather than all q^(d n^2) tuples: the
 first coordinate ranges over all matrices, each later coordinate over the
 joint centralizer of the prefix, so commutation never needs rechecking.
-A request whose nominal size q^(d n^2) exceeds the budget is refused
-whole; counts are never truncated.
+The work that depends on a prefix alone is done once per prefix: the
+nilpotent filter drops a prefix, and with it every extension, as soon as
+its newest coordinate fails A^n = 0, and the per-stratum count runs one
+support refinement pass (``cycles.refine``) per prefix.  Relation filters
+are checked per tuple.  A request whose nominal size q^(d n^2) exceeds the
+budget is refused whole; counts are never truncated.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ from .errors import (
 from .fields import GF, is_prime
 from .matrices import Matrix, intertwining_system, kernel_basis
 from .modules import CommutingTuple, GroupElement, conjugate, inverse, is_punctual
-from .cycles import cycle, stratum
+from .cycles import Cycle, Part, refine, stratum
 from .polynomials import MultiPoly
 from .modules import check_relations
 
@@ -83,17 +87,17 @@ def _centralizer_basis(prefix: Sequence[Matrix], fieldobj, n: int) -> list[Matri
     return [Matrix(fieldobj, n, n, tuple(v)) for v in kernel_basis(system)]
 
 
-def _span_elements(basis: Sequence[Matrix], fieldobj, n: int) -> Iterator[Matrix]:
+def _span_elements(basis: Sequence[Matrix], fieldobj, n: int) -> list[Matrix]:
+    """Every F_q-combination of basis, in entry-lexicographic order."""
     q = fieldobj.characteristic
-    if not basis:
-        yield Matrix.zero(fieldobj, n, n)
-        return
-    for coeffs in itertools.product(range(q), repeat=len(basis)):
-        m = Matrix.zero(fieldobj, n, n)
-        for c, b in zip(coeffs, basis):
-            if c:
-                m = m + b.scale(c)
-        yield m
+    elems = [(0,) * (n * n)]
+    for b in basis:
+        v = b.entries
+        elems = [
+            tuple((x + c * y) % q for x, y in zip(e, v)) for e in elems for c in range(q)
+        ]
+    elems.sort()
+    return [Matrix(fieldobj, n, n, e) for e in elems]
 
 
 def _check_budget(req_size: int, config: RunConfig) -> None:
@@ -105,9 +109,20 @@ def _check_budget(req_size: int, config: RunConfig) -> None:
         )
 
 
-def _commuting_tuples(n: int, d: int, q: int, config: RunConfig) -> Iterator[CommutingTuple]:
+_PRUNED = object()
+
+
+def _walk(
+    n: int, d: int, q: int, config: RunConfig, step=None, start=None
+) -> Iterator[tuple[CommutingTuple, object]]:
     """All points of the commuting variety over F_q, in lexicographic order
-    of the concatenated row-major coordinate entries."""
+    of the concatenated row-major coordinate entries, each with the state
+    carried along its chain.
+
+    With step, the empty prefix has state start, and prefix + [m] has state
+    step(state of prefix, m); a step returning _PRUNED drops prefix + [m]
+    and every tuple extending it.
+    """
     if not is_prime(q):
         raise NonprimeQError(f"{q} is not prime", q=q)
     if d < 1:
@@ -117,24 +132,22 @@ def _commuting_tuples(n: int, d: int, q: int, config: RunConfig) -> Iterator[Com
     _check_budget(q ** (d * n * n), config)
     F = GF(q)
 
-    def extend(prefix: list[Matrix]) -> Iterator[CommutingTuple]:
+    def extend(prefix: list[Matrix], state) -> Iterator[tuple[CommutingTuple, object]]:
         if len(prefix) == d:
-            yield CommutingTuple(F, n, d, tuple(prefix))
+            yield CommutingTuple(F, n, d, tuple(prefix)), state
             return
         if n == 0:
-            yield from extend(prefix + [Matrix.zero(F, 0, 0)])
-            return
-        if not prefix:
-            for m in _all_matrices(F, n):
-                yield from extend([m])
-            return
-        basis = _centralizer_basis(prefix, F, n)
-        # Sort span elements into entry-lexicographic order for determinism.
-        elems = sorted(_span_elements(basis, F, n), key=lambda m: m.entries)
-        for m in elems:
-            yield from extend(prefix + [m])
+            nexts = [Matrix.zero(F, 0, 0)]
+        elif not prefix:
+            nexts = _all_matrices(F, n)
+        else:
+            nexts = _span_elements(_centralizer_basis(prefix, F, n), F, n)
+        for m in nexts:
+            s = state if step is None else step(state, m)
+            if s is not _PRUNED:
+                yield from extend(prefix + [m], s)
 
-    yield from extend([])
+    yield from extend([], start)
 
 
 def enumerate_census(req: CensusRequest, config: RunConfig = DEFAULT_CONFIG) -> CensusResult:
@@ -151,21 +164,35 @@ def enumerate_census(req: CensusRequest, config: RunConfig = DEFAULT_CONFIG) -> 
                 f"relation in {f.nvars} variables for a d = {req.d} census"
             )
     glo = gl_order(req.n, req.q)
+    n = req.n
+    F = GF(req.q)
+
+    def step(parts: Optional[list[Part]], a: Matrix):
+        # the same predicate as is_punctual, one coordinate at a time
+        if req.nilpotent and not a.power(n).is_zero():
+            return _PRUNED
+        if not req.per_stratum or parts is None:
+            return parts
+        try:
+            return refine(parts, a)
+        except NotSplitError:
+            # every extension fails the same pass of its own refinement
+            return None
+
+    start = [((), Matrix.identity(F, n))] if req.per_stratum else None
     raw = 0
     per: dict[tuple[int, ...], int] = {}
     unsplit = 0
-    for t in _commuting_tuples(req.n, req.d, req.q, config):
-        if req.nilpotent and not is_punctual(t):
-            continue
+    for t, parts in _walk(n, req.d, req.q, config, step, start):
         if req.relations and not check_relations(t, req.relations):
             continue
         raw += 1
         if req.per_stratum:
-            try:
-                alpha = stratum(cycle(t))
-                per[alpha] = per.get(alpha, 0) + 1
-            except NotSplitError:
+            if parts is None:
                 unsplit += 1
+            else:
+                alpha = stratum(Cycle.make(F, req.d, [(p, b.cols) for p, b in parts]))
+                per[alpha] = per.get(alpha, 0) + 1
     return CensusResult(
         n=req.n,
         d=req.d,
@@ -190,7 +217,7 @@ def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> 
     """
     glo = gl_order(n, q)
     F = GF(q)
-    all_tuples = list(_commuting_tuples(n, d, q, config))
+    all_tuples = [t for t, _ in _walk(n, d, q, config)]
     group: list[GroupElement] = []
     for m in _all_matrices(F, n):
         m_inv = inverse(m)

@@ -7,13 +7,15 @@ support lives in an extension raises NOT_SPLIT rather than answering
 approximately.
 
 Algorithm: refine one coordinate at a time.  Split the space by the roots
-of char_poly(A_1) into generalized eigenspaces, restrict every coordinate
-to each of them, then split each piece by its restricted A_2, and so on.
-Commuting maps preserve each other's primary components, so this needs no
+of char_poly(A_1) into generalized eigenspaces; then restrict A_2 to each
+piece and split it by the roots of the restriction, and so on.  Commuting
+maps preserve each other's primary components, so this needs no
 separating linear form and works over every field, however small.  Each
-coordinate of a point is read off as a root of a characteristic
-polynomial.  (Never as trace/dim, which lies over F_p when p divides the
-block size.)
+pass is ``refine``, and the pieces after pass i depend on A_1, ..., A_i
+alone, so a walk over tuples sharing a prefix (the census) refines that
+prefix once.  Each coordinate of a point is read off as a root of a
+characteristic polynomial.  (Never as trace/dim, which lies over F_p when
+p divides the block size.)
 """
 from __future__ import annotations
 
@@ -91,55 +93,68 @@ class LocalSummand:
     change_of_basis: GroupElement
 
 
-def _decompose(t: CommutingTuple) -> list[tuple[Point, Matrix, list[Matrix]]]:
-    """Joint generalized eigenspace decomposition over the base field.
+Part = tuple  # (point so far, basis columns of its piece in the ambient space)
 
-    Returns per support point: (point, basis columns, restricted coordinate
-    matrices), sorted by point.  Pass i splits every piece by the roots of
-    its restricted A_i and restricts all coordinates to each generalized
-    eigenspace; a coordinate with a single root on a piece leaves it whole.
-    Raises NOT_SPLIT as soon as any characteristic polynomial in sight has
-    an unsplit factor (sound: split support makes every one of them split).
+
+def _restrict(a: Matrix, basis: Matrix) -> Matrix:
+    """a on the a-invariant span of basis's columns: the unique X with
+    basis * X = a * basis."""
+    if basis.cols == a.rows:
+        # pieces only shrink when split, so a whole-space piece has basis I
+        return a
+    x = solve(basis, a * basis)
+    if x is None:
+        raise RuntimeError("joint eigenspace not invariant")
+    return x
+
+
+def refine(parts: list[Part], a: Matrix) -> list[Part]:
+    """One refinement pass: split every piece by the roots of a restricted
+    to it, appending the root to the piece's point.
+
+    Start from [((), identity)] and pass A_1, ..., A_d in order: after pass
+    i the pieces are the joint generalized eigenspaces of A_1, ..., A_i,
+    so the result depends on that prefix alone.  A piece on which a has a
+    single eigenvalue stays whole.  Raises NOT_SPLIT as soon as a characteristic
+    polynomial in sight has an unsplit factor (sound: split support makes
+    every one of them split).
     """
-    F = t.field
-    if t.n == 0:
-        return []
-    parts: list[tuple[Point, Matrix, list[Matrix]]] = [
-        ((), Matrix.identity(F, t.n), list(t.mats))
-    ]
-    for i in range(t.d):
-        refined = []
-        for point, basis, blocks in parts:
-            a = blocks[i]
-            roots, cofactor = roots_with_multiplicity(char_poly(a))
-            if cofactor.degree >= 1:
-                raise NotSplitError(
-                    "support is not rational over the base field",
-                    degrees=[cofactor.degree],
-                )
-            if len(roots) == 1:
-                refined.append((point + (roots[0][0],), basis, blocks))
-                continue
-            eye = Matrix.identity(F, a.rows)
-            for lam, mult in roots:
-                vecs = kernel_basis((a - eye.scale(lam)).power(mult))
-                if len(vecs) != mult:
-                    raise RuntimeError("generalized eigenspace of wrong dimension")
-                sub = columns_matrix(F, a.rows, vecs)
-                restricted = [solve(sub, b * sub) for b in blocks]
-                if any(r is None for r in restricted):
-                    raise RuntimeError("joint eigenspace not invariant")
-                refined.append((point + (lam,), basis * sub, restricted))
-        parts = refined
-    parts.sort(key=lambda pbb: pbb[0])
+    F = a.field
+    refined = []
+    for point, basis in parts:
+        block = _restrict(a, basis)
+        roots, cofactor = roots_with_multiplicity(char_poly(block))
+        if cofactor.degree >= 1:
+            raise NotSplitError(
+                "support is not rational over the base field",
+                degrees=[cofactor.degree],
+            )
+        if len(roots) == 1:
+            refined.append((point + (roots[0][0],), basis))
+            continue
+        eye = Matrix.identity(F, block.rows)
+        for lam, mult in roots:
+            vecs = kernel_basis((block - eye.scale(lam)).power(mult))
+            if len(vecs) != mult:
+                raise RuntimeError("generalized eigenspace of wrong dimension")
+            refined.append((point + (lam,), basis * columns_matrix(F, block.rows, vecs)))
+    return refined
+
+
+def _support(t: CommutingTuple) -> list[Part]:
+    """Joint generalized eigenspace decomposition over the base field:
+    (point, basis columns) per support point, sorted by point."""
+    parts: list[Part] = [((), Matrix.identity(t.field, t.n))] if t.n else []
+    for a in t.mats:
+        parts = refine(parts, a)
+    parts.sort(key=lambda part: part[0])
     return parts
 
 
 def cycle(t: CommutingTuple) -> Cycle:
     """The support cycle: each rational support point with the dimension
     of its joint generalized eigenspace.  Total equals n."""
-    parts = _decompose(t)
-    return Cycle.make(t.field, t.d, [(point, basis.cols) for point, basis, _ in parts])
+    return Cycle.make(t.field, t.d, [(point, basis.cols) for point, basis in _support(t)])
 
 
 def stratum(c: Cycle) -> tuple[int, ...]:
@@ -165,17 +180,17 @@ def localize(t: CommutingTuple) -> list[LocalSummand]:
     exactly these blocks in order.  Each block, translated by -point, is
     punctual; the direct sum of the blocks is isomorphic to t.
     """
-    parts = _decompose(t)
+    parts = _support(t)
     if not parts:
         return []
-    basis_all = hstack([basis for _, basis, _ in parts])
+    basis_all = hstack([basis for _, basis in parts])
     p_inv = inverse(basis_all)
     if p_inv is None:
         raise RuntimeError("eigenspace bases do not span")
     g = GroupElement(p_inv, basis_all)
     return [
-        LocalSummand(point, validate(blocks), g)
-        for point, _, blocks in parts
+        LocalSummand(point, validate([_restrict(a, basis) for a in t.mats]), g)
+        for point, basis in parts
     ]
 
 

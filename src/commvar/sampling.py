@@ -106,7 +106,11 @@ def random_split_tuple(
     Returns (tuple, ground truth) where the ground truth lists
     (point, size) by construction, independent of any cycle computation.
     """
-    pieces = rng.randint(1, max_pieces)
+    # No more pieces than distinct candidate points (random_scalar draws
+    # from F_p, or from [-coord_span, coord_span] over Q), or the redraw
+    # loop below never ends.
+    candidates = (field.characteristic or 2 * coord_span + 1) ** d
+    pieces = min(rng.randint(1, max_pieces), candidates)
     points: list[tuple[Scalar, ...]] = []
     while len(points) < pieces:
         p = tuple(random_scalar(field, rng, coord_span) for _ in range(d))

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,16 +7,17 @@ import pytest
 import oracles
 from commvar.census import (
     CensusRequest,
+    _walk,
     burnside_count,
     enumerate_census,
     gl_order,
     orbit_census,
 )
 from commvar.config import DEFAULT_CONFIG
-from commvar.cycles import partition_notation
-from commvar.errors import BudgetExceededError, NonprimeQError
+from commvar.cycles import cycle, partition_notation, stratum
+from commvar.errors import BudgetExceededError, NonprimeQError, NotSplitError
 from commvar.fields import GF
-from commvar.modules import is_punctual
+from commvar.modules import check_relations, is_punctual
 from commvar.polynomials import parse_multipoly
 
 
@@ -118,6 +120,55 @@ def test_census_unsplit_oracle_f2_pairs():
                 brute += 1
     res = enumerate_census(CensusRequest(n=2, d=2, q=2, per_stratum=True))
     assert res.unsplit_count == brute
+
+
+def per_tuple_census(n, d, q, keep=lambda t: True):
+    """raw count, per-stratum histogram (in first-seen order) and unsplit
+    count from cycle() on every kept tuple of the unfiltered enumeration"""
+    raw, per, unsplit = 0, Counter(), 0
+    for t, _ in _walk(n, d, q, DEFAULT_CONFIG):
+        if not keep(t):
+            continue
+        raw += 1
+        try:
+            per[stratum(cycle(t))] += 1
+        except NotSplitError:
+            unsplit += 1
+    return raw, list(per.items()), unsplit
+
+
+@pytest.mark.parametrize("n,d,q", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])
+def test_shared_walk_matches_per_tuple_cycle(n, d, q):
+    # the walk refines each prefix once and prunes non-nilpotent prefixes;
+    # both must count exactly what the per-tuple predicates count
+    raw, per, unsplit = per_tuple_census(n, d, q)
+    res = enumerate_census(CensusRequest(n=n, d=d, q=q, per_stratum=True))
+    assert (res.raw_count, list(res.per_stratum.items()), res.unsplit_count) == (
+        raw, per, unsplit)
+    nil = enumerate_census(CensusRequest(n=n, d=d, q=q, nilpotent=True))
+    assert nil.raw_count == sum(1 for t, _ in _walk(n, d, q, DEFAULT_CONFIG) if is_punctual(t))
+
+
+@pytest.mark.parametrize("n,q,rel", [(2, 3, "x1 + x2"), (3, 2, "x1^2 + x2^2")])
+def test_census_nilpotent_with_relation(n, q, rel):
+    rels = (parse_multipoly(rel, GF(q), 2),)
+    raw, per, unsplit = per_tuple_census(
+        n, 2, q, lambda t: is_punctual(t) and check_relations(t, rels))
+    res = enumerate_census(
+        CensusRequest(n=n, d=2, q=q, nilpotent=True, per_stratum=True, relations=rels))
+    assert 0 < res.raw_count < enumerate_census(
+        CensusRequest(n=n, d=2, q=q, nilpotent=True)).raw_count
+    # nilpotent tuples sit at the origin: one point of multiplicity n
+    assert per == [((0,) * (n - 1) + (1,), raw)] and unsplit == 0
+    assert (res.raw_count, list(res.per_stratum.items()), res.unsplit_count) == (
+        raw, per, unsplit)
+
+
+def test_census_nilpotent_feit_fine_beyond_brute_force():
+    # 809433 commuting 3x3 pairs over F_3; pruning non-nilpotent first
+    # coordinates leaves the walk a small part of them
+    res = enumerate_census(CensusRequest(n=3, d=2, q=3, nilpotent=True))
+    assert res.raw_count == oracles.feit_fine_pairs(3, 3, punctual=True)[3] == 9153
 
 
 def test_census_with_relations():

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -461,3 +462,24 @@ def test_sample_split_ground_truth_matches_cycle(tmp_path):
         (tuple(e["point"]), e["mult"]) for e in doc.metadata["support"]
     )
     assert got == want
+
+
+def test_sample_split_more_pieces_than_points_returns():
+    # F_2^1 has two points and --pieces defaults to 3; seed 5 draws 3
+    # pieces, which used to redraw forever.  A thread keeps a regression
+    # from hanging the suite.
+    result = []
+    worker = threading.Thread(
+        target=lambda: result.append(run_json(
+            "sample", "--kind", "split", "--field", "Fp:2", "--d", "1", "--n", "1",
+            "--seed", "5",
+        )),
+        daemon=True,
+    )
+    worker.start()
+    worker.join(timeout=1.0)
+    assert not worker.is_alive()
+    code, doc = result[0]
+    assert code == 0
+    points = [tuple(e["point"]) for e in doc["metadata"]["support"]]
+    assert len(points) == len(set(points)) == 2

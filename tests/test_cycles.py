@@ -93,6 +93,17 @@ def test_cycle_three_coordinates():
         assert entries_as_plain(cycle(t)) == [(tuple(p), m) for p, m in truth]
 
 
+def test_split_sampler_never_wants_more_points_than_exist():
+    # F_3^1 has 3 points, and coord_span 0 leaves Q only the origin; the
+    # sampler caps the pieces there instead of redrawing forever
+    rng = random.Random(4)
+    for field, span, available in ((GF(3), 1, 3), (GF(2), 1, 2), (QQ, 0, 1)):
+        for _ in range(20):
+            t, truth = random_split_tuple(field, 1, rng, max_pieces=4, coord_span=span)
+            assert 1 <= len(truth) <= available
+            assert entries_as_plain(cycle(t)) == [(tuple(p), m) for p, m in truth]
+
+
 def test_cycle_char_poly_factorization_per_coordinate():
     # char_poly(A_i) = prod over cycle points (t - p_i)^mult
     from commvar.matrices import char_poly
