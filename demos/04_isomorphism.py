@@ -4,14 +4,17 @@ Deciding isomorphism with certificates
 
 Two tuples are isomorphic exactly when some invertible matrix
 intertwines every coordinate simultaneously.  The decision procedure is
-deterministic: compute the intertwiner space, then scan a fixed grid of
-coefficient vectors for an invertible combination.  A certificate is
-returned and can be re-verified independently; "absent" is only ever
-reported after the full grid came up empty.
+deterministic: compute the intertwiner space, answer "absent" at once
+when dim Hom(s, t), dim End(s) and dim End(t) differ (an isomorphism
+would make them equal), and otherwise scan a fixed grid of coefficient
+vectors for an invertible combination.  A certificate is returned and
+can be re-verified independently; "absent" is only ever reported from
+the dimensions or after the full grid came up empty.
 """
 from fractions import Fraction
 
 from commvar import (
+    GF,
     QQ,
     GridBudgetExceededError,
     Matrix,
@@ -50,15 +53,33 @@ for a, b in zip(t_jordan.mats, t_other.mats):
     assert (g.matrix * a).entries == (b * g.matrix).entries
 print("certificate intertwines all coordinates")
 
-# soundness over speed: when the intertwiner space is too big for the
-# configured grid, the tool refuses instead of guessing
-J3 = Matrix.from_rows(QQ, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-J3 = Matrix(QQ, 3, 3, tuple(Fraction(x) for x in J3.entries))
+# the dimension check: (J3, 0) and (J3, J3^2) share size, characteristic
+# polynomials and support cycle, but Hom between them is 2-dimensional
+# while each has a 3-dimensional endomorphism algebra, so no grid is needed
+# and even a grid budget of 1 answers "absent"
+J3 = Matrix(QQ, 3, 3, tuple(Fraction(x) for x in (0, 1, 0, 0, 0, 1, 0, 0, 0)))
 Z3 = Matrix.zero(QQ, 3, 3)
 s = validate([J3, Z3])
 t = validate([J3, J3 * J3])
+print("J3 pair: hom dim", hom_basis(s, t).dim, "vs aut dims", aut_dim(s), aut_dim(t))
+g = is_isomorphic(s, t, RunConfig(grid_budget=1))
+print("J3 pair isomorphic with grid budget 1?", g is not None)
+assert g is None
+
+# soundness over speed: this F_2 pair passes the dimension check (hom and
+# both aut dims are 3), so only the certificate search can tell; when the
+# intertwiner space is too big for the configured grid, the tool refuses
+# instead of guessing
+F2 = GF(2)
+A = Matrix.from_rows(F2, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+s = validate([A, Matrix.from_rows(F2, [[0, 0, 0], [1, 0, 1], [0, 0, 0]])])
+t = validate([A, Matrix.from_rows(F2, [[0, 1, 0], [0, 0, 0], [0, 1, 0]])])
+print("F_2 pair: hom dim", hom_basis(s, t).dim, "vs aut dims", aut_dim(s), aut_dim(t))
 try:
     is_isomorphic(s, t, RunConfig(grid_budget=1))
+    raise SystemExit("a grid of one axis cannot prove absence here")
 except GridBudgetExceededError as e:
     print("tight budget:", e.code, e.detail)
-print("default budget answers:", is_isomorphic(s, t))
+g = is_isomorphic(s, t)
+print("default budget (the whole hom space over F_2) answers isomorphic?", g is not None)
+assert g is None

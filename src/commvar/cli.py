@@ -19,7 +19,7 @@ import time
 from . import __version__
 from .census import CensusRequest, burnside_count, enumerate_census, gl_order, orbit_census
 from .config import DEFAULT_CONFIG, RunConfig, load_config
-from .cycles import cycle, det_pushforward, localize, partition_notation, stratum
+from .cycles import cycle, localize, partition_notation, stratum
 from .documents import (
     ModuleDocument,
     document_field,

@@ -2,19 +2,22 @@
 
 Hom(s, t) is the space of matrices h with h A_i = B_i h for every
 coordinate; s and t are isomorphic exactly when that space contains an
-invertible element.  Existence is decided by evaluating det on a finite
-grid of coefficient vectors: a degree-n polynomial that vanishes on a
-grid with n+1 values per axis is identically zero, and over F_p with
-p <= n the full cartesian power of the field is used instead, which
-enumerates the whole space.  The search never answers "absent" beyond its
-budget; it raises GRID_BUDGET_EXCEEDED.
+invertible element, and then dim Hom(s, t) = dim End(s) = dim End(t), so
+unequal dimensions answer "absent" at once.  Otherwise existence is
+decided by asking ``inverse`` of combinations of a Hom basis on a finite
+grid of coefficient vectors: det of the combination is a polynomial of
+degree n in the coefficients, one that vanishes on a grid with n+1 values
+per axis is identically zero, and over F_p with p <= n the full cartesian
+power of the field is used instead, which enumerates the whole space.
+The search never answers "absent" beyond its budget; it raises
+GRID_BUDGET_EXCEEDED.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
@@ -24,8 +27,8 @@ from .errors import (
     NotPunctualError,
 )
 from .fields import Field, Scalar
-from .matrices import Matrix, char_poly, det, hstack, intertwining_system, kernel_basis, rank
-from .modules import CommutingTuple, GroupElement, group_element, is_punctual
+from .matrices import Matrix, char_poly, hstack, intertwining_system, inverse, kernel_basis, rank
+from .modules import CommutingTuple, GroupElement, is_punctual
 from .cycles import cycle
 from .errors import NotSplitError
 
@@ -68,24 +71,38 @@ def aut_dim(t: CommutingTuple) -> int:
     return hom_basis(t, t).dim
 
 
-def _grid_values(field: Field, n: int) -> list[Scalar]:
+def _coefficients(field: Field, n: int, dim: int, config: RunConfig) -> Iterator[Sequence[Scalar]]:
+    """Coefficient vectors over a Hom basis, in the order they are tried:
+    each basis element, then (when dim > 1) their sum, then the grid in
+    lexicographic order, or 1024 seeded draws from it beyond the grid
+    budget.  The grid has n + 1 values per axis, enough to see a nonzero
+    degree-n det, or all of F_p when p <= n, which is the whole space."""
+    zero, one = field.zero(), field.one()
+    for i in range(dim):
+        yield [one if j == i else zero for j in range(dim)]
+    if dim > 1:
+        yield [one] * dim
     p = field.characteristic
-    if p and p <= n:
-        return [field.of(k) for k in range(p)]
-    return [field.of(k) for k in range(n + 1)]
+    values = [field.of(k) for k in range(p if p and p <= n else n + 1)]
+    if dim <= config.grid_budget:
+        yield from itertools.product(values, repeat=dim)
+        return
+    rng = random.Random(config.seed)
+    for _ in range(1024):
+        yield [values[rng.randrange(len(values))] for _ in range(dim)]
 
 
 def _try_certificate(
     h: Matrix, s: CommutingTuple, t: CommutingTuple
 ) -> Optional[GroupElement]:
-    if det(h) == h.field.zero():
+    h_inv = inverse(h)
+    if h_inv is None:
         return None
-    g = group_element(h)
     # Certificates are sound by construction; re-verify exactly anyway.
     for a, b in zip(s.mats, t.mats):
         if not (h * a - b * h).is_zero():
             raise RuntimeError("certificate fails to intertwine")
-    return g
+    return GroupElement(h, h_inv)
 
 
 def is_isomorphic(
@@ -93,11 +110,13 @@ def is_isomorphic(
 ) -> Optional[GroupElement]:
     """An invertible intertwiner g (conjugate(s, g) == t), or None.
 
-    Fast-path invariant checks run first; then a deterministic certificate
-    search over Hom(s, t): each basis element and their sum, then the
-    coefficient grid in lexicographic order.  Beyond the configured grid
-    dimension, 1024 seeded pseudorandom trials run before raising
-    GRID_BUDGET_EXCEEDED; "absent" is only ever answered soundly.
+    Invariant checks run first: coordinate characteristic polynomials, the
+    support cycle, and dim Hom(s, t) = dim End(s) = dim End(t), which any
+    isomorphism forces.  Then one deterministic certificate search over
+    Hom(s, t) asks ``inverse`` of each candidate combination in the order
+    of ``_coefficients``.  Beyond the configured grid dimension the seeded
+    draws cannot prove absence, so GRID_BUDGET_EXCEEDED is raised instead;
+    "absent" is only ever answered soundly.
     """
     _compatible(s, t)
     if s.n != t.n:
@@ -114,46 +133,19 @@ def is_isomorphic(
             return None
     except NotSplitError:
         pass
-    if aut_dim(s) != aut_dim(t):
-        return None
     hom = hom_basis(s, t)
-    if hom.dim == 0:
+    if not hom.dim == aut_dim(s) == aut_dim(t):
         return None
-    # Deterministic pre-pass: single basis elements, then their sum.
-    total = hom.basis[0]
-    g = _try_certificate(total, s, t)
-    if g is not None:
-        return g
-    for h in hom.basis[1:]:
+    columns = list(zip(*(b.entries for b in hom.basis)))  # entry e of each basis element
+    zero = F.zero()
+    for coeffs in _coefficients(F, s.n, hom.dim, config):
+        terms = [(j, c) for j, c in enumerate(coeffs) if c != zero]
+        h = Matrix(F, t.n, s.n, tuple(F.of(sum(c * col[j] for j, c in terms)) for col in columns))
         g = _try_certificate(h, s, t)
         if g is not None:
             return g
-        total = total + h
-    if hom.dim > 1:
-        g = _try_certificate(total, s, t)
-        if g is not None:
-            return g
-    values = _grid_values(F, s.n)
     if hom.dim <= config.grid_budget:
-        for coeffs in itertools.product(values, repeat=hom.dim):
-            h = Matrix.zero(F, t.n, s.n)
-            for x, basis_el in zip(coeffs, hom.basis):
-                if x != F.zero():
-                    h = h + basis_el.scale(x)
-            g = _try_certificate(h, s, t)
-            if g is not None:
-                return g
         return None
-    rng = random.Random(config.seed)
-    for _ in range(1024):
-        h = Matrix.zero(F, t.n, s.n)
-        for basis_el in hom.basis:
-            x = values[rng.randrange(len(values))]
-            if x != F.zero():
-                h = h + basis_el.scale(x)
-        g = _try_certificate(h, s, t)
-        if g is not None:
-            return g
     raise GridBudgetExceededError(
         f"Hom dimension {hom.dim} exceeds grid budget {config.grid_budget} "
         "and randomized trials found no invertible element",

@@ -11,7 +11,12 @@ entries; over Q, fraction-free Gauss-Jordan on rows cleared of denominators
 and kept primitive by a row-content gcd, converted to ``Fraction`` once at
 the end.  The reduced row echelon form is unique, so R, rank and pivots,
 down to the scalar types, are the same as those of textbook elimination
-with field operations.
+with field operations.  "Is m invertible?" is asked of ``inverse``, which
+answers it and returns the inverse in the same elimination.
+
+``det`` is the one other elimination: integer Bareiss on the residues over
+F_p and on rows cleared of denominators over Q.  Inside the package only
+``cycles.det_pushforward`` calls it.
 """
 from __future__ import annotations
 
@@ -420,33 +425,6 @@ def kernel_basis(m: Matrix) -> list[tuple[Scalar, ...]]:
     return basis
 
 
-def _det_prime_field(m: Matrix) -> Scalar:
-    F = m.field
-    p = F.characteristic
-    rows = [list(r) for r in m.to_rows()]
-    n = m.rows
-    detval = 1
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c] % p:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return 0
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            detval = -detval
-        pv = rows[c][c]
-        detval = (detval * pv) % p
-        inv = pow(pv, -1, p)
-        for i in range(c + 1, n):
-            f = (rows[i][c] * inv) % p
-            if f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[c])]
-    return detval % p
-
-
 def _bareiss_int(rows: list[list[int]], n: int) -> int:
     """Fraction-free Bareiss determinant of an integer matrix (destructive)."""
     sign = 1
@@ -472,25 +450,29 @@ def _bareiss_int(rows: list[list[int]], n: int) -> int:
 
 
 def det(m: Matrix) -> Scalar:
-    """Determinant: division-free Bareiss over Q, elimination over F_p."""
+    """Determinant by integer Bareiss elimination, the one algorithm for
+    both fields.
+
+    Over F_p the residues themselves are the integer rows and the integer
+    determinant is reduced mod p at the end; over Q each row is cleared of
+    denominators first and the result divided by their product.
+    """
     if m.rows != m.cols:
         raise NotSquareError(f"determinant of {m.rows}x{m.cols}")
     F = m.field
     n = m.rows
     if n == 0:
         return F.one()
-    if F.characteristic:
-        return _det_prime_field(m)
-    # Clear denominators row by row, then run integer Bareiss.
+    p = F.characteristic
+    rows = [list(m.row(i)) for i in range(n)]
+    if p:
+        return _bareiss_int(rows, n) % p
     scale = 1
-    int_rows: list[list[int]] = []
-    for i in range(n):
-        row = m.row(i)
+    for i, row in enumerate(rows):
         mult = lcm(*(x.denominator for x in row))
         scale *= mult
-        int_rows.append([int(x * mult) for x in row])
-    d = _bareiss_int(int_rows, n)
-    return Fraction(d, scale)
+        rows[i] = [x.numerator * (mult // x.denominator) for x in row]
+    return Fraction(_bareiss_int(rows, n), scale)
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:

@@ -90,7 +90,12 @@ def empty_tuple(field: Field, d: int) -> CommutingTuple:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An invertible matrix with its exact inverse; build via group_element()."""
+    """An invertible matrix with its exact inverse.
+
+    group_element() builds one from a matrix; callers that have just run
+    ``inverse`` themselves (certificates, seeded draws, framed equality)
+    pair the two directly instead of eliminating a second time.
+    """
 
     matrix: Matrix
     inv: Matrix

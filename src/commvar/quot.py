@@ -20,7 +20,7 @@ from .errors import (
     WrongFrameCountError,
 )
 from .fields import Scalar
-from .matrices import Matrix, columns_matrix, det, hstack, intertwining_system, inverse, rref
+from .matrices import Matrix, columns_matrix, hstack, intertwining_system, inverse, rank, rref
 from .modules import CommutingTuple, GroupElement
 
 
@@ -111,14 +111,14 @@ def forget_frame(f: FramedModule) -> CommutingTuple:
 
 
 def is_atlas_point(f: FramedModule) -> bool:
-    """With r = n: is the frame matrix itself invertible?
+    """With r = n: is the frame matrix itself invertible (of rank n)?
 
     These framed points form the open locus where the frame is a basis.
     """
     t = f.module
     if f.r != t.n:
         raise WrongFrameCountError(f"atlas check needs r = n, got r = {f.r}, n = {t.n}")
-    return det(f.frame_matrix()) != t.field.zero()
+    return rank(f.frame_matrix()) == t.n
 
 
 def quot_equal(f: FramedModule, g: FramedModule) -> Optional[GroupElement]:

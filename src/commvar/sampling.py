@@ -6,10 +6,9 @@ same seed reproduces the same objects everywhere.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from .fields import Field, Scalar
-from .matrices import Matrix, det
+from .matrices import Matrix, inverse
 from .modules import (
     CommutingTuple,
     GroupElement,
@@ -19,7 +18,6 @@ from .modules import (
     direct_sum,
     empty_tuple,
     from_staircase,
-    group_element,
     staircase,
     translate,
     validate,
@@ -37,17 +35,13 @@ def random_matrix(field: Field, n: int, rng: random.Random, span: int = 3) -> Ma
     return Matrix(field, n, n, tuple(random_scalar(field, rng, span) for _ in range(n * n)))
 
 
-def random_invertible(field: Field, n: int, rng: random.Random, span: int = 3) -> Matrix:
-    if n == 0:
-        return Matrix.zero(field, 0, 0)
-    while True:
-        m = random_matrix(field, n, rng, span)
-        if det(m) != field.zero():
-            return m
-
-
 def random_group_element(field: Field, n: int, rng: random.Random) -> GroupElement:
-    return group_element(random_invertible(field, n, rng))
+    """Redraw random_matrix until one is invertible; one ``inverse`` per draw."""
+    while True:
+        m = random_matrix(field, n, rng)
+        m_inv = inverse(m)
+        if m_inv is not None:
+            return GroupElement(m, m_inv)
 
 
 def random_staircase(rng: random.Random, n_cells: int) -> Staircase:

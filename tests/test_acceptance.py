@@ -243,10 +243,11 @@ def test_criterion_04_localization_round_trip():
                 reassembled = direct_sum(reassembled, s.local_module)
             g = is_isomorphic(t, reassembled)
             assert g is not None
-            # certificate verified by hand: invertible and intertwining
+            # certificate verified by hand: g times its inverse is I, and
+            # g intertwines
             p = oracles.char_of_field(F)
             grows = oracles.rows_of(g.matrix)
-            assert oracles.cramer_inverse(grows, p) is not None
+            assert oracles.mat_mul(grows, oracles.rows_of(g.inv), p) == oracles.mat_identity(t.n, p)
             for a, b in zip(t.mats, reassembled.mats):
                 left = oracles.mat_mul(grows, oracles.rows_of(a), p)
                 right = oracles.mat_mul(oracles.rows_of(b), grows, p)
@@ -573,8 +574,8 @@ def test_criterion_11_cli_contract(tmp_path, monkeypatch):
                 "GRID_BUDGET_EXCEEDED",
                 [
                     "isom",
-                    str(GOLDEN / "j3_zero.json"),
-                    str(GOLDEN / "j3_j3sq.json"),
+                    str(GOLDEN / "f2_grid_s.json"),
+                    str(GOLDEN / "f2_grid_t.json"),
                     "--config",
                     str(grid_cfg),
                 ],

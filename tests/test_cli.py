@@ -328,15 +328,17 @@ def test_not_surjective(tmp_path):
 def test_grid_budget_exceeded(tmp_path):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text('{"grid_budget": 1}')
-    code, rep = run_json(
-        "isom",
-        str(GOLDEN / "j3_zero.json"),
-        str(GOLDEN / "j3_j3sq.json"),
-        "--config",
-        str(cfgp),
-    )
+    pair = [str(GOLDEN / "f2_grid_s.json"), str(GOLDEN / "f2_grid_t.json")]
+    code, rep = run_json("isom", *pair, "--config", str(cfgp))
     assert code == 1 and rep["error"] == "GRID_BUDGET_EXCEEDED"
-    assert rep["detail"]["hom_dim"] == 2
+    assert rep["detail"]["hom_dim"] == 3
+    code, rep = run_json("isom", *pair)
+    assert code == 0 and rep["isomorphic"] is False
+    # unequal hom and End dimensions answer "absent" within any budget
+    code, rep = run_json(
+        "isom", str(GOLDEN / "j3_zero.json"), str(GOLDEN / "j3_j3sq.json"), "--config", str(cfgp)
+    )
+    assert code == 0 and rep["isomorphic"] is False
 
 
 def test_budget_exceeded(tmp_path):

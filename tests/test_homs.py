@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -95,7 +96,7 @@ def test_is_isomorphic_certificate_verified():
         for a, b in zip(t.mats, u.mats):
             assert cert.matrix * a == b * cert.matrix
         hand_inv = oracles.cramer_inverse(oracles.rows_of(cert.matrix), None)
-        assert hand_inv is not None
+        assert hand_inv == oracles.rows_of(cert.inv)
 
 
 def test_is_isomorphic_over_prime_field():
@@ -125,25 +126,52 @@ def test_is_isomorphic_empty_modules():
 
 def test_is_isomorphic_same_cycle_different_modules():
     # (J3, 0) vs (J3, J3^2): same size, same coordinate char polys,
-    # same support cycle, same aut_dim, yet not isomorphic: every
-    # intertwiner lands in span{J3, J3^2} and is singular
+    # same support cycle, same aut_dim, yet not isomorphic: hom dim 2
+    # against End dim 3 decides it, before any certificate search, so
+    # even a grid budget of 1 answers "absent"
     s = validate([J3, Z3])
     t = validate([J3, J3 * J3])
     assert hom_basis(s, t).dim == 2
     assert aut_dim(s) == aut_dim(t) == 3
-    assert is_isomorphic(s, t) is None
-    assert is_isomorphic(t, s) is None
+    tight = dataclasses.replace(DEFAULT_CONFIG, grid_budget=1)
+    for config in (DEFAULT_CONFIG, tight):
+        assert is_isomorphic(s, t, config) is None
+        assert is_isomorphic(t, s, config) is None
+
+
+def test_dimension_check_decides_cube_of_maximal_ideal_against_its_dual():
+    # k[x,y]/(x,y)^3 (n = 6) against its transpose dual: End dims 6 and 6,
+    # hom dim 9, so the modules differ; the grid would exceed its budget
+    cube = from_staircase(staircase([(i, j) for i in range(3) for j in range(3 - i)]), QQ)
+    dual = validate([a.transpose() for a in cube.mats])
+    assert (aut_dim(cube), aut_dim(dual), hom_basis(cube, dual).dim) == (6, 6, 9)
+    t0 = time.monotonic()
+    assert is_isomorphic(cube, dual) is None
+    assert time.monotonic() - t0 < 1.0
+
+
+# Over F_2: dim Hom(s, t) = dim End(s) = dim End(t) = 3 but dim Hom(t, s) = 4,
+# so the dimension check passes s -> t and only the certificate search,
+# which over F_2 with n = 3 enumerates the whole hom space, says "absent".
+F2 = GF(2)
+F2_A = Matrix.from_rows(F2, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+F2_S = validate([F2_A, Matrix.from_rows(F2, [[0, 0, 0], [1, 0, 1], [0, 0, 0]])])
+F2_T = validate([F2_A, Matrix.from_rows(F2, [[0, 1, 0], [0, 0, 0], [0, 1, 0]])])
+
+
+def test_grid_decides_f2_pair_with_equal_dimensions():
+    assert hom_basis(F2_S, F2_T).dim == aut_dim(F2_S) == aut_dim(F2_T) == 3
+    assert hom_basis(F2_T, F2_S).dim == 4
+    assert is_isomorphic(F2_S, F2_T) is None
 
 
 def test_grid_budget_exceeded_is_loud():
-    # same pair, but a grid budget of 1 forces the randomized fallback,
-    # which cannot certify absence and must fail loudly instead
-    s = validate([J3, Z3])
-    t = validate([J3, J3 * J3])
+    # a grid budget of 1 forces the randomized fallback, which cannot
+    # certify absence and must fail loudly instead
     tight = dataclasses.replace(DEFAULT_CONFIG, grid_budget=1)
     with pytest.raises(GridBudgetExceededError) as exc:
-        is_isomorphic(s, t, tight)
-    assert exc.value.detail["hom_dim"] == 2
+        is_isomorphic(F2_S, F2_T, tight)
+    assert exc.value.detail["hom_dim"] == 3
     assert exc.value.detail["grid_budget"] == 1
 
 

@@ -90,6 +90,27 @@ def test_det_matches_cofactor_oracle():
             assert det(m) == oracles.cofactor_det(oracles.rows_of(m), p)
 
 
+def test_det_matches_cofactor_oracle_over_large_primes():
+    # Bareiss runs on the residues as integers, so its intermediate values
+    # exceed p before the final reduction; singular inputs and zero leading
+    # pivots (row swaps) are mixed in
+    rng = random.Random(4)
+    for p in (1000003, 2**31 - 1):
+        for n in range(7):
+            for k in range(6):
+                rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+                if n >= 2 and k == 1:
+                    rows[-1] = list(rows[0])
+                if n >= 2 and k == 2:
+                    rows[0][0] = 0
+                if n >= 2 and k == 3:
+                    rows[1] = [(3 * x + 5 * y) % p for x, y in zip(rows[0], rows[-1])]
+                m = fmat(p, rows)
+                got = det(m)
+                assert isinstance(got, int) and 0 <= got < p
+                assert got == oracles.cofactor_det(oracles.rows_of(m), p)
+
+
 def test_det_multiplicative():
     rng = random.Random(2)
     for _ in range(20):
