@@ -2,22 +2,28 @@
 
 Counts are exact; the groupoid count raw/|GL_n(F_q)| is a rational number
 and the Burnside identity sum(1/|Aut|) over orbits reproduces it.  The
-enumerator walks centralizer chains rather than all q^(d n^2) tuples: the
-first coordinate ranges over all matrices, each later coordinate over the
-joint centralizer of the prefix, so commutation never needs rechecking.
-The work that depends on a prefix alone is done once per prefix: the
-nilpotent filter drops a prefix, and with it every extension, as soon as
-its newest coordinate fails A^n = 0, and the per-stratum count runs one
-support refinement pass (``cycles.refine``) per prefix.  Relation filters
-are checked per tuple.  A request whose nominal size q^(d n^2) exceeds the
-budget is refused whole; counts are never truncated.
+enumerator walks centralizer chains rather than all q^(d n^2) tuples: each
+coordinate after the first ranges over the joint centralizer of the prefix,
+so commutation never needs rechecking.  Every census filter (nilpotency,
+relations, the support stratum) is invariant under simultaneous
+conjugation, so ``enumerate_census`` visits one first coordinate per
+GL_n-class, its primary rational canonical form, and counts every tuple
+above it with the orbit size |GL_n|/|Z_GL(A)| (Macdonald, Symmetric
+Functions and Hall Polynomials, IV.2); ``orbit_census`` walks every first
+coordinate with weight 1.  The work that depends on a prefix alone is done
+once per prefix: the nilpotent filter drops a prefix, and with it every
+extension, as soon as its newest coordinate fails A^n = 0, and the
+per-stratum count runs one support refinement pass (``cycles.refine``) per
+prefix.  Relation filters are checked per tuple.  A request whose nominal
+size q^(d n^2) exceeds the budget is refused whole; counts are never
+truncated.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
@@ -27,10 +33,10 @@ from .errors import (
     NotSplitError,
 )
 from .fields import GF, is_prime
-from .matrices import Matrix, intertwining_system, kernel_basis
-from .modules import CommutingTuple, GroupElement, conjugate, inverse, is_punctual
+from .matrices import Matrix, block_diag, intertwining_system, kernel_basis
+from .modules import CommutingTuple, GroupElement, companion, conjugate, inverse, is_punctual
 from .cycles import Cycle, Part, refine, stratum
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, UniPoly
 from .modules import check_relations
 
 
@@ -76,9 +82,80 @@ class Orbit:
     aut_order: int
 
 
-def _all_matrices(fieldobj, n: int) -> Iterator[Matrix]:
-    for entries in itertools.product(range(fieldobj.characteristic), repeat=n * n):
-        yield Matrix(fieldobj, n, n, entries)
+def _all_matrices(n: int, q: int) -> Iterator[tuple[Matrix, int]]:
+    """Every n x n matrix over F_q in entry-lexicographic order, each with
+    weight 1."""
+    F = GF(q)
+    for entries in itertools.product(range(q), repeat=n * n):
+        yield Matrix(F, n, n, entries), 1
+
+
+def _irreducibles(F, n: int) -> list[UniPoly]:
+    """The monic irreducibles of degree 1..n over F_q, by degree: a sieve
+    that strikes out each product of a lower-degree irreducible and a monic
+    cofactor."""
+    q = F.characteristic
+    monic = {e: [UniPoly(F, c + (1,)) for c in itertools.product(range(q), repeat=e)]
+             for e in range(1, n + 1)}
+    irr: list[UniPoly] = []
+    for e in range(1, n + 1):
+        reducible = {f * g for f in irr if 2 * f.degree <= e for g in monic[e - f.degree]}
+        irr += [f for f in monic[e] if f not in reducible]
+    return irr
+
+
+def _partitions(m: int, most: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of m into parts of at most `most`, parts descending."""
+    if m == 0:
+        yield ()
+    for k in range(min(m, most), 0, -1):
+        for rest in _partitions(m - k, k):
+            yield (k,) + rest
+
+
+def _centralizer_order(lam: tuple[int, ...], Q: int) -> Fraction:
+    """a_lam(Q) = Q^(|lam| + 2 n(lam)) prod_i prod_{k=1}^{m_i(lam)} (1 - Q^-k),
+    the order of the centralizer in GL of a primary part whose Jordan
+    type over the residue field F_Q is lam."""
+    out = Fraction(Q) ** (sum(lam) + 2 * sum(i * part for i, part in enumerate(lam)))
+    for part in set(lam):
+        for k in range(1, lam.count(part) + 1):
+            out *= 1 - Fraction(1, Q**k)
+    return out
+
+
+def _classes(n: int, q: int) -> list[tuple[Matrix, int]]:
+    """One matrix per similarity class of n x n matrices over F_q, with the
+    size |GL_n|/|Z_GL(A)| of its class, in entry-lexicographic order of the
+    representatives.
+
+    A class is a partition lam_phi for each monic irreducible phi with
+    sum deg(phi) |lam_phi| = n; its representative is the block sum of the
+    companion matrices of phi^k over the parts k of each lam_phi, and
+    |Z_GL(A)| = prod_phi a_{lam_phi}(q^deg(phi)).
+    """
+    F = GF(q)
+    irr = _irreducibles(F, n)
+    glo = gl_order(n, q)
+    out: list[tuple[Matrix, Fraction]] = []
+
+    def assign(start: int, room: int, blocks: list[Matrix], z: Fraction) -> None:
+        if room == 0:
+            out.append((block_diag(blocks, F), glo / z))
+        for j in range(start, len(irr)):
+            phi = irr[j]
+            e = phi.degree
+            if e > room:
+                break
+            for size in range(1, room // e + 1):
+                for lam in _partitions(size, size):
+                    more = [companion(phi.pow_int(k)).mats[0] for k in lam]
+                    assign(j + 1, room - e * size, blocks + more, z * _centralizer_order(lam, q**e))
+
+    assign(0, n, [], Fraction(1))
+    if sum(w for _, w in out) != q ** (n * n) or any(w.denominator != 1 for _, w in out):
+        raise RuntimeError("class sizes do not partition the n x n matrices")
+    return sorted(((a, int(w)) for a, w in out), key=lambda aw: aw[0].entries)
 
 
 def _centralizer_basis(prefix: Sequence[Matrix], fieldobj, n: int) -> list[Matrix]:
@@ -113,15 +190,24 @@ _PRUNED = object()
 
 
 def _walk(
-    n: int, d: int, q: int, config: RunConfig, step=None, start=None
-) -> Iterator[tuple[CommutingTuple, object]]:
-    """All points of the commuting variety over F_q, in lexicographic order
-    of the concatenated row-major coordinate entries, each with the state
-    carried along its chain.
+    n: int,
+    d: int,
+    q: int,
+    config: RunConfig,
+    firsts: Callable[[int, int], Iterable[tuple[Matrix, int]]],
+    step=None,
+    start=None,
+) -> Iterator[tuple[CommutingTuple, int, object]]:
+    """Points of the commuting variety over F_q above the (matrix, weight)
+    pairs firsts(n, q), each point with the weight of its first coordinate
+    and the state carried along its chain.
 
-    With step, the empty prefix has state start, and prefix + [m] has state
-    step(state of prefix, m); a step returning _PRUNED drops prefix + [m]
-    and every tuple extending it.
+    Each later coordinate ranges over the joint centralizer of the prefix
+    in entry-lexicographic order, so with _all_matrices the walk yields
+    every point once, in lexicographic order of the concatenated row-major
+    coordinate entries.  With step, the empty prefix has state start, and
+    prefix + [m] has state step(state of prefix, m); a step returning
+    _PRUNED drops prefix + [m] and every tuple extending it.
     """
     if not is_prime(q):
         raise NonprimeQError(f"{q} is not prime", q=q)
@@ -132,22 +218,21 @@ def _walk(
     _check_budget(q ** (d * n * n), config)
     F = GF(q)
 
-    def extend(prefix: list[Matrix], state) -> Iterator[tuple[CommutingTuple, object]]:
-        if len(prefix) == d:
-            yield CommutingTuple(F, n, d, tuple(prefix)), state
-            return
-        if n == 0:
-            nexts = [Matrix.zero(F, 0, 0)]
-        elif not prefix:
-            nexts = _all_matrices(F, n)
-        else:
-            nexts = _span_elements(_centralizer_basis(prefix, F, n), F, n)
-        for m in nexts:
+    def extend(
+        prefix: list[Matrix], nexts: Iterable[tuple[Matrix, int]], state
+    ) -> Iterator[tuple[CommutingTuple, int, object]]:
+        for m, weight in nexts:
             s = state if step is None else step(state, m)
-            if s is not _PRUNED:
-                yield from extend(prefix + [m], s)
+            if s is _PRUNED:
+                continue
+            chain = prefix + [m]
+            if len(chain) == d:
+                yield CommutingTuple(F, n, d, tuple(chain)), weight, s
+            else:
+                centralizer = _span_elements(_centralizer_basis(chain, F, n), F, n)
+                yield from extend(chain, ((c, weight) for c in centralizer), s)
 
-    yield from extend([], start)
+    yield from extend([], firsts(n, q), start)
 
 
 def enumerate_census(req: CensusRequest, config: RunConfig = DEFAULT_CONFIG) -> CensusResult:
@@ -183,16 +268,16 @@ def enumerate_census(req: CensusRequest, config: RunConfig = DEFAULT_CONFIG) -> 
     raw = 0
     per: dict[tuple[int, ...], int] = {}
     unsplit = 0
-    for t, parts in _walk(n, req.d, req.q, config, step, start):
+    for t, weight, parts in _walk(n, req.d, req.q, config, _classes, step, start):
         if req.relations and not check_relations(t, req.relations):
             continue
-        raw += 1
+        raw += weight
         if req.per_stratum:
             if parts is None:
-                unsplit += 1
+                unsplit += weight
             else:
                 alpha = stratum(Cycle.make(F, req.d, [(p, b.cols) for p, b in parts]))
-                per[alpha] = per.get(alpha, 0) + 1
+                per[alpha] = per.get(alpha, 0) + weight
     return CensusResult(
         n=req.n,
         d=req.d,
@@ -216,10 +301,9 @@ def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> 
     invariant).
     """
     glo = gl_order(n, q)
-    F = GF(q)
-    all_tuples = [t for t, _ in _walk(n, d, q, config)]
+    all_tuples = [t for t, _, _ in _walk(n, d, q, config, _all_matrices)]
     group: list[GroupElement] = []
-    for m in _all_matrices(F, n):
+    for m, _ in _all_matrices(n, q):
         m_inv = inverse(m)
         if m_inv is not None:
             group.append(GroupElement(m, m_inv))

@@ -260,6 +260,22 @@ def all_matrices_f(n: int, q: int) -> list[Rows]:
     return out
 
 
+def similarity_classes(n: int, q: int) -> list[set]:
+    """The orbits of GL_n(F_q) acting on n x n matrices by conjugation, each
+    a set of row tuples, by conjugating every matrix with every invertible
+    one."""
+    group = [(g, cramer_inverse(g, q)) for g in all_matrices_f(n, q) if cofactor_det(g, q) != 0]
+    seen: set = set()
+    orbits = []
+    for a in all_matrices_f(n, q):
+        if tuple(map(tuple, a)) in seen:
+            continue
+        orbit = {tuple(map(tuple, mat_mul(mat_mul(g, a, q), g_inv, q))) for g, g_inv in group}
+        seen |= orbit
+        orbits.append(orbit)
+    return orbits
+
+
 def count_commuting_pairs(n: int, q: int) -> int:
     mats = all_matrices_f(n, q)
     count = 0

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from commvar import census
 from commvar.census import (
     CensusRequest,
+    _all_matrices,
+    _classes,
     _walk,
     burnside_count,
     enumerate_census,
@@ -33,6 +36,29 @@ def test_gl_order_small_values():
 def test_gl_order_matches_brute_count():
     for n, q in [(1, 2), (1, 3), (2, 2), (2, 3)]:
         assert gl_order(n, q) == oracles.count_invertible(n, q)
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+def test_classes_match_brute_force_orbits(n, q):
+    # every matrix is conjugate to exactly one representative, and each
+    # weight is the size of its orbit
+    orbits = oracles.similarity_classes(n, q)
+    where = {key: i for i, orbit in enumerate(orbits) for key in orbit}
+    hits = []
+    for a, weight in _classes(n, q):
+        i = where[tuple(map(tuple, oracles.rows_of(a)))]
+        assert weight == len(orbits[i])
+        hits.append(i)
+    assert sorted(hits) == list(range(len(orbits)))
+
+
+@pytest.mark.parametrize("n,q", [(0, 2), (1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5),
+                                 (3, 2), (3, 3), (4, 2)])
+def test_class_counts_match_closed_forms(n, q):
+    classes = _classes(n, q)
+    closed = [1, q, q**2 + q, q**3 + q**2 + q, q**4 + q**3 + 2 * q**2 + q][n]
+    assert len(classes) == closed
+    assert sum(w for _, w in classes) == q ** (n * n)
 
 
 def test_census_n1_is_affine_space():
@@ -126,7 +152,7 @@ def per_tuple_census(n, d, q, keep=lambda t: True):
     """raw count, per-stratum histogram (in first-seen order) and unsplit
     count from cycle() on every kept tuple of the unfiltered enumeration"""
     raw, per, unsplit = 0, Counter(), 0
-    for t, _ in _walk(n, d, q, DEFAULT_CONFIG):
+    for t, _, _ in _walk(n, d, q, DEFAULT_CONFIG, _all_matrices):
         if not keep(t):
             continue
         raw += 1
@@ -146,7 +172,8 @@ def test_shared_walk_matches_per_tuple_cycle(n, d, q):
     assert (res.raw_count, list(res.per_stratum.items()), res.unsplit_count) == (
         raw, per, unsplit)
     nil = enumerate_census(CensusRequest(n=n, d=d, q=q, nilpotent=True))
-    assert nil.raw_count == sum(1 for t, _ in _walk(n, d, q, DEFAULT_CONFIG) if is_punctual(t))
+    assert nil.raw_count == sum(
+        1 for t, _, _ in _walk(n, d, q, DEFAULT_CONFIG, _all_matrices) if is_punctual(t))
 
 
 @pytest.mark.parametrize("n,q,rel", [(2, 3, "x1 + x2"), (3, 2, "x1^2 + x2^2")])
@@ -169,6 +196,37 @@ def test_census_nilpotent_feit_fine_beyond_brute_force():
     # coordinates leaves the walk a small part of them
     res = enumerate_census(CensusRequest(n=3, d=2, q=3, nilpotent=True))
     assert res.raw_count == oracles.feit_fine_pairs(3, 3, punctual=True)[3] == 9153
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (4, 2)])
+def test_census_all_pairs_feit_fine_beyond_brute_force(n, q):
+    # 3^9 and 2^16 first coordinates, walked as 39 and 34 classes
+    res = enumerate_census(CensusRequest(n=n, d=2, q=q))
+    assert res.raw_count == oracles.feit_fine_pairs(n, q, punctual=False)[n]
+    assert res.raw_count == {(3, 3): 809433, (4, 2): 2526976}[(n, q)]
+
+
+_FILTERS = ["none", "nilpotent", "per_stratum", "relation", "all"]
+
+
+# the weight-1 walk takes 12-15 s per request at (3,3,2) with per_stratum or
+# the relation alone; "all" runs both there behind the nilpotent prune
+@pytest.mark.parametrize("n,d,q,name", [(2, 3, 2, f) for f in _FILTERS] + [
+    (2, 3, 3, f) for f in _FILTERS] + [(3, 3, 2, f) for f in ("none", "nilpotent", "all")])
+def test_class_weighted_census_matches_all_matrices_walk(monkeypatch, n, d, q, name):
+    # no closed form at d = 3: walk every first coordinate with weight 1
+    rel = (parse_multipoly("x1*x2 + x3^2", GF(q), 3),)
+    kw = {
+        "none": {},
+        "nilpotent": {"nilpotent": True},
+        "per_stratum": {"per_stratum": True},
+        "relation": {"relations": rel},
+        "all": {"nilpotent": True, "per_stratum": True, "relations": rel},
+    }[name]
+    req = CensusRequest(n=n, d=d, q=q, **kw)
+    weighted = enumerate_census(req)
+    monkeypatch.setattr(census, "_classes", _all_matrices)
+    assert enumerate_census(req) == weighted
 
 
 def test_census_with_relations():
