@@ -36,7 +36,7 @@ basis_frame = FramedModule(t, (e1, e2))
 print("(e1, e2) is an atlas point?", is_atlas_point(basis_frame))
 
 # transporting a framed point by g and asking for equality returns g back:
-# the intertwining-plus-frame system has a unique solution
+# the Krylov words on the frame pin the only candidate h = K_t K_s^-1
 g = group_element(Matrix.from_rows(QQ, [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]))
 transported = FramedModule(
     conjugate(t, g), tuple(g.matrix.mat_vec(v) for v in basis_frame.frame)

@@ -251,19 +251,15 @@ def columns_matrix(field: Field, n: int, cols: Sequence[Sequence[Scalar]]) -> Ma
     )
 
 
-def intertwining_system(
-    sources: Sequence[Matrix],
-    targets: Sequence[Matrix],
-    extra_rows: Sequence[Sequence[Scalar]] = (),
-) -> Matrix:
+def intertwining_system(sources: Sequence[Matrix], targets: Sequence[Matrix]) -> Matrix:
     """Coefficient matrix of the linear map h -> (h A_i - B_i h)_i, where
     A_i = sources[i] is ns x ns, B_i = targets[i] is nt x nt and h is nt x ns.
 
     Unknowns are row-major: h_ab is column a*ns + b.  Rows are (i, r, c) in
     lexicographic order, one per entry (r, c) of h A_i - B_i h; the
     coefficient of h_ab there is [a = r] A_i[b, c] - B_i[r, a] [b = c].
-    The extra_rows (each nt*ns long, in the same coordinates) follow.
-    Entries are written directly; no matrix products are formed.
+    Its kernel is Hom(A, B).  Entries are written directly; no matrix
+    products are formed.
     """
     if not sources or len(sources) != len(targets):
         raise ArityMismatchError(
@@ -285,10 +281,6 @@ def intertwining_system(
                     if x != zero:
                         row[k * ns + c] = F.sub(row[k * ns + c], x)
                 out.extend(row)
-    for row in extra_rows:
-        if len(row) != width:
-            raise SizeMismatchError(f"extra row of length {len(row)}, expected {width}")
-        out.extend(row)
     return Matrix(F, len(out) // width if width else 0, width, tuple(out))
 
 

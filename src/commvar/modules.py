@@ -92,9 +92,10 @@ def empty_tuple(field: Field, d: int) -> CommutingTuple:
 class GroupElement:
     """An invertible matrix with its exact inverse.
 
-    group_element() builds one from a matrix; callers that have just run
-    ``inverse`` themselves (certificates, seeded draws, framed equality)
-    pair the two directly instead of eliminating a second time.
+    group_element() builds one from a matrix; callers that already hold
+    the inverse pair the two directly instead of eliminating a second time:
+    certificates and seeded draws that have just run ``inverse``, and
+    framed equality, whose h = K_t K_s^-1 has the inverse K_s K_t^-1.
     """
 
     matrix: Matrix

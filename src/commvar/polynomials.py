@@ -207,7 +207,10 @@ def roots_with_multiplicity(f: UniPoly) -> tuple[list[tuple[Scalar, int]], UniPo
             strip(r)
     else:
         strip(Fraction(0))
-        if g.degree >= 1:
+        if g.degree == 1:
+            # read the root off, without factoring its coefficients
+            strip(-g.coeffs[0] / g.coeffs[1])
+        elif g.degree > 1:
             for r in _rational_root_candidates(g):
                 if g.degree < 1:
                     break

@@ -2,15 +2,18 @@
 
 A frame of r vectors corresponds to a map k^r -> M; the framed module is a
 quotient-scheme point exactly when the frame generates M under the
-coordinate action.  Equality of framed points is a linear problem: the
-intertwiner matching the frames is unique when it exists, because frames
-generate, so one elimination of the intertwining system with the frame
-rows decides both its existence and its uniqueness.
+coordinate action.  Both questions run on one Krylov basis: the span of the
+frame under A_1..A_d, built level by level, each basis vector recorded with
+the word that makes it.  The frame generates when the basis has n vectors.
+Two framed points are equal when the same words on the other frame give an
+invertible K_t and h = K_t K_s^-1 intertwines and matches frame to frame;
+any frame-matching intertwiner sends each word to the same word, so h is the
+only candidate and the certificate is unique.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import (
     ArityMismatchError,
@@ -20,7 +23,7 @@ from .errors import (
     WrongFrameCountError,
 )
 from .fields import Scalar
-from .matrices import Matrix, columns_matrix, hstack, intertwining_system, inverse, rank, rref
+from .matrices import Matrix, columns_matrix, inverse, rank, rref
 from .modules import CommutingTuple, GroupElement
 
 
@@ -45,62 +48,39 @@ class FramedModule:
         return columns_matrix(self.module.field, self.module.n, list(self.frame))
 
 
-class _EchelonSpan:
-    """Incremental row space in reduced echelon form, for Krylov saturation."""
+Word = tuple[Optional[int], int]  # (None, j): frame vector j; (i, k): A_i times basis vector k
 
-    def __init__(self, field, width: int):
-        self.field = field
-        self.width = width
-        self.rows: list[tuple[int, list[Scalar]]] = []  # (pivot index, row)
 
-    def add(self, vec: Sequence[Scalar]) -> bool:
-        F = self.field
-        v = list(vec)
-        for pivot, row in self.rows:
-            if v[pivot] != F.zero():
-                f = v[pivot]
-                v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
-        for i in range(self.width):
-            if v[i] != F.zero():
-                inv = F.inv(v[i])
-                v = [F.mul(inv, x) for x in v]
-                self.rows.append((i, v))
-                self.rows.sort(key=lambda pr: pr[0])
-                return True
-        return False
+def _krylov(f: FramedModule) -> tuple[list[tuple[Scalar, ...]], list[Word]]:
+    """A basis of the span of the frame under A_1..A_d, with the word that
+    makes each basis vector.
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def vectors(self) -> list[tuple[Scalar, ...]]:
-        return [tuple(row) for _, row in self.rows]
+    Level 0 offers the frame vectors, level l + 1 offers A_i times the
+    vectors level l added.  One ``rref`` of [basis | offers] per level: the
+    pivot columns past the basis are the new vectors.  The span is closed
+    once a level adds nothing.
+    """
+    t = f.module
+    basis: list[tuple[Scalar, ...]] = []
+    words: list[Word] = []
+    offers = [(None, j, v) for j, v in enumerate(f.frame)]
+    while offers and len(basis) < t.n:
+        b = len(basis)
+        cols = basis + [v for _, _, v in offers]
+        for c in rref(columns_matrix(t.field, t.n, cols))[2][b:]:
+            i, k, v = offers[c - b]
+            basis.append(v)
+            words.append((i, k))
+        if len(basis) < t.n:
+            offers = [
+                (i, k, a.mat_vec(basis[k])) for k in range(b, len(basis)) for i, a in enumerate(t.mats)
+            ]
+    return basis, words
 
 
 def is_generating(f: FramedModule) -> bool:
-    """Does the frame generate the module under the coordinate action?
-
-    Krylov saturation: seed with the frame vectors in order, then multiply
-    the current spanning set by A_1..A_d round robin, re-echelonizing after
-    each batch; the span stabilizes within n rounds.
-    """
-    t = f.module
-    if t.n == 0:
-        return True
-    span = _EchelonSpan(t.field, t.n)
-    for v in f.frame:
-        span.add(v)
-    for _ in range(t.n):
-        if span.dim == t.n:
-            return True
-        grew = False
-        for a in t.mats:
-            for v in span.vectors():
-                if span.add(a.mat_vec(v)):
-                    grew = True
-        if not grew:
-            break
-    return span.dim == t.n
+    """Does the frame generate the module under the coordinate action?"""
+    return len(_krylov(f)[0]) == f.module.n
 
 
 def forget_frame(f: FramedModule) -> CommutingTuple:
@@ -125,11 +105,12 @@ def quot_equal(f: FramedModule, g: FramedModule) -> Optional[GroupElement]:
     """Decide equality of two framed points: an isomorphism of modules
     carrying frame to frame, or None.
 
-    One elimination of the intertwining system with the frame-matching
-    rows, augmented by the target frame, decides both questions: a pivot in
-    the right-hand column means no solution, and since frames generate the
-    coefficient part always has full column rank, so a solution is unique
-    (and invertible, as the sizes agree).
+    K_s holds f's Krylov basis as columns and K_t the same words run on g's
+    frame under the B_i.  A frame-matching intertwiner sends each word on f
+    to the same word on g, so it can only be h = K_t K_s^-1; h is returned
+    if K_t is invertible, h A_i = B_i h for every i and h carries every
+    frame vector (also those the basis skipped) to its partner.  An
+    invertible K_t spans g's module from g's frame, so g generates.
     """
     s, t = f.module, g.module
     if s.field != t.field:
@@ -138,34 +119,30 @@ def quot_equal(f: FramedModule, g: FramedModule) -> Optional[GroupElement]:
         raise ArityMismatchError(f"different arity: {s.d} vs {t.d}")
     if f.r != g.r:
         raise WrongFrameCountError(f"different frame counts: {f.r} vs {g.r}")
-    if not is_generating(f):
+    basis, words = _krylov(f)
+    if len(basis) != s.n:
         raise NotSurjectiveError("left frame does not generate")
-    if not is_generating(g):
-        raise NotSurjectiveError("right frame does not generate")
-    if s.n != t.n:
+    k_t = k_t_inv = None
+    if s.n == t.n:
+        images: list[tuple[Scalar, ...]] = []
+        for i, k in words:
+            images.append(g.frame[k] if i is None else t.mats[i].mat_vec(images[k]))
+        k_t = columns_matrix(t.field, t.n, images)
+        k_t_inv = inverse(k_t)
+    if k_t_inv is None:
+        if not is_generating(g):
+            raise NotSurjectiveError("right frame does not generate")
         return None
-    F = s.field
-    n = s.n
-    if n == 0:
-        e = Matrix.zero(F, 0, 0)
-        return GroupElement(e, e)
-    # Unknown h (n x n), row-major; frame row (v, r) asks (h v)_r = w_r.
-    zero = F.zero()
-    frame_rows = [
-        [zero] * (r * n) + list(v) + [zero] * ((n - 1 - r) * n) for v in f.frame for r in range(n)
-    ]
-    system = intertwining_system(s.mats, t.mats, extra_rows=frame_rows)
-    rhs = [zero] * (s.d * n * n) + [x for w in g.frame for x in w]
-    R, rk, pivots = rref(hstack([system, columns_matrix(F, system.rows, [rhs])]))
-    if n * n in pivots:
+    k_s = columns_matrix(s.field, s.n, basis)
+    k_s_inv = inverse(k_s)
+    if k_s_inv is None:
+        raise RuntimeError("Krylov basis of the left frame is singular")
+    h = k_t * k_s_inv
+    if any(h * a != b * h for a, b in zip(s.mats, t.mats)):
         return None
-    if rk != n * n:
-        raise RuntimeError("intertwiner not unique although frames generate")
-    h = Matrix(F, n, n, R.col(n * n)[: n * n])
-    h_inv = inverse(h)
-    if h_inv is None:
-        raise RuntimeError("frame-matching intertwiner must be invertible")
-    return GroupElement(h, h_inv)
+    if any(h.mat_vec(v) != tuple(w) for v, w in zip(f.frame, g.frame)):
+        return None
+    return GroupElement(h, k_s * k_t_inv)
 
 
 def gl_action_on_atlas(f: FramedModule, g: GroupElement) -> FramedModule:

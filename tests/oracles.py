@@ -8,6 +8,7 @@ the package under test.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Optional
 
@@ -288,6 +289,67 @@ def count_commuting_pairs(n: int, q: int) -> int:
 
 def count_invertible(n: int, q: int) -> int:
     return sum(1 for m in all_matrices_f(n, q) if cofactor_det(m, q) != 0)
+
+
+# ---------------------------------------------------------------------------
+# framed points over F_q by brute force
+
+
+def mat_vec(a: Rows, v: list, p: Optional[int]) -> list:
+    return [row[0] for row in mat_mul(a, [[x] for x in v], p)]
+
+
+def frame_generates(mats: list, frame: list, n: int, p: Optional[int]) -> bool:
+    """Do the words of length <= n in the matrices, applied to the frame
+    vectors, have hand rank n?"""
+    level = [list(v) for v in frame]
+    words = list(level)
+    for _ in range(n):
+        level = [mat_vec(a, v, p) for a in mats for v in level]
+        words.extend(level)
+    return hand_rank(words, p) == n
+
+
+def framed_classes(n: int, d: int, q: int, r: int) -> list[list]:
+    """The generating framed points over F_q (q prime) with d commuting
+    n x n matrices and r frame vectors, split into the orbits of GL_n(F_q)
+    acting by (A, v) -> (g A g^-1, g v), by acting with every g.
+
+    A point is (matrices, frame), each a tuple of row tuples.  Each class
+    lists its first-met point first, as its representative.
+    """
+    mats = all_matrices_f(n, q)
+    tuples = [()]
+    for _ in range(d):
+        tuples = [
+            t + (b,) for t in tuples for b in mats
+            if all(mat_is_zero(mat_commutator(a, b, q), q) for a in t)
+        ]
+    group = [(g, cramer_inverse(g, q)) for g in mats if cofactor_det(g, q) != 0]
+    vecs = [list(v) for v in itertools.product(range(q), repeat=n)]
+
+    def point(ms, frame):
+        return tuple(tuple(map(tuple, a)) for a in ms), tuple(map(tuple, frame))
+
+    seen: set = set()
+    classes = []
+    for ms in tuples:
+        for frame in itertools.product(vecs, repeat=r):
+            start = point(ms, frame)
+            if start in seen or not frame_generates(ms, frame, n, q):
+                continue
+            orbit = [start]
+            seen.add(start)
+            for g, g_inv in group:
+                image = point(
+                    [mat_mul(mat_mul(g, a, q), g_inv, q) for a in ms],
+                    [mat_vec(g, v, q) for v in frame],
+                )
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+            classes.append(orbit)
+    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -485,3 +485,21 @@ def test_sample_split_more_pieces_than_points_returns():
     assert code == 0
     points = [tuple(e["point"]) for e in doc["metadata"]["support"]]
     assert len(points) == len(set(points)) == 2
+
+
+def test_cycle_of_large_prime_over_q_returns(tmp_path):
+    # the char poly t - (2^61 - 1) has its root read off; the rational root
+    # test used to factor 2^61 - 1 by trial division.  A thread keeps a
+    # regression from hanging the suite.
+    p = tmp_path / "big_prime.json"
+    p.write_text(json.dumps(
+        {"field": "Q", "n": 1, "d": 1, "matrices": [[[str(2**61 - 1)]]]}
+    ))
+    result = []
+    worker = threading.Thread(target=lambda: result.append(run_json("cycle", str(p))), daemon=True)
+    worker.start()
+    worker.join(timeout=1.0)
+    assert not worker.is_alive()
+    code, rep = result[0]
+    assert code == 0
+    assert rep["cycle"] == [{"point": [str(2**61 - 1)], "mult": 1}]

@@ -335,19 +335,6 @@ def test_intertwining_system_applies_h_a_minus_b_h(field, d):
         assert (system.rows, system.cols) == (d * nt * ns, nt * ns)
         expected = tuple(x for a, b in zip(sources, targets) for x in (h * a - b * h).entries)
         assert system.mat_vec(h.entries) == expected
-        # a frame row (v, r) has v at columns r*ns .. r*ns + ns - 1 and reads (h v)_r
-        frame = [tuple(field.of(rng.randint(-3, 3)) for _ in range(ns)) for _ in range(2)]
-        extra = []
-        for v in frame:
-            for r in range(nt):
-                row = [field.zero()] * (nt * ns)
-                row[r * ns : (r + 1) * ns] = v
-                extra.append(row)
-        framed = intertwining_system(sources, targets, extra_rows=extra)
-        assert framed.rows == system.rows + len(frame) * nt
-        got = framed.mat_vec(h.entries)
-        assert got[: system.rows] == expected
-        assert got[system.rows :] == tuple(x for v in frame for x in h.mat_vec(v))
 
 
 def test_intertwining_system_guards():
@@ -356,8 +343,6 @@ def test_intertwining_system_guards():
         intertwining_system([a], [a, a])
     with pytest.raises(ArityMismatchError):
         intertwining_system([], [])
-    with pytest.raises(SizeMismatchError):
-        intertwining_system([a], [a], extra_rows=[[QQ.one()] * 3])
 
 
 # ---------------------------------------------------------------------------

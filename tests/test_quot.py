@@ -17,8 +17,10 @@ from commvar.modules import (
     compose,
     conjugate,
     empty_tuple,
+    from_staircase,
     group_element,
     identity_element,
+    staircase,
     validate,
 )
 from commvar.polynomials import UniPoly
@@ -83,6 +85,45 @@ def test_generation_needs_saturation_not_one_step():
     j3 = qmat([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     t = validate([j3])
     assert is_generating(FramedModule(t, (qvec(1, 0, 0),)))
+
+
+@pytest.mark.parametrize("n,q,generating", [(2, 2, 24), (2, 3, 432), (3, 2, 1344)])
+def test_is_generating_matches_word_rank_exhaustive_d1(n, q, generating):
+    # one matrix, one vector: the frame generates iff the words A^k v,
+    # k <= n, have hand rank n.  The generating count is q^n |GL_n(F_q)|:
+    # a cyclic module k[t]/(f) with f monic of degree n, times its bases.
+    F = GF(q)
+    vecs = list(itertools.product(range(q), repeat=n))
+    count = 0
+    for rows in oracles.all_matrices_f(n, q):
+        t = validate([Matrix.from_rows(F, rows)])
+        for v in vecs:
+            got = is_generating(FramedModule(t, (v,)))
+            assert got == oracles.frame_generates([rows], [v], n, q)
+            count += got
+    assert count == generating
+
+
+@pytest.mark.parametrize("q,max_n", [(2, 4), (3, 3)])
+def test_is_generating_matches_nakayama_on_staircases(q, max_n):
+    # punctual staircase modules: a frame generates iff it spans M / mM,
+    # i.e. rank [frame | A_1 | A_2] = n (Nakayama)
+    F = GF(q)
+    checked = 0
+    for n in range(1, max_n + 1):
+        for parts in oracles._partitions(n, n):
+            cells = [(i, j) for i, row in enumerate(parts) for j in range(row)]
+            t = from_staircase(staircase(cells), F)
+            mats = [oracles.rows_of(a) for a in t.mats]
+            for r in (1, 2):
+                for frame in itertools.product(itertools.product(range(q), repeat=n), repeat=r):
+                    cols = [list(v) for v in frame] + [
+                        [a[i][j] for i in range(n)] for a in mats for j in range(n)
+                    ]
+                    nakayama = oracles.hand_rank(cols, q) == n
+                    assert is_generating(FramedModule(t, frame)) == nakayama
+                    checked += 1
+    assert checked > 1000
 
 
 def test_forget_frame_requires_generation():
@@ -201,6 +242,84 @@ def test_quot_equal_absent_on_rotated_frame():
     hr = oracles.rows_of(hmat)
     assert oracles.mat_mul(hr, a, None) != oracles.mat_mul(a, hr, None)
     assert quot_equal(f, g) is None
+
+
+def test_quot_equal_absent_when_transported_basis_singular():
+    # f's Krylov words are e1 then e2 (both frame vectors); on g's frame
+    # (e1, e1) they give a singular K_t although e1 alone generates COMP
+    f = FramedModule(COMP, (qvec(1, 0), qvec(0, 1)))
+    g = FramedModule(COMP, (qvec(1, 0), qvec(1, 0)))
+    assert is_generating(g)
+    assert quot_equal(f, g) is None
+
+
+def test_quot_equal_checks_frame_vectors_the_basis_skipped():
+    # the second frame vector repeats the first, so the Krylov basis skips
+    # it; h = 1 intertwines and matches the first vectors, but not 1 -> 2
+    f = FramedModule(COMP, (qvec(1, 0), qvec(1, 0)))
+    g = FramedModule(COMP, (qvec(1, 0), qvec(2, 0)))
+    assert is_generating(f) and is_generating(g)
+    assert quot_equal(f, g) is None
+    assert quot_equal(f, f).matrix == Matrix.identity(QQ, 2)
+
+
+def test_quot_equal_absent_on_rotated_frame_of_diagonal():
+    # demo 05: the only frame-matching map [[1,1],[0,1]] does not commute
+    # with diag(1, 2), so the transported candidate fails its check
+    t = validate([qmat([[1, 0], [0, 2]])])
+    straight = FramedModule(t, (qvec(1, 0), qvec(0, 1)))
+    rotated = FramedModule(t, (qvec(1, 0), qvec(1, 1)))
+    assert quot_equal(straight, rotated) is None
+    assert quot_equal(rotated, straight) is None
+
+
+def test_quot_equal_matches_brute_force_classes_f2():
+    # (n, d, q, r) = (2, 2, 2, 1): the generating framed points are the
+    # F_2-points of Hilb^2(A^2) times GL_2(F_2), freely; Goettsche's series
+    # prod_k (1 - q^(k+1) t^k)^-1 gives q^4 + q^3 = 24 classes of 6 points
+    F2 = GF(2)
+    classes = oracles.framed_classes(2, 2, 2, 1)
+    assert len(classes) == 24 and sum(map(len, classes)) == 144
+    framed = {}
+    class_of = {}
+    for c, members in enumerate(classes):
+        for mats, frame in members:
+            t = validate([Matrix.from_rows(F2, a) for a in mats])
+            framed[(mats, frame)] = FramedModule(t, frame)
+            class_of[(mats, frame)] = c
+    calls = 0
+    for pt in framed:
+        for other in [members[0] for members in classes] + classes[class_of[pt]]:
+            h = quot_equal(framed[pt], framed[other])
+            calls += 1
+            if class_of[pt] != class_of[other]:
+                assert h is None
+                continue
+            assert h is not None
+            hr, hi = oracles.rows_of(h.matrix), oracles.rows_of(h.inv)
+            assert oracles.mat_mul(hr, hi, 2) == oracles.mat_identity(2, 2)
+            for a, b in zip(pt[0], other[0]):
+                assert oracles.mat_mul(hr, [list(x) for x in a], 2) == oracles.mat_mul(
+                    [list(x) for x in b], hr, 2
+                )
+            for v, w in zip(pt[1], other[1]):
+                assert oracles.mat_vec(hr, list(v), 2) == list(w)
+    assert calls == 4320
+
+
+def test_quot_equal_error_precedence():
+    # left NOT_SURJECTIVE, then right NOT_SURJECTIVE, then sizes differ
+    bad2 = FramedModule(validate([J2]), (qvec(1, 0),))
+    ok2 = FramedModule(validate([J2]), (qvec(0, 1),))
+    ok3 = FramedModule(validate([qmat([[0, 0, 0], [1, 0, 0], [0, 1, 0]])]), (qvec(1, 0, 0),))
+    bad3 = FramedModule(validate([Matrix.zero(QQ, 3, 3)]), (qvec(1, 0, 0),))
+    with pytest.raises(NotSurjectiveError, match="left"):
+        quot_equal(bad2, bad3)
+    with pytest.raises(NotSurjectiveError, match="right"):
+        quot_equal(ok2, bad3)
+    with pytest.raises(NotSurjectiveError, match="left"):
+        quot_equal(bad3, ok2)
+    assert quot_equal(ok2, ok3) is None
 
 
 def test_quot_equal_requires_generation():
