@@ -100,7 +100,7 @@ def _try_certificate(
         return None
     # Certificates are sound by construction; re-verify exactly anyway.
     for a, b in zip(s.mats, t.mats):
-        if not (h * a - b * h).is_zero():
+        if h * a != b * h:
             raise RuntimeError("certificate fails to intertwine")
     return GroupElement(h, h_inv)
 

@@ -17,13 +17,22 @@ answers it and returns the inverse in the same elimination.
 ``det`` is the one other elimination: integer Bareiss on the residues over
 F_p and on rows cleared of denominators over Q.  Inside the package only
 ``cycles.det_pushforward`` calls it.
+
+Products have one kernel, ``_dot_products``, behind ``Matrix.__mul__``,
+``Matrix.mat_vec`` and the Berkowitz steps of ``char_poly``.  It also runs
+on plain ints: over F_p each entry is one integer dot product reduced once;
+over Q each row of the left factor and each column of the right is cleared
+of denominators once, and each entry is one ``Fraction`` of an integer dot
+product over the two denominators.  Entries come out canonical, as ``Field``
+arithmetic would give them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from operator import attrgetter, mul
+from typing import Optional, Sequence
 
 from .errors import (
     ArityMismatchError,
@@ -127,19 +136,14 @@ class Matrix:
             raise SizeMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        F = self.field
-        zero = F.zero()
-        n, k, m = self.rows, self.cols, other.cols
+        k, m = self.cols, other.cols
         a, b = self.entries, other.entries
-        out = []
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for j in range(m):
-                acc = zero
-                for t in range(k):
-                    acc = F.add(acc, F.mul(arow[t], b[t * m + j]))
-                out.append(acc)
-        return Matrix(F, n, m, tuple(out))
+        entries = _dot_products(
+            self.field.characteristic,
+            [a[i * k : (i + 1) * k] for i in range(self.rows)],
+            [b[j::m] for j in range(m)],
+        )
+        return Matrix(self.field, self.rows, m, tuple(entries))
 
     def scale(self, s: Scalar) -> "Matrix":
         F = self.field
@@ -148,15 +152,9 @@ class Matrix:
     def mat_vec(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(v) != self.cols:
             raise SizeMismatchError(f"vector length {len(v)} vs {self.cols} columns")
-        F = self.field
-        out = []
-        for i in range(self.rows):
-            acc = F.zero()
-            row = self.row(i)
-            for a, x in zip(row, v):
-                acc = F.add(acc, F.mul(a, x))
-            out.append(acc)
-        return tuple(out)
+        return tuple(
+            _dot_products(self.field.characteristic, [self.row(i) for i in range(self.rows)], [v])
+        )
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -182,12 +180,19 @@ class Matrix:
             raise NotSquareError("power of a nonsquare matrix")
         if k < 0:
             raise ValueError("negative power")
-        out = Matrix.identity(self.field, self.rows)
+        if k == 0:
+            return Matrix.identity(self.field, self.rows)
+        # square up to the lowest set bit of k, so no product has the identity
         base = self
+        while not k & 1:
+            base = base * base
+            k >>= 1
+        out = base
+        k >>= 1
         while k:
+            base = base * base
             if k & 1:
                 out = out * base
-            base = base * base if k > 1 else base
             k >>= 1
         return out
 
@@ -197,6 +202,42 @@ class Matrix:
             "[" + ", ".join(F.format(x) for x in self.row(i)) + "]"
             for i in range(self.rows)
         ) + "]"
+
+
+def _dot_products(
+    p: int, rows: Sequence[Sequence[Scalar]], cols: Sequence[Sequence[Scalar]]
+) -> list[Scalar]:
+    """The product kernel: the dot product of each row with each column,
+    row-major, i.e. the entries of rows · cols over F_p (p > 0) or Q (p = 0).
+
+    Over F_p every entry is an integer sum reduced once.  Over Q every row
+    and every column is cleared of denominators once, and each entry is
+    ``Fraction(dot, d_row * d_col)``, which lowers it to canonical form
+    (``Fraction(dot)`` when that denominator is 1, which needs no gcd).
+    """
+    if p:
+        return [sum(map(mul, r, c)) % p for r in rows for c in cols]
+    zero = Fraction(0)
+    cleared_cols = [_clear_denominators(c) for c in cols]
+    out: list[Scalar] = []
+    for dr, r in map(_clear_denominators, rows):
+        for dc, c in cleared_cols:
+            s = sum(map(mul, r, c))
+            d = dr * dc
+            out.append(zero if not s else Fraction(s) if d == 1 else Fraction(s, d))
+    return out
+
+
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
+
+
+def _clear_denominators(v: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, w) with d the lcm of the denominators of v and w = d·v, in ints."""
+    dens = list(map(_denominator, v))
+    d = lcm(*dens)
+    if d == 1:
+        return 1, list(map(_numerator, v))
+    return d, [x * (d // e) for x, e in zip(map(_numerator, v), dens)]
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -352,8 +393,7 @@ def _rref_fraction_free(rows: list[list], ncols: int) -> list[int]:
     by its pivot is row k of R.
     """
     for i, row in enumerate(rows):
-        mult = lcm(*(x.denominator for x in row))
-        rows[i] = _primitive([x.numerator * (mult // x.denominator) for x in row])
+        rows[i] = _primitive(_clear_denominators(row)[1])
     nrows = len(rows)
     pivots: list[int] = []
     r = 0
@@ -461,9 +501,8 @@ def det(m: Matrix) -> Scalar:
         return _bareiss_int(rows, n) % p
     scale = 1
     for i, row in enumerate(rows):
-        mult = lcm(*(x.denominator for x in row))
+        mult, rows[i] = _clear_denominators(row)
         scale *= mult
-        rows[i] = [x.numerator * (mult // x.denominator) for x in row]
     return Fraction(_bareiss_int(rows, n), scale)
 
 
@@ -515,6 +554,7 @@ def char_poly(m: Matrix) -> UniPoly:
     if m.rows != m.cols:
         raise NotSquareError(f"char poly of {m.rows}x{m.cols}")
     F = m.field
+    char = F.characteristic
     n = m.rows
     zero = F.zero()
     # coeffs descending for the trailing principal submatrix, starting empty
@@ -528,15 +568,9 @@ def char_poly(m: Matrix) -> UniPoly:
         c = [F.one(), F.neg(a_kk)]
         w = C
         for i in range(2, s + 1):
-            acc = zero
-            for rj, wj in zip(R, w):
-                acc = F.add(acc, F.mul(rj, wj))
-            c.append(F.neg(acc))
+            c.append(F.neg(_dot_products(char, [R], [w])[0]))
             if i < s:
-                w = [
-                    _dot(F, row, w)
-                    for row in sub
-                ]
+                w = _dot_products(char, sub, [w])
         newp = []
         for i in range(s + 1):
             acc = zero
@@ -546,13 +580,6 @@ def char_poly(m: Matrix) -> UniPoly:
             newp.append(acc)
         p = newp
     return UniPoly.make(F, reversed(p))
-
-
-def _dot(F: Field, xs: Iterable[Scalar], ys: Iterable[Scalar]) -> Scalar:
-    acc = F.zero()
-    for x, y in zip(xs, ys):
-        acc = F.add(acc, F.mul(x, y))
-    return acc
 
 
 def eval_multipoly(f: MultiPoly, mats: Sequence[Matrix]) -> Matrix:
@@ -585,9 +612,9 @@ def eval_multipoly(f: MultiPoly, mats: Sequence[Matrix]) -> Matrix:
 
     total = Matrix.zero(F, n, n)
     for exps, coeff in f.terms:
-        term = Matrix.identity(F, n).scale(coeff)
+        term = None
         for i, e in enumerate(exps):
             if e:
-                term = term * power_of(i, e)
-        total = total + term
+                term = power_of(i, e).scale(coeff) if term is None else term * power_of(i, e)
+        total = total + (Matrix.identity(F, n).scale(coeff) if term is None else term)
     return total

@@ -74,12 +74,11 @@ def validate(mats: Sequence[Matrix]) -> CommutingTuple:
     t = CommutingTuple(field, n, len(mats), mats)
     for i in range(t.d):
         for j in range(i + 1, t.d):
-            c = commutator(mats[i], mats[j])
-            if not c.is_zero():
+            if mats[i] * mats[j] != mats[j] * mats[i]:
                 raise NotCommutingError(
                     f"coordinates {i + 1} and {j + 1} do not commute",
                     pair=(i + 1, j + 1),
-                    commutator=str(c),
+                    commutator=str(commutator(mats[i], mats[j])),
                 )
     return t
 

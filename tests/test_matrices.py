@@ -291,11 +291,32 @@ def test_eval_multipoly_on_commuting_jordan():
     assert got == j2
 
 
-def test_power_binary():
+def test_power_binary(monkeypatch):
     j = qmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert j.power(0) == Matrix.identity(QQ, 3)
+    assert j.power(1) == j
     assert j.power(2).entry(0, 2) == 1
     assert j.power(3).is_zero()
+    empty = Matrix.zero(QQ, 0, 0)
+    assert empty.power(0) == empty.power(5) == empty
+    # square-and-multiply never multiplies by the identity: k = 2^a + ... with
+    # b set bits takes a squarings and b - 1 further products
+    m = qmat([[1, 2], [-3, Fraction(1, 2)]])
+    expect = Matrix.identity(QQ, 2)
+    product = Matrix.__mul__
+    products = 0
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return product(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    for k in range(1, 20):
+        expect = product(expect, m)
+        products = 0
+        assert m.power(k) == expect
+        assert products == k.bit_length() - 1 + bin(k).count("1") - 1
 
 
 def test_nonsquare_guards():
@@ -425,3 +446,86 @@ def test_rref_kernels_on_intertwining_systems(field):
         _assert_rref_matches_hand(intertwining_system(sources, targets))
         # the centralizer system has a kernel containing the identity
         _assert_rref_matches_hand(intertwining_system(sources, sources))
+
+
+# ---------------------------------------------------------------------------
+# the product kernel behind __mul__, mat_vec and char_poly, against hand loops
+
+PRODUCT_FIELDS = [QQ, GF(2), GF(5), GF(2**61 - 1)]
+PRODUCT_IDS = ["Q", "F2", "F5", "F2^61-1"]
+
+
+def _product_scalar(rng, field):
+    """Over Q signed fractions; over F_p mostly residues near p, whose
+    products overflow a machine word long before the sum is reduced."""
+    p = field.characteristic
+    if p:
+        return rng.choice([0, 1, p - 1, p - 2, rng.randrange(p), rng.randrange(p)])
+    return rng.choice(
+        [Fraction(0), Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+         Fraction(-(10**20) - 1, rng.randint(1, 30))]
+    )
+
+
+def _product_operand(rng, field, n, m):
+    rows = [[_product_scalar(rng, field) for _ in range(m)] for _ in range(n)]
+    if n and m and rng.random() < 0.5:
+        rows[rng.randrange(n)] = [field.zero()] * m
+        j = rng.randrange(m)
+        for row in rows:
+            row[j] = field.zero()
+    return Matrix(field, n, m, tuple(x for row in rows for x in row))
+
+
+def _assert_scalar_types(field, entries):
+    # the goldens format these scalars, so the types are part of the contract
+    p = field.characteristic
+    if p:
+        assert all(type(x) is int and 0 <= x < p for x in entries)
+    else:
+        assert all(type(x) is Fraction for x in entries)
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=PRODUCT_IDS)
+def test_product_kernel_matches_hand_loops(field):
+    rng = random.Random(900 + field.characteristic % 1000)
+    p = oracles.char_of_field(field)
+    for _ in range(40):
+        n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a, b = _product_operand(rng, field, n, k), _product_operand(rng, field, k, m)
+        prod = a * b
+        assert (prod.rows, prod.cols) == (n, m)
+        assert oracles.rows_of(prod) == oracles.mat_mul(oracles.rows_of(a), oracles.rows_of(b), p)
+        _assert_scalar_types(field, prod.entries)
+        v = b.col(0)
+        got = a.mat_vec(v)
+        assert list(got) == oracles.mat_vec(oracles.rows_of(a), list(v), p)
+        _assert_scalar_types(field, got)
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=PRODUCT_IDS)
+def test_product_kernel_on_empty_shapes(field):
+    for n in (0, 1, 3):
+        for k in (0, 1, 3):
+            for m in (0, 1, 3):
+                a, b = Matrix.zero(field, n, k), Matrix.zero(field, k, m)
+                prod = a * b
+                # (n x 0)(0 x m) is the n x m zero matrix: every entry an empty sum
+                assert prod == Matrix.zero(field, n, m)
+                _assert_scalar_types(field, prod.entries)
+            got = Matrix.zero(field, n, k).mat_vec((field.zero(),) * k)
+            assert got == (field.zero(),) * n
+            _assert_scalar_types(field, got)
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=PRODUCT_IDS)
+def test_char_poly_products_match_cofactor_oracle(field):
+    rng = random.Random(950 + field.characteristic % 1000)
+    p = oracles.char_of_field(field)
+    for _ in range(12):
+        n = rng.randint(0, 5)
+        m = _product_operand(rng, field, n, n)
+        f = char_poly(m)
+        got = list(f.coeffs) + [field.zero()] * (n + 1 - len(f.coeffs))
+        assert got == oracles.hand_char_poly(oracles.rows_of(m), p)
+        _assert_scalar_types(field, f.coeffs)

@@ -55,6 +55,14 @@ def test_validate_rejects_with_pair_detail():
     with pytest.raises(NotCommutingError) as exc:
         validate([J2, E21])
     assert exc.value.detail["pair"] == (1, 2)
+    # the first failing pair in (i, j) order, with its commutator as printed
+    with pytest.raises(NotCommutingError) as exc:
+        validate([J2, Z2, E21, J2])
+    assert exc.value.detail == {"pair": (1, 3), "commutator": "[[1, 0], [0, -1]]"}
+    j, e = Matrix.from_rows(GF(5), [[0, 1], [0, 0]]), Matrix.from_rows(GF(5), [[0, 0], [1, 0]])
+    with pytest.raises(NotCommutingError) as exc:
+        validate([j, j, e])
+    assert exc.value.detail == {"pair": (1, 3), "commutator": "[[1, 0], [0, 4]]"}
 
 
 def test_validate_mixed_and_shape_errors():
