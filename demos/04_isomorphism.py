@@ -4,12 +4,13 @@ Deciding isomorphism with certificates
 
 Two tuples are isomorphic exactly when some invertible matrix
 intertwines every coordinate simultaneously.  The decision procedure is
-deterministic: compute the intertwiner space, answer "absent" at once
-when dim Hom(s, t), dim End(s) and dim End(t) differ (an isomorphism
-would make them equal), and otherwise scan a fixed grid of coefficient
-vectors for an invertible combination.  A certificate is returned and
-can be re-verified independently; "absent" is only ever reported from
-the dimensions or after the full grid came up empty.
+deterministic: compute the intertwiner space and try each basis element,
+then their sum.  When none is invertible, answer "absent" if dim Hom(s, t),
+dim End(s) and dim End(t) differ (an isomorphism would make them equal),
+and otherwise scan a fixed grid of coefficient vectors for an invertible
+combination.  A certificate is returned and can be re-verified
+independently; "absent" is only ever reported from the characteristic
+polynomials, from the dimensions or after the full grid came up empty.
 """
 from fractions import Fraction
 
@@ -54,9 +55,10 @@ for a, b in zip(t_jordan.mats, t_other.mats):
 print("certificate intertwines all coordinates")
 
 # the dimension check: (J3, 0) and (J3, J3^2) share size, characteristic
-# polynomials and support cycle, but Hom between them is 2-dimensional
-# while each has a 3-dimensional endomorphism algebra, so no grid is needed
-# and even a grid budget of 1 answers "absent"
+# polynomials and support cycle, and no element of the 2-dimensional Hom
+# between them is invertible; each has a 3-dimensional endomorphism
+# algebra, so the dimensions answer "absent" before the grid and even a
+# grid budget of 1 does
 J3 = Matrix(QQ, 3, 3, tuple(Fraction(x) for x in (0, 1, 0, 0, 0, 1, 0, 0, 0)))
 Z3 = Matrix.zero(QQ, 3, 3)
 s = validate([J3, Z3])

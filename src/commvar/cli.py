@@ -283,7 +283,13 @@ def _census_filter(args, field: Field, d: int) -> tuple[dict, tuple]:
     return payload, rels
 
 
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ParseError(f"{flag} must be at least {least}, got {value}", flag=flag, value=value)
+
+
 def _cmd_census(args, cfg: RunConfig):
+    _require_at_least("--n", args.n, 0)
     F = GF(args.q)
     filter_payload, rels = _census_filter(args, F, args.d)
     req = CensusRequest(
@@ -321,6 +327,7 @@ def _cmd_census(args, cfg: RunConfig):
 
 
 def _cmd_orbit_census(args, cfg: RunConfig):
+    _require_at_least("--n", args.n, 0)
     t0 = time.monotonic()
     orbits = orbit_census(args.n, args.d, args.q, cfg)
     elapsed_ms = int(round((time.monotonic() - t0) * 1000))
@@ -382,8 +389,11 @@ def _cmd_sample(args, cfg: RunConfig):
         t = companion(UniPoly.make(F, coeffs))
         meta["coeffs"] = [F.format(c) for c in coeffs]
     elif args.kind == "punctual":
+        _require_at_least("--n", args.n, 0)
         t = random_punctual_tuple(F, args.d, args.n, rng)
     elif args.kind == "split":
+        _require_at_least("--n", args.n, 1)
+        _require_at_least("--pieces", args.pieces, 1)
         t, truth = random_split_tuple(
             F, args.d, rng, max_pieces=args.pieces, max_piece_size=args.n
         )

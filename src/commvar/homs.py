@@ -2,22 +2,24 @@
 
 Hom(s, t) is the space of matrices h with h A_i = B_i h for every
 coordinate; s and t are isomorphic exactly when that space contains an
-invertible element, and then dim Hom(s, t) = dim End(s) = dim End(t), so
-unequal dimensions answer "absent" at once.  Otherwise existence is
-decided by asking ``inverse`` of combinations of a Hom basis on a finite
-grid of coefficient vectors: det of the combination is a polynomial of
-degree n in the coefficients, one that vanishes on a grid with n+1 values
-per axis is identically zero, and over F_p with p <= n the full cartesian
-power of the field is used instead, which enumerates the whole space.
-The search never answers "absent" beyond its budget; it raises
-GRID_BUDGET_EXCEEDED.
+invertible element.  The first candidates, each element of a Hom basis
+and their sum, settle most isomorphic pairs with one Hom basis.  When
+none is invertible, dim Hom(s, t) = dim End(s) = dim End(t), which any
+isomorphism forces, is checked, and unequal dimensions answer "absent".
+Otherwise existence is decided by asking ``inverse`` of combinations of
+the basis on a finite grid of coefficient vectors: det of the combination
+is a polynomial of degree n in the coefficients, one that vanishes on a
+grid with n+1 values per axis is identically zero, and over F_p with
+p <= n the full cartesian power of the field is used instead, which
+enumerates the whole space.  The search never answers "absent" beyond its
+budget; it raises GRID_BUDGET_EXCEEDED.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
@@ -29,8 +31,6 @@ from .errors import (
 from .fields import Field, Scalar
 from .matrices import Matrix, char_poly, hstack, intertwining_system, inverse, kernel_basis, rank
 from .modules import CommutingTuple, GroupElement, is_punctual
-from .cycles import cycle
-from .errors import NotSplitError
 
 
 @dataclass(frozen=True)
@@ -71,17 +71,20 @@ def aut_dim(t: CommutingTuple) -> int:
     return hom_basis(t, t).dim
 
 
-def _coefficients(field: Field, n: int, dim: int, config: RunConfig) -> Iterator[Sequence[Scalar]]:
-    """Coefficient vectors over a Hom basis, in the order they are tried:
-    each basis element, then (when dim > 1) their sum, then the grid in
-    lexicographic order, or 1024 seeded draws from it beyond the grid
-    budget.  The grid has n + 1 values per axis, enough to see a nonzero
-    degree-n det, or all of F_p when p <= n, which is the whole space."""
+def _first_candidates(field: Field, dim: int) -> Iterator[Sequence[Scalar]]:
+    """Each basis element, then (when dim > 1) their sum."""
     zero, one = field.zero(), field.one()
     for i in range(dim):
         yield [one if j == i else zero for j in range(dim)]
     if dim > 1:
         yield [one] * dim
+
+
+def _search(field: Field, n: int, dim: int, config: RunConfig) -> Iterator[Sequence[Scalar]]:
+    """The coefficient grid in lexicographic order, or 1024 seeded draws
+    from it beyond the grid budget.  The grid has n + 1 values per axis,
+    enough to see a nonzero degree-n det, or all of F_p when p <= n, which
+    is the whole space."""
     p = field.characteristic
     values = [field.of(k) for k in range(p if p and p <= n else n + 1)]
     if dim <= config.grid_budget:
@@ -92,17 +95,25 @@ def _coefficients(field: Field, n: int, dim: int, config: RunConfig) -> Iterator
         yield [values[rng.randrange(len(values))] for _ in range(dim)]
 
 
-def _try_certificate(
-    h: Matrix, s: CommutingTuple, t: CommutingTuple
-) -> Optional[GroupElement]:
-    h_inv = inverse(h)
-    if h_inv is None:
-        return None
-    # Certificates are sound by construction; re-verify exactly anyway.
-    for a, b in zip(s.mats, t.mats):
-        if h * a != b * h:
-            raise RuntimeError("certificate fails to intertwine")
-    return GroupElement(h, h_inv)
+def _certify(hom: HomSpace, candidates: Iterable[Sequence[Scalar]]) -> Optional[GroupElement]:
+    """The first invertible combination of the Hom basis among the candidate
+    coefficient vectors, re-verified exactly, or None."""
+    s, t = hom.source, hom.target
+    F = s.field
+    columns = list(zip(*(b.entries for b in hom.basis)))  # entry e of each basis element
+    zero = F.zero()
+    for coeffs in candidates:
+        terms = [(j, c) for j, c in enumerate(coeffs) if c != zero]
+        h = Matrix(F, t.n, s.n, tuple(F.of(sum(c * col[j] for j, c in terms)) for col in columns))
+        h_inv = inverse(h)
+        if h_inv is None:
+            continue
+        # Certificates are sound by construction; re-verify exactly anyway.
+        for a, b in zip(s.mats, t.mats):
+            if h * a != b * h:
+                raise RuntimeError("certificate fails to intertwine")
+        return GroupElement(h, h_inv)
+    return None
 
 
 def is_isomorphic(
@@ -110,13 +121,15 @@ def is_isomorphic(
 ) -> Optional[GroupElement]:
     """An invertible intertwiner g (conjugate(s, g) == t), or None.
 
-    Invariant checks run first: coordinate characteristic polynomials, the
-    support cycle, and dim Hom(s, t) = dim End(s) = dim End(t), which any
-    isomorphism forces.  Then one deterministic certificate search over
-    Hom(s, t) asks ``inverse`` of each candidate combination in the order
-    of ``_coefficients``.  Beyond the configured grid dimension the seeded
-    draws cannot prove absence, so GRID_BUDGET_EXCEEDED is raised instead;
-    "absent" is only ever answered soundly.
+    Unequal coordinate characteristic polynomials answer None at once.
+    Otherwise one Hom(s, t) basis is computed, and ``inverse`` is asked of
+    each basis element and then of their sum; the first invertible one is
+    the certificate.  Only when none is invertible are End(s) and End(t)
+    computed: dim Hom(s, t) = dim End(s) = dim End(t) holds for any
+    isomorphic pair, so unequal dimensions answer None.  Then the grid of
+    ``_search`` is scanned.  Beyond the configured grid dimension its
+    seeded draws cannot prove absence, so GRID_BUDGET_EXCEEDED is raised
+    instead; "absent" is only ever answered soundly.
     """
     _compatible(s, t)
     if s.n != t.n:
@@ -128,24 +141,15 @@ def is_isomorphic(
     for a, b in zip(s.mats, t.mats):
         if char_poly(a) != char_poly(b):
             return None
-    try:
-        if cycle(s) != cycle(t):
-            return None
-    except NotSplitError:
-        pass
     hom = hom_basis(s, t)
+    g = _certify(hom, _first_candidates(F, hom.dim))
+    if g is not None:
+        return g
     if not hom.dim == aut_dim(s) == aut_dim(t):
         return None
-    columns = list(zip(*(b.entries for b in hom.basis)))  # entry e of each basis element
-    zero = F.zero()
-    for coeffs in _coefficients(F, s.n, hom.dim, config):
-        terms = [(j, c) for j, c in enumerate(coeffs) if c != zero]
-        h = Matrix(F, t.n, s.n, tuple(F.of(sum(c * col[j] for j, c in terms)) for col in columns))
-        g = _try_certificate(h, s, t)
-        if g is not None:
-            return g
-    if hom.dim <= config.grid_budget:
-        return None
+    g = _certify(hom, _search(F, s.n, hom.dim, config))
+    if g is not None or hom.dim <= config.grid_budget:
+        return g
     raise GridBudgetExceededError(
         f"Hom dimension {hom.dim} exceeds grid budget {config.grid_budget} "
         "and randomized trials found no invertible element",

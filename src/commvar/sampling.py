@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 
+from .errors import ArityMismatchError
 from .fields import Field, Scalar
 from .matrices import Matrix, inverse
 from .modules import (
@@ -63,6 +64,8 @@ def random_punctual_tuple(
 ) -> CommutingTuple:
     """A punctual (nilpotent) tuple of the given size: staircase pair for
     the first two coordinates, polynomial combinations of them after that."""
+    if d < 1:
+        raise ArityMismatchError("a tuple needs d >= 1 coordinates")
     if size == 0:
         return empty_tuple(field, d)
     if d == 1:

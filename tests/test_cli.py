@@ -54,6 +54,11 @@ def test_golden_documents_reemit_byte_identical():
             "sample_split_f5_seed7.golden.json",
             ["sample", "--kind", "split", "--field", "Fp:5", "--n", "2", "--d", "2", "--seed", "7"],
         ),
+        # F_5, three support points, against a seeded conjugate: pins a certificate
+        (
+            "isom_f5_split_pair.golden.json",
+            ["isom", str(GOLDEN / "f5_split_s.json"), str(GOLDEN / "f5_split_t.json")],
+        ),
     ],
 )
 def test_golden_outputs_byte_identical(golden, argv):
@@ -357,6 +362,22 @@ def test_nonprime_q():
     assert code == 1 and rep["error"] == "NONPRIME_Q"
 
 
+@pytest.mark.parametrize(
+    "argv,code,error,flag",
+    [
+        (["census", "--n", "-1", "--d", "2", "--q", "2"], 2, "PARSE_ERROR", "--n"),
+        (["orbit-census", "--n", "-1", "--d", "2", "--q", "2"], 2, "PARSE_ERROR", "--n"),
+        (["sample", "--kind", "split", "--pieces", "0"], 2, "PARSE_ERROR", "--pieces"),
+        (["sample", "--kind", "split", "--n", "0"], 2, "PARSE_ERROR", "--n"),
+        (["sample", "--kind", "punctual", "--n", "-2"], 2, "PARSE_ERROR", "--n"),
+        (["sample", "--kind", "punctual", "--d", "0"], 1, "ARITY_MISMATCH", None),
+    ],
+)
+def test_out_of_range_sizes_are_refused(argv, code, error, flag):
+    got, rep = run_json(*argv)
+    assert (got, rep["error"], rep["detail"].get("flag")) == (code, error, flag)
+
+
 def test_mixed_fields():
     code, rep = run_json("isom", str(GOLDEN / "j2_zero.json"), str(GOLDEN / "f5_zero.json"))
     assert code == 1 and rep["error"] == "MIXED_FIELDS"
@@ -503,3 +524,21 @@ def test_cycle_of_large_prime_over_q_returns(tmp_path):
     code, rep = result[0]
     assert code == 0
     assert rep["cycle"] == [{"point": [str(2**61 - 1)], "mult": 1}]
+
+
+def test_isom_over_large_prime_field_returns(tmp_path):
+    # is_isomorphic computes no support cycle, whose root search over F_p
+    # tries every residue.  A thread keeps a regression from hanging the suite.
+    paths = []
+    for name, rows in [("a", [["1", "2"], ["3", "4"]]), ("b", [["4", "3"], ["2", "1"]])]:
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps({"field": "Fp:1000000007", "n": 2, "d": 1, "matrices": [rows]}))
+        paths.append(str(p))
+    result = []
+    worker = threading.Thread(target=lambda: result.append(run_json("isom", *paths)), daemon=True)
+    worker.start()
+    worker.join(timeout=1.0)
+    assert not worker.is_alive()
+    code, rep = result[0]
+    assert code == 0
+    assert rep["certificate"] == [["0", "1"], ["1", "0"]]

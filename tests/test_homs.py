@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from commvar import homs
+from commvar.census import orbit_census
 from commvar.config import DEFAULT_CONFIG
 from commvar.errors import (
     GridBudgetExceededError,
@@ -127,8 +129,8 @@ def test_is_isomorphic_empty_modules():
 def test_is_isomorphic_same_cycle_different_modules():
     # (J3, 0) vs (J3, J3^2): same size, same coordinate char polys,
     # same support cycle, same aut_dim, yet not isomorphic: hom dim 2
-    # against End dim 3 decides it, before any certificate search, so
-    # even a grid budget of 1 answers "absent"
+    # against End dim 3 decides it, before the grid, so even a grid
+    # budget of 1 answers "absent"
     s = validate([J3, Z3])
     t = validate([J3, J3 * J3])
     assert hom_basis(s, t).dim == 2
@@ -137,6 +139,62 @@ def test_is_isomorphic_same_cycle_different_modules():
     for config in (DEFAULT_CONFIG, tight):
         assert is_isomorphic(s, t, config) is None
         assert is_isomorphic(t, s, config) is None
+
+
+def test_is_isomorphic_different_cycles_same_char_polys():
+    # supports {(0,0), (1,1)} and {(0,1), (1,0)}: every coordinate has char
+    # poly t(t - 1), but Hom(s, t) = 0 against End dim 2, so even a grid
+    # budget of 1 answers "absent"
+    d01 = qmat([[0, 0], [0, 1]])
+    s = validate([d01, d01])
+    t = validate([d01, qmat([[1, 0], [0, 0]])])
+    assert (hom_basis(s, t).dim, aut_dim(s)) == (0, 2)
+    tight = dataclasses.replace(DEFAULT_CONFIG, grid_budget=1)
+    for config in (DEFAULT_CONFIG, tight):
+        assert is_isomorphic(s, t, config) is None
+        assert is_isomorphic(t, s, config) is None
+
+
+def test_first_candidate_needs_one_hom_basis(monkeypatch):
+    # an isomorphic pair settled by a basis element or the basis sum never
+    # computes End(s) or End(t)
+    calls = []
+    real = homs.hom_basis
+
+    def counting(s, t):
+        calls.append((s, t))
+        return real(s, t)
+
+    monkeypatch.setattr(homs, "hom_basis", counting)
+    s = validate([J2, Z2])
+    g = random_group_element(QQ, 2, random.Random(38))
+    assert is_isomorphic(s, conjugate(s, g)) is not None
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n,d,q", [(2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 1, 2)])
+def test_is_isomorphic_against_orbit_census(n, d, q):
+    # orbit_census finds its orbits by conjugating with all of GL_n, not
+    # from hom spaces: a verified certificate must come back exactly for
+    # the pairs in one orbit
+    reps = [o.representative for o in orbit_census(n, d, q)]
+    rng = random.Random(100 * n + 10 * d + q)
+
+    def verified(s, t):
+        cert = is_isomorphic(s, t)
+        if cert is None:
+            return False
+        p = oracles.char_of_field(s.field)
+        h = oracles.rows_of(cert.matrix)
+        for a, b in zip(s.mats, t.mats):
+            assert oracles.mat_mul(h, oracles.rows_of(a), p) == oracles.mat_mul(oracles.rows_of(b), h, p)
+        assert oracles.cramer_inverse(h, p) == oracles.rows_of(cert.inv)
+        return True
+
+    for i, s in enumerate(reps):
+        for j, t in enumerate(reps):
+            assert verified(s, t) == (i == j)
+        assert verified(s, conjugate(s, random_group_element(s.field, n, rng)))
 
 
 def test_dimension_check_decides_cube_of_maximal_ideal_against_its_dual():
