@@ -191,6 +191,18 @@ def test_census_nilpotent_with_relation(n, q, rel):
         raw, per, unsplit)
 
 
+@pytest.mark.parametrize("n,d,q,rel", [
+    (2, 2, 3, "x1*x2"), (3, 2, 2, "x1^2 + x2"), (2, 3, 2, "x1*x2 + x3^2")])
+def test_census_per_stratum_with_relation(n, d, q, rel):
+    # relations are not translation invariant, so their strata come from
+    # the support cycle of every kept tuple
+    rels = (parse_multipoly(rel, GF(q), d),)
+    raw, per, unsplit = per_tuple_census(n, d, q, lambda t: check_relations(t, rels))
+    res = enumerate_census(CensusRequest(n=n, d=d, q=q, per_stratum=True, relations=rels))
+    assert (res.raw_count, list(res.per_stratum.items()), res.unsplit_count) == (
+        raw, per, unsplit)
+
+
 def test_census_nilpotent_feit_fine_beyond_brute_force():
     # 809433 commuting 3x3 pairs over F_3; pruning non-nilpotent first
     # coordinates leaves the walk a small part of them
