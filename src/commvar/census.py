@@ -2,42 +2,41 @@
 
 Counts are exact; the groupoid count raw/|GL_n(F_q)| is a rational number
 and the Burnside identity sum(1/|Aut|) over orbits reproduces it.  The
-enumerator walks centralizer chains rather than all q^(d n^2) tuples: each
-coordinate after the first ranges over the joint centralizer of the prefix,
-so commutation never needs rechecking.  Every census filter (nilpotency,
-relations, the support stratum) is invariant under simultaneous
-conjugation, so ``enumerate_census`` visits one first coordinate per
-GL_n-class, its primary rational canonical form, and counts every tuple
-above it with the orbit size |GL_n|/|Z_GL(A)| (Macdonald, Symmetric
-Functions and Hall Polynomials, IV.2); ``orbit_census`` walks every first
-coordinate with weight 1.  The work that depends on a prefix alone is done
-once per prefix: the nilpotent filter drops a prefix, and with it every
-extension, as soon as its newest coordinate fails A^n = 0, and the
-per-stratum count runs one support refinement pass (``cycles.refine``) per
-prefix.  Relation filters are checked per tuple.  A request whose nominal
-size q^(d n^2) exceeds the budget is refused whole; counts are never
-truncated.
+census walks centralizer chains: each coordinate after the first ranges
+over the joint centralizer of the prefix, so commutation never needs
+rechecking, and the first is one primary rational canonical form per
+GL_n-class, weighted by the class size |GL_n|/|Z_GL(A)| (Macdonald,
+Symmetric Functions and Hall Polynomials, IV.2).  The last coordinate
+ranges over the linear space Z(prefix) and is counted, not walked:
+q^dim Z(prefix) choices, or q^(dim Z(A) - (n - rank A)) nilpotent ones
+beside a nilpotent A (Fine-Herstein on each matrix algebra of Z(A) modulo
+its radical).  Nilpotent tuples with d >= 3 and relation filters, which
+read the whole tuple, walk it.  The per-stratum histogram follows the
+support morphism: a split tuple is a direct sum of punctual pieces at
+distinct points, so the stratum with parts lam holds |GL_n| C_lam prod_m
+P_m tuples, C_lam placing the parts at distinct points and
+P_m = punctual(m)/|GL_m|; the rest is unsplit.  Under relations the
+support cycle of each kept tuple files it.  ``orbit_census`` walks every
+first coordinate with weight 1.  A request whose nominal size q^(d n^2)
+exceeds the budget is refused whole; counts are never truncated.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import (
-    ArityMismatchError,
-    BudgetExceededError,
-    NonprimeQError,
-    NotSplitError,
-)
+from .errors import ArityMismatchError, BudgetExceededError, NonprimeQError, NotSplitError
 from .fields import GF, is_prime
-from .matrices import Matrix, block_diag, intertwining_system, kernel_basis
-from .modules import CommutingTuple, GroupElement, companion, conjugate, inverse, is_punctual
-from .cycles import Cycle, Part, refine, stratum
+from .matrices import Matrix, block_diag, intertwining_system, kernel_basis, rank
+from .modules import (
+    CommutingTuple, GroupElement, check_relations, companion, conjugate, inverse, is_punctual)
+from .cycles import cycle, stratum
 from .polynomials import MultiPoly, UniPoly
-from .modules import check_relations
 
 
 def gl_order(n: int, q: int) -> int:
@@ -177,62 +176,70 @@ def _span_elements(basis: Sequence[Matrix], fieldobj, n: int) -> list[Matrix]:
     return [Matrix(fieldobj, n, n, e) for e in elems]
 
 
-def _check_budget(req_size: int, config: RunConfig) -> None:
-    if req_size > config.census_budget:
+def _check_request(n: int, d: int, q: int, config: RunConfig) -> int:
+    """|GL_n(F_q)|, after refusing a nonprime q, a negative n, d < 1 and a
+    nominal size q^(d n^2) over the budget."""
+    glo = gl_order(n, q)
+    if d < 1:
+        raise ArityMismatchError("census needs d >= 1")
+    size, budget = q ** (d * n * n), config.census_budget
+    if size > budget:
         raise BudgetExceededError(
-            f"nominal enumeration size {req_size} exceeds budget {config.census_budget}",
-            size=req_size,
-            budget=config.census_budget,
-        )
-
-
-_PRUNED = object()
+            f"nominal enumeration size {size} exceeds budget {budget}", size=size, budget=budget)
+    return glo
 
 
 def _walk(
     n: int,
-    d: int,
+    length: int,
     q: int,
-    config: RunConfig,
     firsts: Callable[[int, int], Iterable[tuple[Matrix, int]]],
-    step=None,
-    start=None,
-) -> Iterator[tuple[CommutingTuple, int, object]]:
-    """Points of the commuting variety over F_q above the (matrix, weight)
-    pairs firsts(n, q), each point with the weight of its first coordinate
-    and the state carried along its chain.
+    keep: Callable[[Matrix], bool] = lambda m: True,
+) -> Iterator[tuple[list[Matrix], int]]:
+    """Chains of `length` commuting n x n matrices over F_q, every one of
+    them passing keep, each chain with the weight of its first coordinate
+    among the (matrix, weight) pairs firsts(n, q).
 
     Each later coordinate ranges over the joint centralizer of the prefix
     in entry-lexicographic order, so with _all_matrices the walk yields
-    every point once, in lexicographic order of the concatenated row-major
-    coordinate entries.  With step, the empty prefix has state start, and
-    prefix + [m] has state step(state of prefix, m); a step returning
-    _PRUNED drops prefix + [m] and every tuple extending it.
+    every chain once, in lexicographic order of the concatenated row-major
+    coordinate entries.  Length 0 yields the empty chain with weight 1.
     """
-    if not is_prime(q):
-        raise NonprimeQError(f"{q} is not prime", q=q)
-    if d < 1:
-        raise ArityMismatchError("census needs d >= 1")
-    if n < 0:
-        raise ValueError("negative size")
-    _check_budget(q ** (d * n * n), config)
     F = GF(q)
 
-    def extend(
-        prefix: list[Matrix], nexts: Iterable[tuple[Matrix, int]], state
-    ) -> Iterator[tuple[CommutingTuple, int, object]]:
-        for m, weight in nexts:
-            s = state if step is None else step(state, m)
-            if s is _PRUNED:
-                continue
-            chain = prefix + [m]
-            if len(chain) == d:
-                yield CommutingTuple(F, n, d, tuple(chain)), weight, s
-            else:
-                centralizer = _span_elements(_centralizer_basis(chain, F, n), F, n)
-                yield from extend(chain, ((c, weight) for c in centralizer), s)
+    def extend(chain: list[Matrix], weight: int) -> Iterator[tuple[list[Matrix], int]]:
+        if len(chain) == length:
+            yield chain, weight
+            return
+        nexts = firsts(n, q) if not chain else (
+            (c, weight) for c in _span_elements(_centralizer_basis(chain, F, n), F, n))
+        for m, w in nexts:
+            if keep(m):
+                yield from extend(chain + [m], w)
 
-    yield from extend([], firsts(n, q), start)
+    return extend([], 1)
+
+
+def _nilpotent(a: Matrix) -> bool:
+    return a.power(a.rows).is_zero()
+
+
+def _count(n: int, d: int, q: int, nilpotent: bool) -> int:
+    """Commuting d-tuples of n x n matrices over F_q, all of them or the
+    nilpotent ones: the first d - 1 coordinates walked by class, the last
+    counted in their joint centralizer (walked for nilpotent d >= 3)."""
+    F = GF(q)
+    keep = _nilpotent if nilpotent else (lambda a: True)
+    if nilpotent and d > 2:
+        return sum(w for _, w in _walk(n, d, q, _classes, keep))
+    total = 0
+    for chain, weight in _walk(n, d - 1, q, _classes, keep):
+        dim = len(_centralizer_basis(chain, F, n)) if chain else n * n
+        if nilpotent:
+            # Z(A)/rad is one M_m(F_q) per block size, m its Jordan blocks
+            dim -= n - (rank(chain[0]) if chain else 0)
+        total += weight * q**dim
+    return total
 
 
 def enumerate_census(req: CensusRequest, config: RunConfig = DEFAULT_CONFIG) -> CensusResult:
@@ -245,39 +252,38 @@ def enumerate_census(req: CensusRequest, config: RunConfig = DEFAULT_CONFIG) -> 
     """
     for f in req.relations:
         if f.nvars != req.d:
-            raise ArityMismatchError(
-                f"relation in {f.nvars} variables for a d = {req.d} census"
-            )
-    glo = gl_order(req.n, req.q)
-    n = req.n
-    F = GF(req.q)
-
-    def step(parts: Optional[list[Part]], a: Matrix):
-        # the same predicate as is_punctual, one coordinate at a time
-        if req.nilpotent and not a.power(n).is_zero():
-            return _PRUNED
-        if not req.per_stratum or parts is None:
-            return parts
-        try:
-            return refine(parts, a)
-        except NotSplitError:
-            # every extension fails the same pass of its own refinement
-            return None
-
-    start = [((), Matrix.identity(F, n))] if req.per_stratum else None
-    raw = 0
+            raise ArityMismatchError(f"relation in {f.nvars} variables for a d = {req.d} census")
+    n, d, q = req.n, req.d, req.q
+    glo = _check_request(n, d, q, config)
     per: dict[tuple[int, ...], int] = {}
     unsplit = 0
-    for t, weight, parts in _walk(n, req.d, req.q, config, _classes, step, start):
-        if req.relations and not check_relations(t, req.relations):
-            continue
-        raw += weight
-        if req.per_stratum:
-            if parts is None:
-                unsplit += weight
-            else:
-                alpha = stratum(Cycle.make(F, req.d, [(p, b.cols) for p, b in parts]))
+    if req.relations:
+        raw = 0
+        keep = _nilpotent if req.nilpotent else (lambda a: True)
+        for chain, weight in _walk(n, d, q, _classes, keep):
+            t = CommutingTuple(GF(q), n, d, tuple(chain))
+            if not check_relations(t, req.relations):
+                continue
+            raw += weight
+            if req.per_stratum:
+                try:
+                    alpha = stratum(cycle(t))
+                except NotSplitError:
+                    unsplit += weight
+                    continue
                 per[alpha] = per.get(alpha, 0) + weight
+    else:
+        raw = _count(n, d, q, req.nilpotent)
+        if req.per_stratum:
+            # nilpotent tuples have the origin as their one point
+            points = 1 if req.nilpotent else q**d
+            share = cache(lambda m: Fraction(_count(m, d, q, True), gl_order(m, q)))
+            for lam in _partitions(n, n):
+                if len(lam) <= points:
+                    alpha = tuple(lam.count(i) for i in range(1, n + 1))
+                    placed = math.perm(points, len(lam)) // math.prod(map(math.factorial, alpha))
+                    per[alpha] = int(glo * placed * math.prod(map(share, lam)))
+            unsplit = raw - sum(per.values())
     return CensusResult(
         n=req.n,
         d=req.d,
@@ -300,8 +306,9 @@ def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> 
     checked to be constant along the orbit (filters are conjugation
     invariant).
     """
-    glo = gl_order(n, q)
-    all_tuples = [t for t, _, _ in _walk(n, d, q, config, _all_matrices)]
+    glo = _check_request(n, d, q, config)
+    F = GF(q)
+    all_tuples = [CommutingTuple(F, n, d, tuple(c)) for c, _ in _walk(n, d, q, _all_matrices)]
     group: list[GroupElement] = []
     for m, _ in _all_matrices(n, q):
         m_inv = inverse(m)

@@ -374,6 +374,10 @@ def _cmd_sample(args, cfg: RunConfig):
     F = field_from_name(args.field)
     rng = random.Random(cfg.seed)
     meta: dict = {"kind": args.kind, "seed": cfg.seed}
+    d = 2 if args.d is None else args.d
+    fixed = {"staircase": 2, "companion": 1}.get(args.kind)
+    if fixed is not None and args.d not in (None, fixed):
+        raise ArityMismatchError(f"sample --kind {args.kind} has d = {fixed}, got --d {d}", d=d)
     if args.kind == "staircase":
         if not args.cells:
             raise ParseError("sample --kind staircase needs --cells \"i,j;i,j;...\"")
@@ -390,12 +394,12 @@ def _cmd_sample(args, cfg: RunConfig):
         meta["coeffs"] = [F.format(c) for c in coeffs]
     elif args.kind == "punctual":
         _require_at_least("--n", args.n, 0)
-        t = random_punctual_tuple(F, args.d, args.n, rng)
+        t = random_punctual_tuple(F, d, args.n, rng)
     elif args.kind == "split":
         _require_at_least("--n", args.n, 1)
         _require_at_least("--pieces", args.pieces, 1)
         t, truth = random_split_tuple(
-            F, args.d, rng, max_pieces=args.pieces, max_piece_size=args.n
+            F, d, rng, max_pieces=args.pieces, max_piece_size=args.n
         )
         meta["support"] = [
             {"point": _point_strings(F, p), "mult": m} for p, m in truth
@@ -534,7 +538,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sa.add_argument("--field", default="Q", help='"Q" or "Fp:<p>" (default Q)')
     sa.add_argument("--n", type=int, default=3, help="size (punctual) / max piece size (split)")
-    sa.add_argument("--d", type=int, default=2, help="number of coordinates")
+    sa.add_argument("--d", type=int, help="number of coordinates (punctual, split: default 2)")
     sa.add_argument("--cells", help='staircase cells "i,j;i,j;..."')
     sa.add_argument("--coeffs", help="companion polynomial, ascending comma-separated")
     sa.add_argument("--pieces", type=int, default=3, help="max pieces (split)")

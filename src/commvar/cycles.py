@@ -11,11 +11,9 @@ of char_poly(A_1) into generalized eigenspaces; then restrict A_2 to each
 piece and split it by the roots of the restriction, and so on.  Commuting
 maps preserve each other's primary components, so this needs no
 separating linear form and works over every field, however small.  Each
-pass is ``refine``, and the pieces after pass i depend on A_1, ..., A_i
-alone, so a walk over tuples sharing a prefix (the census) refines that
-prefix once.  Each coordinate of a point is read off as a root of a
-characteristic polynomial.  (Never as trace/dim, which lies over F_p when
-p divides the block size.)
+coordinate of a point is read off as a root of a characteristic
+polynomial.  (Never as trace/dim, which lies over F_p when p divides the
+block size.)
 """
 from __future__ import annotations
 
@@ -108,45 +106,35 @@ def _restrict(a: Matrix, basis: Matrix) -> Matrix:
     return x
 
 
-def refine(parts: list[Part], a: Matrix) -> list[Part]:
-    """One refinement pass: split every piece by the roots of a restricted
-    to it, appending the root to the piece's point.
-
-    Start from [((), identity)] and pass A_1, ..., A_d in order: after pass
-    i the pieces are the joint generalized eigenspaces of A_1, ..., A_i,
-    so the result depends on that prefix alone.  A piece on which a has a
-    single eigenvalue stays whole.  Raises NOT_SPLIT as soon as a characteristic
-    polynomial in sight has an unsplit factor (sound: split support makes
-    every one of them split).
-    """
-    F = a.field
-    refined = []
-    for point, basis in parts:
-        block = _restrict(a, basis)
-        roots, cofactor = roots_with_multiplicity(char_poly(block))
-        if cofactor.degree >= 1:
-            raise NotSplitError(
-                "support is not rational over the base field",
-                degrees=[cofactor.degree],
-            )
-        if len(roots) == 1:
-            refined.append((point + (roots[0][0],), basis))
-            continue
-        eye = Matrix.identity(F, block.rows)
-        for lam, mult in roots:
-            vecs = kernel_basis((block - eye.scale(lam)).power(mult))
-            if len(vecs) != mult:
-                raise RuntimeError("generalized eigenspace of wrong dimension")
-            refined.append((point + (lam,), basis * columns_matrix(F, block.rows, vecs)))
-    return refined
-
-
 def _support(t: CommutingTuple) -> list[Part]:
     """Joint generalized eigenspace decomposition over the base field:
-    (point, basis columns) per support point, sorted by point."""
-    parts: list[Part] = [((), Matrix.identity(t.field, t.n))] if t.n else []
+    (point, basis columns) per support point, sorted by point.  Pass i
+    splits every piece by the roots of A_i restricted to it, appending the
+    root to the piece's point.  Raises NOT_SPLIT as soon as a characteristic
+    polynomial in sight has an unsplit factor (sound: split support makes
+    every one of them split)."""
+    F = t.field
+    parts: list[Part] = [((), Matrix.identity(F, t.n))] if t.n else []
     for a in t.mats:
-        parts = refine(parts, a)
+        refined = []
+        for point, basis in parts:
+            block = _restrict(a, basis)
+            roots, cofactor = roots_with_multiplicity(char_poly(block))
+            if cofactor.degree >= 1:
+                raise NotSplitError(
+                    "support is not rational over the base field",
+                    degrees=[cofactor.degree],
+                )
+            if len(roots) == 1:
+                refined.append((point + (roots[0][0],), basis))
+                continue
+            eye = Matrix.identity(F, block.rows)
+            for lam, mult in roots:
+                vecs = kernel_basis((block - eye.scale(lam)).power(mult))
+                if len(vecs) != mult:
+                    raise RuntimeError("generalized eigenspace of wrong dimension")
+                refined.append((point + (lam,), basis * columns_matrix(F, block.rows, vecs)))
+        parts = refined
     parts.sort(key=lambda part: part[0])
     return parts
 

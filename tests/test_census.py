@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from commvar.config import DEFAULT_CONFIG
 from commvar.cycles import cycle, partition_notation, stratum
 from commvar.errors import BudgetExceededError, NonprimeQError, NotSplitError
 from commvar.fields import GF
-from commvar.modules import check_relations, is_punctual
+from commvar.modules import CommutingTuple, check_relations, is_punctual
 from commvar.polynomials import parse_multipoly
 
 
@@ -148,11 +149,16 @@ def test_census_unsplit_oracle_f2_pairs():
     assert res.unsplit_count == brute
 
 
+def all_tuples(n, d, q):
+    """every commuting d-tuple over F_q, in lexicographic order"""
+    return [CommutingTuple(GF(q), n, d, tuple(chain)) for chain, _ in _walk(n, d, q, _all_matrices)]
+
+
 def per_tuple_census(n, d, q, keep=lambda t: True):
     """raw count, per-stratum histogram (in first-seen order) and unsplit
     count from cycle() on every kept tuple of the unfiltered enumeration"""
     raw, per, unsplit = 0, Counter(), 0
-    for t, _, _ in _walk(n, d, q, DEFAULT_CONFIG, _all_matrices):
+    for t in all_tuples(n, d, q):
         if not keep(t):
             continue
         raw += 1
@@ -165,15 +171,16 @@ def per_tuple_census(n, d, q, keep=lambda t: True):
 
 @pytest.mark.parametrize("n,d,q", [(2, 2, 3), (2, 3, 2), (3, 2, 2)])
 def test_shared_walk_matches_per_tuple_cycle(n, d, q):
-    # the walk refines each prefix once and prunes non-nilpotent prefixes;
-    # both must count exactly what the per-tuple predicates count
+    # the strata are counted from the support morphism and the nilpotent
+    # second coordinates from the centralizer dimension; both must count
+    # exactly what the per-tuple predicates count, in first-seen order
     raw, per, unsplit = per_tuple_census(n, d, q)
     res = enumerate_census(CensusRequest(n=n, d=d, q=q, per_stratum=True))
     assert (res.raw_count, list(res.per_stratum.items()), res.unsplit_count) == (
         raw, per, unsplit)
     nil = enumerate_census(CensusRequest(n=n, d=d, q=q, nilpotent=True))
     assert nil.raw_count == sum(
-        1 for t, _, _ in _walk(n, d, q, DEFAULT_CONFIG, _all_matrices) if is_punctual(t))
+        1 for t in all_tuples(n, d, q) if is_punctual(t))
 
 
 @pytest.mark.parametrize("n,q,rel", [(2, 3, "x1 + x2"), (3, 2, "x1^2 + x2^2")])
@@ -203,11 +210,50 @@ def test_census_per_stratum_with_relation(n, d, q, rel):
         raw, per, unsplit)
 
 
+_RELATION = {1: "x1^2 + x1", 2: "x1*x2", 3: "x1*x2 + x3^2"}
+
+
+@pytest.mark.parametrize("n,d,q", [(0, 1, 2), (0, 2, 3), (1, 2, 3), (1, 3, 2), (2, 1, 3),
+                                   (2, 2, 2), (2, 3, 2), (3, 2, 2)])
+def test_census_matches_per_tuple_on_every_filter(n, d, q):
+    # all eight combinations of nilpotent, per_stratum and a relation
+    # against cycle() on every tuple, the histogram in first-seen order; at
+    # n = 0 the one empty tuple has the empty stratum (), also when nilpotent
+    rels = (parse_multipoly(_RELATION[d], GF(q), d),)
+    facts = []
+    for t in all_tuples(n, d, q):
+        try:
+            alpha = stratum(cycle(t))
+        except NotSplitError:
+            alpha = None
+        facts.append((is_punctual(t), check_relations(t, rels), alpha))
+    for nilpotent, per_stratum, relation in itertools.product((False, True), repeat=3):
+        kept = [a for nil, ok, a in facts if (nil or not nilpotent) and (ok or not relation)]
+        per = Counter(a for a in kept if a is not None)
+        want = (len(kept), list(per.items()), kept.count(None)) if per_stratum else (
+            len(kept), None, None)
+        res = enumerate_census(CensusRequest(
+            n=n, d=d, q=q, nilpotent=nilpotent, per_stratum=per_stratum,
+            relations=rels if relation else ()))
+        got_per = None if res.per_stratum is None else list(res.per_stratum.items())
+        assert (res.raw_count, got_per, res.unsplit_count) == want, (
+            nilpotent, per_stratum, relation)
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (4, 2)])
+def test_census_per_stratum_feit_fine_beyond_brute_force(n, q):
+    # strata from the support morphism against the Feit-Fine series
+    res = enumerate_census(CensusRequest(n=n, d=2, q=q, per_stratum=True))
+    assert (res.per_stratum, res.unsplit_count) == oracles.pair_strata(n, q)
+
+
 def test_census_nilpotent_feit_fine_beyond_brute_force():
-    # 809433 commuting 3x3 pairs over F_3; pruning non-nilpotent first
-    # coordinates leaves the walk a small part of them
-    res = enumerate_census(CensusRequest(n=3, d=2, q=3, nilpotent=True))
-    assert res.raw_count == oracles.feit_fine_pairs(3, 3, punctual=True)[3] == 9153
+    # 809433 commuting 3x3 pairs over F_3 and 2526976 4x4 pairs over F_2;
+    # the second coordinate is counted in the centralizer of each
+    # nilpotent class, never walked
+    for n, q, count in [(3, 3, 9153), (4, 2, 71296)]:
+        res = enumerate_census(CensusRequest(n=n, d=2, q=q, nilpotent=True))
+        assert res.raw_count == oracles.feit_fine_pairs(n, q, punctual=True)[n] == count
 
 
 @pytest.mark.parametrize("n,q", [(3, 3), (4, 2)])
@@ -221,10 +267,11 @@ def test_census_all_pairs_feit_fine_beyond_brute_force(n, q):
 _FILTERS = ["none", "nilpotent", "per_stratum", "relation", "all"]
 
 
-# the weight-1 walk takes 12-15 s per request at (3,3,2) with per_stratum or
-# the relation alone; "all" runs both there behind the nilpotent prune
+# the weight-1 walk takes 12-15 s at (3,3,2) with the relation alone; "all"
+# walks it there behind the nilpotent filter
 @pytest.mark.parametrize("n,d,q,name", [(2, 3, 2, f) for f in _FILTERS] + [
-    (2, 3, 3, f) for f in _FILTERS] + [(3, 3, 2, f) for f in ("none", "nilpotent", "all")])
+    (2, 3, 3, f) for f in _FILTERS] + [
+    (3, 3, 2, f) for f in ("none", "nilpotent", "all", "per_stratum")])
 def test_class_weighted_census_matches_all_matrices_walk(monkeypatch, n, d, q, name):
     # no closed form at d = 3: walk every first coordinate with weight 1
     rel = (parse_multipoly("x1*x2 + x3^2", GF(q), 3),)

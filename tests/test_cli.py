@@ -378,6 +378,34 @@ def test_out_of_range_sizes_are_refused(argv, code, error, flag):
     assert (got, rep["error"], rep["detail"].get("flag")) == (code, error, flag)
 
 
+_FIXED_ARITY = [("staircase", ["--cells", "0,0;1,0"], 2), ("companion", ["--coeffs", "1,1"], 1)]
+
+
+@pytest.mark.parametrize("kind,flags,d", _FIXED_ARITY)
+def test_sample_fixed_arity_kind_refuses_other_d(kind, flags, d):
+    # a staircase is always a pair and a companion matrix a single one
+    for other in (0, 1, 2, 3):
+        if other != d:
+            code, rep = run_json("sample", "--kind", kind, *flags, "--d", str(other))
+            assert (code, rep["error"], rep["detail"]["d"]) == (1, "ARITY_MISMATCH", other)
+
+
+@pytest.mark.parametrize("kind,flags,d", _FIXED_ARITY)
+def test_sample_fixed_arity_kind_accepts_its_d(kind, flags, d):
+    code, out = run("sample", "--kind", kind, *flags)
+    assert code == 0 and json.loads(out)["d"] == d
+    assert run("sample", "--kind", kind, *flags, "--d", str(d)) == (0, out)
+
+
+@pytest.mark.parametrize("kind", ["punctual", "split"])
+def test_sample_d_defaults_to_two(kind):
+    code, out = run("sample", "--kind", kind, "--field", "Fp:5")
+    assert code == 0 and json.loads(out)["d"] == 2
+    assert run("sample", "--kind", kind, "--field", "Fp:5", "--d", "2") == (0, out)
+    code, out = run("sample", "--kind", kind, "--field", "Fp:5", "--d", "3")
+    assert code == 0 and json.loads(out)["d"] == 3
+
+
 def test_mixed_fields():
     code, rep = run_json("isom", str(GOLDEN / "j2_zero.json"), str(GOLDEN / "f5_zero.json"))
     assert code == 1 and rep["error"] == "MIXED_FIELDS"
@@ -524,6 +552,20 @@ def test_cycle_of_large_prime_over_q_returns(tmp_path):
     code, rep = result[0]
     assert code == 0
     assert rep["cycle"] == [{"point": [str(2**61 - 1)], "mult": 1}]
+
+
+def test_census_per_stratum_n4_returns():
+    # the strata are counted, not walked: 2^32 nominal tuples at n = 4.  A
+    # thread keeps a regression from hanging the suite.
+    result = []
+    worker = threading.Thread(target=lambda: result.append(run_json(
+        "census", "--n", "4", "--d", "2", "--q", "2", "--per-stratum")), daemon=True)
+    worker.start()
+    worker.join(timeout=5.0)
+    assert not worker.is_alive()
+    code, rep = result[0]
+    assert code == 0
+    assert (rep["raw_count"], rep["unsplit_count"]) == ("2526976", "906432")
 
 
 def test_isom_over_large_prime_field_returns(tmp_path):
