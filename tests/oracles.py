@@ -277,6 +277,39 @@ def similarity_classes(n: int, q: int) -> list[set]:
     return orbits
 
 
+def orbits(n: int, d: int, q: int) -> list[tuple]:
+    """The orbits of GL_n(F_q) acting on commuting d-tuples of n x n
+    matrices by simultaneous conjugation, as (representative, orbit size,
+    stabilizer order).
+
+    Tuples are met in lexicographic order of their concatenated row-major
+    entries, and each orbit is represented by its first tuple met, as a
+    tuple of row-major entry tuples, one per matrix.
+    """
+    def flat(rows: Rows) -> tuple:
+        return tuple(x for row in rows for x in row)
+
+    mats = [
+        [list(e[i * n : (i + 1) * n]) for i in range(n)]
+        for e in itertools.product(range(q), repeat=n * n)
+    ]
+    group = [(g, cramer_inverse(g, q)) for g in mats if cofactor_det(g, q) != 0]
+    seen: set = set()
+    out = []
+    for t in itertools.product(mats, repeat=d):
+        if not all(mat_is_zero(mat_commutator(a, b, q), q) for a, b in itertools.combinations(t, 2)):
+            continue
+        rep = tuple(map(flat, t))
+        if rep in seen:
+            continue
+        images = [
+            tuple(flat(mat_mul(mat_mul(g, a, q), g_inv, q)) for a in t) for g, g_inv in group
+        ]
+        seen |= set(images)
+        out.append((rep, len(set(images)), images.count(rep)))
+    return out
+
+
 def count_commuting_pairs(n: int, q: int) -> int:
     mats = all_matrices_f(n, q)
     count = 0

@@ -328,6 +328,30 @@ def test_orbit_census_burnside_matches_groupoid_count():
         assert burnside_count(orbits) == res.groupoid_count
 
 
+@pytest.mark.parametrize("n,d,q", [(2, 1, 2), (2, 1, 3), (2, 2, 2), (2, 3, 2), (3, 1, 2)])
+def test_orbit_census_matches_brute_force_orbits(n, d, q):
+    got = [
+        (tuple(m.entries for m in o.representative.mats), o.orbit_size, o.aut_order)
+        for o in orbit_census(n, d, q)
+    ]
+    assert got == oracles.orbits(n, d, q)
+
+
+def test_orbit_census_refuses_a_walk_that_misses_a_tuple(monkeypatch):
+    # every conjugate of a walked tuple must itself have been walked
+    n, d, q = 2, 2, 2
+    real = census._walk
+    chains = [tuple(m.entries for m in c) for c, _ in real(n, d, q, census._all_matrices)]
+    assert chains[-1] not in {rep for rep, _, _ in oracles.orbits(n, d, q)}
+
+    def dropping(*args, **kwargs):
+        yield from list(real(*args, **kwargs))[:-1]
+
+    monkeypatch.setattr(census, "_walk", dropping)
+    with pytest.raises(RuntimeError):
+        orbit_census(n, d, q)
+
+
 def test_orbit_census_nilpotent_counts():
     # nilpotent orbits of single 2x2 matrices over F_2: zero and the
     # regular nilpotent class

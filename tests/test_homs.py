@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -221,6 +222,29 @@ def test_grid_decides_f2_pair_with_equal_dimensions():
     assert hom_basis(F2_S, F2_T).dim == aut_dim(F2_S) == aut_dim(F2_T) == 3
     assert hom_basis(F2_T, F2_S).dim == 4
     assert is_isomorphic(F2_S, F2_T) is None
+
+
+def test_grid_is_scanned_in_full_within_budget(monkeypatch):
+    # within budget "absent" rests on the whole grid: 4 first candidates,
+    # then all 2^3 points; the 1,024 seeded draws would ask 1,028 times.
+    # No isomorphic pair can tell the two apart: over F_2 with n <= 4 at
+    # least 1/16 of Hom(s, t) is invertible, so the draws would all miss
+    # with probability about (15/16)^1024.
+    calls = []
+    real = homs.inverse
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(homs, "inverse", counting)
+    assert is_isomorphic(F2_S, F2_T) is None
+    assert len(calls) == 12
+    values = [F2.of(0), F2.of(1)]
+    for dim in range(DEFAULT_CONFIG.grid_budget + 1):
+        assert list(map(tuple, homs._search(F2, 3, dim, DEFAULT_CONFIG))) == list(
+            itertools.product(values, repeat=dim)
+        )
 
 
 def test_grid_budget_exceeded_is_loud():
