@@ -17,8 +17,10 @@ distinct points, so the stratum with parts lam holds |GL_n| C_lam prod_m
 P_m tuples, C_lam placing the parts at distinct points and
 P_m = punctual(m)/|GL_m|; the rest is unsplit.  Under relations the
 support cycle of each kept tuple files it.  ``orbit_census`` walks every
-first coordinate with weight 1.  A request whose nominal size q^(d n^2)
-exceeds the budget is refused whole; counts are never truncated.
+tuple and keys its orbits on the entries of the conjugates g a g^-1 over
+GL_n; each conjugate must lie in the walked variety.  A request whose
+nominal size q^(d n^2) exceeds the budget is refused whole; counts are
+never truncated.
 """
 from __future__ import annotations
 
@@ -32,9 +34,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ArityMismatchError, BudgetExceededError, NonprimeQError, NotSplitError
 from .fields import GF, is_prime
-from .matrices import Matrix, block_diag, intertwining_system, kernel_basis, rank
-from .modules import (
-    CommutingTuple, GroupElement, check_relations, companion, conjugate, inverse, is_punctual)
+from .matrices import Matrix, block_diag, intertwining_system, inverse, kernel_basis, rank
+from .modules import CommutingTuple, check_relations, companion
 from .cycles import cycle, stratum
 from .polynomials import MultiPoly, UniPoly
 
@@ -298,51 +299,40 @@ def enumerate_census(req: CensusRequest, config: RunConfig = DEFAULT_CONFIG) -> 
 
 def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> list[Orbit]:
     """Full orbit decomposition of the commuting variety over F_q under
-    simultaneous conjugation.
+    simultaneous conjugation, keyed on the entries of g a g^-1 over GL_n.
 
     Deterministic: representatives are the first tuples of their orbit in
-    enumeration order.  Per orbit, |orbit| * |Aut| = |GL_n(F_q)| is
-    asserted against a directly counted stabilizer, and nilpotency is
-    checked to be constant along the orbit (filters are conjugation
-    invariant).
+    enumeration order.  Each check raises RuntimeError: |GL_n(F_q)| group
+    elements; every conjugate in the walked variety; nilpotency constant
+    along the orbit (one conjugate per key); |orbit| * |Aut| = |GL_n(F_q)|
+    against a directly counted stabilizer; orbits partitioning the variety.
     """
     glo = _check_request(n, d, q, config)
     F = GF(q)
-    all_tuples = [CommutingTuple(F, n, d, tuple(c)) for c, _ in _walk(n, d, q, _all_matrices)]
-    group: list[GroupElement] = []
-    for m, _ in _all_matrices(n, q):
-        m_inv = inverse(m)
-        if m_inv is not None:
-            group.append(GroupElement(m, m_inv))
+    variety = [chain for chain, _ in _walk(n, d, q, _all_matrices)]
+    group = [(g, g_inv) for g, _ in _all_matrices(n, q) if (g_inv := inverse(g)) is not None]
     if len(group) != glo:
         raise RuntimeError("group enumeration disagrees with |GL_n|")
+    walked = {tuple(a.entries for a in chain) for chain in variety}
     seen: set[tuple] = set()
     orbits: list[Orbit] = []
-
-    def key(t: CommutingTuple) -> tuple:
-        return tuple(m.entries for m in t.mats)
-
-    for t in all_tuples:
-        if key(t) in seen:
+    for chain in variety:
+        key = tuple(a.entries for a in chain)
+        if key in seen:
             continue
-        orbit_keys = set()
-        stabilizer = 0
-        rep_punctual = is_punctual(t)
-        for g in group:
-            u = conjugate(t, g)
-            ku = key(u)
-            if ku == key(t):
-                stabilizer += 1
-            if ku not in orbit_keys:
-                orbit_keys.add(ku)
-                if is_punctual(u) != rep_punctual:
-                    raise RuntimeError("nilpotency not orbit constant")
-        seen |= orbit_keys
-        size = len(orbit_keys)
-        if size * stabilizer != glo:
+        conjugates = [[g * a * g_inv for a in chain] for g, g_inv in group]
+        keys = [tuple(a.entries for a in u) for u in conjugates]
+        orbit = dict(zip(keys, conjugates))
+        if not orbit.keys() <= walked:
+            raise RuntimeError("a conjugate lies outside the walked variety")
+        if len({all(map(_nilpotent, u)) for u in orbit.values()}) != 1:
+            raise RuntimeError("nilpotency not orbit constant")
+        stabilizer = keys.count(key)
+        if len(orbit) * stabilizer != glo:
             raise RuntimeError("orbit-stabilizer mismatch")
-        orbits.append(Orbit(representative=t, orbit_size=size, aut_order=stabilizer))
-    if sum(o.orbit_size for o in orbits) != len(all_tuples):
+        seen |= orbit.keys()
+        orbits.append(Orbit(CommutingTuple(F, n, d, tuple(chain)), len(orbit), stabilizer))
+    if sum(o.orbit_size for o in orbits) != len(variety):
         raise RuntimeError("orbits do not partition the variety")
     return orbits
 

@@ -30,7 +30,7 @@ from .documents import (
     to_commuting_tuple,
     to_framed_module,
 )
-from .errors import ArityMismatchError, CommvarError, ParseError
+from .errors import ArityMismatchError, CommvarError, ParseError, SizeMismatchError
 from .fields import GF, Field, field_from_name, field_name
 from .homs import aut_dim, hom_basis, is_isomorphic, min_generators
 from .matrices import Matrix
@@ -375,6 +375,7 @@ def _cmd_sample(args, cfg: RunConfig):
     rng = random.Random(cfg.seed)
     meta: dict = {"kind": args.kind, "seed": cfg.seed}
     d = 2 if args.d is None else args.d
+    n = 3 if args.n is None else args.n
     fixed = {"staircase": 2, "companion": 1}.get(args.kind)
     if fixed is not None and args.d not in (None, fixed):
         raise ArityMismatchError(f"sample --kind {args.kind} has d = {fixed}, got --d {d}", d=d)
@@ -393,19 +394,22 @@ def _cmd_sample(args, cfg: RunConfig):
         t = companion(UniPoly.make(F, coeffs))
         meta["coeffs"] = [F.format(c) for c in coeffs]
     elif args.kind == "punctual":
-        _require_at_least("--n", args.n, 0)
-        t = random_punctual_tuple(F, d, args.n, rng)
+        _require_at_least("--n", n, 0)
+        t = random_punctual_tuple(F, d, n, rng)
     elif args.kind == "split":
-        _require_at_least("--n", args.n, 1)
+        _require_at_least("--n", n, 1)
         _require_at_least("--pieces", args.pieces, 1)
         t, truth = random_split_tuple(
-            F, d, rng, max_pieces=args.pieces, max_piece_size=args.n
+            F, d, rng, max_pieces=args.pieces, max_piece_size=n
         )
         meta["support"] = [
             {"point": _point_strings(F, p), "mult": m} for p, m in truth
         ]
     else:  # pragma: no cover - argparse choices guard this
         raise ParseError(f"unknown sample kind {args.kind!r}")
+    if fixed is not None and args.n not in (None, t.n):
+        raise SizeMismatchError(
+            f"sample --kind {args.kind} has n = {t.n}, got --n {args.n}", n=args.n)
     if args.conjugate and args.kind != "split" and t.n > 0:
         t = conjugate(t, random_group_element(F, t.n, rng))
         meta["conjugated"] = True
@@ -537,7 +541,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["staircase", "companion", "punctual", "split"],
     )
     sa.add_argument("--field", default="Q", help='"Q" or "Fp:<p>" (default Q)')
-    sa.add_argument("--n", type=int, default=3, help="size (punctual) / max piece size (split)")
+    sa.add_argument("--n", type=int, help="size (punctual) / max piece size (split): default 3; "
+                    "staircase and companion: must match the cells or the degree")
     sa.add_argument("--d", type=int, help="number of coordinates (punctual, split: default 2)")
     sa.add_argument("--cells", help='staircase cells "i,j;i,j;..."')
     sa.add_argument("--coeffs", help="companion polynomial, ascending comma-separated")

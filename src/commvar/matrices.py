@@ -19,7 +19,7 @@ F_p and on rows cleared of denominators over Q.  Inside the package only
 ``cycles.det_pushforward`` calls it.
 
 Products have one kernel, ``_dot_products``, behind ``Matrix.__mul__``,
-``Matrix.mat_vec`` and the Berkowitz steps of ``char_poly``.  It also runs
+``Matrix.mat_vec`` and every product of ``char_poly``.  It also runs
 on plain ints: over F_p each entry is one integer dot product reduced once;
 over Q each row of the left factor and each column of the right is cleared
 of denominators once, and each entry is one ``Fraction`` of an integer dot
@@ -550,35 +550,31 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
 def char_poly(m: Matrix) -> UniPoly:
     """Characteristic polynomial det(tI - m), by the division-free
     Berkowitz recurrence (valid over F_p for every p, including p <= n).
+    Each step reads R, C and the trailing submatrix as slices of the
+    entries, and ``_dot_products`` runs all its products, the Toeplitz step
+    p <- T p included.
     """
     if m.rows != m.cols:
         raise NotSquareError(f"char poly of {m.rows}x{m.cols}")
     F = m.field
     char = F.characteristic
     n = m.rows
+    e = m.entries
     zero = F.zero()
     # coeffs descending for the trailing principal submatrix, starting empty
     p = [F.one()]
     for k in range(n - 1, -1, -1):
         s = n - k
-        a_kk = m.entry(k, k)
-        R = [m.entry(k, j) for j in range(k + 1, n)]
-        C = [m.entry(i, k) for i in range(k + 1, n)]
-        sub = [[m.entry(i, j) for j in range(k + 1, n)] for i in range(k + 1, n)]
-        c = [F.one(), F.neg(a_kk)]
-        w = C
+        R = e[k * n + k + 1 : (k + 1) * n]
+        sub = [e[i * n + k + 1 : (i + 1) * n] for i in range(k + 1, n)]
+        c = [F.one(), F.neg(e[k * n + k])]
+        w = e[(k + 1) * n + k :: n]  # column k below the diagonal
         for i in range(2, s + 1):
             c.append(F.neg(_dot_products(char, [R], [w])[0]))
             if i < s:
                 w = _dot_products(char, sub, [w])
-        newp = []
-        for i in range(s + 1):
-            acc = zero
-            for j, pj in enumerate(p):
-                if 0 <= i - j < len(c):
-                    acc = F.add(acc, F.mul(c[i - j], pj))
-            newp.append(acc)
-        p = newp
+        # p <- T p, T the (s+1) x s lower-triangular Toeplitz matrix with first column c
+        p = _dot_products(char, [(c[i::-1] + [zero] * s)[:s] for i in range(s + 1)], [p])
     return UniPoly.make(F, reversed(p))
 
 

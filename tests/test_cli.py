@@ -397,6 +397,32 @@ def test_sample_fixed_arity_kind_accepts_its_d(kind, flags, d):
     assert run("sample", "--kind", kind, *flags, "--d", str(d)) == (0, out)
 
 
+_FIXED_SIZE = [("staircase", ["--cells", "0,0;1,0;0,1"], 3), ("companion", ["--coeffs", "2,-3,1"], 2)]
+
+
+@pytest.mark.parametrize("kind,flags,n", _FIXED_SIZE)
+def test_sample_fixed_size_kind_refuses_other_n(kind, flags, n):
+    # the cells or the coefficients fix the size
+    for other in (0, 1, 2, 3, 5):
+        if other != n:
+            code, rep = run_json("sample", "--kind", kind, *flags, "--n", str(other))
+            assert (code, rep["error"], rep["detail"]["n"]) == (1, "SIZE_MISMATCH", other)
+
+
+@pytest.mark.parametrize("kind,flags,n", _FIXED_SIZE)
+def test_sample_fixed_size_kind_accepts_its_n(kind, flags, n):
+    code, out = run("sample", "--kind", kind, *flags)
+    assert code == 0 and json.loads(out)["n"] == n
+    assert run("sample", "--kind", kind, *flags, "--n", str(n)) == (0, out)
+
+
+@pytest.mark.parametrize("kind", ["punctual", "split"])
+def test_sample_n_defaults_to_three(kind):
+    code, out = run("sample", "--kind", kind, "--field", "Fp:5")
+    assert code == 0
+    assert run("sample", "--kind", kind, "--field", "Fp:5", "--n", "3") == (0, out)
+
+
 @pytest.mark.parametrize("kind", ["punctual", "split"])
 def test_sample_d_defaults_to_two(kind):
     code, out = run("sample", "--kind", kind, "--field", "Fp:5")
