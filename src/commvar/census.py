@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ArityMismatchError, BudgetExceededError, NonprimeQError, NotSplitError
-from .fields import GF, is_prime
+from .fields import GF, int_to_decimal, is_prime
 from .matrices import Matrix, block_diag, intertwining_system, inverse, kernel_basis, rank
 from .modules import CommutingTuple, check_relations, companion
 from .cycles import cycle, stratum
@@ -185,8 +185,8 @@ def _check_request(n: int, d: int, q: int, config: RunConfig) -> int:
         raise ArityMismatchError("census needs d >= 1")
     size, budget = q ** (d * n * n), config.census_budget
     if size > budget:
-        raise BudgetExceededError(
-            f"nominal enumeration size {size} exceeds budget {budget}", size=size, budget=budget)
+        raise BudgetExceededError(f"nominal enumeration size {int_to_decimal(size)} exceeds "
+                                  f"budget {budget}", size=size, budget=budget)
     return glo
 
 

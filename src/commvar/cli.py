@@ -22,16 +22,15 @@ from .config import DEFAULT_CONFIG, RunConfig, load_config
 from .cycles import cycle, localize, partition_notation, stratum
 from .documents import (
     ModuleDocument,
-    document_field,
-    document_matrices,
     emit_document,
+    format_matrix,
     from_commuting_tuple,
     parse_document,
     to_commuting_tuple,
     to_framed_module,
 )
 from .errors import ArityMismatchError, CommvarError, ParseError, SizeMismatchError
-from .fields import GF, Field, field_from_name, field_name
+from .fields import GF, Field, field_from_name, field_name, int_to_decimal
 from .homs import aut_dim, hom_basis, is_isomorphic, min_generators
 from .matrices import Matrix
 from .modules import (
@@ -53,11 +52,6 @@ from .sampling import random_group_element, random_punctual_tuple, random_split_
 
 # ---------------------------------------------------------------------------
 # Formatting helpers
-
-
-def _mat_strings(m: Matrix) -> list[list[str]]:
-    F = m.field
-    return [[F.format(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
 
 
 def _point_strings(field: Field, point) -> list[str]:
@@ -169,13 +163,13 @@ def _cmd_localize(args, cfg: RunConfig):
         {
             "point": _point_strings(F, s.point),
             "n": s.local_module.n,
-            "matrices": [_mat_strings(m) for m in s.local_module.mats],
+            "matrices": [format_matrix(m) for m in s.local_module.mats],
         }
         for s in summands
     ]
     report = {"summands": payload}
     if summands:
-        report["change_of_basis"] = _mat_strings(summands[0].change_of_basis.matrix)
+        report["change_of_basis"] = format_matrix(summands[0].change_of_basis.matrix)
     else:
         report["change_of_basis"] = []
     return report
@@ -187,7 +181,7 @@ def _cmd_isom(args, cfg: RunConfig):
     g = is_isomorphic(s, t, cfg)
     return {
         "isomorphic": g is not None,
-        "certificate": _mat_strings(g.matrix) if g is not None else None,
+        "certificate": format_matrix(g.matrix) if g is not None else None,
     }
 
 
@@ -214,27 +208,23 @@ def _cmd_nilpotent(args, cfg: RunConfig):
     return {"nilpotent": is_punctual(_load_tuple(args.doc))}
 
 
-def _require_triple(doc: ModuleDocument) -> list[Matrix]:
+def _require_triple(doc: ModuleDocument) -> tuple[Matrix, ...]:
     if doc.d != 3:
         raise ArityMismatchError(f"needs exactly 3 coordinate matrices, got d = {doc.d}")
-    return document_matrices(doc)
+    return doc.matrices
 
 
 def _cmd_potential(args, cfg: RunConfig):
     # the input need not commute: the whole point is to evaluate the
     # potential away from its critical locus too
     doc = _load_doc(args.doc)
-    mats = _require_triple(doc)
-    F = document_field(doc)
-    return {"potential": F.format(trace_potential(mats))}
+    return {"potential": doc.field.format(trace_potential(_require_triple(doc)))}
 
 
 def _cmd_gradient(args, cfg: RunConfig):
-    doc = _load_doc(args.doc)
-    mats = _require_triple(doc)
-    grad = potential_gradient(mats)
+    grad = potential_gradient(_require_triple(_load_doc(args.doc)))
     return {
-        "gradient": [_mat_strings(g) for g in grad],
+        "gradient": [format_matrix(g) for g in grad],
         "vanishes": all(g.is_zero() for g in grad),
     }
 
@@ -270,7 +260,7 @@ def _cmd_quot_equal(args, cfg: RunConfig):
     h = quot_equal(f, g)
     return {
         "equal": h is not None,
-        "certificate": _mat_strings(h.matrix) if h is not None else None,
+        "certificate": format_matrix(h.matrix) if h is not None else None,
     }
 
 
@@ -339,7 +329,7 @@ def _cmd_orbit_census(args, cfg: RunConfig):
         "orbit_count": len(orbits),
         "orbits": [
             {
-                "matrices": [_mat_strings(m) for m in o.representative.mats],
+                "matrices": [format_matrix(m) for m in o.representative.mats],
                 "orbit_size": str(o.orbit_size),
                 "aut_order": str(o.aut_order),
                 "nilpotent": is_punctual(o.representative),
@@ -590,7 +580,10 @@ def run_command(argv=None) -> tuple[int, str]:
 
 def _error_text(e: CommvarError) -> str:
     detail: dict = {"message": str(e)}
-    detail.update(e.detail)
+    # an int past about 3,900 digits may exceed the interpreter's int -> str
+    # limit, so it goes as a decimal string
+    detail.update({k: int_to_decimal(v) if isinstance(v, int) and v.bit_length() > 13_000 else v
+                   for k, v in e.detail.items()})
     return json.dumps({"error": e.code, "detail": detail}, indent=2, default=str) + "\n"
 
 

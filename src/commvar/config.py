@@ -36,6 +36,8 @@ def load_config(path: str) -> RunConfig:
         raise ParseError(f"cannot read config {path}: {e}")
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON in config {path}: {e}", line=e.lineno, column=e.colno)
+    except ValueError as e:  # a JSON number past the interpreter's int digit limit
+        raise ParseError(f"bad JSON in config {path}: {e}")
     if not isinstance(raw, dict):
         raise ParseError("config must be a JSON object")
     known = {f.name for f in fields(RunConfig)}

@@ -2,9 +2,11 @@
 
 A document is {"field": "Q"|"Fp:<p>", "n": int, "d": int, "matrices":
 d x n x n scalar strings, optional "frame": r x n scalar strings, optional
-"metadata": {...}}.  Every scalar travels as a string in canonical form
-("-3/2", "4"); floating point never appears.  parse_document canonicalizes
-scalars, so parse(emit(doc)) == doc and emit is byte-deterministic.
+"metadata": {...}}.  Every scalar travels as a string ("-3/2", "4");
+floating point never appears.  parse_document parses each scalar once into
+a ModuleDocument of field, matrices and frame values; emit_document formats
+each once, in canonical form, through format_matrix, the one writer of
+matrices as text.  So parse(emit(doc)) == doc and emit is byte-deterministic.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ParseError, ValidationError
-from .fields import Field, field_from_name, field_name
+from .fields import Field, Scalar, field_from_name, field_name
 from .matrices import Matrix
 from .modules import CommutingTuple, validate
 from .quot import FramedModule
@@ -21,38 +23,38 @@ from .quot import FramedModule
 
 @dataclass(frozen=True)
 class ModuleDocument:
-    field: str  # "Q" or "Fp:<p>"
+    """A parsed document: the field, the d coordinate matrices (not checked
+    for commutation) and the frame as parsed scalars.  n and d mirror the
+    JSON keys that parse_document checks the matrices against."""
+
+    field: Field
     n: int
     d: int
-    matrices: tuple[tuple[tuple[str, ...], ...], ...]  # canonical scalar strings
-    frame: Optional[tuple[tuple[str, ...], ...]] = None  # r rows of n entries
+    matrices: tuple[Matrix, ...]
+    frame: Optional[tuple[tuple[Scalar, ...], ...]] = None  # r vectors of n scalars
     metadata: Optional[dict] = None
-
-
-def _shape_error(msg: str, **detail) -> ValidationError:
-    return ValidationError(msg, **detail)
 
 
 def _parse_scalar_grid(field: Field, rows, n_rows: int, n_cols: int, what: str):
     if not isinstance(rows, list) or len(rows) != n_rows:
-        raise _shape_error(f"{what} must be a list of {n_rows} rows", what=what)
+        raise ValidationError(f"{what} must be a list of {n_rows} rows", what=what)
     out = []
     for r in rows:
         if not isinstance(r, list) or len(r) != n_cols:
-            raise _shape_error(f"{what} rows must have {n_cols} entries", what=what)
+            raise ValidationError(f"{what} rows must have {n_cols} entries", what=what)
         row = []
         for x in r:
             if not isinstance(x, str):
                 raise ParseError(
                     f"scalars must be strings, got {type(x).__name__} in {what}", what=what
                 )
-            row.append(field.format(field.parse(x)))
+            row.append(field.parse(x))
         out.append(tuple(row))
     return tuple(out)
 
 
 def parse_document(text: str) -> ModuleDocument:
-    """Parse and canonicalize a module document.
+    """Parse a module document, each scalar once.
 
     Bad JSON or bad scalar syntax is PARSE_ERROR (with line/position for
     JSON problems); structural problems are VALIDATION_ERROR.
@@ -63,42 +65,44 @@ def parse_document(text: str) -> ModuleDocument:
         raise ParseError(
             f"bad JSON: {e.msg}", line=e.lineno, column=e.colno, position=e.pos
         )
+    except ValueError as e:  # a JSON number past the interpreter's int digit limit
+        raise ParseError(f"bad JSON: {e}")
     if not isinstance(raw, dict):
-        raise _shape_error("document must be a JSON object")
+        raise ValidationError("document must be a JSON object")
     required = {"field", "n", "d", "matrices"}
     allowed = required | {"frame", "metadata"}
     missing = sorted(required - set(raw))
     if missing:
-        raise _shape_error(f"missing keys: {', '.join(missing)}", missing=missing)
+        raise ValidationError(f"missing keys: {', '.join(missing)}", missing=missing)
     unknown = sorted(set(raw) - allowed)
     if unknown:
-        raise _shape_error(f"unknown keys: {', '.join(unknown)}", unknown=unknown)
+        raise ValidationError(f"unknown keys: {', '.join(unknown)}", unknown=unknown)
     if not isinstance(raw["field"], str):
-        raise _shape_error("field must be a string tag")
+        raise ValidationError("field must be a string tag")
     fieldobj = field_from_name(raw["field"])
     n, d = raw["n"], raw["d"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise _shape_error(f"n must be a nonnegative integer, got {n!r}")
+        raise ValidationError(f"n must be a nonnegative integer, got {n!r}")
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise _shape_error(f"d must be a positive integer, got {d!r}")
+        raise ValidationError(f"d must be a positive integer, got {d!r}")
     mats_raw = raw["matrices"]
     if not isinstance(mats_raw, list) or len(mats_raw) != d:
-        raise _shape_error(f"matrices must be a list of {d} matrices")
+        raise ValidationError(f"matrices must be a list of {d} matrices")
     matrices = tuple(
-        _parse_scalar_grid(fieldobj, m, n, n, f"matrix {i + 1}")
+        Matrix.from_rows(fieldobj, _parse_scalar_grid(fieldobj, m, n, n, f"matrix {i + 1}"))
         for i, m in enumerate(mats_raw)
     )
     frame = None
     if raw.get("frame") is not None:
         fr = raw["frame"]
         if not isinstance(fr, list):
-            raise _shape_error("frame must be a list of vectors")
+            raise ValidationError("frame must be a list of vectors")
         frame = _parse_scalar_grid(fieldobj, fr, len(fr), n, "frame")
     metadata = raw.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
-        raise _shape_error("metadata must be an object")
+        raise ValidationError("metadata must be an object")
     return ModuleDocument(
-        field=raw["field"] if raw["field"] == "Q" else field_name(fieldobj),
+        field=fieldobj,
         n=n,
         d=d,
         matrices=matrices,
@@ -107,74 +111,46 @@ def parse_document(text: str) -> ModuleDocument:
     )
 
 
+def format_matrix(m: Matrix) -> list[list[str]]:
+    """The rows of m as canonical scalar strings: how documents and CLI
+    reports write a matrix."""
+    F = m.field
+    return [[F.format(x) for x in m.row(i)] for i in range(m.rows)]
+
+
 def emit_document(doc: ModuleDocument) -> str:
     """Canonical serialization: fixed key order, 2-space indent, newline at
     end.  Byte-identical across runs for equal documents."""
+    F = doc.field
     payload: dict = {
-        "field": doc.field,
+        "field": field_name(F),
         "n": doc.n,
         "d": doc.d,
-        "matrices": [[list(row) for row in m] for m in doc.matrices],
+        "matrices": [format_matrix(m) for m in doc.matrices],
     }
     if doc.frame is not None:
-        payload["frame"] = [list(v) for v in doc.frame]
+        payload["frame"] = [[F.format(x) for x in v] for v in doc.frame]
     if doc.metadata is not None:
         payload["metadata"] = doc.metadata
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
 
 
-def document_field(doc: ModuleDocument) -> Field:
-    return field_from_name(doc.field)
-
-
-def document_matrices(doc: ModuleDocument) -> list[Matrix]:
-    """The raw coordinate matrices, without any commutation check."""
-    F = document_field(doc)
-    return [
-        Matrix(F, doc.n, doc.n, tuple(F.parse(x) for row in m for x in row))
-        for m in doc.matrices
-    ]
-
-
 def to_commuting_tuple(doc: ModuleDocument) -> CommutingTuple:
     """Validate the document's matrices into a commuting tuple
     (NOT_COMMUTING surfaces directly)."""
-    return validate(document_matrices(doc))
+    return validate(doc.matrices)
 
 
 def to_framed_module(doc: ModuleDocument) -> FramedModule:
     if doc.frame is None:
         raise ValidationError("document has no frame")
-    F = document_field(doc)
-    t = to_commuting_tuple(doc)
-    frame = tuple(tuple(F.parse(x) for x in v) for v in doc.frame)
-    return FramedModule(t, frame)
+    return FramedModule(to_commuting_tuple(doc), doc.frame)
 
 
 def from_commuting_tuple(t: CommutingTuple, metadata: Optional[dict] = None) -> ModuleDocument:
-    F = t.field
-    return ModuleDocument(
-        field=field_name(F),
-        n=t.n,
-        d=t.d,
-        matrices=tuple(
-            tuple(tuple(F.format(m.entry(i, j)) for j in range(t.n)) for i in range(t.n))
-            for m in t.mats
-        ),
-        frame=None,
-        metadata=metadata,
-    )
+    return ModuleDocument(t.field, t.n, t.d, t.mats, None, metadata)
 
 
 def from_framed_module(f: FramedModule, metadata: Optional[dict] = None) -> ModuleDocument:
-    base = from_commuting_tuple(f.module, metadata)
-    F = f.module.field
-    frame = tuple(tuple(F.format(x) for x in v) for v in f.frame)
-    return ModuleDocument(
-        field=base.field,
-        n=base.n,
-        d=base.d,
-        matrices=base.matrices,
-        frame=frame,
-        metadata=metadata,
-    )
+    t = f.module
+    return ModuleDocument(t.field, t.n, t.d, t.mats, f.frame, metadata)

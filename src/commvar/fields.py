@@ -20,6 +20,33 @@ Scalar = Union[Fraction, int]
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
+# CPython refuses int <-> str conversions past sys.get_int_max_str_digits()
+# (4300 digits by default).  Only then do these two helpers split the number
+# in halves until it converts; the limit itself is left alone, since the CLI
+# runs inside other processes.
+def int_from_decimal(text: str) -> int:
+    """int(text) for a signed decimal numeral of any length."""
+    try:
+        return int(text)
+    except ValueError:
+        s = text.strip()
+        digits = s[1:] if s[:1] in ("+", "-") else s
+        if not digits.isdecimal():
+            raise
+        k = len(digits) // 2
+        value = int_from_decimal(digits[:-k]) * 10**k + int_from_decimal(digits[-k:])
+        return -value if s[0] == "-" else value
+
+
+def int_to_decimal(n: int) -> str:
+    """str(n) for an int of any size."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half the digits
+        head, tail = divmod(abs(n), 10**k)
+        return ("-" if n < 0 else "") + int_to_decimal(head) + int_to_decimal(tail).zfill(k)
+
 
 # The first 13 primes are a deterministic Miller-Rabin witness set for every
 # n below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
@@ -37,7 +64,7 @@ def is_prime(p: int) -> bool:
         return False
     if p >= PRIMALITY_BOUND:
         raise BudgetExceededError(
-            f"primality of {p} is not decided at or above {PRIMALITY_BOUND}",
+            f"primality of {int_to_decimal(p)} is not decided at or above {PRIMALITY_BOUND}",
             size=p,
             budget=PRIMALITY_BOUND,
         )
@@ -92,14 +119,17 @@ class Field:
     def inv(self, a: Scalar) -> Scalar:
         raise NotImplementedError
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
+    def pow(self, a: Scalar, e: int) -> Scalar:
+        """a ** e for an int e >= 0; pow with modulus None is plain a ** e."""
+        return pow(a, e, self.characteristic or None)
 
     def parse(self, text: str) -> Scalar:
         raise NotImplementedError
 
     def format(self, a: Scalar) -> str:
-        return str(a)
+        # an int residue is its own numerator over 1
+        num = int_to_decimal(a.numerator)
+        return num if a.denominator == 1 else f"{num}/{int_to_decimal(a.denominator)}"
 
     # Field identity is structural so cached and ad-hoc instances agree.
     def __eq__(self, other) -> bool:
@@ -152,12 +182,11 @@ class RationalField(Field):
         s = text.strip()
         if not _RAT_RE.match(s):
             raise ParseError(f"bad rational scalar {text!r}", scalar=text)
-        if "/" in s:
-            num, den = s.split("/")
-            if int(den) == 0:
-                raise ParseError(f"zero denominator in {text!r}", scalar=text)
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
+        num, _, den = s.partition("/")
+        den = int_from_decimal(den) if den else 1
+        if den == 0:
+            raise ParseError(f"zero denominator in {text!r}", scalar=text)
+        return Fraction(int_from_decimal(num), den)
 
     def __repr__(self) -> str:
         return "QQ"
@@ -216,7 +245,7 @@ class PrimeField(Field):
             )
         if not _INT_RE.match(s):
             raise ParseError(f"bad residue {text!r}", scalar=text)
-        return int(s) % self.characteristic
+        return int_from_decimal(s) % self.characteristic
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.characteristic))
@@ -239,9 +268,9 @@ def field_from_name(name: str) -> Field:
         return QQ
     if name.startswith("Fp:"):
         body = name[3:]
-        if not body.isdigit():
+        if not body.isdecimal():
             raise ParseError(f"bad field tag {name!r}", field=name)
-        return GF(int(body))
+        return GF(int_from_decimal(body))
     raise ParseError(f"unknown field tag {name!r}", field=name)
 
 

@@ -16,7 +16,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ArityMismatchError, MixedFieldsError, ParseError, ZeroPolyError
-from .fields import Field, Scalar
+from .fields import Field, Scalar, int_from_decimal, int_to_decimal
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,6 @@ class UniPoly:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == self.field.one()
-
-    @property
-    def leading(self) -> Scalar:
-        if self.is_zero:
-            raise ZeroPolyError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def _check(self, other: "UniPoly") -> None:
         if self.field != other.field:
@@ -268,8 +262,7 @@ class MultiPoly:
         for exps, coeff in self.terms:
             v = coeff
             for x, e in zip(point, exps):
-                for _ in range(e):
-                    v = F.mul(v, x)
+                v = F.mul(v, F.pow(x, e))
             total = F.add(total, v)
         return total
 
@@ -307,12 +300,12 @@ def parse_multipoly(text: str, field: Field, nvars: int) -> MultiPoly:
         for factor in chunk.split("*"):
             m = _VAR_RE.match(factor)
             if m:
-                idx = int(m.group(1))
+                idx = int_from_decimal(m.group(1))
                 if not 1 <= idx <= nvars:
                     raise ParseError(
-                        f"variable x{idx} out of range 1..{nvars}", text=text
+                        f"variable x{int_to_decimal(idx)} out of range 1..{nvars}", text=text
                     )
-                exps[idx - 1] += int(m.group(2) or 1)
+                exps[idx - 1] += int_from_decimal(m.group(2) or "1")
             else:
                 coeff = field.mul(coeff, field.parse(factor))
         key = tuple(exps)
@@ -331,7 +324,7 @@ def format_multipoly(f: MultiPoly) -> str:
             if e == 1:
                 factors.append(f"x{i + 1}")
             elif e > 1:
-                factors.append(f"x{i + 1}^{e}")
+                factors.append(f"x{i + 1}^{int_to_decimal(e)}")
         if not factors or coeff != F.one():
             factors.insert(0, F.format(coeff))
         parts.append("*".join(factors))

@@ -2,12 +2,14 @@ import io
 import json
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from commvar import cli
 from commvar.documents import emit_document, parse_document
+from commvar.fields import PrimeField, RationalField, int_from_decimal
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -610,3 +612,106 @@ def test_isom_over_large_prime_field_returns(tmp_path):
     code, rep = result[0]
     assert code == 0
     assert rep["certificate"] == [["0", "1"], ["1", "0"]]
+
+
+# ---------------------------------------------------------------------------
+# numerals past the interpreter's 4,300-digit int <-> str limit
+
+BIG = "9" * 5000  # 10^5000 - 1
+
+
+def _write(tmp_path, text: str) -> str:
+    p = tmp_path / "doc.json"
+    p.write_text(text)
+    return str(p)
+
+
+def _one_by_one(field: str, scalar: str) -> str:
+    return json.dumps({"field": field, "n": 1, "d": 1, "matrices": [[[scalar]]]})
+
+
+@pytest.mark.parametrize("field,entry", [("Q", Fraction(10**5000 - 1)), ("Fp:5", 4)])
+def test_long_scalar_is_read_exactly(tmp_path, field, entry):
+    path = _write(tmp_path, _one_by_one(field, BIG))
+    assert run_json("validate", path)[0] == 0
+    assert parse_document(Path(path).read_text()).matrices[0].entries == (entry,)
+
+
+def test_long_shift_is_read_and_written_exactly(tmp_path):
+    code, out = run("translate", _write(tmp_path, _one_by_one("Q", "0")), BIG)
+    assert code == 0
+    assert json.loads(out)["matrices"] == [[[BIG]]]
+
+
+def test_long_product_is_written_exactly(tmp_path):
+    a, z = "7" * 2200, ["0", "0"]
+    path = _write(tmp_path, json.dumps({"field": "Q", "n": 2, "d": 3, "matrices": [
+        [[a, "0"], z], [["0", a], z], [z, z]]}))
+    code, rep = run_json("gradient", path)
+    assert code == 0
+    # d/dC Tr(A [B, C]) = [A, B]^T, and [A, B] = [[0, a^2], [0, 0]]
+    (z0, z1), (entry, z2) = rep["gradient"][2]
+    assert (z0, z1, z2) == ("0", "0", "0")
+    assert len(entry) == 4400 and int_from_decimal(entry) == int_from_decimal(a) ** 2
+
+
+def test_long_exponent_is_read_and_written_exactly():
+    code, rep = run_json("census", "--n", "1", "--d", "1", "--q", "2", "--relation", "x1^" + BIG)
+    assert code == 0
+    assert rep["filter"]["relations"] == ["x1^" + BIG]
+    assert rep["raw_count"] == "1"  # only 0 has x^(10^5000 - 1) = 0 over F_2
+
+
+@pytest.mark.parametrize("text,code,error", [
+    ('{"field": "Q", "n": %s, "d": 1, "matrices": [[["0"]]]}' % BIG, 2, "PARSE_ERROR"),
+    (_one_by_one("Fp:" + BIG, "1"), 1, "BUDGET_EXCEEDED"),
+    (_one_by_one("Fp:²", "1"), 2, "PARSE_ERROR"),  # a digit that int() refuses
+], ids=["long-n", "long-prime", "superscript-prime"])
+def test_long_or_odd_document_numbers_are_refused(tmp_path, text, code, error):
+    got, rep = run_json("validate", _write(tmp_path, text))
+    assert (got, rep["error"]) == (code, error)
+
+
+def test_long_prime_refusal_carries_the_number_as_a_string(tmp_path):
+    code, rep = run_json("validate", _write(tmp_path, _one_by_one("Fp:" + BIG, "1")))
+    assert code == 1 and rep["detail"]["size"] == BIG
+
+
+def test_long_variable_index_is_refused():
+    code, rep = run_json("census", "--n", "1", "--d", "1", "--q", "2", "--relation", "x" + "1" * 5000)
+    assert (code, rep["error"]) == (2, "PARSE_ERROR")
+
+
+def test_long_config_number_is_refused(tmp_path):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text('{"seed": %s}' % BIG)
+    code, rep = run_json("validate", str(GOLDEN / "j2_zero.json"), "--config", str(cfgp))
+    assert (code, rep["error"]) == (2, "PARSE_ERROR")
+
+
+def test_long_nominal_census_size_is_refused():
+    # q^(d n^2) = 2^20000 has 6,021 digits
+    code, rep = run_json("census", "--n", "100", "--d", "2", "--q", "2")
+    assert (code, rep["error"]) == (1, "BUDGET_EXCEEDED")
+    assert int_from_decimal(rep["detail"]["size"]) == 2**20000
+
+
+# ---------------------------------------------------------------------------
+# each document scalar is parsed once
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["validate", "j3_j3sq.json"], 2 * 3 * 3),                        # d n^2
+    (["frame-check", "j2_framed.json"], 1 * 2 * 2 + 2 * 2),           # d n^2 + r n
+    (["isom", "f5_split_s.json", "f5_split_t.json"], 2 * 2 * 4 * 4),  # two documents
+])
+def test_each_document_scalar_is_parsed_once(monkeypatch, argv, calls):
+    parsed = []
+    for cls in (RationalField, PrimeField):
+        def counted(self, text, parse=cls.parse):
+            parsed.append(text)
+            return parse(self, text)
+        monkeypatch.setattr(cls, "parse", counted)
+    code, _ = run(argv[0], *(str(GOLDEN / name) for name in argv[1:]))
+    assert code == 0
+    assert len(parsed) == calls

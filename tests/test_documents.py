@@ -1,9 +1,10 @@
+import json
+from fractions import Fraction
+
 import pytest
 
 from commvar.documents import (
     ModuleDocument,
-    document_field,
-    document_matrices,
     emit_document,
     from_commuting_tuple,
     from_framed_module,
@@ -56,19 +57,27 @@ def test_parse_emit_golden_byte_identity():
 def test_parse_canonicalizes_scalars():
     text = '{"field": "Q", "n": 1, "d": 1, "matrices": [[["2/4"]]]}'
     doc = parse_document(text)
-    assert doc.matrices == ((("1/2",),),)
+    assert doc.matrices == (Matrix(QQ, 1, 1, (Fraction(1, 2),)),)
+    assert json.loads(emit_document(doc))["matrices"] == [[["1/2"]]]
     text_fp = '{"field": "Fp:5", "n": 1, "d": 1, "matrices": [[["7"]]]}'
     doc_fp = parse_document(text_fp)
-    assert doc_fp.matrices == ((("2",),),)
-    assert doc_fp.field == "Fp:5"
+    assert doc_fp.matrices == (Matrix(GF(5), 1, 1, (2,)),)
+    assert doc_fp.field == GF(5)
+    emitted = json.loads(emit_document(doc_fp))
+    assert emitted["field"] == "Fp:5" and emitted["matrices"] == [[["2"]]]
+    # the field tag is written from the field, so "Fp:05" comes back as "Fp:5"
+    assert parse_document(text_fp.replace("Fp:5", "Fp:05")) == doc_fp
 
 
 def test_parse_emit_round_trip_is_identity_after_first_pass():
     text = '{"field": "Fp:3", "n": 2, "d": 1, "matrices": [[["4", "-1"], ["0", "5"]]]}'
     doc = parse_document(text)
-    assert doc.matrices == ((("1", "2"), ("0", "2")),)
-    again = parse_document(emit_document(doc))
+    assert doc.matrices == (Matrix(GF(3), 2, 2, (1, 2, 0, 2)),)
+    emitted = emit_document(doc)
+    assert json.loads(emitted)["matrices"] == [[["1", "2"], ["0", "2"]]]
+    again = parse_document(emitted)
     assert again == doc
+    assert emit_document(again) == emitted
 
 
 def test_empty_module_document():
@@ -129,7 +138,8 @@ def test_frame_parsing_and_round_trip():
         ' "frame": [["1", "0"]]}'
     )
     doc = parse_document(text)
-    assert doc.frame == (("1", "0"),)
+    assert doc.frame == ((Fraction(1), Fraction(0)),)
+    assert json.loads(emit_document(doc))["frame"] == [["1", "0"]]
     fm = to_framed_module(doc)
     assert fm.r == 1
     back = from_framed_module(fm, doc.metadata)
@@ -154,7 +164,7 @@ def test_metadata_preserved_verbatim():
 
 
 def test_document_matrices_skips_commuting_check():
-    # potential/gradient consume arbitrary tuples, so the raw accessor
+    # potential/gradient consume arbitrary tuples, so the parsed document
     # must not insist on commutativity
     text = (
         '{"field": "Q", "n": 2, "d": 2, "matrices": ['
@@ -162,8 +172,9 @@ def test_document_matrices_skips_commuting_check():
         '[["0", "0"], ["1", "0"]]]}'
     )
     doc = parse_document(text)
-    ms = document_matrices(doc)
+    ms = doc.matrices
     assert len(ms) == 2 and isinstance(ms[0], Matrix)
+    assert ms[0] * ms[1] != ms[1] * ms[0]
     with pytest.raises(NotCommutingError):
         to_commuting_tuple(doc)
 
@@ -177,19 +188,19 @@ def test_from_commuting_tuple_round_trip():
         ]
     )
     doc = from_commuting_tuple(t, metadata={"note": "x"})
-    assert doc.field == "Fp:7"
-    assert document_field(doc) == F
+    assert doc.field == GF(7)
+    assert json.loads(emit_document(doc))["field"] == "Fp:7"
     t2 = to_commuting_tuple(doc)
     assert [m.entries for m in t2.mats] == [m.entries for m in t.mats]
 
 
 def test_emit_orders_keys_deterministically():
     doc = ModuleDocument(
-        field="Q",
+        field=QQ,
         n=1,
         d=1,
-        matrices=((("0",),),),
-        frame=(("1",),),
+        matrices=(Matrix(QQ, 1, 1, (Fraction(0),)),),
+        frame=((Fraction(1),),),
         metadata={"z": 1, "a": 2},
     )
     out = emit_document(doc)

@@ -4,7 +4,16 @@ from fractions import Fraction
 import pytest
 
 from commvar.errors import BudgetExceededError, NonprimeQError, ParseError
-from commvar.fields import GF, PRIMALITY_BOUND, QQ, field_from_name, field_name, is_prime
+from commvar.fields import (
+    GF,
+    PRIMALITY_BOUND,
+    QQ,
+    field_from_name,
+    field_name,
+    int_from_decimal,
+    int_to_decimal,
+    is_prime,
+)
 
 
 def test_rational_parse_canonical():
@@ -112,3 +121,39 @@ def test_large_prime_field_tag_parses_quickly():
     assert time.perf_counter() - start < 1.0
     assert F.characteristic == 2**61 - 1
     assert F.mul(F.inv(3), 3) == 1
+
+
+@pytest.mark.parametrize("digits", [1, 4300, 4301, 5000, 8601, 20000])
+def test_decimal_helpers_pass_the_int_str_digit_limit(digits):
+    # the numerals are built from powers of ten, never through str(int)
+    n = 10**digits - 1  # digits nines
+    assert int_from_decimal("9" * digits) == n
+    assert int_from_decimal("-" + "9" * digits) == -n
+    assert int_from_decimal("+0" + "9" * digits) == n
+    assert int_to_decimal(n) == "9" * digits
+    assert int_to_decimal(-n - 1) == "-1" + "0" * digits
+    assert int_to_decimal(10**digits + 7) == "1" + "0" * (digits - 1) + "7"
+
+
+def test_decimal_helpers_keep_refusing_bad_numerals():
+    for bad in ["", "-", "1" * 5000 + "x", "+-" + "1" * 5000, "²" * 5000]:
+        with pytest.raises(ValueError):
+            int_from_decimal(bad)
+
+
+def test_long_scalars_parse_and_format_exactly():
+    n = 10**5000 - 1
+    assert QQ.parse("9" * 5000 + "/" + "3" * 4400) == Fraction(n, (10**4400 - 1) // 3)
+    assert QQ.format(Fraction(-n, 10**4400)) == "-" + "9" * 5000 + "/1" + "0" * 4400
+    assert GF(5).parse("9" * 5000) == 4
+    with pytest.raises(BudgetExceededError):
+        field_from_name("Fp:" + "9" * 5000)
+    with pytest.raises(ParseError):
+        field_from_name("Fp:²")
+
+
+def test_pow_over_both_fields():
+    assert QQ.pow(Fraction(-2, 3), 3) == Fraction(-8, 27)
+    assert QQ.pow(Fraction(5, 7), 0) == 1
+    assert GF(5).pow(2, 99999999999) == pow(2, 99999999999, 5)
+    assert GF(7).pow(0, 0) == 1

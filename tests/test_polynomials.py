@@ -1,4 +1,5 @@
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -169,3 +170,15 @@ def test_multipoly_parse_rejects_unknown_variable():
 def test_multipoly_parse_over_prime_field():
     f = parse_multipoly("x1*x2 + 4", GF(3), 2)
     assert f.eval_at_point((2, 2)) == (4 + 1) % 3
+
+
+def test_eval_at_point_with_large_exponent_returns():
+    # the power is one modular pow, not 10^11 products.  A thread keeps a
+    # regression from hanging the suite.
+    f = parse_multipoly("x1^99999999999 + x2", GF(5), 2)
+    result = []
+    worker = threading.Thread(target=lambda: result.append(f.eval_at_point((2, 1))), daemon=True)
+    worker.start()
+    worker.join(timeout=1.0)
+    assert not worker.is_alive()
+    assert result == [(pow(2, 99999999999, 5) + 1) % 5]
