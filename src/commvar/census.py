@@ -17,10 +17,12 @@ distinct points, so the stratum with parts lam holds |GL_n| C_lam prod_m
 P_m tuples, C_lam placing the parts at distinct points and
 P_m = punctual(m)/|GL_m|; the rest is unsplit.  Under relations the
 support cycle of each kept tuple files it.  ``orbit_census`` walks every
-tuple and keys its orbits on the entries of the conjugates g a g^-1 over
-GL_n; each conjugate must lie in the walked variety.  A request whose
-nominal size q^(d n^2) exceeds the budget is refused whole; counts are
-never truncated.
+tuple; conjugation by g is a linear map C_g on the n^2 entries, and each
+distinct coordinate matrix is conjugated by all of GL_n in one product with
+the maps C_g stacked.  A tuple's orbit is keyed on the entries of its
+coordinates' conjugates, each of which must lie in the walked variety.  A
+request whose nominal size q^(d n^2) exceeds the budget is refused whole;
+counts are never truncated.
 """
 from __future__ import annotations
 
@@ -29,12 +31,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ArityMismatchError, BudgetExceededError, NonprimeQError, NotSplitError
 from .fields import GF, int_to_decimal, is_prime
-from .matrices import Matrix, block_diag, intertwining_system, inverse, kernel_basis, rank
+from .matrices import Matrix, _dot_products, block_diag, intertwining_system, inverse, kernel_basis, rank
 from .modules import CommutingTuple, check_relations, companion
 from .cycles import cycle, stratum
 from .polynomials import MultiPoly, UniPoly
@@ -80,14 +82,14 @@ class Orbit:
     representative: CommutingTuple
     orbit_size: int
     aut_order: int
+    nilpotent: bool
 
 
-def _all_matrices(n: int, q: int) -> Iterator[tuple[Matrix, int]]:
+def _all_matrices(n: int, q: int) -> list[tuple[Matrix, int]]:
     """Every n x n matrix over F_q in entry-lexicographic order, each with
     weight 1."""
     F = GF(q)
-    for entries in itertools.product(range(q), repeat=n * n):
-        yield Matrix(F, n, n, entries), 1
+    return [(Matrix(F, n, n, e), 1) for e in itertools.product(range(q), repeat=n * n)]
 
 
 def _irreducibles(F, n: int) -> list[UniPoly]:
@@ -194,7 +196,7 @@ def _walk(
     n: int,
     length: int,
     q: int,
-    firsts: Callable[[int, int], Iterable[tuple[Matrix, int]]],
+    firsts: Callable[[int, int], Sequence[tuple[Matrix, int]]],
     keep: Callable[[Matrix], bool] = lambda m: True,
 ) -> Iterator[tuple[list[Matrix], int]]:
     """Chains of `length` commuting n x n matrices over F_q, every one of
@@ -225,16 +227,20 @@ def _nilpotent(a: Matrix) -> bool:
     return a.power(a.rows).is_zero()
 
 
-def _count(n: int, d: int, q: int, nilpotent: bool) -> int:
+def _count(
+    n: int, d: int, q: int, nilpotent: bool,
+    classes: Callable[[int, int], Sequence[tuple[Matrix, int]]],
+) -> int:
     """Commuting d-tuples of n x n matrices over F_q, all of them or the
-    nilpotent ones: the first d - 1 coordinates walked by class, the last
-    counted in their joint centralizer (walked for nilpotent d >= 3)."""
+    nilpotent ones: the first d - 1 coordinates walked by the classes(n, q)
+    representatives, the last counted in their joint centralizer (walked for
+    nilpotent d >= 3)."""
     F = GF(q)
     keep = _nilpotent if nilpotent else (lambda a: True)
     if nilpotent and d > 2:
-        return sum(w for _, w in _walk(n, d, q, _classes, keep))
+        return sum(w for _, w in _walk(n, d, q, classes, keep))
     total = 0
-    for chain, weight in _walk(n, d - 1, q, _classes, keep):
+    for chain, weight in _walk(n, d - 1, q, classes, keep):
         dim = len(_centralizer_basis(chain, F, n)) if chain else n * n
         if nilpotent:
             # Z(A)/rad is one M_m(F_q) per block size, m its Jordan blocks
@@ -256,12 +262,14 @@ def enumerate_census(req: CensusRequest, config: RunConfig = DEFAULT_CONFIG) -> 
             raise ArityMismatchError(f"relation in {f.nvars} variables for a d = {req.d} census")
     n, d, q = req.n, req.d, req.q
     glo = _check_request(n, d, q, config)
+    # the raw count and share(n) both walk the n x n classes: build them once
+    classes = cache(_classes)
     per: dict[tuple[int, ...], int] = {}
     unsplit = 0
     if req.relations:
         raw = 0
         keep = _nilpotent if req.nilpotent else (lambda a: True)
-        for chain, weight in _walk(n, d, q, _classes, keep):
+        for chain, weight in _walk(n, d, q, classes, keep):
             t = CommutingTuple(GF(q), n, d, tuple(chain))
             if not check_relations(t, req.relations):
                 continue
@@ -274,11 +282,11 @@ def enumerate_census(req: CensusRequest, config: RunConfig = DEFAULT_CONFIG) -> 
                     continue
                 per[alpha] = per.get(alpha, 0) + weight
     else:
-        raw = _count(n, d, q, req.nilpotent)
+        raw = _count(n, d, q, req.nilpotent, classes)
         if req.per_stratum:
             # nilpotent tuples have the origin as their one point
             points = 1 if req.nilpotent else q**d
-            share = cache(lambda m: Fraction(_count(m, d, q, True), gl_order(m, q)))
+            share = cache(lambda m: Fraction(_count(m, d, q, True, classes), gl_order(m, q)))
             for lam in _partitions(n, n):
                 if len(lam) <= points:
                     alpha = tuple(lam.count(i) for i in range(1, n + 1))
@@ -297,41 +305,68 @@ def enumerate_census(req: CensusRequest, config: RunConfig = DEFAULT_CONFIG) -> 
     )
 
 
+def _conjugation_map(group: Sequence[tuple[Matrix, Matrix]], n: int, q: int) -> list[tuple[int, ...]]:
+    """The matrices C_g of conjugation a -> g a g^-1 on row-major entries,
+    stacked over the (g, g^-1) in group: row (i, j) of C_g has
+    g[i,k] g^-1[l,j] mod q in column (k, l), so C_g vec(a) = vec(g a g^-1)."""
+    return [
+        tuple(g.entries[i * n + k] * h.entries[l * n + j] % q for k in range(n) for l in range(n))
+        for g, h in group for i in range(n) for j in range(n)
+    ]
+
+
 def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> list[Orbit]:
     """Full orbit decomposition of the commuting variety over F_q under
-    simultaneous conjugation, keyed on the entries of g a g^-1 over GL_n.
+    simultaneous conjugation.
 
-    Deterministic: representatives are the first tuples of their orbit in
-    enumeration order.  Each check raises RuntimeError: |GL_n(F_q)| group
-    elements; every conjugate in the walked variety; nilpotency constant
-    along the orbit (one conjugate per key); |orbit| * |Aut| = |GL_n(F_q)|
-    against a directly counted stabilizer; orbits partitioning the variety.
+    Each distinct coordinate matrix a is conjugated by all of GL_n in one
+    product: the conjugation maps of the group, stacked, times vec(a).  The
+    g-th conjugate of a tuple is then the tuple of the g-th conjugates of
+    its coordinates, and orbits are keyed on those entries.  Deterministic:
+    representatives are the first tuples of their orbit in enumeration
+    order.  Each check raises RuntimeError: |GL_n(F_q)| group elements;
+    every conjugate in the walked variety; nilpotency constant along the
+    orbit (read on every conjugate); |orbit| * |Aut| = |GL_n(F_q)| against a
+    directly counted stabilizer; orbits partitioning the variety.
     """
     glo = _check_request(n, d, q, config)
     F = GF(q)
-    variety = [chain for chain, _ in _walk(n, d, q, _all_matrices)]
+    # one tuple object per distinct coordinate matrix, however often it recurs
+    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+    variety = [tuple(interned.setdefault(a.entries, a.entries) for a in chain)
+               for chain, _ in _walk(n, d, q, _all_matrices)]
     group = [(g, g_inv) for g, _ in _all_matrices(n, q) if (g_inv := inverse(g)) is not None]
     if len(group) != glo:
         raise RuntimeError("group enumeration disagrees with |GL_n|")
-    walked = {tuple(a.entries for a in chain) for chain in variety}
+    stacked = _conjugation_map(group, n, q)
+    size = n * n
+
+    @cache
+    def conjugates(a: tuple[int, ...]) -> list[tuple[int, ...]]:
+        out = _dot_products(q, [a], stacked)
+        cuts = (tuple(out[g * size:(g + 1) * size]) for g in range(glo))
+        return [interned.setdefault(c, c) for c in cuts]
+
+    nilpotent = cache(lambda a: _nilpotent(Matrix(F, n, n, a)))
+    walked = set(variety)
     seen: set[tuple] = set()
     orbits: list[Orbit] = []
-    for chain in variety:
-        key = tuple(a.entries for a in chain)
+    for key in variety:
         if key in seen:
             continue
-        conjugates = [[g * a * g_inv for a in chain] for g, g_inv in group]
-        keys = [tuple(a.entries for a in u) for u in conjugates]
-        orbit = dict(zip(keys, conjugates))
-        if not orbit.keys() <= walked:
+        keys = list(zip(*map(conjugates, key)))
+        orbit = set(keys)
+        if not orbit <= walked:
             raise RuntimeError("a conjugate lies outside the walked variety")
-        if len({all(map(_nilpotent, u)) for u in orbit.values()}) != 1:
+        flags = {all(map(nilpotent, u)) for u in orbit}
+        if len(flags) != 1:
             raise RuntimeError("nilpotency not orbit constant")
         stabilizer = keys.count(key)
         if len(orbit) * stabilizer != glo:
             raise RuntimeError("orbit-stabilizer mismatch")
-        seen |= orbit.keys()
-        orbits.append(Orbit(CommutingTuple(F, n, d, tuple(chain)), len(orbit), stabilizer))
+        seen |= orbit
+        rep = CommutingTuple(F, n, d, tuple(Matrix(F, n, n, a) for a in key))
+        orbits.append(Orbit(rep, len(orbit), stabilizer, flags.pop()))
     if sum(o.orbit_size for o in orbits) != len(variety):
         raise RuntimeError("orbits do not partition the variety")
     return orbits

@@ -332,7 +332,7 @@ def _cmd_orbit_census(args, cfg: RunConfig):
                 "matrices": [format_matrix(m) for m in o.representative.mats],
                 "orbit_size": str(o.orbit_size),
                 "aut_order": str(o.aut_order),
-                "nilpotent": is_punctual(o.representative),
+                "nilpotent": o.nilpotent,
             }
             for o in orbits
         ],

@@ -23,7 +23,7 @@ from .errors import (
     WrongFrameCountError,
 )
 from .fields import Scalar
-from .matrices import Matrix, columns_matrix, inverse, rank, rref
+from .matrices import Matrix, _dot_products, columns_matrix, inverse, rank, rref
 from .modules import CommutingTuple, GroupElement
 
 
@@ -56,11 +56,12 @@ def _krylov(f: FramedModule) -> tuple[list[tuple[Scalar, ...]], list[Word]]:
     makes each basis vector.
 
     Level 0 offers the frame vectors, level l + 1 offers A_i times the
-    vectors level l added.  One ``rref`` of [basis | offers] per level: the
-    pivot columns past the basis are the new vectors.  The span is closed
-    once a level adds nothing.
+    vectors level l added, vector-major, with one product per coordinate.
+    One ``rref`` of [basis | offers] per level: the pivot columns past the
+    basis are the new vectors.  The span is closed once a level adds nothing.
     """
     t = f.module
+    p = t.field.characteristic
     basis: list[tuple[Scalar, ...]] = []
     words: list[Word] = []
     offers = [(None, j, v) for j, v in enumerate(f.frame)]
@@ -72,8 +73,12 @@ def _krylov(f: FramedModule) -> tuple[list[tuple[Scalar, ...]], list[Word]]:
             basis.append(v)
             words.append((i, k))
         if len(basis) < t.n:
+            # one product per coordinate: column k of A_i [new vectors] is A_i v_k
+            new = basis[b:]
+            images = [_dot_products(p, [a.row(r) for r in range(t.n)], new) for a in t.mats]
             offers = [
-                (i, k, a.mat_vec(basis[k])) for k in range(b, len(basis)) for i, a in enumerate(t.mats)
+                (i, b + k, tuple(image[k::len(new)]))
+                for k in range(len(new)) for i, image in enumerate(images)
             ]
     return basis, words
 

@@ -1,16 +1,19 @@
 import dataclasses
 import itertools
+import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from commvar import census
+from commvar import census, matrices
 from commvar.census import (
     CensusRequest,
     _all_matrices,
     _classes,
+    _conjugation_map,
     _walk,
     burnside_count,
     enumerate_census,
@@ -21,6 +24,7 @@ from commvar.config import DEFAULT_CONFIG
 from commvar.cycles import cycle, partition_notation, stratum
 from commvar.errors import BudgetExceededError, NonprimeQError, NotSplitError
 from commvar.fields import GF
+from commvar.matrices import Matrix, inverse
 from commvar.modules import CommutingTuple, check_relations, is_punctual
 from commvar.polynomials import parse_multipoly
 
@@ -328,7 +332,12 @@ def test_orbit_census_burnside_matches_groupoid_count():
         assert burnside_count(orbits) == res.groupoid_count
 
 
-@pytest.mark.parametrize("n,d,q", [(2, 1, 2), (2, 1, 3), (2, 2, 2), (2, 3, 2), (3, 1, 2)])
+# n = 0 and n = 1 are the sizes where cutting the conjugates by n^2 breaks first
+_BRUTE_FORCE_ORBITS = [(0, 1, 2), (0, 2, 3), (1, 2, 3), (2, 1, 2), (2, 1, 3), (2, 2, 2),
+                       (2, 2, 3), (2, 3, 2), (3, 1, 2)]
+
+
+@pytest.mark.parametrize("n,d,q", _BRUTE_FORCE_ORBITS)
 def test_orbit_census_matches_brute_force_orbits(n, d, q):
     got = [
         (tuple(m.entries for m in o.representative.mats), o.orbit_size, o.aut_order)
@@ -358,6 +367,67 @@ def test_orbit_census_nilpotent_counts():
     orbits = orbit_census(2, 1, 2)
     nilp = [o for o in orbits if is_punctual(o.representative)]
     assert sorted(o.orbit_size for o in nilp) == [1, 3]
+    # the recorded flag is the orbit-constant check's answer
+    for n, d, q in _BRUTE_FORCE_ORBITS:
+        for o in orbit_census(n, d, q):
+            assert o.nilpotent == is_punctual(o.representative)
+
+
+def _group(n, q):
+    return [(g, g_inv) for g, _ in _all_matrices(n, q) if (g_inv := inverse(g)) is not None]
+
+
+@pytest.mark.parametrize("n,q,sample", [(2, 3, None), (3, 2, 20)])
+def test_conjugation_map_matches_matrix_products(n, q, sample):
+    # the stacked map times vec(a) is vec(g a g^-1) for each g in turn
+    group = _group(n, q)
+    stacked = _conjugation_map(group, n, q)
+    mats = [a for a, _ in _all_matrices(n, q)]
+    if sample:
+        mats = random.Random(1).sample(mats, sample)
+    for a in mats:
+        want = [x for g, _ in group for x in (g * a * inverse(g)).entries]
+        assert matrices._dot_products(q, [a.entries], stacked) == want
+
+
+@pytest.mark.parametrize("n,d,q", [(2, 3, 2), (2, 2, 3)])
+def test_orbit_census_conjugates_each_distinct_matrix_in_one_product(monkeypatch, n, d, q):
+    # every call into the product kernel is counted, Matrix.__mul__'s too:
+    # at most one conjugation and one nilpotency test per distinct matrix,
+    # where conjugating each tuple by each g alone makes thousands
+    real = matrices._dot_products
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "commvar" and getattr(module, "_dot_products", None) is real:
+            monkeypatch.setattr(module, "_dot_products", counting)
+    orbit_census(n, d, q)
+    assert 0 < len(calls) <= 2 * q ** (n * n)
+
+
+def test_orbit_census_refuses_a_corrupted_conjugation_map(monkeypatch):
+    # a non-identity element that acts as the identity breaks the
+    # orbit-stabilizer count; the checks are raises, so python -O keeps them
+    n, d, q = 2, 2, 2
+    real = census._conjugation_map
+    group = _group(n, q)
+    e = next(i for i, (g, _) in enumerate(group) if g == Matrix.identity(GF(q), n))
+    other = next(i for i in range(len(group)) if i != e)
+    size = n * n
+
+    def corrupted(group, n, q):
+        rows = real(group, n, q)
+        rows[other * size:(other + 1) * size] = rows[e * size:(e + 1) * size]
+        return rows
+
+    orbit_census(n, d, q)
+    monkeypatch.setattr(census, "_conjugation_map", corrupted)
+    with pytest.raises(RuntimeError, match="orbit-stabilizer"):
+        orbit_census(n, d, q)
 
 
 def test_orbit_census_deterministic():

@@ -178,6 +178,17 @@ def test_orbit_census_report():
         assert int(o["orbit_size"]) * int(o["aut_order"]) == 6
 
 
+def test_orbit_census_report_of_the_empty_module():
+    # n = 0: the one tuple of 0 x 0 matrices, fixed by the trivial group
+    code, rep = run_json("orbit-census", "--n", "0", "--d", "1", "--q", "2")
+    assert code == 0
+    assert rep["orbit_count"] == 1
+    assert rep["orbits"] == [
+        {"matrices": [[]], "orbit_size": "1", "aut_order": "1", "nilpotent": True}]
+    assert rep["gl_order"] == "1"
+    assert rep["groupoid_count"] == {"num": "1", "den": "1"}
+
+
 def test_census_relation_echoed():
     code, rep = run_json(
         "census", "--n", "1", "--d", "2", "--q", "3", "--relation", "x1"
