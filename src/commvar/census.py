@@ -1,28 +1,32 @@
 """Exhaustive censuses of commuting tuples over prime fields.
 
 Counts are exact; the groupoid count raw/|GL_n(F_q)| is a rational number
-and the Burnside identity sum(1/|Aut|) over orbits reproduces it.  The
-census walks centralizer chains: each coordinate after the first ranges
-over the joint centralizer of the prefix, so commutation never needs
-rechecking, and the first is one primary rational canonical form per
-GL_n-class, weighted by the class size |GL_n|/|Z_GL(A)| (Macdonald,
-Symmetric Functions and Hall Polynomials, IV.2).  The last coordinate
-ranges over the linear space Z(prefix) and is counted, not walked:
-q^dim Z(prefix) choices, or q^(dim Z(A) - (n - rank A)) nilpotent ones
+and the Burnside identity sum(1/|Aut|) over orbits reproduces it.  Counts
+are read off the similarity classes of the first coordinate A: a partition
+lam_phi per monic irreducible phi, which gives the class size
+|GL_n|/|Z_GL(A)| and dim Z(A) = sum deg(phi) (|lam_phi| + 2 n(lam_phi)) in
+closed form (Macdonald, Symmetric Functions and Hall Polynomials, IV.2).
+The second coordinate ranges over the linear space Z(A) and is counted, not
+walked: q^dim Z(A) choices, or q^(dim Z(A) - (n - rank A)) nilpotent ones
 beside a nilpotent A (Fine-Herstein on each matrix algebra of Z(A) modulo
-its radical).  Nilpotent tuples with d >= 3 and relation filters, which
-read the whole tuple, walk it.  The per-stratum histogram follows the
-support morphism: a split tuple is a direct sum of punctual pieces at
-distinct points, so the stratum with parts lam holds |GL_n| C_lam prod_m
-P_m tuples, C_lam placing the parts at distinct points and
-P_m = punctual(m)/|GL_m|; the rest is unsplit.  Under relations the
-support cycle of each kept tuple files it.  ``orbit_census`` walks every
-tuple; conjugation by g is a linear map C_g on the n^2 entries, and each
-distinct coordinate matrix is conjugated by all of GL_n in one product with
-the maps C_g stacked.  A tuple's orbit is keyed on the entries of its
-coordinates' conjugates, each of which must lie in the walked variety.  A
-request whose nominal size q^(d n^2) exceeds the budget is refused whole;
-counts are never truncated.
+its radical).  For d >= 3 a scalar A commutes with everything, so it adds
+the (d - 1)-census, counted once per request; beside any other A the census
+walks centralizer chains, each coordinate ranging over the joint
+centralizer of the prefix, so commutation never needs rechecking, and the
+last counted as q^dim Z(prefix).  Nilpotent tuples with d >= 3 walk every
+coordinate of those chains.  Relation filters read the whole tuple, so they
+walk every coordinate from one primary rational canonical form per class,
+weighted by its class size.  The per-stratum histogram follows the support
+morphism: a split tuple is a direct sum of punctual pieces at distinct
+points, so the stratum with parts lam holds |GL_n| C_lam prod_m P_m tuples,
+C_lam placing the parts at distinct points and P_m = punctual(m)/|GL_m|;
+the rest is unsplit.  Under relations the support cycle of each kept tuple
+files it.  ``orbit_census`` walks every tuple; conjugation by g is a linear
+map C_g on the n^2 entries, and each distinct coordinate matrix is
+conjugated by all of GL_n in one product with the maps C_g stacked.  A
+tuple's orbit is keyed on the entries of its coordinates' conjugates, each
+of which must lie in the walked variety.  A request whose nominal size
+q^(d n^2) exceeds the budget is refused whole; counts are never truncated.
 """
 from __future__ import annotations
 
@@ -35,8 +39,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ArityMismatchError, BudgetExceededError, NonprimeQError, NotSplitError
-from .fields import GF, int_to_decimal, is_prime
-from .matrices import Matrix, _dot_products, block_diag, intertwining_system, inverse, kernel_basis, rank
+from .fields import GF, Field, int_to_decimal, is_prime
+from .matrices import Matrix, _dot_products, block_diag, intertwining_system, inverse, kernel_basis
 from .modules import CommutingTuple, check_relations, companion
 from .cycles import cycle, stratum
 from .polynomials import MultiPoly, UniPoly
@@ -115,35 +119,62 @@ def _partitions(m: int, most: int) -> Iterator[tuple[int, ...]]:
             yield (k,) + rest
 
 
-def _centralizer_order(lam: tuple[int, ...], Q: int) -> Fraction:
+def _centralizer_dim(lam: tuple[int, ...]) -> int:
+    """|lam| + 2 n(lam): the dimension of the centralizer of a nilpotent
+    matrix of Jordan type lam."""
+    return sum(lam) + 2 * sum(i * part for i, part in enumerate(lam))
+
+
+def _centralizer_order(lam: tuple[int, ...], Q: int) -> int:
     """a_lam(Q) = Q^(|lam| + 2 n(lam)) prod_i prod_{k=1}^{m_i(lam)} (1 - Q^-k),
     the order of the centralizer in GL of a primary part whose Jordan
     type over the residue field F_Q is lam."""
-    out = Fraction(Q) ** (sum(lam) + 2 * sum(i * part for i, part in enumerate(lam)))
-    for part in set(lam):
-        for k in range(1, lam.count(part) + 1):
-            out *= 1 - Fraction(1, Q**k)
-    return out
+    ks = [k for part in set(lam) for k in range(1, lam.count(part) + 1)]
+    return Q ** (_centralizer_dim(lam) - sum(ks)) * math.prod(Q**k - 1 for k in ks)
 
 
-def _classes(n: int, q: int) -> list[tuple[Matrix, int]]:
-    """One matrix per similarity class of n x n matrices over F_q, with the
-    size |GL_n|/|Z_GL(A)| of its class, in entry-lexicographic order of the
-    representatives.
+@dataclass(frozen=True)
+class _Class:
+    """A similarity class of n x n matrices over F_q: a partition lam_phi
+    for each monic irreducible phi with sum deg(phi) |lam_phi| = n.
 
-    A class is a partition lam_phi for each monic irreducible phi with
-    sum deg(phi) |lam_phi| = n; its representative is the block sum of the
-    companion matrices of phi^k over the parts k of each lam_phi, and
-    |Z_GL(A)| = prod_phi a_{lam_phi}(q^deg(phi)).
+    weight is the class size |GL_n|/|Z_GL(A)|; dim is
+    dim Z(A) = sum deg(phi) (|lam_phi| + 2 n(lam_phi)); nullity is
+    n - rank A, the parts of lam_t; nilpotent means phi = t alone and
+    scalar means A = c I (one phi of degree 1 with lam = 1^n, or n = 0).
     """
+    field: Field
+    parts: tuple[tuple[UniPoly, tuple[int, ...]], ...]
+    weight: int
+    dim: int
+    nullity: int
+    nilpotent: bool
+    scalar: bool
+
+    def representative(self) -> Matrix:
+        """The block sum of the companion matrices of phi^k over the parts k
+        of each lam_phi: the primary rational canonical form."""
+        return block_diag([companion(phi.pow_int(k)).mats[0] for phi, lam in self.parts
+                           for k in lam], self.field)
+
+
+def _classes(n: int, q: int) -> list[_Class]:
+    """Every similarity class of n x n matrices over F_q, from its
+    partitions alone: |Z_GL(A)| = prod_phi a_{lam_phi}(q^deg(phi))
+    (Macdonald, IV.2), and no representative is built."""
     F = GF(q)
     irr = _irreducibles(F, n)
+    t = UniPoly.x(F)
     glo = gl_order(n, q)
-    out: list[tuple[Matrix, Fraction]] = []
+    out: list[_Class] = []
+    orders: list[int] = []
 
-    def assign(start: int, room: int, blocks: list[Matrix], z: Fraction) -> None:
+    def assign(start: int, room: int, parts: tuple, z: int, dim: int) -> None:
         if room == 0:
-            out.append((block_diag(blocks, F), glo / z))
+            orders.append(z)
+            nullity = next((len(lam) for phi, lam in parts if phi == t), 0)
+            out.append(_Class(F, parts, glo // z, dim, nullity,
+                              nilpotent=all(phi == t for phi, _ in parts), scalar=dim == n * n))
         for j in range(start, len(irr)):
             phi = irr[j]
             e = phi.degree
@@ -151,13 +182,20 @@ def _classes(n: int, q: int) -> list[tuple[Matrix, int]]:
                 break
             for size in range(1, room // e + 1):
                 for lam in _partitions(size, size):
-                    more = [companion(phi.pow_int(k)).mats[0] for k in lam]
-                    assign(j + 1, room - e * size, blocks + more, z * _centralizer_order(lam, q**e))
+                    assign(j + 1, room - e * size, parts + ((phi, lam),),
+                           z * _centralizer_order(lam, q**e), dim + e * _centralizer_dim(lam))
 
-    assign(0, n, [], Fraction(1))
-    if sum(w for _, w in out) != q ** (n * n) or any(w.denominator != 1 for _, w in out):
+    assign(0, n, (), 1, 0)
+    if sum(c.weight for c in out) != q ** (n * n) or any(glo % z for z in orders):
         raise RuntimeError("class sizes do not partition the n x n matrices")
-    return sorted(((a, int(w)) for a, w in out), key=lambda aw: aw[0].entries)
+    return out
+
+
+def _class_matrices(n: int, q: int) -> list[tuple[Matrix, int]]:
+    """One representative per similarity class with the size of its class,
+    in entry-lexicographic order of the representatives."""
+    return sorted(((c.representative(), c.weight) for c in _classes(n, q)),
+                  key=lambda aw: aw[0].entries)
 
 
 def _centralizer_basis(prefix: Sequence[Matrix], fieldobj, n: int) -> list[Matrix]:
@@ -192,6 +230,21 @@ def _check_request(n: int, d: int, q: int, config: RunConfig) -> int:
     return glo
 
 
+def _chains(
+    chain: list[Matrix], length: int, keep: Callable[[Matrix], bool] = lambda m: True,
+) -> Iterator[list[Matrix]]:
+    """Chains of `length` commuting matrices extending the commuting chain,
+    every added one passing keep: each ranges over the joint centralizer of
+    those before it, in entry-lexicographic order."""
+    if len(chain) == length:
+        yield chain
+        return
+    F, n = chain[0].field, chain[0].rows
+    for c in _span_elements(_centralizer_basis(chain, F, n), F, n):
+        if keep(c):
+            yield from _chains(chain + [c], length, keep)
+
+
 def _walk(
     n: int,
     length: int,
@@ -199,28 +252,19 @@ def _walk(
     firsts: Callable[[int, int], Sequence[tuple[Matrix, int]]],
     keep: Callable[[Matrix], bool] = lambda m: True,
 ) -> Iterator[tuple[list[Matrix], int]]:
-    """Chains of `length` commuting n x n matrices over F_q, every one of
-    them passing keep, each chain with the weight of its first coordinate
+    """Chains of length >= 1 of commuting n x n matrices over F_q, every one
+    of them passing keep, each chain with the weight of its first coordinate
     among the (matrix, weight) pairs firsts(n, q).
 
     Each later coordinate ranges over the joint centralizer of the prefix
     in entry-lexicographic order, so with _all_matrices the walk yields
     every chain once, in lexicographic order of the concatenated row-major
-    coordinate entries.  Length 0 yields the empty chain with weight 1.
+    coordinate entries.
     """
-    F = GF(q)
-
-    def extend(chain: list[Matrix], weight: int) -> Iterator[tuple[list[Matrix], int]]:
-        if len(chain) == length:
-            yield chain, weight
-            return
-        nexts = firsts(n, q) if not chain else (
-            (c, weight) for c in _span_elements(_centralizer_basis(chain, F, n), F, n))
-        for m, w in nexts:
-            if keep(m):
-                yield from extend(chain + [m], w)
-
-    return extend([], 1)
+    for m, w in firsts(n, q):
+        if keep(m):
+            for chain in _chains([m], length, keep):
+                yield chain, w
 
 
 def _nilpotent(a: Matrix) -> bool:
@@ -228,24 +272,35 @@ def _nilpotent(a: Matrix) -> bool:
 
 
 def _count(
-    n: int, d: int, q: int, nilpotent: bool,
-    classes: Callable[[int, int], Sequence[tuple[Matrix, int]]],
+    n: int, d: int, q: int, nilpotent: bool, classes: Callable[[int, int], Sequence[_Class]],
 ) -> int:
     """Commuting d-tuples of n x n matrices over F_q, all of them or the
-    nilpotent ones: the first d - 1 coordinates walked by the classes(n, q)
-    representatives, the last counted in their joint centralizer (walked for
-    nilpotent d >= 3)."""
-    F = GF(q)
-    keep = _nilpotent if nilpotent else (lambda a: True)
-    if nilpotent and d > 2:
-        return sum(w for _, w in _walk(n, d, q, classes, keep))
+    nilpotent ones, summed over the classes(n, q) of the first coordinate A.
+
+    Each class adds its weight times: 1 at d = 1; q^dim Z(A) second
+    coordinates at d = 2, q^(dim Z(A) - (n - rank A)) nilpotent ones; the
+    (d - 1)-census when A is scalar, since c I commutes with everything;
+    otherwise the chains through Z(A), the last coordinate counted as
+    q^dim Z(prefix) (walked for nilpotent tuples).
+    """
+    rest = _count(n, d - 1, q, nilpotent, classes) if d > 2 else 0
     total = 0
-    for chain, weight in _walk(n, d - 1, q, classes, keep):
-        dim = len(_centralizer_basis(chain, F, n)) if chain else n * n
-        if nilpotent:
+    for c in classes(n, q):
+        if nilpotent and not c.nilpotent:
+            continue
+        if d == 1:
+            leaves = 1
+        elif d == 2:
             # Z(A)/rad is one M_m(F_q) per block size, m its Jordan blocks
-            dim -= n - (rank(chain[0]) if chain else 0)
-        total += weight * q**dim
+            leaves = q ** (c.dim - c.nullity if nilpotent else c.dim)
+        elif c.scalar:
+            leaves = rest
+        elif nilpotent:
+            leaves = sum(1 for _ in _chains([c.representative()], d, _nilpotent))
+        else:
+            leaves = sum(q ** len(_centralizer_basis(chain, c.field, n))
+                         for chain in _chains([c.representative()], d - 1))
+        total += c.weight * leaves
     return total
 
 
@@ -262,14 +317,12 @@ def enumerate_census(req: CensusRequest, config: RunConfig = DEFAULT_CONFIG) -> 
             raise ArityMismatchError(f"relation in {f.nvars} variables for a d = {req.d} census")
     n, d, q = req.n, req.d, req.q
     glo = _check_request(n, d, q, config)
-    # the raw count and share(n) both walk the n x n classes: build them once
-    classes = cache(_classes)
     per: dict[tuple[int, ...], int] = {}
     unsplit = 0
     if req.relations:
         raw = 0
         keep = _nilpotent if req.nilpotent else (lambda a: True)
-        for chain, weight in _walk(n, d, q, classes, keep):
+        for chain, weight in _walk(n, d, q, _class_matrices, keep):
             t = CommutingTuple(GF(q), n, d, tuple(chain))
             if not check_relations(t, req.relations):
                 continue
@@ -282,6 +335,8 @@ def enumerate_census(req: CensusRequest, config: RunConfig = DEFAULT_CONFIG) -> 
                     continue
                 per[alpha] = per.get(alpha, 0) + weight
     else:
+        # the raw count and share(n) both read the n x n classes: build them once
+        classes = cache(_classes)
         raw = _count(n, d, q, req.nilpotent, classes)
         if req.per_stratum:
             # nilpotent tuples have the origin as their one point

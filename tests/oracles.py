@@ -4,13 +4,20 @@ Everything here works on plain Python lists of scalars: Fraction over the
 rationals, small nonnegative ints mod p over a prime field (p passed
 explicitly, None means rationals).  The implementations are deliberately
 naive (cofactor expansions, textbook elimination) and share no code with
-the package under test.
+the package under test, apart from ``census_leaf_walk``: it replays the
+census's earlier walk through the package's own walk and elimination, so
+it checks the class data and closed forms the census counts with, not the
+kernels.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 from typing import Optional
+
+from commvar.census import _all_matrices, _centralizer_basis, _nilpotent, _walk
+from commvar.fields import GF
+from commvar.matrices import rank
 
 Rows = list  # list[list[scalar]]
 
@@ -413,6 +420,32 @@ def feit_fine_pairs(n: int, q: int, punctual: bool) -> list[Fraction]:
     for m in range(1, n + 1):
         f[m] = sum(t * log[t] * f[m - t] for t in range(1, m + 1)) / m
     return [f[m] * gl_count(m, q) for m in range(n + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the census's leaf walk, weight 1 over every first coordinate
+
+
+def census_leaf_walk(n: int, d: int, q: int, nilpotent: bool) -> int:
+    """Commuting d-tuples of n x n matrices over F_q, all of them or the
+    nilpotent ones, with no class data: the first d - 1 coordinates walked
+    with weight 1 from every matrix, each later one over the joint
+    centralizer of the prefix, and the last counted from one kernel per
+    leaf as q^dim Z(prefix), or q^(dim Z(A) - (n - rank A)) nilpotent ones
+    beside a nilpotent A.  Nilpotent tuples with d >= 3 walk every
+    coordinate."""
+    keep = _nilpotent if nilpotent else (lambda a: True)
+    if nilpotent and d > 2:
+        return sum(1 for _ in _walk(n, d, q, _all_matrices, keep))
+    if d == 1:
+        return q ** (n * n - n if nilpotent else n * n)
+    total = 0
+    for chain, _ in _walk(n, d - 1, q, _all_matrices, keep):
+        dim = len(_centralizer_basis(chain, GF(q), n))
+        if nilpotent:
+            dim -= n - rank(chain[0])
+        total += q**dim
+    return total
 
 
 def _partitions(n: int, largest: int):

@@ -12,8 +12,10 @@ from commvar import census, matrices
 from commvar.census import (
     CensusRequest,
     _all_matrices,
+    _centralizer_basis,
     _classes,
     _conjugation_map,
+    _nilpotent,
     _walk,
     burnside_count,
     enumerate_census,
@@ -24,7 +26,7 @@ from commvar.config import DEFAULT_CONFIG
 from commvar.cycles import cycle, partition_notation, stratum
 from commvar.errors import BudgetExceededError, NonprimeQError, NotSplitError
 from commvar.fields import GF
-from commvar.matrices import Matrix, inverse
+from commvar.matrices import Matrix, inverse, rank
 from commvar.modules import CommutingTuple, check_relations, is_punctual
 from commvar.polynomials import parse_multipoly
 
@@ -50,9 +52,9 @@ def test_classes_match_brute_force_orbits(n, q):
     orbits = oracles.similarity_classes(n, q)
     where = {key: i for i, orbit in enumerate(orbits) for key in orbit}
     hits = []
-    for a, weight in _classes(n, q):
-        i = where[tuple(map(tuple, oracles.rows_of(a)))]
-        assert weight == len(orbits[i])
+    for c in _classes(n, q):
+        i = where[tuple(map(tuple, oracles.rows_of(c.representative())))]
+        assert c.weight == len(orbits[i])
         hits.append(i)
     assert sorted(hits) == list(range(len(orbits)))
 
@@ -63,7 +65,21 @@ def test_class_counts_match_closed_forms(n, q):
     classes = _classes(n, q)
     closed = [1, q, q**2 + q, q**3 + q**2 + q, q**4 + q**3 + 2 * q**2 + q][n]
     assert len(classes) == closed
-    assert sum(w for _, w in classes) == q ** (n * n)
+    assert sum(c.weight for c in classes) == q ** (n * n)
+
+
+@pytest.mark.parametrize("n,q", [(0, 2), (1, 3), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)])
+def test_class_records_match_elimination(n, q):
+    # the counts read dim, nullity, nilpotent and scalar off the partitions;
+    # each must be what elimination finds on the representative
+    F = GF(q)
+    identity = Matrix.identity(F, n)
+    for c in _classes(n, q):
+        a = c.representative()
+        assert c.dim == len(_centralizer_basis([a], F, n))
+        assert c.nilpotent == _nilpotent(a)
+        assert c.scalar == any(a == identity.scale(x) for x in range(q))
+        assert c.nullity == n - rank(a)
 
 
 def test_census_n1_is_affine_space():
@@ -268,7 +284,53 @@ def test_census_all_pairs_feit_fine_beyond_brute_force(n, q):
     assert res.raw_count == {(3, 3): 809433, (4, 2): 2526976}[(n, q)]
 
 
+@pytest.mark.parametrize("n,q", [(5, 2), (6, 2), (4, 3), (5, 3)])
+def test_census_pairs_feit_fine_past_the_default_budget(n, q):
+    # 2^72 nominal pairs at n = 6: the census reads one dimension per class
+    config = dataclasses.replace(DEFAULT_CONFIG, census_budget=q ** (2 * n * n))
+    for nilpotent in (False, True):
+        res = enumerate_census(CensusRequest(n=n, d=2, q=q, nilpotent=nilpotent), config)
+        assert res.raw_count == oracles.feit_fine_pairs(n, q, punctual=nilpotent)[n]
+
+
+@pytest.mark.parametrize("n,d,q", [(2, 4, 2), (2, 3, 5)])
+def test_census_scalar_prefixes_match_leaf_walk(n, d, q):
+    # each scalar first coordinate adds the (d - 1)-census once per class
+    for nilpotent in (False, True):
+        res = enumerate_census(CensusRequest(n=n, d=d, q=q, nilpotent=nilpotent))
+        assert res.raw_count == oracles.census_leaf_walk(n, d, q, nilpotent)
+
+
+@pytest.mark.parametrize("n,d,q,per_stratum,most", [
+    (2, 2, 5, False, 0), (4, 2, 2, True, 0), (2, 3, 3, False, 100)])
+def test_census_counts_from_class_data(monkeypatch, n, d, q, per_stratum, most):
+    # pairs read dim Z(A) off the partitions; at d = 3 only the non-scalar
+    # classes eliminate (90 kernels at (2,3,3), 336 when every class walks)
+    real = matrices.kernel_basis
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "commvar" and getattr(module, "kernel_basis", None) is real:
+            monkeypatch.setattr(module, "kernel_basis", counting)
+    enumerate_census(CensusRequest(n=n, d=d, q=q, per_stratum=per_stratum))
+    assert len(calls) <= most
+
+
 _FILTERS = ["none", "nilpotent", "per_stratum", "relation", "all"]
+
+
+def _by_leaf_walk(monkeypatch, req):
+    """enumerate_census(req) with no class data: every count from the leaf
+    walk over all matrices, weight 1, and every walk from all matrices"""
+    with monkeypatch.context() as m:
+        m.setattr(census, "_count", lambda n, d, q, nilpotent, classes: oracles.census_leaf_walk(
+            n, d, q, nilpotent))
+        m.setattr(census, "_class_matrices", _all_matrices)
+        return enumerate_census(req)
 
 
 # the weight-1 walk takes 12-15 s at (3,3,2) with the relation alone; "all"
@@ -287,9 +349,28 @@ def test_class_weighted_census_matches_all_matrices_walk(monkeypatch, n, d, q, n
         "all": {"nilpotent": True, "per_stratum": True, "relations": rel},
     }[name]
     req = CensusRequest(n=n, d=d, q=q, **kw)
-    weighted = enumerate_census(req)
-    monkeypatch.setattr(census, "_classes", _all_matrices)
-    assert enumerate_census(req) == weighted
+    assert enumerate_census(req) == _by_leaf_walk(monkeypatch, req)
+
+
+@pytest.mark.parametrize("d,nilpotent", [(2, False), (2, True), (3, False), (3, True)])
+def test_leaf_walk_comparison_sees_a_class_dim_off_by_one(monkeypatch, d, nilpotent):
+    # the comparison above must notice any one class whose dim is wrong
+    n, q = 2, 3
+    req = CensusRequest(n=n, d=d, q=q, nilpotent=nilpotent)
+    want = _by_leaf_walk(monkeypatch, req)
+    assert enumerate_census(req) == want
+    real = census._classes
+    for i, c in enumerate(real(n, q)):
+        if nilpotent and not c.nilpotent:
+            continue
+
+        def off_by_one(n, q, i=i):
+            out = real(n, q)
+            out[i] = dataclasses.replace(out[i], dim=out[i].dim + 1)
+            return out
+
+        monkeypatch.setattr(census, "_classes", off_by_one)
+        assert enumerate_census(req) != want, c.parts
 
 
 def test_census_with_relations():
