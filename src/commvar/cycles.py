@@ -187,6 +187,4 @@ def det_pushforward(f: MultiPoly, t: CommutingTuple) -> Scalar:
     prod over the cycle of f(point)^mult."""
     if f.nvars != t.d:
         raise ArityMismatchError(f"polynomial in {f.nvars} variables, tuple has d = {t.d}")
-    if t.n == 0:
-        return t.field.one()
     return det(eval_multipoly(f, t.mats))

@@ -202,10 +202,6 @@ class PrimeField(Field):
             raise NonprimeQError(f"{p} is not prime", q=p)
         self.characteristic = p
 
-    @property
-    def p(self) -> int:
-        return self.characteristic
-
     def zero(self) -> int:
         return 0
 

@@ -58,11 +58,8 @@ def hom_basis(s: CommutingTuple, t: CommutingTuple) -> HomSpace:
     system in row-major coordinates.
     """
     _compatible(s, t)
-    F = s.field
-    if s.n * t.n == 0:
-        return HomSpace(s, t, ())
     system = intertwining_system(s.mats, t.mats)
-    basis = [Matrix(F, t.n, s.n, tuple(v)) for v in kernel_basis(system)]
+    basis = [Matrix(s.field, t.n, s.n, tuple(v)) for v in kernel_basis(system)]
     return HomSpace(s, t, tuple(basis))
 
 

@@ -4,27 +4,24 @@ Everything is row-major over a single Field; 0x0 matrices are legal
 everywhere (det = 1, char poly = 1).  Elimination pivots on the first
 nonzero entry in column order, so all outputs are deterministic.
 
-``rref`` is the one elimination; ``kernel_basis``, ``solve``, ``inverse``
-and ``rank`` read its output.  It runs one of two kernels on plain int rows:
-over F_p, residue rows updated in place along the pivot row's nonzero
-entries; over Q, fraction-free Gauss-Jordan on rows cleared of denominators
-and kept primitive by a row-content gcd, converted to ``Fraction`` once at
-the end.  The reduced row echelon form is unique, so R, rank and pivots,
-down to the scalar types, are the same as those of textbook elimination
-with field operations.  "Is m invertible?" is asked of ``inverse``, which
-answers it and returns the inverse in the same elimination.
-
-``det`` is the one other elimination: integer Bareiss on the residues over
-F_p and on rows cleared of denominators over Q.  Inside the package only
-``cycles.det_pushforward`` calls it.
+``rref`` is the one elimination; ``kernel_basis``, ``solve`` and ``rank``
+read its output, and ``inverse`` is ``solve`` against the identity.  It runs
+one of two kernels on plain int rows: over F_p, residue rows updated in place
+along the pivot row's nonzero entries; over Q, fraction-free Gauss-Jordan on
+rows cleared of denominators and kept primitive by a row-content gcd,
+converted to ``Fraction`` once at the end.  The reduced row echelon form is
+unique, so R, rank and pivots, down to the scalar types, are the same as
+those of textbook elimination with field operations.  "Is m invertible?" is
+asked of ``inverse``, which answers it and returns the inverse in the same
+elimination.
 
 Products have one kernel, ``_dot_products``, behind ``Matrix.__mul__``,
-``Matrix.mat_vec`` and every product of ``char_poly``.  It also runs
-on plain ints: over F_p each entry is one integer dot product reduced once;
-over Q each row of the left factor and each column of the right is cleared
-of denominators once, and each entry is one ``Fraction`` of an integer dot
-product over the two denominators.  Entries come out canonical, as ``Field``
-arithmetic would give them.
+``Matrix.mat_vec`` and every product of ``char_poly``; ``det`` is read off
+``char_poly``.  It also runs on plain ints: over F_p each entry is one
+integer dot product reduced once; over Q each row of the left factor and
+each column of the right is cleared of denominators once, and each entry is
+one ``Fraction`` of an integer dot product over the two denominators.
+Entries come out canonical, as ``Field`` arithmetic would give them.
 """
 from __future__ import annotations
 
@@ -279,7 +276,7 @@ def block_diag(ms: Sequence[Matrix], field: Optional[Field] = None) -> Matrix:
                 grid[r0 + i][c0 + j] = m.entry(i, j)
         r0 += m.rows
         c0 += m.cols
-    return Matrix.from_rows(F, grid) if nr else Matrix(F, 0, nc, ())
+    return Matrix(F, nr, nc, tuple(x for row in grid for x in row))
 
 
 def columns_matrix(field: Field, n: int, cols: Sequence[Sequence[Scalar]]) -> Matrix:
@@ -457,70 +454,20 @@ def kernel_basis(m: Matrix) -> list[tuple[Scalar, ...]]:
     return basis
 
 
-def _bareiss_int(rows: list[list[int]], n: int) -> int:
-    """Fraction-free Bareiss determinant of an integer matrix (destructive)."""
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for j in range(k + 1, n):
-                if rows[j][k] != 0:
-                    rows[k], rows[j] = rows[j], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pkk = rows[k][k]
-        for i in range(k + 1, n):
-            aik = rows[i][k]
-            ri, rk_ = rows[i], rows[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pkk - aik * rk_[j]) // prev
-            ri[k] = 0
-        prev = pkk
-    return sign * rows[n - 1][n - 1]
-
-
 def det(m: Matrix) -> Scalar:
-    """Determinant by integer Bareiss elimination, the one algorithm for
-    both fields.
-
-    Over F_p the residues themselves are the integer rows and the integer
-    determinant is reduced mod p at the end; over Q each row is cleared of
-    denominators first and the result divided by their product.
-    """
+    """Determinant, (-1)^n times the constant term of ``char_poly``, whose
+    division-free recurrence holds over F_p for every p."""
     if m.rows != m.cols:
         raise NotSquareError(f"determinant of {m.rows}x{m.cols}")
-    F = m.field
-    n = m.rows
-    if n == 0:
-        return F.one()
-    p = F.characteristic
-    rows = [list(m.row(i)) for i in range(n)]
-    if p:
-        return _bareiss_int(rows, n) % p
-    scale = 1
-    for i, row in enumerate(rows):
-        mult, rows[i] = _clear_denominators(row)
-        scale *= mult
-    return Fraction(_bareiss_int(rows, n), scale)
+    c = char_poly(m).coeffs[0]
+    return m.field.neg(c) if m.rows % 2 else c
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:
     """Exact inverse, or None if singular (or nonsquare: raises)."""
     if m.rows != m.cols:
         raise NotSquareError("inverse of a nonsquare matrix")
-    n = m.rows
-    if n == 0:
-        return m
-    aug = hstack([m, Matrix.identity(m.field, n)])
-    R, _, pivots = rref(aug)
-    # the identity block forces full row rank, so the rank of aug is
-    # always n; m is invertible iff no pivot escapes into that block
-    if pivots[:n] != tuple(range(n)):
-        return None
-    rows = [list(R.row(i))[n:] for i in range(n)]
-    return Matrix.from_rows(m.field, rows)
+    return solve(m, Matrix.identity(m.field, m.rows))
 
 
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -532,19 +479,15 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
         raise MixedFieldsError("solve over different fields")
     if a.rows != b.rows:
         raise SizeMismatchError("solve with mismatched row counts")
-    if b.cols == 0 or a.cols == 0:
-        zero_x = Matrix.zero(a.field, a.cols, b.cols)
-        return zero_x if (a * zero_x - b).is_zero() else None
-    R, rk, pivots = rref(hstack([a, b]))
-    # Any pivot in the b-block marks an inconsistent system.
-    if any(p >= a.cols for p in pivots):
+    n, w = a.cols, a.cols + b.cols
+    R, _, pivots = rref(hstack([a, b]))
+    # pivots ascend, so a pivot in the b-block shows up last: inconsistent
+    if pivots and pivots[-1] >= n:
         return None
-    F = a.field
-    x = [[F.zero()] * b.cols for _ in range(a.cols)]
+    x = [(a.field.zero(),) * b.cols] * n
     for prow, pcol in enumerate(pivots):
-        for j in range(b.cols):
-            x[pcol][j] = R.entry(prow, a.cols + j)
-    return Matrix.from_rows(F, x)
+        x[pcol] = R.entries[prow * w + n : (prow + 1) * w]
+    return Matrix(a.field, n, b.cols, tuple(y for row in x for y in row))
 
 
 def char_poly(m: Matrix) -> UniPoly:

@@ -162,8 +162,6 @@ def check_relations(t: CommutingTuple, rels: Iterable[MultiPoly]) -> bool:
             raise ArityMismatchError(
                 f"relation in {f.nvars} variables applied to a d = {t.d} tuple"
             )
-        if t.n == 0:
-            continue
         if not eval_multipoly(f, t.mats).is_zero():
             return False
     return True
@@ -237,10 +235,6 @@ class Staircase:
 
     cells: tuple[tuple[int, int], ...]  # sorted
 
-    @property
-    def size(self) -> int:
-        return len(self.cells)
-
 
 def staircase(cells: Iterable[tuple[int, int]]) -> Staircase:
     cs = sorted(set((int(i), int(j)) for i, j in cells))
@@ -279,7 +273,7 @@ def from_staircase(s: Staircase, field: Field) -> CommutingTuple:
             target = (i + di, j + dj)
             if target in index:
                 rows[index[target]][b] = one
-        return Matrix.from_rows(field, rows) if n else Matrix.zero(field, 0, 0)
+        return Matrix.from_rows(field, rows)
 
     mx = shift_matrix(-1, 0)
     my = shift_matrix(0, -1)
@@ -299,5 +293,4 @@ def companion(f: UniPoly) -> CommutingTuple:
         rows[i][i - 1] = one
     for i in range(n):
         rows[i][n - 1] = F.neg(f.coeffs[i])
-    m = Matrix.from_rows(F, rows) if n else Matrix.zero(F, 0, 0)
-    return CommutingTuple(F, n, 1, (m,))
+    return CommutingTuple(F, n, 1, (Matrix.from_rows(F, rows),))

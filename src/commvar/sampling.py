@@ -32,8 +32,8 @@ def random_scalar(field: Field, rng: random.Random, span: int = 3) -> Scalar:
     return field.of(rng.randint(-span, span))
 
 
-def random_matrix(field: Field, n: int, rng: random.Random, span: int = 3) -> Matrix:
-    return Matrix(field, n, n, tuple(random_scalar(field, rng, span) for _ in range(n * n)))
+def random_matrix(field: Field, n: int, rng: random.Random) -> Matrix:
+    return Matrix(field, n, n, tuple(random_scalar(field, rng) for _ in range(n * n)))
 
 
 def random_group_element(field: Field, n: int, rng: random.Random) -> GroupElement:
@@ -95,10 +95,9 @@ def random_split_tuple(
     max_pieces: int = 3,
     max_piece_size: int = 3,
     coord_span: int = 2,
-    conjugated: bool = True,
 ) -> tuple[CommutingTuple, list[tuple[tuple[Scalar, ...], int]]]:
     """A tuple with known split support: punctual pieces translated to
-    pairwise distinct rational points, summed, optionally conjugated.
+    pairwise distinct rational points, summed, then conjugated.
 
     Returns (tuple, ground truth) where the ground truth lists
     (point, size) by construction, independent of any cycle computation.
@@ -120,8 +119,7 @@ def random_split_tuple(
         block = translate(random_punctual_tuple(field, d, size, rng), list(p))
         total = direct_sum(total, block)
         truth[p] = truth.get(p, 0) + size
-    if conjugated and total.n > 0:
-        total = conjugate(total, random_group_element(field, total.n, rng))
+    total = conjugate(total, random_group_element(field, total.n, rng))
     return total, sorted(truth.items())
 
 

@@ -14,7 +14,7 @@ from commvar.cycles import (
     partition_notation,
     stratum,
 )
-from commvar.errors import ArityMismatchError, NotSplitError
+from commvar.errors import ArityMismatchError, MixedFieldsError, NotSplitError
 from commvar.fields import GF, QQ
 from commvar.matrices import Matrix, block_diag
 from commvar.modules import (
@@ -332,6 +332,9 @@ def test_det_pushforward_arity_and_empty():
         det_pushforward(f3, t)
     f = MultiPoly.make(QQ, 2, {(1, 1): QQ.of(1)})
     assert det_pushforward(f, empty_tuple(QQ, 2)) == 1
+    # the zero module takes the general path, field check included
+    with pytest.raises(MixedFieldsError):
+        det_pushforward(MultiPoly.make(GF(3), 2, {(1, 1): 1}), empty_tuple(QQ, 2))
 
 
 def test_cycle_shift_and_add_guards():

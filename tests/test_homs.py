@@ -121,6 +121,13 @@ def test_is_isomorphic_char_poly_fast_path():
     assert is_isomorphic(s, t) is None
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["Q", "F2"])
+def test_hom_basis_with_an_empty_side(field):
+    e = empty_tuple(field, 2)
+    t = from_staircase(staircase([(0, 0), (1, 0)]), field)
+    assert hom_basis(e, t).dim == hom_basis(t, e).dim == aut_dim(e) == 0
+
+
 def test_is_isomorphic_empty_modules():
     cert = is_isomorphic(empty_tuple(QQ, 2), empty_tuple(QQ, 2))
     assert cert is not None

@@ -88,12 +88,17 @@ def test_det_matches_cofactor_oracle():
             n = rng.randint(0, 4)
             m = rand_fmat(rng, p, n)
             assert det(m) == oracles.cofactor_det(oracles.rows_of(m), p)
+    # p <= n, where only a division-free recurrence is valid
+    for p in (2, 3):
+        for n in range(7):
+            for _ in range(6):
+                m = rand_fmat(rng, p, n)
+                assert det(m) == oracles.cofactor_det(oracles.rows_of(m), p)
 
 
 def test_det_matches_cofactor_oracle_over_large_primes():
-    # Bareiss runs on the residues as integers, so its intermediate values
-    # exceed p before the final reduction; singular inputs and zero leading
-    # pivots (row swaps) are mixed in
+    # products of residues exceed p before each reduction; singular inputs
+    # and zero leading entries are mixed in
     rng = random.Random(4)
     for p in (1000003, 2**31 - 1):
         for n in range(7):
@@ -203,6 +208,26 @@ def test_solve_consistent_and_inconsistent():
             if x is not None:
                 assert a * x == b
                 assert oracles.rows_of(x) == hx  # both set free vars to zero
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["Q", "F2"])
+def test_solve_and_inverse_on_empty_shapes(field):
+    # no special case: X is read off rref([a | b]) whatever the shape
+    empty = Matrix(field, 0, 0, ())
+    for r in (0, 1, 3):
+        a = Matrix(field, r, 0, ())
+        assert solve(a, Matrix.zero(field, r, 2)) == Matrix(field, 0, 2, ())
+        if r:
+            assert solve(a, Matrix.identity(field, r)) is None
+        b = Matrix(field, r, 0, ())
+        assert solve(Matrix.zero(field, r, 2), b) == Matrix(field, 2, 0, ())
+        assert solve(Matrix.identity(field, r), b) == b
+    assert solve(empty, empty) == empty
+    assert inverse(empty) == empty
+    assert det(empty) == field.one() and type(det(empty)) is type(field.one())
+    assert block_diag([], field=field) == empty
+    blocks = [Matrix(field, 0, 2, ()), Matrix(field, 0, 1, ())]
+    assert block_diag(blocks) == Matrix(field, 0, 3, ())
 
 
 def test_char_poly_matches_polynomial_cofactor_oracle():

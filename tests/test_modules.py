@@ -130,6 +130,17 @@ def test_is_punctual():
     assert is_punctual(empty_tuple(QQ, 2))
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2)], ids=["Q", "F2"])
+def test_empty_shapes_take_the_general_paths(field):
+    assert companion(UniPoly.one(field)) == empty_tuple(field, 1)
+    assert from_staircase(staircase([]), field) == empty_tuple(field, 2)
+    # every relation, the constant 1 included, vanishes on the zero module
+    assert check_relations(empty_tuple(field, 2), [MultiPoly.make(field, 2, {(0, 0): 1})])
+    other = GF(3) if field.characteristic == 0 else QQ
+    with pytest.raises(MixedFieldsError):
+        check_relations(empty_tuple(field, 2), [MultiPoly.make(other, 2, {(0, 0): 1})])
+
+
 def test_check_relations():
     t = validate([J2, Z2])
     xy = MultiPoly.make(QQ, 2, {(1, 1): QQ.of(1)})  # x1*x2

@@ -2,9 +2,10 @@
 
 Every name a library module imports must be used in that module;
 ``__init__.py`` is exempt, since its imports are the package's re-exports.
-Every function, method and class the library defines must be read, as a
-name or an attribute, somewhere in the library, the tests or the demos;
-dunder methods are exempt, since Python calls them.
+Every function and class the library defines must be read, as a name or
+an attribute, somewhere in the library, the tests or the demos, and every
+method must be read there as an attribute (``x.name``); dunder methods are
+exempt, since Python calls them.
 """
 import ast
 from pathlib import Path
@@ -77,30 +78,39 @@ def test_guard_sees_unused_and_quoted_uses():
     assert unused_imports(source) == [("Sequence", 3), ("det", 4)]
 
 
-def _defined(tree: ast.Module) -> dict[str, int]:
-    """Name -> line of every function, method and class, dunders aside."""
-    return {
-        node.name: node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+def _defined(tree: ast.Module) -> list[tuple[str, int, bool]]:
+    """(name, line, is a method) of every function, method and class,
+    dunders aside; a method is a function defined in a class body."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    methods = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, functions)
     }
-
-
-def _read(tree: ast.Module) -> set[str]:
-    """Names and attribute names read anywhere."""
-    return _used(tree) | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [
+        (node.name, node.lineno, id(node) in methods)
+        for node in ast.walk(tree)
+        if isinstance(node, (*functions, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
 
 
 def unread_definitions(library: dict[str, str], readers: list[str]) -> list[str]:
     """``file:line name`` of each definition in ``library`` (file name ->
-    source) that no source in ``readers`` reads."""
-    read = set().union(*(_read(ast.parse(source)) for source in readers))
+    source) that no source in ``readers`` reads: a method as an attribute,
+    anything else as a name or an attribute."""
+    trees = [ast.parse(source) for source in readers]
+    attributes = {
+        node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+    names = set().union(attributes, *map(_used, trees))
     return sorted(
         f"{name}:{line} {defined}"
         for name, source in library.items()
-        for defined, line in _defined(ast.parse(source)).items()
-        if defined not in read
+        for defined, line, method in _defined(ast.parse(source))
+        if defined not in (attributes if method else names)
     )
 
 
@@ -120,7 +130,14 @@ def test_definition_guard_sees_unread_definitions():
             "def helper(): ...\n"
             "def dead(): ...\n"
             "class Quoted: ...\n"
+            "class Bare:\n"
+            "    def spelled(self): ...\n"
         )
     }
-    reader = "def f(x: 'Quoted') -> Used:\n    helper()\n    return x.method\n"
-    assert unread_definitions(library, [reader]) == ["m.py:3 orphan", "m.py:6 dead"]
+    reader = (
+        "def f(x: 'Quoted') -> Used:\n    helper()\n    return x.method\n"
+        "def g(spelled: Bare):\n    return spelled\n"
+    )
+    assert unread_definitions(library, [reader]) == [
+        "m.py:3 orphan", "m.py:6 dead", "m.py:9 spelled"
+    ]
