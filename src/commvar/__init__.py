@@ -61,7 +61,7 @@ from .errors import (
     ZeroPolyError,
 )
 from .fields import GF, QQ, Field, PrimeField, RationalField, field_from_name, field_name
-from .homs import HomSpace, aut_dim, hom_basis, is_isomorphic, min_generators
+from .homs import HomSpace, aut_dim, hom_basis, hom_dim, is_isomorphic, min_generators
 from .matrices import Matrix, block_diag, char_poly, commutator, det, inverse, kernel_basis, rank, rref, solve
 from .modules import (
     CommutingTuple,
@@ -122,7 +122,7 @@ __all__ = [
     "Cycle", "LocalSummand", "cycle", "stratum", "partition_notation",
     "localize", "det_pushforward",
     # homs
-    "HomSpace", "hom_basis", "aut_dim", "is_isomorphic", "min_generators",
+    "HomSpace", "hom_basis", "hom_dim", "aut_dim", "is_isomorphic", "min_generators",
     # framed modules
     "FramedModule", "is_generating", "forget_frame", "is_atlas_point",
     "quot_equal", "gl_action_on_atlas",

@@ -31,7 +31,7 @@ from .documents import (
 )
 from .errors import ArityMismatchError, CommvarError, ParseError, SizeMismatchError
 from .fields import GF, Field, field_from_name, field_name, int_to_decimal
-from .homs import aut_dim, hom_basis, is_isomorphic, min_generators
+from .homs import aut_dim, hom_dim, is_isomorphic, min_generators
 from .matrices import Matrix
 from .modules import (
     companion,
@@ -188,7 +188,7 @@ def _cmd_isom(args, cfg: RunConfig):
 def _cmd_homdim(args, cfg: RunConfig):
     s = _load_tuple(args.left)
     t = _load_tuple(args.right)
-    return {"hom_dim": hom_basis(s, t).dim}
+    return {"hom_dim": hom_dim(s, t)}
 
 
 def _cmd_autdim(args, cfg: RunConfig):

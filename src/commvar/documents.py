@@ -35,22 +35,25 @@ class ModuleDocument:
     metadata: Optional[dict] = None
 
 
-def _parse_scalar_grid(field: Field, rows, n_rows: int, n_cols: int, what: str):
+def _parse_scalar_grid(field: Field, rows, n_rows: int, n_cols: int, what: str) -> list[Scalar]:
+    """The scalars of an n_rows x n_cols grid of strings, row-major, parsed
+    in one ``Field.parse_all``.  A bad row or entry is reported only after
+    the scalars before it, as when the grid is read one scalar at a time."""
     if not isinstance(rows, list) or len(rows) != n_rows:
         raise ValidationError(f"{what} must be a list of {n_rows} rows", what=what)
-    out = []
+    texts: list[str] = []
     for r in rows:
         if not isinstance(r, list) or len(r) != n_cols:
+            field.parse_all(texts)
             raise ValidationError(f"{what} rows must have {n_cols} entries", what=what)
-        row = []
         for x in r:
             if not isinstance(x, str):
+                field.parse_all(texts)
                 raise ParseError(
                     f"scalars must be strings, got {type(x).__name__} in {what}", what=what
                 )
-            row.append(field.parse(x))
-        out.append(tuple(row))
-    return tuple(out)
+            texts.append(x)
+    return field.parse_all(texts)
 
 
 def parse_document(text: str) -> ModuleDocument:
@@ -89,7 +92,7 @@ def parse_document(text: str) -> ModuleDocument:
     if not isinstance(mats_raw, list) or len(mats_raw) != d:
         raise ValidationError(f"matrices must be a list of {d} matrices")
     matrices = tuple(
-        Matrix.from_rows(fieldobj, _parse_scalar_grid(fieldobj, m, n, n, f"matrix {i + 1}"))
+        Matrix(fieldobj, n, n, tuple(_parse_scalar_grid(fieldobj, m, n, n, f"matrix {i + 1}")))
         for i, m in enumerate(mats_raw)
     )
     frame = None
@@ -97,7 +100,8 @@ def parse_document(text: str) -> ModuleDocument:
         fr = raw["frame"]
         if not isinstance(fr, list):
             raise ValidationError("frame must be a list of vectors")
-        frame = _parse_scalar_grid(fieldobj, fr, len(fr), n, "frame")
+        values = _parse_scalar_grid(fieldobj, fr, len(fr), n, "frame")
+        frame = tuple(tuple(values[k * n : (k + 1) * n]) for k in range(len(fr)))
     metadata = raw.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise ValidationError("metadata must be an object")

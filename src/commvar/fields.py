@@ -19,6 +19,9 @@ Scalar = Union[Fraction, int]
 
 _RAT_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
+# comma-separated lists of the same numerals, without spaces
+_RATS_RE = re.compile(r"[+-]?\d+(?:/\d+)?(?:,[+-]?\d+(?:/\d+)?)*")
+_INTS_RE = re.compile(r"[+-]?\d+(?:,[+-]?\d+)*")
 
 # CPython refuses int <-> str conversions past sys.get_int_max_str_digits()
 # (4300 digits by default).  Only then do these two helpers split the number
@@ -125,6 +128,27 @@ class Field:
 
     def parse(self, text: str) -> Scalar:
         raise NotImplementedError
+
+    def parse_all(self, texts: list[str]) -> list[Scalar]:
+        """[self.parse(x) for x in texts], each text parsed once.
+
+        The texts are matched against the field's syntax as one string and
+        converted with ``int``; on any failure they go through ``parse`` one
+        by one instead, which raises on the first bad text as it always has
+        and reads numerals of any length.
+        """
+        p = self.characteristic
+        joined = ",".join(texts)
+        if (_INTS_RE if p else _RATS_RE).fullmatch(joined) and joined.count(",") == len(texts) - 1:
+            try:
+                if p:
+                    return [int(x) % p for x in texts]
+                # a Fraction of one int needs no gcd
+                return [Fraction(int(num), int(den)) if den else Fraction(int(num))
+                        for num, _, den in (x.partition("/") for x in texts)]
+            except (ValueError, ZeroDivisionError):
+                pass
+        return [self.parse(x) for x in texts]
 
     def format(self, a: Scalar) -> str:
         # an int residue is its own numerator over 1

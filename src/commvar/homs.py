@@ -2,9 +2,11 @@
 
 Hom(s, t) is the space of matrices h with h A_i = B_i h for every
 coordinate; s and t are isomorphic exactly when that space contains an
-invertible element.  The first candidates, each element of a Hom basis
-and their sum, settle most isomorphic pairs with one Hom basis.  When
-none is invertible, dim Hom(s, t) = dim End(s) = dim End(t), which any
+invertible element.  ``hom_basis`` reads a basis off the kernel of the
+intertwining system; ``hom_dim`` and ``aut_dim`` read only its rank, on
+integer rows, and build no basis.  The first candidates, each element of a
+Hom basis and their sum, settle most isomorphic pairs with one Hom basis.
+When none is invertible, dim Hom(s, t) = dim End(s) = dim End(t), which any
 isomorphism forces, is checked, and unequal dimensions answer "absent".
 Otherwise existence is decided by asking ``inverse`` of combinations of
 the basis on a finite grid of coefficient vectors: det of the combination
@@ -29,7 +31,18 @@ from .errors import (
     NotPunctualError,
 )
 from .fields import Field, Scalar
-from .matrices import Matrix, char_poly, hstack, intertwining_system, inverse, kernel_basis, rank
+from .matrices import (
+    Matrix,
+    _eliminate,
+    _intertwining_blocks,
+    char_poly,
+    hstack,
+    intertwines,
+    intertwining_system,
+    inverse,
+    kernel_basis,
+    rank,
+)
 from .modules import CommutingTuple, GroupElement, is_punctual
 
 
@@ -63,9 +76,17 @@ def hom_basis(s: CommutingTuple, t: CommutingTuple) -> HomSpace:
     return HomSpace(s, t, tuple(basis))
 
 
+def hom_dim(s: CommutingTuple, t: CommutingTuple) -> int:
+    """dim Hom(s, t): the t.n * s.n unknowns less the rank of the
+    intertwining system, built and eliminated on integer rows."""
+    _compatible(s, t)
+    rows = [row for _, block in _intertwining_blocks(s.mats, t.mats) for row in block]
+    return t.n * s.n - len(_eliminate(rows, t.n * s.n, s.field.characteristic))
+
+
 def aut_dim(t: CommutingTuple) -> int:
     """Dimension of End(t) = Hom(t, t); at least 1 when n >= 1."""
-    return hom_basis(t, t).dim
+    return hom_dim(t, t)
 
 
 def _first_candidates(field: Field, dim: int) -> Iterator[Sequence[Scalar]]:
@@ -107,7 +128,7 @@ def _certify(hom: HomSpace, candidates: Iterable[Sequence[Scalar]]) -> Optional[
             continue
         # Certificates are sound by construction; re-verify exactly anyway.
         for a, b in zip(s.mats, t.mats):
-            if h * a != b * h:
+            if not intertwines(h, a, b):
                 raise RuntimeError("certificate fails to intertwine")
         return GroupElement(h, h_inv)
     return None

@@ -1,32 +1,44 @@
 """Dense exact matrices and the elimination kernels.
 
 Everything is row-major over a single Field; 0x0 matrices are legal
-everywhere (det = 1, char poly = 1).  Elimination pivots on the first
-nonzero entry in column order, so all outputs are deterministic.
+everywhere (det = 1, char poly = 1).  Outputs are deterministic.
 
-``rref`` is the one elimination; ``kernel_basis``, ``solve`` and ``rank``
-read its output, and ``inverse`` is ``solve`` against the identity.  It runs
-one of two kernels on plain int rows: over F_p, residue rows updated in place
-along the pivot row's nonzero entries; over Q, fraction-free Gauss-Jordan on
-rows cleared of denominators and kept primitive by a row-content gcd,
-converted to ``Fraction`` once at the end.  The reduced row echelon form is
+``rref`` is the one elimination; ``kernel_basis`` and ``solve`` read its
+output, and ``inverse`` is ``solve`` against the identity.  It runs one of
+two kernels on plain int rows: over F_p, residue rows updated in place
+along the pivot row's nonzero entries, pivoting on the first nonzero entry
+down each column; over Q, fraction-free Gauss-Jordan on rows cleared of
+denominators, pivoting on the entry of smallest magnitude (the first +-1
+ends the search), so that most updates subtract an integer multiple of the
+pivot row along its nonzero entries.  The reduced row echelon form is
 unique, so R, rank and pivots, down to the scalar types, are the same as
 those of textbook elimination with field operations.  "Is m invertible?" is
 asked of ``inverse``, which answers it and returns the inverse in the same
 elimination.
 
-Products have one kernel, ``_dot_products``, behind ``Matrix.__mul__``,
-``Matrix.mat_vec`` and every product of ``char_poly``; ``det`` is read off
-``char_poly``.  It also runs on plain ints: over F_p each entry is one
+Over Q, ``Fraction``s are made only where an answer holds them: ``rref``
+divides its integer rows by their pivots once at the end, and ``rank``
+reads the pivots of the integer rows without building one.  The
+intertwining systems (Hom spaces, and tangent spaces in ``modules``) are
+built as integer rows by ``_intertwining_rows``, each coordinate pair
+scaled by one common denominator, and Hom and tangent dimensions read the
+rank of those rows; ``intertwining_system`` is their ``Fraction`` view.
+``intertwines`` checks h a = b h on the cleared integer matrices.
+
+Products have one kernel, ``_dot_products``, behind ``Matrix.__mul__`` and
+``Matrix.mat_vec``.  It also runs on plain ints: over F_p each entry is one
 integer dot product reduced once; over Q each row of the left factor and
 each column of the right is cleared of denominators once, and each entry is
 one ``Fraction`` of an integer dot product over the two denominators.
 Entries come out canonical, as ``Field`` arithmetic would give them.
+``char_poly`` runs the division-free Berkowitz recurrence on residues, or
+on the integer matrix D m over Q, and ``det`` is read off it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from operator import attrgetter, mul
 from typing import Optional, Sequence
@@ -237,8 +249,31 @@ def _clear_denominators(v: Sequence[Fraction]) -> tuple[int, list[int]]:
     return d, [x * (d // e) for x, e in zip(map(_numerator, v), dens)]
 
 
+def _int_products(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[int]:
+    """rows · cols on plain ints, unreduced: the products of integer
+    matrices over Q."""
+    return [sum(map(mul, r, c)) for r in rows for c in cols]
+
+
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a * b - b * a
+
+
+def intertwines(h: Matrix, a: Matrix, b: Matrix) -> bool:
+    """Is h a = b h, for h of shape b.rows x a.rows?  Over Q it compares the
+    integer products H A db and B H da of the cleared matrices h = H/dh,
+    a = A/da and b = B/db, which dh divides out of."""
+    if h.field.characteristic:
+        return h * a == b * h
+    ns, nt = a.rows, b.rows
+    H = _clear_denominators(h.entries)[1]
+    da, A = _clear_denominators(a.entries)
+    db, B = (da, A) if b is a else _clear_denominators(b.entries)
+    ha = _int_products([H[i * ns : (i + 1) * ns] for i in range(nt)], [A[j::ns] for j in range(ns)])
+    bh = _int_products([B[i * nt : (i + 1) * nt] for i in range(nt)], [H[j::ns] for j in range(ns)])
+    if da == db:
+        return ha == bh
+    return all(x * db == y * da for x, y in zip(ha, bh))
 
 
 def hstack(ms: Sequence[Matrix]) -> Matrix:
@@ -296,54 +331,110 @@ def intertwining_system(sources: Sequence[Matrix], targets: Sequence[Matrix]) ->
     Unknowns are row-major: h_ab is column a*ns + b.  Rows are (i, r, c) in
     lexicographic order, one per entry (r, c) of h A_i - B_i h; the
     coefficient of h_ab there is [a = r] A_i[b, c] - B_i[r, a] [b = c].
-    Its kernel is Hom(A, B).  Entries are written directly; no matrix
-    products are formed.
+    Its kernel is Hom(A, B).  This is the field view of
+    ``_intertwining_blocks``.
     """
+    blocks = _intertwining_blocks(sources, targets)
+    F = sources[0].field
+    zero = F.zero()
+    out: list[Scalar] = []
+    for d, rows in blocks:
+        for row in rows:
+            out.extend(row if F.characteristic else (Fraction(x, d) if x else zero for x in row))
+    width = sources[0].rows * targets[0].rows
+    return Matrix(F, len(out) // width if width else 0, width, tuple(out))
+
+
+def _intertwining_blocks(
+    sources: Sequence[Matrix], targets: Sequence[Matrix]
+) -> list[tuple[int, list[list[int]]]]:
+    """The intertwining system on ints, one block per coordinate pair: d, a
+    common denominator of A_i and B_i (1 over F_p), and the block's rows
+    times d."""
     if not sources or len(sources) != len(targets):
         raise ArityMismatchError(
             f"need matching nonempty tuples, got {len(sources)} and {len(targets)}"
         )
-    F = sources[0].field
-    ns, nt = sources[0].rows, targets[0].rows
-    width = nt * ns
-    zero = F.zero()
-    out: list[Scalar] = []
-    for a_mat, b_mat in zip(sources, targets):
-        a, b = a_mat.entries, b_mat.entries
-        for r in range(nt):
-            for c in range(ns):
-                row = [zero] * width
-                row[r * ns : (r + 1) * ns] = a[c::ns]
-                for k in range(nt):
-                    x = b[r * nt + k]
-                    if x != zero:
-                        row[k * ns + c] = F.sub(row[k * ns + c], x)
-                out.extend(row)
-    return Matrix(F, len(out) // width if width else 0, width, tuple(out))
+    blocks = []
+    for a, b in zip(sources, targets):
+        d = _common_denominator(a, b)
+        blocks.append((d, _intertwining_rows(a, b, d)))
+    return blocks
+
+
+def _common_denominator(*mats: Matrix) -> int:
+    """The lcm of the denominators of the entries of mats (1 over F_p)."""
+    if mats[0].field.characteristic:
+        return 1
+    return lcm(*(x.denominator for m in mats for x in m.entries))
+
+
+def _intertwining_rows(a: Matrix, b: Matrix, d: int) -> list[list[int]]:
+    """The rows of ``intertwining_system([a], [b])`` times d, as ints.
+
+    Over Q, d is a multiple of every denominator of a and b; over F_p it is
+    +-1 and the rows are residues.  Entries are written directly; no matrix
+    products are formed.
+    """
+    p = a.field.characteristic
+    ns, nt = a.rows, b.rows
+    if p:
+        ea = a.entries if d == 1 else [x * d % p for x in a.entries]
+        eb = b.entries if d == 1 else [x * d % p for x in b.entries]
+    else:
+        ea = [x.numerator * (d // x.denominator) for x in a.entries]
+        eb = [x.numerator * (d // x.denominator) for x in b.entries]
+    out = []
+    for r in range(nt):
+        for c in range(ns):
+            row = [0] * (nt * ns)
+            row[r * ns : (r + 1) * ns] = ea[c::ns]
+            for k in range(nt):
+                x = eb[r * nt + k]
+                if x:
+                    j = k * ns + c
+                    row[j] = (row[j] - x) % p if p else row[j] - x
+            out.append(row)
+    return out
 
 
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form; returns (R, rank, pivot columns).
 
     The work runs on plain int rows: ``_rref_mod_p`` over F_p,
-    ``_rref_fraction_free`` over Q.  Both pivot on the first nonzero entry
-    down each column and R is unique, so the output, including the scalar
-    types (``Fraction`` over Q, ``int`` in [0, p) over F_p), does not depend
-    on which kernel ran.
+    ``_rref_fraction_free`` over Q, whose row k < rank is then divided by
+    its pivot.  R is unique, so the output, including the scalar types
+    (``Fraction`` over Q, ``int`` in [0, p) over F_p), does not depend on
+    which kernel ran or where it pivoted.
     """
     if not m.rows:
         return m, 0, ()
-    e, nc = m.entries, m.cols
-    rows = [list(e[i * nc : (i + 1) * nc]) for i in range(m.rows)]
-    p = m.field.characteristic
-    if p:
-        pivots = _rref_mod_p(rows, nc, p)
-    else:
-        pivots = _rref_fraction_free(rows, nc)
+    rows = _int_rows(m)
+    pivots = _eliminate(rows, m.cols, m.field.characteristic)
+    if not m.field.characteristic:
+        zero = Fraction(0)
+        rows = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(rows, pivots)]
+        rows += [[zero] * m.cols] * (m.rows - len(pivots))
     entries: list[Scalar] = []
     for row in rows:
         entries.extend(row)
-    return Matrix(m.field, m.rows, nc, tuple(entries)), len(pivots), tuple(pivots)
+    return Matrix(m.field, m.rows, m.cols, tuple(entries)), len(pivots), tuple(pivots)
+
+
+def _int_rows(m: Matrix) -> list[list[int]]:
+    """The rows of m as int lists: residues over F_p, and over Q each row
+    cleared of its denominators."""
+    e, nc = m.entries, m.cols
+    rows = [e[i * nc : (i + 1) * nc] for i in range(m.rows)]
+    if m.field.characteristic:
+        return [list(row) for row in rows]
+    return [_clear_denominators(row)[1] for row in rows]
+
+
+def _eliminate(rows: list[list[int]], ncols: int, p: int) -> list[int]:
+    """Gauss-Jordan on int rows in place, by the kernel of F_p (p > 0) or
+    Q (p = 0); returns the pivot columns."""
+    return _rref_mod_p(rows, ncols, p) if p else _rref_fraction_free(rows, ncols)
 
 
 def _rref_mod_p(rows: list[list[int]], ncols: int, p: int) -> list[int]:
@@ -380,46 +471,50 @@ def _rref_mod_p(rows: list[list[int]], ncols: int, p: int) -> list[int]:
     return pivots
 
 
-def _rref_fraction_free(rows: list[list], ncols: int) -> list[int]:
+def _rref_fraction_free(rows: list[list[int]], ncols: int) -> list[int]:
     """Gauss-Jordan over Q on integer rows, in place; returns the pivot
-    columns and leaves each row as Fractions.
+    columns.  Row k < rank ends as an integer multiple of row k of R, and
+    the rows below it as zeros.
 
-    Denominators are cleared row by row.  A row with entry f in the pivot
-    column becomes a*row - b*prow, where a/b = pv/f in lowest terms, and is
-    then divided by its content, so entries stay small.  Pivot row k divided
-    by its pivot is row k of R.
+    Each column pivots on its entry of smallest magnitude among the rows
+    not yet used, and the first +-1 ends the search.  A row whose entry f
+    the pivot pv divides loses f/pv times the pivot row, along the pivot
+    row's nonzero entries only.  Any other row becomes a*row - b*prow, where
+    a/b = pv/f in lowest terms, and is divided by its content, so entries
+    stay small.
     """
-    for i, row in enumerate(rows):
-        rows[i] = _primitive(_clear_denominators(row)[1])
     nrows = len(rows)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
+        best = size = 0
         for i in range(r, nrows):
-            if rows[i][c]:
-                break
-        else:
+            x = rows[i][c]
+            if x and (not size or abs(x) < size):
+                best, size = i, abs(x)
+                if size == 1:
+                    break
+        if not size:
             continue
-        prow = rows[i]
-        rows[r], rows[i] = prow, rows[r]
+        prow = rows[best]
+        rows[r], rows[best] = prow, rows[r]
         pv = prow[c]
+        nz = [(j, y) for j, y in enumerate(prow) if y]
         for i, row in enumerate(rows):
             f = row[c]
             if f and i != r:
-                g = gcd(pv, f)
-                a, b = pv // g, f // g
-                rows[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
+                q, rem = divmod(f, pv)
+                if rem:
+                    g = gcd(pv, f)
+                    a, b = pv // g, f // g
+                    rows[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
+                else:
+                    for j, y in nz:
+                        row[j] -= q * y
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    zero = Fraction(0)
-    for k, row in enumerate(rows):
-        if k < r:
-            pv = row[pivots[k]]
-            rows[k] = [Fraction(x, pv) if x else zero for x in row]
-        else:
-            rows[k] = [zero] * ncols
     return pivots
 
 
@@ -429,7 +524,7 @@ def _primitive(row: list[int]) -> list[int]:
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[1]
+    return len(_eliminate(_int_rows(m), m.cols, m.field.characteristic))
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Scalar, ...]]:
@@ -493,31 +588,37 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
 def char_poly(m: Matrix) -> UniPoly:
     """Characteristic polynomial det(tI - m), by the division-free
     Berkowitz recurrence (valid over F_p for every p, including p <= n).
-    Each step reads R, C and the trailing submatrix as slices of the
-    entries, and ``_dot_products`` runs all its products, the Toeplitz step
-    p <- T p included.
+
+    It runs on ints: residues over F_p, and over Q the integer matrix D m,
+    D the lcm of m's denominators, whose coefficient of t^(n-k) is D^k times
+    m's.  Each step reads R, C and the trailing submatrix as slices of the
+    entries, and the Toeplitz step p <- T p is one more product.
     """
     if m.rows != m.cols:
         raise NotSquareError(f"char poly of {m.rows}x{m.cols}")
     F = m.field
     char = F.characteristic
+    if char:
+        den, e, dots = 1, m.entries, partial(_dot_products, char)
+    else:
+        (den, e), dots = _clear_denominators(m.entries), _int_products
     n = m.rows
-    e = m.entries
-    zero = F.zero()
     # coeffs descending for the trailing principal submatrix, starting empty
-    p = [F.one()]
+    p = [1]
     for k in range(n - 1, -1, -1):
         s = n - k
         R = e[k * n + k + 1 : (k + 1) * n]
         sub = [e[i * n + k + 1 : (i + 1) * n] for i in range(k + 1, n)]
-        c = [F.one(), F.neg(e[k * n + k])]
+        c = [1, -e[k * n + k]]
         w = e[(k + 1) * n + k :: n]  # column k below the diagonal
         for i in range(2, s + 1):
-            c.append(F.neg(_dot_products(char, [R], [w])[0]))
+            c.append(-dots([R], [w])[0])
             if i < s:
-                w = _dot_products(char, sub, [w])
+                w = dots(sub, [w])
         # p <- T p, T the (s+1) x s lower-triangular Toeplitz matrix with first column c
-        p = _dot_products(char, [(c[i::-1] + [zero] * s)[:s] for i in range(s + 1)], [p])
+        p = dots([(c[i::-1] + [0] * s)[:s] for i in range(s + 1)], [p])
+    if not char:
+        p = [Fraction(x, den**k) for k, x in enumerate(p)]
     return UniPoly.make(F, reversed(p))
 
 

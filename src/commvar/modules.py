@@ -26,13 +26,14 @@ from .errors import (
 from .fields import Field, Scalar
 from .matrices import (
     Matrix,
+    _common_denominator,
+    _eliminate,
+    _intertwining_rows,
     block_diag,
     commutator,
     eval_multipoly,
-    hstack,
-    intertwining_system,
+    intertwines,
     inverse,
-    kernel_basis,
 )
 from .polynomials import MultiPoly, UniPoly
 
@@ -74,7 +75,7 @@ def validate(mats: Sequence[Matrix]) -> CommutingTuple:
     t = CommutingTuple(field, n, len(mats), mats)
     for i in range(t.d):
         for j in range(i + 1, t.d):
-            if mats[i] * mats[j] != mats[j] * mats[i]:
+            if not intertwines(mats[i], mats[j], mats[j]):
                 raise NotCommutingError(
                     f"coordinates {i + 1} and {j + 1} do not commute",
                     pair=(i + 1, j + 1),
@@ -206,7 +207,8 @@ def potential_gradient(mats: Sequence[Matrix]) -> tuple[Matrix, Matrix, Matrix]:
 
 def tangent_space_dim(t: CommutingTuple) -> int:
     """Dimension of the solution space of the linearized commutation system
-    {[X_i, A_j] + [A_i, X_j] = 0, i < j} in d*n^2 unknowns.
+    {[X_i, A_j] + [A_i, X_j] = 0, i < j} in d*n^2 unknowns: the unknowns
+    less the rank of the system, built and eliminated on integer rows.
 
     For d = 1 there are no equations and the answer is n^2.
     """
@@ -215,17 +217,18 @@ def tangent_space_dim(t: CommutingTuple) -> int:
     if not pairs or n == 0:
         return d * n * n
     # The (i, j) row block is [X_i, A_j] + [A_i, X_j]; with K(A) the system
-    # of X -> X A - A X, that is K(A_j) on X_i and -K(A_i) on X_j.
-    F = t.field
+    # of X -> X A - A X, that is K(A_j) on X_i and -K(A_i) on X_j, both
+    # scaled by one common denominator D of A_i and A_j (-D gives -K(A_i)).
     n2 = n * n
-    k = [intertwining_system([a], [a]) for a in t.mats]
-    zero_block = Matrix.zero(F, n2, n2)
-    blocks = [
-        hstack([k[j] if c == i else -k[i] if c == j else zero_block for c in range(d)])
-        for (i, j) in pairs
-    ]
-    system = Matrix(F, len(pairs) * n2, d * n2, tuple(x for b in blocks for x in b.entries))
-    return len(kernel_basis(system))
+    rows = []
+    for i, j in pairs:
+        a, b = t.mats[i], t.mats[j]
+        den = _common_denominator(a, b)
+        for on_i, on_j in zip(_intertwining_rows(b, b, den), _intertwining_rows(a, a, -den)):
+            rows.append(
+                [0] * (i * n2) + on_i + [0] * ((j - i - 1) * n2) + on_j + [0] * ((d - j - 1) * n2)
+            )
+    return d * n2 - len(_eliminate(rows, d * n2, t.field.characteristic))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .errors import (
     WrongFrameCountError,
 )
 from .fields import Scalar
-from .matrices import Matrix, _dot_products, columns_matrix, inverse, rank, rref
+from .matrices import Matrix, _dot_products, columns_matrix, intertwines, inverse, rank, rref
 from .modules import CommutingTuple, GroupElement
 
 
@@ -143,7 +143,7 @@ def quot_equal(f: FramedModule, g: FramedModule) -> Optional[GroupElement]:
     if k_s_inv is None:
         raise RuntimeError("Krylov basis of the left frame is singular")
     h = k_t * k_s_inv
-    if any(h * a != b * h for a, b in zip(s.mats, t.mats)):
+    if not all(intertwines(h, a, b) for a, b in zip(s.mats, t.mats)):
         return None
     if any(h.mat_vec(v) != tuple(w) for v, w in zip(f.frame, g.frame)):
         return None

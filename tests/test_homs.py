@@ -16,8 +16,8 @@ from commvar.errors import (
     NotPunctualError,
 )
 from commvar.fields import GF, QQ
-from commvar.homs import aut_dim, hom_basis, is_isomorphic, min_generators
-from commvar.matrices import Matrix
+from commvar.homs import aut_dim, hom_basis, hom_dim, is_isomorphic, min_generators
+from commvar.matrices import Matrix, intertwining_system, kernel_basis
 from commvar.modules import (
     companion,
     conjugate,
@@ -25,6 +25,7 @@ from commvar.modules import (
     empty_tuple,
     from_staircase,
     staircase,
+    tangent_space_dim,
     translate,
     validate,
 )
@@ -326,3 +327,66 @@ def test_min_generators_additive_over_distinct_points():
     a = from_staircase(staircase([(0, 0), (0, 1)]), QQ)
     b = from_staircase(staircase([(0, 0)]), QQ)
     assert min_generators(direct_sum(a, b)) == 2
+
+
+# ---------------------------------------------------------------------------
+# dimensions read off the rank of integer-built systems, against kernels
+
+
+def _hand_intertwining_rows(sources, targets):
+    """The system of h -> (h A_i - B_i h)_i entry by entry: the coefficient
+    of h_ab in entry (r, c) of block i is [a = r] A_i[b, c] - B_i[r, a] [b = c]."""
+    ns, nt = sources[0].rows, targets[0].rows
+    zero = sources[0].field.zero()
+    rows = []
+    for a_mat, b_mat in zip(sources, targets):
+        for r in range(nt):
+            for c in range(ns):
+                rows.append([
+                    (a_mat.entry(b, c) if a == r else zero) - (b_mat.entry(r, a) if b == c else zero)
+                    for a in range(nt) for b in range(ns)
+                ])
+    return rows
+
+
+def _mixed_denominator_tuple(rng, field, n, d):
+    """d commuting matrices, polynomials in one matrix; over Q its entries
+    have denominators 3, 7 and 2^40."""
+    def scalar(den):
+        k = rng.randint(-4, 4)
+        return field.of(k) if field.characteristic else Fraction(k, den)
+    dens = [3, 7, 2**40, 1]
+    m = Matrix(field, n, n, tuple(scalar(rng.choice(dens)) if rng.random() < 0.6 else field.zero()
+                                  for _ in range(n * n)))
+    eye = Matrix.identity(field, n)
+    return validate([eye.scale(scalar(7)) + m.scale(scalar(3)) + (m * m).scale(scalar(1)) for _ in range(d)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=["Q", "F5", "F2"])
+def test_dimensions_from_the_rank_equal_kernel_counts(field):
+    rng = random.Random(1719 + field.characteristic)
+    p = oracles.char_of_field(field)
+    for _ in range(10):
+        n, d = rng.randint(1, 3), rng.randint(1, 3)
+        s = _mixed_denominator_tuple(rng, field, n, d)
+        g = random_group_element(field, n, rng)
+        scalars = validate([Matrix.identity(field, n).scale(field.of(k)) for k in range(d)])
+        others = [s, conjugate(s, g), scalars, _mixed_denominator_tuple(rng, field, rng.randint(1, 3), d)]
+        for t in others:
+            count = len(kernel_basis(intertwining_system(s.mats, t.mats)))
+            hand = n * t.n - oracles.hand_rank(_hand_intertwining_rows(s.mats, t.mats), p)
+            assert hom_dim(s, t) == hom_basis(s, t).dim == count == hand
+        assert aut_dim(s) == len(kernel_basis(intertwining_system(s.mats, s.mats)))
+        # the tangent system: block (i, j) is K(A_j) on X_i and -K(A_i) on X_j
+        n2 = n * n
+        ks = [_hand_intertwining_rows([a], [a]) for a in s.mats]
+        rows = []
+        for i in range(d):
+            for j in range(i + 1, d):
+                for r in range(n2):
+                    row = [field.zero()] * (d * n2)
+                    row[i * n2 : (i + 1) * n2] = ks[j][r]
+                    row[j * n2 : (j + 1) * n2] = [field.neg(x) for x in ks[i][r]]
+                    rows.append(row)
+        system = Matrix(field, len(rows), d * n2, tuple(x for row in rows for x in row))
+        assert tangent_space_dim(s) == len(kernel_basis(system)) == d * n2 - oracles.hand_rank(rows, p)

@@ -19,6 +19,7 @@ from commvar.matrices import (
     det,
     eval_multipoly,
     hstack,
+    intertwines,
     intertwining_system,
     inverse,
     kernel_basis,
@@ -471,6 +472,124 @@ def test_rref_kernels_on_intertwining_systems(field):
         _assert_rref_matches_hand(intertwining_system(sources, targets))
         # the centralizer system has a kernel containing the identity
         _assert_rref_matches_hand(intertwining_system(sources, sources))
+
+
+# ---------------------------------------------------------------------------
+# the Q kernel, which pivots on the smallest entry, against textbook
+# Fraction Gauss-Jordan, which pivots on the first
+
+PAST_2_64 = 2**64 + 13
+
+
+def _q_scalar(rng):
+    """Zeros; integers with no +-1 among them, so that the smallest pivot is
+    often neither a unit nor positive; denominators 3, 7 and 2^40; entries
+    past 2^64."""
+    return rng.choice([
+        Fraction(0), Fraction(0), Fraction(0),
+        Fraction(rng.choice([-9, -6, -4, -3, -2, 2, 3, 4, 6, 10, 15])),
+        Fraction(rng.randint(-9, 9), rng.choice([3, 7, 2**40])),
+        Fraction(rng.choice([-1, 1]) * (PAST_2_64 + rng.randint(0, 99)), rng.choice([1, 3, 7])),
+    ])
+
+
+def _q_elimination_cases(rng):
+    # the smallest entry of column 0 is -4, which divides neither 6 nor 9;
+    # then -3, which divides 9 and 6; then past 2^64
+    yield qmat([[6, 1, 0], [-4, 2, 1], [9, 0, 5]])
+    yield qmat([[-3, 2], [9, 5], [6, 7]])
+    yield qmat([[PAST_2_64, 2, 0], [2 * PAST_2_64, 3, 0], [-6, 0, 0]])
+    for _ in range(40):
+        n, m = rng.randint(1, 8), rng.randint(1, 9)
+        if rng.random() < 0.3:
+            m = n
+        rows = [[_q_scalar(rng) for _ in range(m)] for _ in range(n)]
+        for j in rng.sample(range(m), rng.randint(0, m // 3)):
+            for row in rows:
+                row[j] = Fraction(0)
+        if rng.random() < 0.5:
+            # rank deficient: the last rows are combinations of the first k
+            k = rng.randint(0, n - 1)
+            rows = rows[:k] + [_combination(rng, QQ, rows[:k]) if k else [Fraction(0)] * m
+                               for _ in range(n - k)]
+        yield Matrix.from_rows(QQ, rows)
+
+
+def test_q_elimination_matches_textbook_gauss_jordan():
+    rng = random.Random(1717)
+    for mat in _q_elimination_cases(rng):
+        rows = oracles.rows_of(mat)
+        hr, hrk, hpiv = oracles.hand_rref(rows, None)
+        _assert_rref_matches_hand(mat)
+        assert rank(mat) == hrk
+        # one kernel vector per free column, read off the textbook R
+        want = []
+        for free in (j for j in range(mat.cols) if j not in hpiv):
+            v = [Fraction(0)] * mat.cols
+            v[free] = Fraction(1)
+            for k, c in enumerate(hpiv):
+                v[c] = -hr[k][free]
+            want.append(tuple(v))
+        assert kernel_basis(mat) == want
+        # a right-hand side in the column space, and one that need not be
+        x = Matrix.from_rows(QQ, [[_q_scalar(rng)] for _ in range(mat.cols)])
+        for b in (mat * x, Matrix.from_rows(QQ, [[_q_scalar(rng)] for _ in range(mat.rows)])):
+            got = solve(mat, b)
+            expect = oracles.hand_solve(rows, oracles.rows_of(b), None)
+            assert (None if got is None else oracles.rows_of(got)) == expect
+        if mat.rows == mat.cols:
+            got = inverse(mat)
+            expect = oracles.hand_solve(rows, oracles.mat_identity(mat.rows, None), None)
+            assert (None if got is None else oracles.rows_of(got)) == expect
+            assert got is None or all(type(y) is Fraction for y in got.entries)
+
+
+def test_char_poly_and_det_over_q_with_mixed_denominators():
+    rng = random.Random(1718)
+    for _ in range(30):
+        n = rng.randint(0, 5)
+        m = Matrix.from_rows(QQ, [
+            [rng.choice([Fraction(0), Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9), 3),
+                         Fraction(rng.randint(-9, 9), 7), Fraction(1, 2**40)]) for _ in range(n)]
+            for _ in range(n)
+        ])
+        rows = oracles.rows_of(m)
+        f = char_poly(m)
+        got = list(f.coeffs) + [Fraction(0)] * (n + 1 - len(f.coeffs))
+        assert got == oracles.hand_char_poly(rows, None)
+        assert all(type(c) is Fraction for c in f.coeffs)
+        assert det(m) == oracles.cofactor_det(rows, None) and type(det(m)) is Fraction
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_intertwining_check_matches_hand_products(field):
+    # h a = b h with a, b and h of different denominators, true for
+    # b = h a h^-1 and for h = 0, and mostly false otherwise
+    rng = random.Random(1720 + field.characteristic)
+    p = oracles.char_of_field(field)
+
+    def rand(rows, cols):
+        return Matrix(field, rows, cols, tuple(
+            field.of(rng.randint(-9, 9)) if p else
+            rng.choice([Fraction(0), Fraction(rng.randint(-9, 9), rng.choice([1, 3, 7, 2**40]))])
+            for _ in range(rows * cols)))
+
+    seen = set()
+    for _ in range(60):
+        ns, nt = rng.randint(0, 4), rng.randint(0, 4)
+        a, h = rand(ns, ns), rand(nt, ns)
+        kind = rng.randrange(3)
+        if kind == 0 and ns == nt and inverse(h) is not None:
+            b = h * a * inverse(h)
+        elif kind == 1:
+            h, b = Matrix.zero(field, nt, ns), rand(nt, nt)
+        else:
+            b = rand(nt, nt)
+        H, A, B = (oracles.rows_of(x) for x in (h, a, b))
+        want = oracles.mat_mul(H, A, p) == oracles.mat_mul(B, H, p)
+        assert intertwines(h, a, b) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------

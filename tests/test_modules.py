@@ -65,6 +65,24 @@ def test_validate_rejects_with_pair_detail():
     assert exc.value.detail == {"pair": (1, 3), "commutator": "[[1, 0], [0, 4]]"}
 
 
+def test_validate_over_q_keeps_the_not_commuting_payload():
+    # the coordinates have different denominators, 2^40 among them; the
+    # payload is the textbook commutator as printed
+    b = Matrix.from_rows(QQ, [[Fraction(1, 3), Fraction(2, 7)], [Fraction(0), Fraction(1, 2**40)]])
+    c = Matrix.from_rows(QQ, [[Fraction(0), Fraction(1, 7)], [Fraction(5, 3), Fraction(0)]])
+    a = Matrix.identity(QQ, 2).scale(Fraction(-2, 3))
+    near = b * b + Matrix.from_rows(QQ, [[0, 0], [Fraction(1, 2**40), 0]])
+    for mats, pair in [([a, b, b * b, c], (2, 4)), ([b, b * b, near], (1, 3))]:
+        i, j = pair
+        hand = oracles.mat_commutator(oracles.rows_of(mats[i - 1]), oracles.rows_of(mats[j - 1]), None)
+        assert not oracles.mat_is_zero(hand, None)
+        text = "[" + ", ".join("[" + ", ".join(QQ.format(x) for x in row) + "]" for row in hand) + "]"
+        with pytest.raises(NotCommutingError) as exc:
+            validate(mats)
+        assert exc.value.detail == {"pair": pair, "commutator": text}
+    assert validate([a, b, b * b]).d == 3
+
+
 def test_validate_mixed_and_shape_errors():
     with pytest.raises(MixedFieldsError):
         validate([J2, Matrix.zero(GF(5), 2, 2)])
