@@ -3,24 +3,30 @@
 Hom(s, t) is the space of matrices h with h A_i = B_i h for every
 coordinate; s and t are isomorphic exactly when that space contains an
 invertible element.  ``hom_basis`` reads a basis off the kernel of the
-intertwining system; ``hom_dim`` and ``aut_dim`` read only its rank, on
-integer rows, and build no basis.  The first candidates, each element of a
-Hom basis and their sum, settle most isomorphic pairs with one Hom basis.
-When none is invertible, dim Hom(s, t) = dim End(s) = dim End(t), which any
+intertwining system's integer rows; ``hom_dim`` and ``aut_dim`` read only
+their rank and build no basis.  A candidate isomorphism is an integer
+combination of the Hom basis cleared over one common denominator, and it is
+tested by the rank of its integer rows: a singular candidate costs no
+``Fraction`` and no ``inverse``, and only the first invertible one is
+divided back and inverted.  The first candidates, each element of a Hom
+basis and their sum, settle most isomorphic pairs with one Hom basis.  When
+none is invertible, dim Hom(s, t) = dim End(s) = dim End(t), which any
 isomorphism forces, is checked, and unequal dimensions answer "absent".
-Otherwise existence is decided by asking ``inverse`` of combinations of
-the basis on a finite grid of coefficient vectors: det of the combination
-is a polynomial of degree n in the coefficients, one that vanishes on a
-grid with n+1 values per axis is identically zero, and over F_p with
-p <= n the full cartesian power of the field is used instead, which
-enumerates the whole space.  The search never answers "absent" beyond its
-budget; it raises GRID_BUDGET_EXCEEDED.
+Otherwise existence is decided by the rank of combinations of the basis on
+a finite grid of coefficient vectors: det of the combination is a
+polynomial of degree n in the coefficients, one that vanishes on a grid
+with n+1 values per axis is identically zero, and over F_p with p <= n the
+full cartesian power of the field is used instead, which enumerates the
+whole space.  The search never answers "absent" beyond its budget; it
+raises GRID_BUDGET_EXCEEDED.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
@@ -30,17 +36,17 @@ from .errors import (
     MixedFieldsError,
     NotPunctualError,
 )
-from .fields import Field, Scalar
+from .fields import Field
 from .matrices import (
     Matrix,
+    _clear_denominators,
     _eliminate,
     _intertwining_blocks,
+    _kernel,
     char_poly,
     hstack,
     intertwines,
-    intertwining_system,
     inverse,
-    kernel_basis,
     rank,
 )
 from .modules import CommutingTuple, GroupElement, is_punctual
@@ -68,20 +74,24 @@ def hom_basis(s: CommutingTuple, t: CommutingTuple) -> HomSpace:
     """Basis of {h : h A_i^s = A_i^t h for all i}, an (t.n x s.n)-matrix space.
 
     Deterministic: vectors come from the kernel of the stacked intertwining
-    system in row-major coordinates.
+    system in row-major coordinates, read off its integer rows.
     """
     _compatible(s, t)
-    system = intertwining_system(s.mats, t.mats)
-    basis = [Matrix(s.field, t.n, s.n, tuple(v)) for v in kernel_basis(system)]
-    return HomSpace(s, t, tuple(basis))
+    vectors = _kernel(_hom_rows(s, t), t.n * s.n, s.field.characteristic)
+    return HomSpace(s, t, tuple(Matrix(s.field, t.n, s.n, v) for v in vectors))
 
 
 def hom_dim(s: CommutingTuple, t: CommutingTuple) -> int:
     """dim Hom(s, t): the t.n * s.n unknowns less the rank of the
     intertwining system, built and eliminated on integer rows."""
     _compatible(s, t)
-    rows = [row for _, block in _intertwining_blocks(s.mats, t.mats) for row in block]
-    return t.n * s.n - len(_eliminate(rows, t.n * s.n, s.field.characteristic))
+    return t.n * s.n - len(_eliminate(_hom_rows(s, t), t.n * s.n, s.field.characteristic))
+
+
+def _hom_rows(s: CommutingTuple, t: CommutingTuple) -> list[list[int]]:
+    """The intertwining system of Hom(s, t) as int rows, each coordinate
+    pair's block scaled by its own common denominator."""
+    return [row for _, block in _intertwining_blocks(s.mats, t.mats) for row in block]
 
 
 def aut_dim(t: CommutingTuple) -> int:
@@ -89,22 +99,21 @@ def aut_dim(t: CommutingTuple) -> int:
     return hom_dim(t, t)
 
 
-def _first_candidates(field: Field, dim: int) -> Iterator[Sequence[Scalar]]:
-    """Each basis element, then (when dim > 1) their sum."""
-    zero, one = field.zero(), field.one()
+def _first_candidates(dim: int) -> Iterator[Sequence[int]]:
+    """Coefficients of each basis element, then (when dim > 1) their sum."""
     for i in range(dim):
-        yield [one if j == i else zero for j in range(dim)]
+        yield [1 if j == i else 0 for j in range(dim)]
     if dim > 1:
-        yield [one] * dim
+        yield [1] * dim
 
 
-def _search(field: Field, n: int, dim: int, config: RunConfig) -> Iterator[Sequence[Scalar]]:
+def _search(field: Field, n: int, dim: int, config: RunConfig) -> Iterator[Sequence[int]]:
     """The coefficient grid in lexicographic order, or 1024 seeded draws
-    from it beyond the grid budget.  The grid has n + 1 values per axis,
-    enough to see a nonzero degree-n det, or all of F_p when p <= n, which
-    is the whole space."""
+    from it beyond the grid budget.  The grid has the n + 1 values 0..n per
+    axis, enough to see a nonzero degree-n det, or all residues of F_p when
+    p <= n, which is the whole space."""
     p = field.characteristic
-    values = [field.of(k) for k in range(p if p and p <= n else n + 1)]
+    values = range(p if p and p <= n else n + 1)
     if dim <= config.grid_budget:
         yield from itertools.product(values, repeat=dim)
         return
@@ -113,19 +122,30 @@ def _search(field: Field, n: int, dim: int, config: RunConfig) -> Iterator[Seque
         yield [values[rng.randrange(len(values))] for _ in range(dim)]
 
 
-def _certify(hom: HomSpace, candidates: Iterable[Sequence[Scalar]]) -> Optional[GroupElement]:
+def _certify(hom: HomSpace, candidates: Iterable[Sequence[int]]) -> Optional[GroupElement]:
     """The first invertible combination of the Hom basis among the candidate
-    coefficient vectors, re-verified exactly, or None."""
+    integer coefficient vectors, re-verified exactly, or None.
+
+    The basis is cleared once into integer columns over one common
+    denominator D (residues, D = 1, over F_p), so each candidate is an
+    integer combination H = D h of them, whose rank ``_eliminate`` reads.
+    Only the first H of full rank becomes h = H / D and is inverted.
+    """
     s, t = hom.source, hom.target
-    F = s.field
-    columns = list(zip(*(b.entries for b in hom.basis)))  # entry e of each basis element
-    zero = F.zero()
+    F, n = s.field, s.n
+    p = F.characteristic
+    entries = [x for b in hom.basis for x in b.entries]
+    den, cleared = (1, entries) if p else _clear_denominators(entries)
+    size = n * n
+    columns = [cleared[e::size] for e in range(size)]  # entry e of each basis element
     for coeffs in candidates:
-        terms = [(j, c) for j, c in enumerate(coeffs) if c != zero]
-        h = Matrix(F, t.n, s.n, tuple(F.of(sum(c * col[j] for j, c in terms)) for col in columns))
+        H = [sum(map(mul, coeffs, col)) % p if p else sum(map(mul, coeffs, col)) for col in columns]
+        if len(_eliminate([H[i * n : (i + 1) * n] for i in range(n)], n, p)) < n:
+            continue
+        h = Matrix(F, n, n, tuple(H) if p else tuple(Fraction(x, den) for x in H))
         h_inv = inverse(h)
         if h_inv is None:
-            continue
+            raise RuntimeError("full-rank certificate candidate has no inverse")
         # Certificates are sound by construction; re-verify exactly anyway.
         for a, b in zip(s.mats, t.mats):
             if not intertwines(h, a, b):
@@ -140,9 +160,9 @@ def is_isomorphic(
     """An invertible intertwiner g (conjugate(s, g) == t), or None.
 
     Unequal coordinate characteristic polynomials answer None at once.
-    Otherwise one Hom(s, t) basis is computed, and ``inverse`` is asked of
-    each basis element and then of their sum; the first invertible one is
-    the certificate.  Only when none is invertible are End(s) and End(t)
+    Otherwise one Hom(s, t) basis is computed, and the rank of each basis
+    element and then of their sum is read on integer rows; the first
+    invertible one is inverted once and is the certificate.  Only when none is invertible are End(s) and End(t)
     computed: dim Hom(s, t) = dim End(s) = dim End(t) holds for any
     isomorphic pair, so unequal dimensions answer None.  Then the grid of
     ``_search`` is scanned.  Beyond the configured grid dimension its
@@ -160,7 +180,7 @@ def is_isomorphic(
         if char_poly(a) != char_poly(b):
             return None
     hom = hom_basis(s, t)
-    g = _certify(hom, _first_candidates(F, hom.dim))
+    g = _certify(hom, _first_candidates(hom.dim))
     if g is not None:
         return g
     if not hom.dim == aut_dim(s) == aut_dim(t):

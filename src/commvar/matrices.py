@@ -3,8 +3,9 @@
 Everything is row-major over a single Field; 0x0 matrices are legal
 everywhere (det = 1, char poly = 1).  Outputs are deterministic.
 
-``rref`` is the one elimination; ``kernel_basis`` and ``solve`` read its
-output, and ``inverse`` is ``solve`` against the identity.  It runs one of
+``_eliminate`` is the one elimination; ``rref``, ``rank``,
+``kernel_basis``, ``solve`` and ``inverse`` (``solve`` against the
+identity) read their answers off the int rows it leaves.  It runs one of
 two kernels on plain int rows: over F_p, residue rows updated in place
 along the pivot row's nonzero entries, pivoting on the first nonzero entry
 down each column; over Q, fraction-free Gauss-Jordan on rows cleared of
@@ -12,17 +13,20 @@ denominators, pivoting on the entry of smallest magnitude (the first +-1
 ends the search), so that most updates subtract an integer multiple of the
 pivot row along its nonzero entries.  The reduced row echelon form is
 unique, so R, rank and pivots, down to the scalar types, are the same as
-those of textbook elimination with field operations.  "Is m invertible?" is
-asked of ``inverse``, which answers it and returns the inverse in the same
-elimination.
+those of textbook elimination with field operations, and so are the kernel
+vectors and solutions read off it.  "Is m invertible?" is asked of
+``inverse``, which answers it and returns the inverse in the same
+elimination, or, when only the answer is wanted, of the rank.
 
 Over Q, ``Fraction``s are made only where an answer holds them: ``rref``
-divides its integer rows by their pivots once at the end, and ``rank``
-reads the pivots of the integer rows without building one.  The
+divides its integer rows by their pivots once at the end, ``kernel_basis``
+and ``solve`` divide only the entries they read (``rref`` is the only code
+that builds R), and ``rank`` reads the pivots of the integer rows.  The
 intertwining systems (Hom spaces, and tangent spaces in ``modules``) are
 built as integer rows by ``_intertwining_rows``, each coordinate pair
-scaled by one common denominator, and Hom and tangent dimensions read the
-rank of those rows; ``intertwining_system`` is their ``Fraction`` view.
+scaled by one common denominator; Hom and tangent dimensions read the rank
+of those rows, and Hom bases the kernel ``_kernel`` reads off them.
+``intertwining_system`` is their field view.
 ``intertwines`` checks h a = b h on the cleared integer matrices.
 
 Products have one kernel, ``_dot_products``, behind ``Matrix.__mul__`` and
@@ -533,18 +537,28 @@ def kernel_basis(m: Matrix) -> list[tuple[Scalar, ...]]:
     Vectors are ordered by ascending free-column index; each satisfies
     m v = 0 exactly.
     """
-    F = m.field
-    R, rk, pivots = rref(m)
+    return _kernel(_int_rows(m), m.cols, m.field.characteristic)
+
+
+def _kernel(rows: list[list[int]], ncols: int, p: int) -> list[tuple[Scalar, ...]]:
+    """``kernel_basis`` of the int rows of an F_p (p > 0) or Q (p = 0)
+    system, which it eliminates in place.  The vector of a free column has 1
+    there and -R[k][free] at pivot column k, read off the eliminated rows:
+    -row[free] mod p over F_p, where pivots are 1, and
+    Fraction(-row[free], row[c]) over Q."""
+    pivots = _eliminate(rows, ncols, p)
     pivot_set = set(pivots)
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     basis = []
-    zero, one = F.zero(), F.one()
-    for free in range(m.cols):
+    for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [zero] * m.cols
+        v = [zero] * ncols
         v[free] = one
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = F.neg(R.entry(prow, free))
+        for row, c in zip(rows, pivots):
+            x = row[free]
+            if x:
+                v[c] = -x % p if p else Fraction(-x, row[c])
         basis.append(tuple(v))
     return basis
 
@@ -568,20 +582,26 @@ def inverse(m: Matrix) -> Optional[Matrix]:
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """One exact solution X of a X = b, or None if inconsistent.
 
-    Free variables are set to zero, so the answer is deterministic.
+    Free variables are set to zero, so the answer is deterministic.  It
+    eliminates the int rows of [a | b] and reads x[c] off the b-block of the
+    row whose pivot is c: as it stands over F_p, where pivots are 1, and
+    divided by the pivot over Q.
     """
     if a.field != b.field:
         raise MixedFieldsError("solve over different fields")
     if a.rows != b.rows:
         raise SizeMismatchError("solve with mismatched row counts")
-    n, w = a.cols, a.cols + b.cols
-    R, _, pivots = rref(hstack([a, b]))
+    p, n = a.field.characteristic, a.cols
+    rows = _int_rows(hstack([a, b]))
+    pivots = _eliminate(rows, n + b.cols, p)
     # pivots ascend, so a pivot in the b-block shows up last: inconsistent
     if pivots and pivots[-1] >= n:
         return None
-    x = [(a.field.zero(),) * b.cols] * n
-    for prow, pcol in enumerate(pivots):
-        x[pcol] = R.entries[prow * w + n : (prow + 1) * w]
+    zero = a.field.zero()
+    x = [(zero,) * b.cols] * n
+    for row, c in zip(rows, pivots):
+        pv = row[c]
+        x[c] = row[n:] if p else [Fraction(y, pv) if y else zero for y in row[n:]]
     return Matrix(a.field, n, b.cols, tuple(y for row in x for y in row))
 
 

@@ -61,6 +61,13 @@ def test_golden_documents_reemit_byte_identical():
             "isom_f5_split_pair.golden.json",
             ["isom", str(GOLDEN / "f5_split_s.json"), str(GOLDEN / "f5_split_t.json")],
         ),
+        # Q, d = 1, pieces 21 + 11 + 1 at three points against its direct sum:
+        # every first candidate is singular, so the grid finds the
+        # certificate, whose entries have denominators 2 and 3
+        (
+            "isom_q_grid_pair.golden.json",
+            ["isom", str(GOLDEN / "q_grid_s.json"), str(GOLDEN / "q_grid_t.json")],
+        ),
     ],
 )
 def test_golden_outputs_byte_identical(golden, argv):

@@ -234,20 +234,28 @@ def test_grid_decides_f2_pair_with_equal_dimensions():
 
 def test_grid_is_scanned_in_full_within_budget(monkeypatch):
     # within budget "absent" rests on the whole grid: 4 first candidates,
-    # then all 2^3 points; the 1,024 seeded draws would ask 1,028 times.
-    # No isomorphic pair can tell the two apart: over F_2 with n <= 4 at
-    # least 1/16 of Hom(s, t) is invertible, so the draws would all miss
-    # with probability about (15/16)^1024.
-    calls = []
-    real = homs.inverse
+    # then all 2^3 points, each tested by the rank of its 3 x 3 integer
+    # rows; the 1,024 seeded draws would test 1,028.  None is invertible, so
+    # ``inverse`` is never asked.  No isomorphic pair can tell the two
+    # apart: over F_2 with n <= 4 at least 1/16 of Hom(s, t) is invertible,
+    # so the draws would all miss with probability about (15/16)^1024.
+    rank_tests, inverses = [], []
+    real_eliminate, real_inverse = homs._eliminate, homs.inverse
 
-    def counting(m):
-        calls.append(m)
-        return real(m)
+    def eliminating(rows, ncols, p):
+        if (len(rows), ncols) == (3, 3):  # not the 9-column End systems
+            rank_tests.append(rows)
+        return real_eliminate(rows, ncols, p)
 
-    monkeypatch.setattr(homs, "inverse", counting)
+    def inverting(m):
+        inverses.append(m)
+        return real_inverse(m)
+
+    monkeypatch.setattr(homs, "_eliminate", eliminating)
+    monkeypatch.setattr(homs, "inverse", inverting)
     assert is_isomorphic(F2_S, F2_T) is None
-    assert len(calls) == 12
+    assert len(rank_tests) == 12
+    assert inverses == []
     values = [F2.of(0), F2.of(1)]
     for dim in range(DEFAULT_CONFIG.grid_budget + 1):
         assert list(map(tuple, homs._search(F2, 3, dim, DEFAULT_CONFIG))) == list(
