@@ -162,10 +162,11 @@ def is_isomorphic(
     Unequal coordinate characteristic polynomials answer None at once.
     Otherwise one Hom(s, t) basis is computed, and the rank of each basis
     element and then of their sum is read on integer rows; the first
-    invertible one is inverted once and is the certificate.  Only when none is invertible are End(s) and End(t)
-    computed: dim Hom(s, t) = dim End(s) = dim End(t) holds for any
-    isomorphic pair, so unequal dimensions answer None.  Then the grid of
-    ``_search`` is scanned.  Beyond the configured grid dimension its
+    invertible one is inverted once and is the certificate.  Only when
+    none is invertible are End(s) and End(t) computed: dim Hom(s, t) =
+    dim End(s) = dim End(t) holds for any isomorphic pair, so unequal
+    dimensions answer None.  Then the grid of ``_search`` is scanned, each
+    point by the same rank test.  Beyond the configured grid dimension its
     seeded draws cannot prove absence, so GRID_BUDGET_EXCEEDED is raised
     instead; "absent" is only ever answered soundly.
     """

@@ -14,6 +14,7 @@ from commvar.errors import (
     GridBudgetExceededError,
     MixedFieldsError,
     NotPunctualError,
+    SingularGroupElementError,
 )
 from commvar.fields import GF, QQ
 from commvar.homs import aut_dim, hom_basis, hom_dim, is_isomorphic, min_generators
@@ -24,6 +25,7 @@ from commvar.modules import (
     direct_sum,
     empty_tuple,
     from_staircase,
+    group_element,
     staircase,
     tangent_space_dim,
     translate,
@@ -263,6 +265,16 @@ def test_grid_is_scanned_in_full_within_budget(monkeypatch):
         )
 
 
+@pytest.mark.parametrize("attr,value", [("inverse", lambda m: None), ("intertwines", lambda h, a, b: False)])
+def test_certificate_checks_raise_not_assert(monkeypatch, attr, value):
+    # a full-rank candidate that ``inverse`` calls singular, or one that
+    # fails the re-check, is a bug: it raises, also under python -O
+    monkeypatch.setattr(homs, attr, value)
+    s = validate([J2, Z2])
+    with pytest.raises(RuntimeError):
+        is_isomorphic(s, conjugate(s, random_group_element(QQ, 2, random.Random(39))))
+
+
 def test_grid_budget_exceeded_is_loud():
     # a grid budget of 1 forces the randomized fallback, which cannot
     # certify absence and must fail loudly instead
@@ -398,3 +410,120 @@ def test_dimensions_from_the_rank_equal_kernel_counts(field):
                     rows.append(row)
         system = Matrix(field, len(rows), d * n2, tuple(x for row in rows for x in row))
         assert tangent_space_dim(s) == len(kernel_basis(system)) == d * n2 - oracles.hand_rank(rows, p)
+
+
+# ---------------------------------------------------------------------------
+# the certificate against a hand search over the Hom basis
+
+
+def _pieces_at_points(field, d, shapes, points):
+    """A direct sum of staircase pieces (given by their cells), the first d
+    coordinates of each translated to its own point."""
+    out = None
+    for cells, point in zip(shapes, points):
+        piece = validate(list(from_staircase(staircase(cells), field).mats[:d]))
+        piece = translate(piece, [field.of(c) for c in point])
+        out = piece if out is None else direct_sum(out, piece)
+    return out
+
+
+def _mixed_denominator_conjugator(rng, n):
+    """An invertible rational matrix whose entries have denominators 3, 7
+    and 2^40."""
+    while True:
+        m = Matrix(QQ, n, n, tuple(
+            Fraction(rng.randint(-3, 3), rng.choice([1, 3, 7, 2**40])) for _ in range(n * n)
+        ))
+        try:
+            return group_element(m)
+        except SingularGroupElementError:
+            continue
+
+
+def _hand_certificate(hom, n):
+    """The first candidate, in the order of the first candidates (each basis
+    element, then their sum) and then of the lexicographic grid, whose
+    cofactor determinant is nonzero; each candidate is formed from the basis
+    in Fraction or residue arithmetic.  Returns (h, index) or (None, count)."""
+    p = oracles.char_of_field(hom.source.field)
+    basis = [oracles.rows_of(b) for b in hom.basis]
+    dim = len(basis)
+    units = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    firsts = units + ([[1] * dim] if dim > 1 else [])
+    values = range(p if p and p <= n else n + 1)
+    k = -1
+    for k, coeffs in enumerate(itertools.chain(firsts, itertools.product(values, repeat=dim))):
+        h = [[oracles.s_zero(p)] * n for _ in range(n)]
+        for c, b in zip(coeffs, basis):
+            h = [[oracles.s_add(x, oracles.s_mul(c, y, p), p) for x, y in zip(hr, br)]
+                 for hr, br in zip(h, b)]
+        if oracles.cofactor_det(h, p) != oracles.s_zero(p):
+            return h, k
+    return None, k + 1
+
+
+# (field, d, pieces, points): split modules, each paired with a conjugate in
+# both orders.  Two pieces at one point make every first candidate
+# singular, so the grid decides; pieces at distinct points are settled by a
+# basis element or the basis sum.
+ROW1, ROW2, ROW3, COL2 = [(0, 0)], [(0, 0), (1, 0)], [(0, 0), (1, 0), (2, 0)], [(0, 0), (0, 1)]
+CERTIFICATE_CASES = [
+    (QQ, 1, [ROW2, ROW1, ROW1], [(0,), (1,), (1,)]),
+    (QQ, 1, [ROW2, ROW1, ROW1], [(0,), (1,), (0,)]),
+    (QQ, 1, [ROW3, ROW2, ROW1], [(0,), (1,), (-2,)]),
+    (QQ, 2, [ROW2, COL2, ROW1], [(0, 0), (1, 2), (-1, 1)]),
+    (GF(5), 1, [ROW2, ROW1, ROW1], [(1,), (4,), (4,)]),
+    (GF(5), 1, [ROW2, ROW1], [(3,), (3,)]),
+    (GF(5), 2, [ROW2, COL2, ROW1], [(0, 0), (1, 3), (4, 1)]),
+    (F2, 1, [ROW2, ROW1, ROW1], [(0,), (1,), (1,)]),
+    (F2, 2, [ROW2, ROW1], [(0, 0), (1, 1)]),
+]
+
+
+def _certificate_pairs():
+    rng = random.Random(1818)
+    for field, d, shapes, points in CERTIFICATE_CASES:
+        s = _pieces_at_points(field, d, shapes, points)
+        if field.characteristic:
+            g = random_group_element(field, s.n, rng)
+            yield s, conjugate(s, g)
+            yield conjugate(s, g), s
+        else:
+            g, h = (_mixed_denominator_conjugator(rng, s.n) for _ in range(2))
+            yield s, conjugate(s, g)
+            yield conjugate(s, g), s
+            yield conjugate(s, g), conjugate(s, h)
+
+
+def test_certificate_is_the_first_candidate_with_nonzero_hand_determinant(monkeypatch):
+    inverses = []
+    real = homs.inverse
+
+    def inverting(m):
+        inverses.append(m)
+        return real(m)
+
+    monkeypatch.setattr(homs, "inverse", inverting)
+    decided_by = set()
+    for s, t in _certificate_pairs():
+        hom = hom_basis(s, t)
+        want, index = _hand_certificate(hom, s.n)
+        del inverses[:]
+        cert = is_isomorphic(s, t)
+        assert len(inverses) == 1
+        p = oracles.char_of_field(s.field)
+        assert oracles.rows_of(cert.matrix) == want
+        assert oracles.rows_of(cert.inv) == oracles.cramer_inverse(want, p)
+        by_grid = index >= hom.dim + (hom.dim > 1)
+        decided_by.add((p, by_grid))
+        if not p:
+            # the basis mixes denominators, and so do grid certificates
+            assert len({x.denominator for b in hom.basis for x in b.entries}) > 1
+            if by_grid:
+                assert any(x.denominator > 1 for x in cert.matrix.entries)
+    assert decided_by == {(p, by_grid) for p in (None, 5, 2) for by_grid in (True, False)}
+    # the absent F_2 pair: no candidate of the whole grid is invertible
+    hom = hom_basis(F2_S, F2_T)
+    assert _hand_certificate(hom, 3) == (None, 4 + 2**3)
+    del inverses[:]
+    assert is_isomorphic(F2_S, F2_T) is None and inverses == []

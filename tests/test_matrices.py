@@ -515,6 +515,19 @@ def _q_elimination_cases(rng):
         yield Matrix.from_rows(QQ, rows)
 
 
+def _hand_kernel(hr, hpiv, ncols, p):
+    """One kernel vector per free column, read off the textbook R: 1 at the
+    free column, -R[k][free] at pivot column k."""
+    want = []
+    for free in (j for j in range(ncols) if j not in hpiv):
+        v = [oracles.s_zero(p)] * ncols
+        v[free] = oracles.s_one(p)
+        for k, c in enumerate(hpiv):
+            v[c] = oracles.s_sub(oracles.s_zero(p), hr[k][free], p)
+        want.append(tuple(v))
+    return want
+
+
 def test_q_elimination_matches_textbook_gauss_jordan():
     rng = random.Random(1717)
     for mat in _q_elimination_cases(rng):
@@ -522,15 +535,7 @@ def test_q_elimination_matches_textbook_gauss_jordan():
         hr, hrk, hpiv = oracles.hand_rref(rows, None)
         _assert_rref_matches_hand(mat)
         assert rank(mat) == hrk
-        # one kernel vector per free column, read off the textbook R
-        want = []
-        for free in (j for j in range(mat.cols) if j not in hpiv):
-            v = [Fraction(0)] * mat.cols
-            v[free] = Fraction(1)
-            for k, c in enumerate(hpiv):
-                v[c] = -hr[k][free]
-            want.append(tuple(v))
-        assert kernel_basis(mat) == want
+        assert kernel_basis(mat) == _hand_kernel(hr, hpiv, mat.cols, None)
         # a right-hand side in the column space, and one that need not be
         x = Matrix.from_rows(QQ, [[_q_scalar(rng)] for _ in range(mat.cols)])
         for b in (mat * x, Matrix.from_rows(QQ, [[_q_scalar(rng)] for _ in range(mat.rows)])):
@@ -673,3 +678,55 @@ def test_char_poly_products_match_cofactor_oracle(field):
         got = list(f.coeffs) + [field.zero()] * (n + 1 - len(f.coeffs))
         assert got == oracles.hand_char_poly(oracles.rows_of(m), p)
         _assert_scalar_types(field, f.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# kernel vectors and solutions over F_p, read off the eliminated residue
+# rows, against textbook Gauss-Jordan
+
+
+def _fp_elimination_cases(rng, field):
+    """The kernel cases and square matrices, with some columns zeroed, then
+    0-row and zero matrices."""
+    squares = [[[rng.randrange(field.characteristic) for _ in range(n)] for _ in range(n)]
+               for n in (1, 2, 3, 4, 5) for _ in range(4)]
+    for rows in _kernel_cases(rng, field) + squares:
+        for j in rng.sample(range(len(rows[0])), rng.randint(0, len(rows[0]) // 3)):
+            for row in rows:
+                row[j] = 0
+        yield Matrix.from_rows(field, rows)
+    for k in (0, 1, 4):
+        yield Matrix(field, 0, k, ())
+        yield Matrix.zero(field, k + 1, k)
+
+
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_fp_kernel_and_solve_match_textbook_gauss_jordan(p):
+    field = GF(p)
+    rng = random.Random(1818 + p)
+    consistent = inconsistent = invertible = 0
+    for mat in _fp_elimination_cases(rng, field):
+        rows = oracles.rows_of(mat)
+        hr, _, hpiv = oracles.hand_rref(rows, p)
+        ker = kernel_basis(mat)
+        assert ker == _hand_kernel(hr, hpiv, mat.cols, p)
+        assert all(type(y) is int and 0 <= y < p for v in ker for y in v)
+        # a right-hand side in the column space, and one that need not be
+        x = Matrix(field, mat.cols, 2, tuple(rng.randrange(p) for _ in range(2 * mat.cols)))
+        for b in (mat * x, Matrix(field, mat.rows, 2, tuple(rng.randrange(p) for _ in range(2 * mat.rows)))):
+            got = solve(mat, b)
+            if not mat.rows:  # no equations: the zero solution
+                assert got == Matrix.zero(field, mat.cols, 2)
+                continue
+            expect = oracles.hand_solve(rows, oracles.rows_of(b), p)
+            assert (None if got is None else oracles.rows_of(got)) == expect
+            consistent += got is not None
+            inconsistent += got is None
+        if mat.rows == mat.cols:
+            got = inverse(mat)
+            expect = oracles.hand_solve(rows, oracles.mat_identity(mat.rows, p), p)
+            assert (None if got is None else oracles.rows_of(got)) == expect
+            invertible += got is not None
+    assert consistent and inconsistent and invertible
+    empty = Matrix(field, 0, 0, ())
+    assert inverse(empty) == empty
