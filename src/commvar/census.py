@@ -39,8 +39,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ArityMismatchError, BudgetExceededError, NonprimeQError, NotSplitError
-from .fields import GF, Field, int_to_decimal, is_prime
-from .matrices import Matrix, _dot_products, block_diag, intertwining_system, inverse, kernel_basis
+from .fields import GF, Field, is_prime
+from .matrices import Matrix, _dot_products, _intertwining_system, _kernel, block_diag, inverse
 from .modules import CommutingTuple, check_relations, companion
 from .cycles import cycle, stratum
 from .polynomials import MultiPoly, UniPoly
@@ -48,15 +48,20 @@ from .polynomials import MultiPoly, UniPoly
 
 def gl_order(n: int, q: int) -> int:
     """|GL_n(F_q)| = prod_{i=0}^{n-1} (q^n - q^i); 1 for n = 0."""
-    if not is_prime(q):
-        raise NonprimeQError(f"{q} is not prime", q=q)
-    if n < 0:
-        raise ValueError("negative size")
+    _check_field_and_size(n, q)
     out = 1
     qn = q**n
     for i in range(n):
         out *= qn - q**i
     return out
+
+
+def _check_field_and_size(n: int, q: int) -> None:
+    """Refuse a nonprime q, then a negative n."""
+    if not is_prime(q):
+        raise NonprimeQError(f"{q} is not prime", q=q)
+    if n < 0:
+        raise ValueError("negative size")
 
 
 @dataclass(frozen=True)
@@ -200,8 +205,8 @@ def _class_matrices(n: int, q: int) -> list[tuple[Matrix, int]]:
 
 def _centralizer_basis(prefix: Sequence[Matrix], fieldobj, n: int) -> list[Matrix]:
     """Basis of {X : A X = X A for all A in prefix}."""
-    system = intertwining_system(prefix, prefix)
-    return [Matrix(fieldobj, n, n, tuple(v)) for v in kernel_basis(system)]
+    vectors = _kernel(_intertwining_system(prefix, prefix), n * n, fieldobj.characteristic)
+    return [Matrix(fieldobj, n, n, v) for v in vectors]
 
 
 def _span_elements(basis: Sequence[Matrix], fieldobj, n: int) -> list[Matrix]:
@@ -218,16 +223,18 @@ def _span_elements(basis: Sequence[Matrix], fieldobj, n: int) -> list[Matrix]:
 
 
 def _check_request(n: int, d: int, q: int, config: RunConfig) -> int:
-    """|GL_n(F_q)|, after refusing a nonprime q, a negative n, d < 1 and a
-    nominal size q^(d n^2) over the budget."""
-    glo = gl_order(n, q)
+    """|GL_n(F_q)|, computed only after refusing, in this order, a nonprime
+    q, a negative n, d < 1 and a nominal size q^(d n^2) over the budget.
+    Since q >= 2, an exponent d n^2 of at least the budget's bit length is
+    refused without computing the power."""
+    _check_field_and_size(n, q)
     if d < 1:
         raise ArityMismatchError("census needs d >= 1")
-    size, budget = q ** (d * n * n), config.census_budget
-    if size > budget:
-        raise BudgetExceededError(f"nominal enumeration size {int_to_decimal(size)} exceeds "
-                                  f"budget {budget}", size=size, budget=budget)
-    return glo
+    exponent, budget = d * n * n, config.census_budget
+    if exponent >= budget.bit_length() or q**exponent > budget:
+        raise BudgetExceededError(f"nominal enumeration size {q}^{exponent} exceeds budget {budget}",
+                                  q=q, exponent=exponent, budget=budget)
+    return gl_order(n, q)
 
 
 def _chains(

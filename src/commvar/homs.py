@@ -41,7 +41,7 @@ from .matrices import (
     Matrix,
     _clear_denominators,
     _eliminate,
-    _intertwining_blocks,
+    _intertwining_system,
     _kernel,
     char_poly,
     hstack,
@@ -73,25 +73,20 @@ def _compatible(s: CommutingTuple, t: CommutingTuple) -> None:
 def hom_basis(s: CommutingTuple, t: CommutingTuple) -> HomSpace:
     """Basis of {h : h A_i^s = A_i^t h for all i}, an (t.n x s.n)-matrix space.
 
-    Deterministic: vectors come from the kernel of the stacked intertwining
-    system in row-major coordinates, read off its integer rows.
+    Deterministic: vectors are the kernel ``_kernel`` reads off the int
+    rows of ``_intertwining_system``, in row-major coordinates.
     """
     _compatible(s, t)
-    vectors = _kernel(_hom_rows(s, t), t.n * s.n, s.field.characteristic)
+    vectors = _kernel(_intertwining_system(s.mats, t.mats), t.n * s.n, s.field.characteristic)
     return HomSpace(s, t, tuple(Matrix(s.field, t.n, s.n, v) for v in vectors))
 
 
 def hom_dim(s: CommutingTuple, t: CommutingTuple) -> int:
-    """dim Hom(s, t): the t.n * s.n unknowns less the rank of the
-    intertwining system, built and eliminated on integer rows."""
+    """dim Hom(s, t): the t.n * s.n unknowns less the rank of the int rows
+    of ``_intertwining_system``."""
     _compatible(s, t)
-    return t.n * s.n - len(_eliminate(_hom_rows(s, t), t.n * s.n, s.field.characteristic))
-
-
-def _hom_rows(s: CommutingTuple, t: CommutingTuple) -> list[list[int]]:
-    """The intertwining system of Hom(s, t) as int rows, each coordinate
-    pair's block scaled by its own common denominator."""
-    return [row for _, block in _intertwining_blocks(s.mats, t.mats) for row in block]
+    pivots = _eliminate(_intertwining_system(s.mats, t.mats), t.n * s.n, s.field.characteristic)
+    return t.n * s.n - len(pivots)
 
 
 def aut_dim(t: CommutingTuple) -> int:

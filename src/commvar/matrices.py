@@ -20,13 +20,15 @@ elimination, or, when only the answer is wanted, of the rank.
 
 Over Q, ``Fraction``s are made only where an answer holds them: ``rref``
 divides its integer rows by their pivots once at the end, ``kernel_basis``
-and ``solve`` divide only the entries they read (``rref`` is the only code
-that builds R), and ``rank`` reads the pivots of the integer rows.  The
-intertwining systems (Hom spaces, and tangent spaces in ``modules``) are
-built as integer rows by ``_intertwining_rows``, each coordinate pair
-scaled by one common denominator; Hom and tangent dimensions read the rank
-of those rows, and Hom bases the kernel ``_kernel`` reads off them.
-``intertwining_system`` is their field view.
+and ``solve`` divide only the entries they read, and ``rank`` reads the
+pivots of the integer rows.  ``rref`` is the only code that builds R, and
+no library code calls it: it is public API only.  The intertwining system
+h -> (h A_i - B_i h)_i (Hom spaces and centralizers) is built in one place,
+``_intertwining_system``, as integer rows, each coordinate pair scaled by
+its own common denominator; the tangent spaces in ``modules`` are built on
+the same per-pair rows, ``_intertwining_rows``.  Hom and tangent
+dimensions read the rank of those rows, and Hom and centralizer bases the
+kernel ``_kernel`` reads off them.
 ``intertwines`` checks h a = b h on the cleared integer matrices.
 
 Products have one kernel, ``_dot_products``, behind ``Matrix.__mul__`` and
@@ -328,42 +330,22 @@ def columns_matrix(field: Field, n: int, cols: Sequence[Sequence[Scalar]]) -> Ma
     )
 
 
-def intertwining_system(sources: Sequence[Matrix], targets: Sequence[Matrix]) -> Matrix:
-    """Coefficient matrix of the linear map h -> (h A_i - B_i h)_i, where
+def _intertwining_system(sources: Sequence[Matrix], targets: Sequence[Matrix]) -> list[list[int]]:
+    """The linear map h -> (h A_i - B_i h)_i as int rows, where
     A_i = sources[i] is ns x ns, B_i = targets[i] is nt x nt and h is nt x ns.
 
     Unknowns are row-major: h_ab is column a*ns + b.  Rows are (i, r, c) in
     lexicographic order, one per entry (r, c) of h A_i - B_i h; the
-    coefficient of h_ab there is [a = r] A_i[b, c] - B_i[r, a] [b = c].
-    Its kernel is Hom(A, B).  This is the field view of
-    ``_intertwining_blocks``.
+    coefficient of h_ab there is [a = r] A_i[b, c] - B_i[r, a] [b = c],
+    times the lcm of the denominators of A_i and B_i over Q (residues over
+    F_p).  Its kernel is Hom(A, B).
     """
-    blocks = _intertwining_blocks(sources, targets)
-    F = sources[0].field
-    zero = F.zero()
-    out: list[Scalar] = []
-    for d, rows in blocks:
-        for row in rows:
-            out.extend(row if F.characteristic else (Fraction(x, d) if x else zero for x in row))
-    width = sources[0].rows * targets[0].rows
-    return Matrix(F, len(out) // width if width else 0, width, tuple(out))
-
-
-def _intertwining_blocks(
-    sources: Sequence[Matrix], targets: Sequence[Matrix]
-) -> list[tuple[int, list[list[int]]]]:
-    """The intertwining system on ints, one block per coordinate pair: d, a
-    common denominator of A_i and B_i (1 over F_p), and the block's rows
-    times d."""
     if not sources or len(sources) != len(targets):
         raise ArityMismatchError(
             f"need matching nonempty tuples, got {len(sources)} and {len(targets)}"
         )
-    blocks = []
-    for a, b in zip(sources, targets):
-        d = _common_denominator(a, b)
-        blocks.append((d, _intertwining_rows(a, b, d)))
-    return blocks
+    return [row for a, b in zip(sources, targets)
+            for row in _intertwining_rows(a, b, _common_denominator(a, b))]
 
 
 def _common_denominator(*mats: Matrix) -> int:
@@ -374,7 +356,8 @@ def _common_denominator(*mats: Matrix) -> int:
 
 
 def _intertwining_rows(a: Matrix, b: Matrix, d: int) -> list[list[int]]:
-    """The rows of ``intertwining_system([a], [b])`` times d, as ints.
+    """One pair's rows of ``_intertwining_system``, those of h -> h a - b h,
+    times d, as ints.
 
     Over Q, d is a multiple of every denominator of a and b; over F_p it is
     +-1 and the rows are residues.  Entries are written directly; no matrix

@@ -4,7 +4,9 @@ A frame of r vectors corresponds to a map k^r -> M; the framed module is a
 quotient-scheme point exactly when the frame generates M under the
 coordinate action.  Both questions run on one Krylov basis: the span of the
 frame under A_1..A_d, built level by level, each basis vector recorded with
-the word that makes it.  The frame generates when the basis has n vectors.
+the word that makes it.  Each level reads its new vectors off the pivots of
+one elimination of int rows, which builds no reduced row echelon matrix.
+The frame generates when the basis has n vectors.
 Two framed points are equal when the same words on the other frame give an
 invertible K_t and h = K_t K_s^-1 intertwines and matches frame to frame;
 any frame-matching intertwiner sends each word to the same word, so h is the
@@ -23,7 +25,9 @@ from .errors import (
     WrongFrameCountError,
 )
 from .fields import Scalar
-from .matrices import Matrix, _dot_products, columns_matrix, intertwines, inverse, rank, rref
+from .matrices import (
+    Matrix, _dot_products, _eliminate, _int_rows, columns_matrix, intertwines, inverse, rank,
+)
 from .modules import CommutingTuple, GroupElement
 
 
@@ -57,8 +61,9 @@ def _krylov(f: FramedModule) -> tuple[list[tuple[Scalar, ...]], list[Word]]:
 
     Level 0 offers the frame vectors, level l + 1 offers A_i times the
     vectors level l added, vector-major, with one product per coordinate.
-    One ``rref`` of [basis | offers] per level: the pivot columns past the
-    basis are the new vectors.  The span is closed once a level adds nothing.
+    One elimination of the int rows of [basis | offers] per level: the
+    pivot columns past the basis are the new vectors.  The span is closed
+    once a level adds nothing.
     """
     t = f.module
     p = t.field.characteristic
@@ -68,7 +73,7 @@ def _krylov(f: FramedModule) -> tuple[list[tuple[Scalar, ...]], list[Word]]:
     while offers and len(basis) < t.n:
         b = len(basis)
         cols = basis + [v for _, _, v in offers]
-        for c in rref(columns_matrix(t.field, t.n, cols))[2][b:]:
+        for c in _eliminate(_int_rows(columns_matrix(t.field, t.n, cols)), len(cols), p)[b:]:
             i, k, v = offers[c - b]
             basis.append(v)
             words.append((i, k))

@@ -68,6 +68,13 @@ def test_golden_documents_reemit_byte_identical():
             "isom_q_grid_pair.golden.json",
             ["isom", str(GOLDEN / "q_grid_s.json"), str(GOLDEN / "q_grid_t.json")],
         ),
+        # Q, d = 2, an L-shaped piece and a column at two points, framed by
+        # two generating vectors, against the pair moved by a conjugator
+        # with denominators 2 and 3: the certificate is that conjugator
+        (
+            "quot_equal_q_pair.golden.json",
+            ["quot-equal", str(GOLDEN / "q_quot_s.json"), str(GOLDEN / "q_quot_t.json")],
+        ),
     ],
 )
 def test_golden_outputs_byte_identical(golden, argv):
@@ -708,10 +715,31 @@ def test_long_config_number_is_refused(tmp_path):
 
 
 def test_long_nominal_census_size_is_refused():
-    # q^(d n^2) = 2^20000 has 6,021 digits
+    # q^(d n^2) = 2^20000 would have 6,021 digits: the refusal names q and
+    # the exponent instead of writing the size out
     code, rep = run_json("census", "--n", "100", "--d", "2", "--q", "2")
     assert (code, rep["error"]) == (1, "BUDGET_EXCEEDED")
-    assert int_from_decimal(rep["detail"]["size"]) == 2**20000
+    assert {k: rep["detail"][k] for k in ("q", "exponent", "budget")} == {
+        "q": 2, "exponent": 20000, "budget": 2**32,
+    }
+
+
+@pytest.mark.parametrize("command", ["census", "orbit-census"])
+def test_huge_census_request_is_refused_at_once(command):
+    # q^(d n^2) = 2^(10^10) is refused from its exponent alone, before
+    # |GL_n(F_q)| or the power is computed.  A thread keeps a regression
+    # from hanging the suite.
+    result = []
+    worker = threading.Thread(
+        target=lambda: result.append(run_json(command, "--n", "100000", "--d", "1", "--q", "2")),
+        daemon=True,
+    )
+    worker.start()
+    worker.join(timeout=1.0)
+    assert not worker.is_alive()
+    code, rep = result[0]
+    assert (code, rep["error"]) == (1, "BUDGET_EXCEEDED")
+    assert rep["detail"]["exponent"] == 10**10
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from commvar.errors import (
 from commvar.fields import GF, QQ
 from commvar.matrices import (
     Matrix,
+    _intertwining_system,
     block_diag,
     char_poly,
     commutator,
@@ -20,7 +22,6 @@ from commvar.matrices import (
     eval_multipoly,
     hstack,
     intertwines,
-    intertwining_system,
     inverse,
     kernel_basis,
     rank,
@@ -372,24 +373,37 @@ def rand_commuting(rng, field, n, d):
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(2)], ids=["Q", "F5", "F2"])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_intertwining_system_applies_h_a_minus_b_h(field, d):
+    # the int rows of pair i applied to vec(h) are den_i (h A_i - B_i h), den_i
+    # the lcm of the denominators of A_i and B_i; on each unit matrix h = E_ab
+    # that pins every column of the block, and on a random h the whole map
     rng = random.Random(100 * d + field.characteristic)
+    p = field.characteristic
     for ns, nt in [(2, 3), (3, 2), (1, 4), (3, 3)]:
         sources = rand_commuting(rng, field, ns, d)
         targets = rand_commuting(rng, field, nt, d)
-        h = (rand_fmat(rng, field.characteristic, nt, ns) if field.characteristic
-             else rand_qmat(rng, nt, ns))
-        system = intertwining_system(sources, targets)
-        assert (system.rows, system.cols) == (d * nt * ns, nt * ns)
-        expected = tuple(x for a, b in zip(sources, targets) for x in (h * a - b * h).entries)
-        assert system.mat_vec(h.entries) == expected
+        system = _intertwining_system(sources, targets)
+        assert len(system) == d * nt * ns
+        assert all(len(row) == nt * ns and all(type(x) is int for x in row) for row in system)
+        if p:
+            assert all(0 <= x < p for row in system for x in row)
+        units = [Matrix(field, nt, ns, tuple(field.of(int(j == e)) for j in range(nt * ns)))
+                 for e in range(nt * ns)]
+        h = rand_fmat(rng, p, nt, ns) if p else rand_qmat(rng, nt, ns)
+        for i, (a, b) in enumerate(zip(sources, targets)):
+            den = 1 if p else math.lcm(*(x.denominator for x in a.entries + b.entries))
+            block = system[i * nt * ns : (i + 1) * nt * ns]
+            for g in units + [h]:
+                got = tuple(sum(x * y for x, y in zip(row, g.entries)) for row in block)
+                want = (g * a - b * g).scale(field.of(den)).entries
+                assert tuple(field.of(x) if p else x for x in got) == want
 
 
 def test_intertwining_system_guards():
     a = qmat([[1, 2], [3, 4]])
     with pytest.raises(ArityMismatchError):
-        intertwining_system([a], [a, a])
+        _intertwining_system([a], [a, a])
     with pytest.raises(ArityMismatchError):
-        intertwining_system([], [])
+        _intertwining_system([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +483,9 @@ def test_rref_kernels_on_intertwining_systems(field):
     for ns, nt, d in [(2, 3, 1), (3, 3, 2), (3, 2, 3), (4, 3, 2)]:
         sources = rand_commuting(rng, field, ns, d)
         targets = rand_commuting(rng, field, nt, d)
-        _assert_rref_matches_hand(intertwining_system(sources, targets))
+        _assert_rref_matches_hand(Matrix.from_rows(field, _intertwining_system(sources, targets)))
         # the centralizer system has a kernel containing the identity
-        _assert_rref_matches_hand(intertwining_system(sources, sources))
+        _assert_rref_matches_hand(Matrix.from_rows(field, _intertwining_system(sources, sources)))
 
 
 # ---------------------------------------------------------------------------

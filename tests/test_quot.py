@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from commvar.errors import (
     SizeMismatchError,
     WrongFrameCountError,
 )
+from commvar import matrices, quot
 from commvar.fields import GF, QQ
 from commvar.matrices import Matrix
 from commvar.modules import (
@@ -202,6 +204,46 @@ def test_quot_equal_transported_recovers_group_element():
         assert h is not None
         # frames generate, so the certificate is unique and equals g0
         assert h.matrix == g0.matrix
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_krylov_levels_eliminate_int_rows_and_build_no_r(monkeypatch, field):
+    # each Krylov level is one elimination of int rows; ``rref``, which
+    # divides the whole matrix into its reduced row echelon form R, is never
+    # called.  Calls are counted by wrapping every binding of ``rref`` in the
+    # package and quot's binding of ``_eliminate``.
+    rref_calls, levels = [], []
+    real_rref, real_eliminate = matrices.rref, quot._eliminate
+
+    def counting_rref(m):
+        rref_calls.append(m)
+        return real_rref(m)
+
+    def eliminating(rows, ncols, p):
+        levels.append(ncols)
+        return real_eliminate(rows, ncols, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "commvar" and getattr(module, "rref", None) is real_rref:
+            monkeypatch.setattr(module, "rref", counting_rref)
+    monkeypatch.setattr(quot, "_eliminate", eliminating)
+    j3 = Matrix.from_rows(field, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    e2, e3 = (field.of(0), field.of(1), field.of(0)), (field.of(0), field.of(0), field.of(1))
+    g0 = random_group_element(field, 3, random.Random(41))
+    # (module, frame, Krylov levels): e3, e2, e1 on J3; e3, then e2 and e1
+    # together on (J3, J3^2); e2, e1, then a level that adds nothing
+    cases = [([j3], e3, 3), ([j3, j3 * j3], e3, 2), ([j3], e2, 3)]
+    for mats, v, count in cases:
+        f = FramedModule(validate(mats), (v,))
+        levels.clear()
+        assert is_generating(f) == (v == e3)
+        assert len(levels) == count
+        if v == e3:
+            moved = FramedModule(conjugate(f.module, g0), (g0.matrix.mat_vec(v),))
+            levels.clear()
+            assert quot_equal(f, moved).matrix == g0.matrix
+            assert len(levels) == count
+    assert rref_calls == []
 
 
 def test_quot_equal_absent_when_no_automorphism_matches():
