@@ -5,9 +5,10 @@ Deciding isomorphism with certificates
 Two tuples are isomorphic exactly when some invertible matrix
 intertwines every coordinate simultaneously.  The decision procedure is
 deterministic: compute the intertwiner space and try each basis element,
-then their sum.  When none is invertible, answer "absent" if dim Hom(s, t),
-dim End(s) and dim End(t) differ (an isomorphism would make them equal),
-and otherwise scan a fixed grid of coefficient vectors for an invertible
+their sum, and then the first dim Hom(s, t) vectors of a fixed grid of
+coefficient vectors.  When none is invertible, answer "absent" if
+dim Hom(s, t), dim End(s) and dim End(t) differ (an isomorphism would make
+them equal), and otherwise scan the rest of the grid for an invertible
 combination.  A certificate is returned and can be re-verified
 independently; "absent" is only ever reported from the characteristic
 polynomials, from the dimensions or after the full grid came up empty.
@@ -57,8 +58,8 @@ print("certificate intertwines all coordinates")
 # the dimension check: (J3, 0) and (J3, J3^2) share size, characteristic
 # polynomials and support cycle, and no element of the 2-dimensional Hom
 # between them is invertible; each has a 3-dimensional endomorphism
-# algebra, so the dimensions answer "absent" before the grid and even a
-# grid budget of 1 does
+# algebra, so the dimensions answer "absent" after the first two grid
+# vectors and even a grid budget of 1 does
 J3 = Matrix(QQ, 3, 3, tuple(Fraction(x) for x in (0, 1, 0, 0, 0, 1, 0, 0, 0)))
 Z3 = Matrix.zero(QQ, 3, 3)
 s = validate([J3, Z3])

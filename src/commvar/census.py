@@ -40,7 +40,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ArityMismatchError, BudgetExceededError, NonprimeQError, NotSplitError
 from .fields import GF, Field, is_prime
-from .matrices import Matrix, _dot_products, _intertwining_system, _kernel, block_diag, inverse
+from .matrices import Matrix, _dot_products, _eliminate, _intertwining_system, _kernel, block_diag, inverse
 from .modules import CommutingTuple, check_relations, companion
 from .cycles import cycle, stratum
 from .polynomials import MultiPoly, UniPoly
@@ -288,7 +288,8 @@ def _count(
     coordinates at d = 2, q^(dim Z(A) - (n - rank A)) nilpotent ones; the
     (d - 1)-census when A is scalar, since c I commutes with everything;
     otherwise the chains through Z(A), the last coordinate counted as
-    q^dim Z(prefix) (walked for nilpotent tuples).
+    q^dim Z(prefix), n^2 less the rank of the prefix's intertwining system
+    (walked for nilpotent tuples).
     """
     rest = _count(n, d - 1, q, nilpotent, classes) if d > 2 else 0
     total = 0
@@ -305,7 +306,7 @@ def _count(
         elif nilpotent:
             leaves = sum(1 for _ in _chains([c.representative()], d, _nilpotent))
         else:
-            leaves = sum(q ** len(_centralizer_basis(chain, c.field, n))
+            leaves = sum(q ** (n * n - len(_eliminate(_intertwining_system(chain, chain), n * n, q)))
                          for chain in _chains([c.representative()], d - 1))
         total += c.weight * leaves
     return total

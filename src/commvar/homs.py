@@ -8,17 +8,18 @@ their rank and build no basis.  A candidate isomorphism is an integer
 combination of the Hom basis cleared over one common denominator, and it is
 tested by the rank of its integer rows: a singular candidate costs no
 ``Fraction`` and no ``inverse``, and only the first invertible one is
-divided back and inverted.  The first candidates, each element of a Hom
-basis and their sum, settle most isomorphic pairs with one Hom basis.  When
-none is invertible, dim Hom(s, t) = dim End(s) = dim End(t), which any
-isomorphism forces, is checked, and unequal dimensions answer "absent".
-Otherwise existence is decided by the rank of combinations of the basis on
-a finite grid of coefficient vectors: det of the combination is a
-polynomial of degree n in the coefficients, one that vanishes on a grid
-with n+1 values per axis is identically zero, and over F_p with p <= n the
-full cartesian power of the field is used instead, which enumerates the
-whole space.  The search never answers "absent" beyond its budget; it
-raises GRID_BUDGET_EXCEEDED.
+divided back and inverted.  All candidates come in one stream over one
+cleared Hom basis: first each element of the basis and their sum, then the
+first dim(Hom) points of the search.  These settle most isomorphic pairs, so
+only after they all fail is dim Hom(s, t) = dim End(s) = dim End(t), which
+any isomorphism forces, checked; unequal dimensions answer "absent".
+Otherwise the search goes on.  It decides existence by the rank of
+combinations of the basis on a finite grid of coefficient vectors: det of
+the combination is a polynomial of degree n in the coefficients, one that
+vanishes on a grid with n+1 values per axis is identically zero, and over
+F_p with p <= n the full cartesian power of the field is used instead,
+which enumerates the whole space.  The search never answers "absent" beyond
+its budget; it raises GRID_BUDGET_EXCEEDED.
 """
 from __future__ import annotations
 
@@ -149,48 +150,57 @@ def _certify(hom: HomSpace, candidates: Iterable[Sequence[int]]) -> Optional[Gro
     return None
 
 
+def _candidates(
+    s: CommutingTuple, t: CommutingTuple, dim: int, config: RunConfig
+) -> Iterator[Sequence[int]]:
+    """The coefficient vectors ``is_isomorphic`` tests, in order: the first
+    candidates, then the first dim points of ``_search``; then, only if
+    dim Hom(s, t) = dim End(s) = dim End(t) (else the stream ends), the rest
+    of the search, and GRID_BUDGET_EXCEEDED once its seeded draws run out."""
+    yield from _first_candidates(dim)
+    points = _search(s.field, s.n, dim, config)
+    yield from itertools.islice(points, dim)
+    if not dim == aut_dim(s) == aut_dim(t):
+        return
+    yield from points
+    if dim > config.grid_budget:
+        raise GridBudgetExceededError(
+            f"Hom dimension {dim} exceeds grid budget {config.grid_budget} "
+            "and randomized trials found no invertible element",
+            hom_dim=dim,
+            grid_budget=config.grid_budget,
+            trials=1024,
+        )
+
+
 def is_isomorphic(
     s: CommutingTuple, t: CommutingTuple, config: RunConfig = DEFAULT_CONFIG
 ) -> Optional[GroupElement]:
     """An invertible intertwiner g (conjugate(s, g) == t), or None.
 
     Unequal coordinate characteristic polynomials answer None at once.
-    Otherwise one Hom(s, t) basis is computed, and the rank of each basis
-    element and then of their sum is read on integer rows; the first
-    invertible one is inverted once and is the certificate.  Only when
-    none is invertible are End(s) and End(t) computed: dim Hom(s, t) =
-    dim End(s) = dim End(t) holds for any isomorphic pair, so unequal
-    dimensions answer None.  Then the grid of ``_search`` is scanned, each
-    point by the same rank test.  Beyond the configured grid dimension its
-    seeded draws cannot prove absence, so GRID_BUDGET_EXCEEDED is raised
-    instead; "absent" is only ever answered soundly.
+    Otherwise one Hom(s, t) basis is computed and the candidates of
+    ``_candidates`` are tested on it in turn, each by the rank of its integer
+    rows; the first invertible one is inverted once and is the certificate.
+    Each basis element, their sum and the first dim(Hom) search points come
+    first.  Only when none of them is invertible are End(s) and End(t)
+    computed: dim Hom(s, t) = dim End(s) = dim End(t) holds for any
+    isomorphic pair, so unequal dimensions answer None.  Then the rest of
+    the grid of ``_search`` is scanned.  Beyond the configured grid
+    dimension its seeded draws cannot prove absence, so GRID_BUDGET_EXCEEDED
+    is raised instead; "absent" is only ever answered soundly.
     """
     _compatible(s, t)
     if s.n != t.n:
         return None
-    F = s.field
     if s.n == 0:
-        e = Matrix.zero(F, 0, 0)
+        e = Matrix.zero(s.field, 0, 0)
         return GroupElement(e, e)
     for a, b in zip(s.mats, t.mats):
         if char_poly(a) != char_poly(b):
             return None
     hom = hom_basis(s, t)
-    g = _certify(hom, _first_candidates(hom.dim))
-    if g is not None:
-        return g
-    if not hom.dim == aut_dim(s) == aut_dim(t):
-        return None
-    g = _certify(hom, _search(F, s.n, hom.dim, config))
-    if g is not None or hom.dim <= config.grid_budget:
-        return g
-    raise GridBudgetExceededError(
-        f"Hom dimension {hom.dim} exceeds grid budget {config.grid_budget} "
-        "and randomized trials found no invertible element",
-        hom_dim=hom.dim,
-        grid_budget=config.grid_budget,
-        trials=1024,
-    )
+    return _certify(hom, _candidates(s, t, hom.dim, config))
 
 
 def min_generators(t: CommutingTuple) -> int:

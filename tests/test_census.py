@@ -305,10 +305,10 @@ def test_census_scalar_prefixes_match_leaf_walk(n, d, q):
     (2, 2, 5, False, 0), (4, 2, 2, True, 0), (2, 3, 3, False, 100)])
 def test_census_counts_from_class_data(monkeypatch, n, d, q, per_stratum, most):
     # pairs read dim Z(A) off the partitions; at d = 3 only the non-scalar
-    # classes eliminate (90 kernels at (2,3,3), 336 when every class walks).
-    # Every kernel, kernel_basis included, runs matrices._kernel, so each
-    # binding of it in the package is counted.
-    real = matrices._kernel
+    # classes eliminate (90 eliminations at (2,3,3), 336 when every class
+    # walks).  Every elimination, each kernel and rank included, runs
+    # matrices._eliminate, so each binding of it in the package is counted.
+    real = matrices._eliminate
     calls = []
 
     def counting(*args):
@@ -316,10 +316,10 @@ def test_census_counts_from_class_data(monkeypatch, n, d, q, per_stratum, most):
         return real(*args)
 
     bound = [module for name, module in list(sys.modules.items())
-             if name.partition(".")[0] == "commvar" and getattr(module, "_kernel", None) is real]
+             if name.partition(".")[0] == "commvar" and getattr(module, "_eliminate", None) is real]
     assert census in bound and matrices in bound
     for module in bound:
-        monkeypatch.setattr(module, "_kernel", counting)
+        monkeypatch.setattr(module, "_eliminate", counting)
     enumerate_census(CensusRequest(n=n, d=d, q=q, per_stratum=per_stratum))
     assert len(calls) <= most
     if most:

@@ -140,8 +140,8 @@ def test_is_isomorphic_empty_modules():
 def test_is_isomorphic_same_cycle_different_modules():
     # (J3, 0) vs (J3, J3^2): same size, same coordinate char polys,
     # same support cycle, same aut_dim, yet not isomorphic: hom dim 2
-    # against End dim 3 decides it, before the grid, so even a grid
-    # budget of 1 answers "absent"
+    # against End dim 3 decides it after the first 2 search points, so
+    # even a grid budget of 1 answers "absent"
     s = validate([J3, Z3])
     t = validate([J3, J3 * J3])
     assert hom_basis(s, t).dim == 2
@@ -167,8 +167,8 @@ def test_is_isomorphic_different_cycles_same_char_polys():
 
 
 def test_first_candidate_needs_one_hom_basis(monkeypatch):
-    # an isomorphic pair settled by a basis element or the basis sum never
-    # computes End(s) or End(t)
+    # an isomorphic pair settled by a basis element or the basis sum computes
+    # one Hom basis, and neither End(s) nor End(t)
     calls = []
     real = homs.hom_basis
 
@@ -208,15 +208,65 @@ def test_is_isomorphic_against_orbit_census(n, d, q):
         assert verified(s, conjugate(s, random_group_element(s.field, n, rng)))
 
 
-def test_dimension_check_decides_cube_of_maximal_ideal_against_its_dual():
+def test_dimension_check_decides_cube_of_maximal_ideal_against_its_dual(monkeypatch):
     # k[x,y]/(x,y)^3 (n = 6) against its transpose dual: End dims 6 and 6,
-    # hom dim 9, so the modules differ; the grid would exceed its budget
+    # hom dim 9, so the modules differ; the grid would exceed its budget.
+    # The 9 basis elements, their sum and the first 9 grid points are tested
+    # by their rank first, and only then is End(cube) computed, once: it
+    # already differs from the hom dim, so End(dual) is never computed.
     cube = from_staircase(staircase([(i, j) for i in range(3) for j in range(3 - i)]), QQ)
     dual = validate([a.transpose() for a in cube.mats])
     assert (aut_dim(cube), aut_dim(dual), hom_basis(cube, dual).dim) == (6, 6, 9)
+    events = []
+    real_eliminate, real_aut_dim = homs._eliminate, homs.aut_dim
+
+    def eliminating(rows, ncols, p):
+        if (len(rows), ncols) == (6, 6):
+            events.append("rank")
+        return real_eliminate(rows, ncols, p)
+
+    def counting(t):
+        events.append("aut_dim")
+        return real_aut_dim(t)
+
+    monkeypatch.setattr(homs, "_eliminate", eliminating)
+    monkeypatch.setattr(homs, "aut_dim", counting)
     t0 = time.monotonic()
     assert is_isomorphic(cube, dual) is None
     assert time.monotonic() - t0 < 1.0
+    assert events == ["rank"] * (10 + 9) + ["aut_dim"]
+
+
+def _scalar_piece_pair():
+    # F_5, d = 1: J3 at 0, J2 + J1 at 1 and the scalar 3 x 3 piece at 2, so
+    # Hom dim 17 > grid budget 8 and, as p = 5 <= n = 9, the seeded draws
+    # are residues; against a seeded conjugate
+    s = _pieces_at_points(GF(5), 1, [ROW3, [(0, 0), (1, 0), (0, 1)], COL3], [(0,), (1,), (2,)])
+    return s, conjugate(s, random_group_element(s.field, s.n, random.Random(2020)))
+
+
+def test_pairs_certified_by_the_first_draws_compute_no_end(monkeypatch):
+    # every first candidate is singular, and a seeded draw among the first
+    # dim Hom ones is invertible: End(s) and End(t) are never computed
+    z4 = validate([Matrix.zero(QQ, 4, 4)])
+    pairs = [(z4, conjugate(z4, random_group_element(QQ, 4, random.Random(34)))), _scalar_piece_pair()]
+    calls = []
+    real = homs.aut_dim
+
+    def counting(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(homs, "aut_dim", counting)
+    for s, t in pairs:
+        hom = hom_basis(s, t)
+        assert hom.dim > DEFAULT_CONFIG.grid_budget
+        assert homs._certify(hom, homs._first_candidates(hom.dim)) is None
+        cert = is_isomorphic(s, t)
+        assert cert is not None
+        for a, b in zip(s.mats, t.mats):
+            assert cert.matrix * a == b * cert.matrix
+    assert calls == []
 
 
 # Over F_2: dim Hom(s, t) = dim End(s) = dim End(t) = 3 but dim Hom(t, s) = 4,
@@ -466,6 +516,7 @@ def _hand_certificate(hom, n):
 # singular, so the grid decides; pieces at distinct points are settled by a
 # basis element or the basis sum.
 ROW1, ROW2, ROW3, COL2 = [(0, 0)], [(0, 0), (1, 0)], [(0, 0), (1, 0), (2, 0)], [(0, 0), (0, 1)]
+COL3 = [(0, 0), (0, 1), (0, 2)]
 CERTIFICATE_CASES = [
     (QQ, 1, [ROW2, ROW1, ROW1], [(0,), (1,), (1,)]),
     (QQ, 1, [ROW2, ROW1, ROW1], [(0,), (1,), (0,)]),
