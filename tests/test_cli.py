@@ -61,14 +61,6 @@ def test_golden_documents_reemit_byte_identical():
             "isom_f5_split_pair.golden.json",
             ["isom", str(GOLDEN / "f5_split_s.json"), str(GOLDEN / "f5_split_t.json")],
         ),
-        # F_5, d = 1, pieces 3 + 21 + 111 at 0, 1 and 2 against a seeded
-        # conjugate: Hom dim 17 is over the grid budget and every first
-        # candidate is singular, so the seeded residue draws find the
-        # certificate before End(s) or End(t) is computed
-        (
-            "isom_f5_draw_pair.golden.json",
-            ["isom", str(GOLDEN / "f5_draw_s.json"), str(GOLDEN / "f5_draw_t.json")],
-        ),
         # Q, d = 1, pieces 21 + 11 + 1 at three points against its direct sum:
         # every first candidate is singular, so the grid finds the
         # certificate, whose entries have denominators 2 and 3
@@ -82,6 +74,14 @@ def test_golden_documents_reemit_byte_identical():
         (
             "quot_equal_q_pair.golden.json",
             ["quot-equal", str(GOLDEN / "q_quot_s.json"), str(GOLDEN / "q_quot_t.json")],
+        ),
+        # F_5, d = 1, pieces 3 + 21 + 111 at 0, 1 and 2 against a seeded
+        # conjugate: Hom dim 17 is over the grid budget and every first
+        # candidate is singular, so the seeded residue draws find the
+        # certificate before End(s) or End(t) is computed
+        (
+            "isom_f5_draw_pair.golden.json",
+            ["isom", str(GOLDEN / "f5_draw_s.json"), str(GOLDEN / "f5_draw_t.json")],
         ),
     ],
 )
