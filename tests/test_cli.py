@@ -83,6 +83,18 @@ def test_golden_documents_reemit_byte_identical():
             "isom_f5_draw_pair.golden.json",
             ["isom", str(GOLDEN / "f5_draw_s.json"), str(GOLDEN / "f5_draw_t.json")],
         ),
+        # localize pins the local blocks and the shared change of basis:
+        # Q, d = 2, points (0,0) x 3 and (1,2) x 2
+        ("localize_q_quot_s.golden.json", ["localize", str(GOLDEN / "q_quot_s.json")]),
+        # F_5, three points
+        ("localize_f5_split_s.golden.json", ["localize", str(GOLDEN / "f5_split_s.json")]),
+        # Q, d = 1, three points
+        ("localize_q_grid_s.golden.json", ["localize", str(GOLDEN / "q_grid_s.json")]),
+        # F_2, three points no linear form separates
+        (
+            "localize_f2_three_points.golden.json",
+            ["localize", str(GOLDEN / "f2_three_points.json")],
+        ),
     ],
 )
 def test_golden_outputs_byte_identical(golden, argv):
