@@ -6,7 +6,8 @@ Two tuples are isomorphic exactly when some invertible matrix
 intertwines every coordinate simultaneously.  The decision procedure is
 deterministic: compute the intertwiner space and try each basis element,
 their sum, and then the first dim Hom(s, t) vectors of a fixed grid of
-coefficient vectors.  When none is invertible, answer "absent" if
+coefficient vectors, skipping zero and multiples of one basis element,
+which were tried already.  When none is invertible, answer "absent" if
 dim Hom(s, t), dim End(s) and dim End(t) differ (an isomorphism would make
 them equal), and otherwise scan the rest of the grid for an invertible
 combination.  A certificate is returned and can be re-verified

@@ -6,14 +6,18 @@ eigenspace.  Points must be rational over the base field: a tuple whose
 support lives in an extension raises NOT_SPLIT rather than answering
 approximately.
 
-Algorithm: refine one coordinate at a time.  Split the space by the roots
-of char_poly(A_1) into generalized eigenspaces; then restrict A_2 to each
-piece and split it by the roots of the restriction, and so on.  Commuting
-maps preserve each other's primary components, so this needs no
-separating linear form and works over every field, however small.  Each
-coordinate of a point is read off as a root of a characteristic
-polynomial.  (Never as trace/dim, which lies over F_p when p divides the
-block size.)
+Algorithm: refine one coordinate at a time, each piece in its own
+coordinates.  A piece holds the d coordinates as blocks in its own basis;
+pass i splits it by the roots of char_poly of its block B_i into
+generalized eigenspaces, on which the other blocks are read off rows of a
+product, with no system solved.  Commuting maps preserve each other's
+primary components, so this needs no separating linear form and works over
+every field, however small.  Each coordinate of a point is read off as a
+root of a characteristic polynomial.  (Never as trace/dim, which lies over
+F_p when p divides the block size.)  ``localize`` composes its change of
+basis from one inverse per split, at the piece's size.  Two checks raise
+RuntimeError, also under python -O: an eigenspace whose dimension is not
+its root's multiplicity, and eigenspaces that do not span their piece.
 """
 from __future__ import annotations
 
@@ -31,7 +35,6 @@ from .matrices import (
     hstack,
     inverse,
     kernel_basis,
-    solve,
 )
 from .modules import CommutingTuple, GroupElement, validate
 from .polynomials import MultiPoly, roots_with_multiplicity
@@ -91,34 +94,33 @@ class LocalSummand:
     change_of_basis: GroupElement
 
 
-Part = tuple  # (point so far, basis columns of its piece in the ambient space)
+Piece = tuple  # (point so far, size, blocks, cols, rows): see _split
 
 
-def _restrict(a: Matrix, basis: Matrix) -> Matrix:
-    """a on the a-invariant span of basis's columns: the unique X with
-    basis * X = a * basis."""
-    if basis.cols == a.rows:
-        # pieces only shrink when split, so a whole-space piece has basis I
-        return a
-    x = solve(basis, a * basis)
-    if x is None:
-        raise RuntimeError("joint eigenspace not invariant")
-    return x
+def _split(t: CommutingTuple, frame: bool) -> list[Piece]:
+    """The joint generalized eigenspaces, sorted by point, as pieces
+    (point, size, blocks, cols, rows); blocks are the d coordinates on the
+    piece in its own basis.
 
-
-def _support(t: CommutingTuple) -> list[Part]:
-    """Joint generalized eigenspace decomposition over the base field:
-    (point, basis columns) per support point, sorted by point.  Pass i
-    splits every piece by the roots of A_i restricted to it, appending the
-    root to the piece's point.  Raises NOT_SPLIT as soon as a characteristic
+    Pass i splits a piece whose block B_i has several roots into V_lam =
+    ker (B_i - lam)^mult.  A kernel vector is 1 at its own free column and 0
+    at the others, so the restriction of B_j to V_lam (the X with B_j V_lam
+    = V_lam X) is the rows of B_j V_lam at those columns.  Without frame
+    only the blocks later passes read are restricted, and cols and rows are
+    None.  With frame all are, cols is the piece's basis in the ambient
+    space and rows the matching rows of its inverse: a split inverts
+    [V_lam ...], and lam's rows W_lam of that inverse give W_lam · rows as
+    V_lam gives cols · V_lam.  Raises NOT_SPLIT as soon as a characteristic
     polynomial in sight has an unsplit factor (sound: split support makes
-    every one of them split)."""
+    every one of them split).
+    """
     F = t.field
-    parts: list[Part] = [((), Matrix.identity(F, t.n))] if t.n else []
-    for a in t.mats:
+    eye = Matrix.identity(F, t.n) if frame else None
+    pieces: list[Piece] = [((), t.n, t.mats, eye, eye)] if t.n else []
+    for i in range(t.d):
         refined = []
-        for point, basis in parts:
-            block = _restrict(a, basis)
+        for point, k, blocks, cols, rows in pieces:
+            block = blocks[i]
             roots, cofactor = roots_with_multiplicity(char_poly(block))
             if cofactor.degree >= 1:
                 raise NotSplitError(
@@ -126,23 +128,48 @@ def _support(t: CommutingTuple) -> list[Part]:
                     degrees=[cofactor.degree],
                 )
             if len(roots) == 1:
-                refined.append((point + (roots[0][0],), basis))
+                refined.append((point + (roots[0][0],), k, blocks, cols, rows))
                 continue
-            eye = Matrix.identity(F, block.rows)
+            spaces = []
             for lam, mult in roots:
-                vecs = kernel_basis((block - eye.scale(lam)).power(mult))
+                shifted = list(block.entries)  # block - lam I
+                for r in range(0, k * k, k + 1):
+                    shifted[r] = F.sub(shifted[r], lam)
+                vecs = kernel_basis(Matrix(F, k, k, tuple(shifted)).power(mult))
                 if len(vecs) != mult:
                     raise RuntimeError("generalized eigenspace of wrong dimension")
-                refined.append((point + (lam,), basis * columns_matrix(F, block.rows, vecs)))
-        parts = refined
-    parts.sort(key=lambda part: part[0])
-    return parts
+                # a free column is the last nonzero entry of its vector
+                free = [max(j for j, x in enumerate(v) if x) for v in vecs]
+                spaces.append((lam, columns_matrix(F, k, vecs), free))
+            if frame:
+                inv = inverse(hstack([v_lam for _, v_lam, _ in spaces]))
+                if inv is None:
+                    raise RuntimeError("eigenspace bases do not span")
+            start = 0
+            for lam, v_lam, free in spaces:
+                m = len(free)
+                sub = [
+                    Matrix(F, m, k, tuple(x for r in free for x in b.row(r))) * v_lam
+                    if frame or j > i else None
+                    for j, b in enumerate(blocks)
+                ]
+                if not frame:
+                    v_lam = w_lam = None
+                else:
+                    w_lam = Matrix(F, m, k, inv.entries[start * k : (start + m) * k])
+                    if k < t.n:  # pieces only shrink, so only the whole space has cols = I
+                        v_lam, w_lam = cols * v_lam, w_lam * rows
+                refined.append((point + (lam,), m, sub, v_lam, w_lam))
+                start += m
+        pieces = refined
+    pieces.sort(key=lambda piece: piece[0])
+    return pieces
 
 
 def cycle(t: CommutingTuple) -> Cycle:
     """The support cycle: each rational support point with the dimension
     of its joint generalized eigenspace.  Total equals n."""
-    return Cycle.make(t.field, t.d, [(point, basis.cols) for point, basis in _support(t)])
+    return Cycle.make(t.field, t.d, [(point, k) for point, k, *_ in _split(t, frame=False)])
 
 
 def stratum(c: Cycle) -> tuple[int, ...]:
@@ -166,20 +193,17 @@ def localize(t: CommutingTuple) -> list[LocalSummand]:
     Returns one summand per support point, sorted by point; the shared
     change of basis g satisfies: conjugate(t, g) is block diagonal with
     exactly these blocks in order.  Each block, translated by -point, is
-    punctual; the direct sum of the blocks is isomorphic to t.
+    punctual; the direct sum of the blocks is isomorphic to t.  The blocks
+    are those ``_split`` holds; g^-1 = P has the pieces' ambient bases as
+    columns, and g stacks the matching rows of P^-1.
     """
-    parts = _support(t)
-    if not parts:
+    pieces = _split(t, frame=True)
+    if not pieces:
         return []
-    basis_all = hstack([basis for _, basis in parts])
-    p_inv = inverse(basis_all)
-    if p_inv is None:
-        raise RuntimeError("eigenspace bases do not span")
-    g = GroupElement(p_inv, basis_all)
-    return [
-        LocalSummand(point, validate([_restrict(a, basis) for a in t.mats]), g)
-        for point, basis in parts
-    ]
+    p = hstack([cols for *_, cols, _ in pieces])
+    p_inv = Matrix(t.field, t.n, t.n, tuple(x for *_, rows in pieces for x in rows.entries))
+    g = GroupElement(p_inv, p)
+    return [LocalSummand(point, validate(blocks), g) for point, _, blocks, _, _ in pieces]
 
 
 def det_pushforward(f: MultiPoly, t: CommutingTuple) -> Scalar:

@@ -10,10 +10,11 @@ tested by the rank of its integer rows: a singular candidate costs no
 ``Fraction`` and no ``inverse``, and only the first invertible one is
 divided back and inverted.  All candidates come in one stream over one
 cleared Hom basis: first each element of the basis and their sum, then the
-first dim(Hom) points of the search.  These settle most isomorphic pairs, so
-only after they all fail is dim Hom(s, t) = dim End(s) = dim End(t), which
-any isomorphism forces, checked; unequal dimensions answer "absent".
-Otherwise the search goes on.  It decides existence by the rank of
+first dim(Hom) points of the search, which skips the points with at most
+one nonzero coefficient (zero, or a multiple of a basis element already
+tried).  These settle most isomorphic pairs, so only after they all fail
+is dim Hom(s, t) = dim End(s) = dim End(t), which any isomorphism forces,
+checked; unequal dimensions answer "absent".  Otherwise the search goes on.  It decides existence by the rank of
 combinations of the basis on a finite grid of coefficient vectors: det of
 the combination is a polynomial of degree n in the coefficients, one that
 vanishes on a grid with n+1 values per axis is identically zero, and over
@@ -156,9 +157,13 @@ def _candidates(
     """The coefficient vectors ``is_isomorphic`` tests, in order: the first
     candidates, then the first dim points of ``_search``; then, only if
     dim Hom(s, t) = dim End(s) = dim End(t) (else the stream ends), the rest
-    of the search, and GRID_BUDGET_EXCEEDED once its seeded draws run out."""
+    of the search, and GRID_BUDGET_EXCEEDED once its seeded draws run out.
+
+    Search points with at most one nonzero coefficient are skipped: the zero
+    vector, and multiples c·e_i of a basis element, which the first
+    candidates already found singular (c is a unit)."""
     yield from _first_candidates(dim)
-    points = _search(s.field, s.n, dim, config)
+    points = (c for c in _search(s.field, s.n, dim, config) if len(c) - c.count(0) > 1)
     yield from itertools.islice(points, dim)
     if not dim == aut_dim(s) == aut_dim(t):
         return
@@ -182,8 +187,8 @@ def is_isomorphic(
     Otherwise one Hom(s, t) basis is computed and the candidates of
     ``_candidates`` are tested on it in turn, each by the rank of its integer
     rows; the first invertible one is inverted once and is the certificate.
-    Each basis element, their sum and the first dim(Hom) search points come
-    first.  Only when none of them is invertible are End(s) and End(t)
+    Each basis element, their sum and the first dim(Hom) search points with
+    two or more nonzero coefficients come first.  Only when none of them is invertible are End(s) and End(t)
     computed: dim Hom(s, t) = dim End(s) = dim End(t) holds for any
     isomorphic pair, so unequal dimensions answer None.  Then the rest of
     the grid of ``_search`` is scanned.  Beyond the configured grid

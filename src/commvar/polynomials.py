@@ -2,18 +2,20 @@
 
 UniPoly stores ascending coefficients with a nonzero leading coefficient
 (the zero polynomial is the empty tuple).  Root extraction is complete over
-the base field: divisor enumeration on the primitive integer form over Q,
-exhaustive evaluation over F_p.  Nothing here factors into irreducibles;
-whatever has no base-field root is returned untouched as the cofactor.
+the base field and runs on int coefficient lists, making scalars only for
+the answer: over Q each a/b of the rational root test on the primitive
+integer form, over F_p every residue, is tested and divided out by one
+synthetic division by b·t - a, exact over Z or mod p.  Nothing here factors
+into irreducibles; whatever has no base-field root is returned as the
+cofactor.
 """
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ArityMismatchError, MixedFieldsError, ParseError, ZeroPolyError
 from .fields import Field, Scalar, int_from_decimal, int_to_decimal
@@ -155,21 +157,43 @@ def _divisors(m: int) -> list[int]:
     return sorted(divs)
 
 
-def _rational_root_candidates(f: UniPoly) -> list[Fraction]:
-    """Candidate roots of the primitive integer form, by the rational root test."""
-    den = lcm(*(c.denominator for c in f.coeffs))
-    ints = [int(c * den) for c in f.coeffs]
-    content = 0
-    for v in ints:
-        content = gcd(content, abs(v))
-    ints = [v // content for v in ints]
-    a0, an = abs(ints[0]), abs(ints[-1])
-    cands = set()
-    for p, q in itertools.product(_divisors(a0), _divisors(an)):
-        r = Fraction(p, q)
-        cands.add(r)
-        cands.add(-r)
-    return sorted(cands)
+def _candidates(c: list[int], p: int) -> Iterator[tuple[int, int]]:
+    """Roots a/b to try on int coefficients c with c[0] != 0: every
+    nonzero residue (b = 1) over F_p; over Q the root of a linear c, read
+    off, else +-a/b in lowest terms with a | c[0] and b | c[-1] (b > 0)."""
+    if p:
+        yield from ((a, 1) for a in range(1, p))
+    elif len(c) == 2:
+        # read the root off, without factoring its coefficients
+        a, b = -c[0], c[1]
+        yield (-a, -b) if b < 0 else (a, b)
+    else:
+        for a in _divisors(abs(c[0])):
+            for b in _divisors(abs(c[-1])):
+                if gcd(a, b) == 1:
+                    yield a, b
+                    yield -a, b
+
+
+def _divide_linear(c: list[int], a: int, b: int, p: int) -> Optional[list[int]]:
+    """c / (b·t - a) by synthetic division, q[k-1] = (c[k] + a q[k]) / b,
+    exact over Z or mod p (b = 1); None at the first remainder."""
+    q = []
+    acc = 0
+    for x in reversed(c[1:]):
+        acc = x + a * acc
+        if p:
+            acc %= p
+        elif b != 1:
+            acc, r = divmod(acc, b)
+            if r:
+                return None
+        q.append(acc)
+    r = c[0] + a * acc
+    if (r % p if p else r):
+        return None
+    q.reverse()
+    return q
 
 
 def roots_with_multiplicity(f: UniPoly) -> tuple[list[tuple[Scalar, int]], UniPoly]:
@@ -178,39 +202,43 @@ def roots_with_multiplicity(f: UniPoly) -> tuple[list[tuple[Scalar, int]], UniPo
     Returns (roots, cofactor) with roots sorted ascending and
     prod (t - root)^mult * cofactor == f exactly.  The cofactor has no root
     in the base field; it is not factored further.
+
+    It runs on int lists: residues over F_p, and over Q the primitive
+    integer form c, with f = (num/den)·c.  Low zero coefficients give the
+    root 0; each candidate a/b is divided out as often as b·t - a divides
+    c, and each division multiplies num by b.
     """
     if f.is_zero:
         raise ZeroPolyError("roots of the zero polynomial are undefined")
     F = f.field
-    g = f
-    found: list[tuple[Scalar, int]] = []
-
-    def strip(root: Scalar) -> None:
-        nonlocal g
-        m = 0
-        while g.degree >= 1 and g.eval(root) == F.zero():
-            g = g.deflate(root)
-            m += 1
-        if m:
-            found.append((root, m))
-
-    if F.characteristic:
-        for r in range(F.characteristic):
-            if g.degree < 1:
-                break
-            strip(r)
+    p = F.characteristic
+    if p:
+        c, num, den = list(f.coeffs), 1, 1
     else:
-        strip(Fraction(0))
-        if g.degree == 1:
-            # read the root off, without factoring its coefficients
-            strip(-g.coeffs[0] / g.coeffs[1])
-        elif g.degree > 1:
-            for r in _rational_root_candidates(g):
-                if g.degree < 1:
-                    break
-                strip(r)
-    found.sort(key=lambda rm: rm[0])
-    return found, g
+        den = lcm(*(x.denominator for x in f.coeffs))
+        c = [x.numerator * (den // x.denominator) for x in f.coeffs]
+        num = gcd(*c)
+        c = [x // num for x in c]
+    zeros = 0
+    while not c[zeros]:
+        zeros += 1
+    found = [((0, 1), zeros)] if zeros else []
+    c = c[zeros:]
+    for a, b in _candidates(c, p):
+        if len(c) == 1:
+            break
+        if not p and (c[0] % a or c[-1] % b):
+            continue  # a root a/b of c has a | c[0] and b | c[-1]
+        m = 0
+        while len(c) > 1 and (q := _divide_linear(c, a, b, p)) is not None:
+            c, m = q, m + 1
+        if m:
+            found.append(((a, b), m))
+            num *= b**m
+    if p:
+        return sorted((a, m) for (a, _), m in found), UniPoly.make(F, c)
+    roots = sorted((Fraction(a, b), m) for (a, b), m in found)
+    return roots, UniPoly.make(F, [Fraction(x * num, den) for x in c])
 
 
 @dataclass(frozen=True)

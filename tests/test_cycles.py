@@ -1,11 +1,13 @@
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from commvar import cycles, matrices
 from commvar.cycles import (
     Cycle,
     cycle,
@@ -294,6 +296,57 @@ def test_localize_round_trip():
         for s in summands:
             neg = [QQ.neg(x) for x in s.point]
             assert is_punctual(translate(s.local_module, neg))
+
+
+def count_calls(monkeypatch, name):
+    """The argument tuples of every call of matrices.<name>, through each
+    binding of it in the package."""
+    real = getattr(matrices, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for key, module in list(sys.modules.items()):
+        if key.partition(".")[0] == "commvar" and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_cycle_and_localize_call_no_solve(monkeypatch):
+    # every piece carries its coordinates in its own basis, so no coordinate
+    # is restricted by ``solve``: cycle solves nothing, and localize only
+    # inverts [V_lam ...], once per piece that splits and at its size
+    solves = count_calls(monkeypatch, "solve")
+    inverses = count_calls(monkeypatch, "inverse")
+    f2 = GF(2)
+    q_pair = [qmat([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]]),
+              qmat([[3, 0, 0, 0], [0, 5, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]])]
+    f2_pair = [Matrix.diagonal(f2, [0, 1, 0]), Matrix.diagonal(f2, [0, 0, 1])]
+    for mats, sizes in ((q_pair, [4, 3]), (f2_pair, [3, 2])):
+        t = validate(mats)
+        cycle(t)
+        assert solves == inverses == []
+        localize(t)
+        assert [m.rows for m, in inverses] == sizes
+        # each solve is an inverse's, against the identity
+        assert [b.rows for _, b in solves] == sizes
+        solves.clear()
+        inverses.clear()
+
+
+def test_support_split_checks_raise_not_assert(monkeypatch):
+    # an eigenspace of the wrong dimension, or eigenspaces that do not span
+    # their piece, is a bug: it raises, also under python -O
+    t = companion(qpoly(2, -3, 1))
+    monkeypatch.setattr(cycles, "inverse", lambda m: None)
+    cycle(t)  # cycle inverts nothing
+    with pytest.raises(RuntimeError, match="do not span"):
+        localize(t)
+    monkeypatch.setattr(cycles, "kernel_basis", lambda m: [])
+    with pytest.raises(RuntimeError, match="wrong dimension"):
+        cycle(t)
 
 
 def test_localize_empty_module():

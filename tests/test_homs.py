@@ -285,12 +285,15 @@ def test_grid_decides_f2_pair_with_equal_dimensions():
 
 
 def test_grid_is_scanned_in_full_within_budget(monkeypatch):
-    # within budget "absent" rests on the whole grid: 4 first candidates,
-    # then all 2^3 points, each tested by the rank of its 3 x 3 integer
-    # rows; the 1,024 seeded draws would test 1,028.  None is invertible, so
-    # ``inverse`` is never asked.  No isomorphic pair can tell the two
-    # apart: over F_2 with n <= 4 at least 1/16 of Hom(s, t) is invertible,
-    # so the draws would all miss with probability about (15/16)^1024.
+    # within budget "absent" rests on the whole grid: the 4 first
+    # candidates, then the 4 of the 2^3 points with two or more nonzero
+    # coefficients (the zero vector and the basis vectors are skipped, as
+    # the first candidates cover them), each tested by the rank of its 3 x 3
+    # integer rows: 8 rank tests.  The 1,024 seeded draws would test some
+    # 500 points instead.  None is invertible, so ``inverse`` is never asked.  No
+    # isomorphic pair can tell the two apart: over F_2 with n <= 4 at least
+    # 1/16 of Hom(s, t) is invertible, so the draws would all miss with
+    # probability about (15/16)^1024.
     rank_tests, inverses = [], []
     real_eliminate, real_inverse = homs._eliminate, homs.inverse
 
@@ -306,7 +309,7 @@ def test_grid_is_scanned_in_full_within_budget(monkeypatch):
     monkeypatch.setattr(homs, "_eliminate", eliminating)
     monkeypatch.setattr(homs, "inverse", inverting)
     assert is_isomorphic(F2_S, F2_T) is None
-    assert len(rank_tests) == 12
+    assert len(rank_tests) == 8
     assert inverses == []
     values = [F2.of(0), F2.of(1)]
     for dim in range(DEFAULT_CONFIG.grid_budget + 1):

@@ -133,6 +133,42 @@ def test_roots_product_identity_seeded():
                 assert croots == []
 
 
+def test_roots_of_scaled_products_seeded():
+    # f = c · prod (b·t - a)^m · g with g rootless: over Q with fractional c
+    # and b > 1, and over F_7.  Each root is checked by ``UniPoly.eval`` and
+    # ``deflate``, and the cofactor is f / prod (t - a/b)^m, which is
+    # c · prod b^m · g, coefficient by coefficient, leading one included.
+    rng = random.Random(12)
+    for field, rootless in ((QQ, qpoly(2, 0, 3)), (GF(7), UniPoly.make(GF(7), [1, 0, 1]))):
+        p = field.characteristic
+        for _ in range(40):
+            c = field.of(Fraction(rng.choice([-5, -2, 1, 3, 7]), rng.randint(2, 6))) if not p \
+                else rng.randrange(1, p)
+            f, scale, want = UniPoly.make(field, [c]), c, {}
+            for _ in range(rng.randint(1, 4)):
+                b = rng.randint(2, 4) if not p else rng.randrange(1, p)
+                a = rng.randint(-6, 6) if not p else rng.randrange(p)
+                root = Fraction(a, b) if not p else a * pow(b, -1, p) % p
+                f = f * UniPoly.make(field, [field.neg(field.of(a)), field.of(b)])
+                scale = field.mul(scale, field.of(b))
+                want[root] = want.get(root, 0) + 1
+            if rng.random() < 0.5:
+                f = f * rootless
+                cofactor = rootless.scale(scale)
+            else:
+                cofactor = UniPoly.make(field, [scale])
+            roots, cof = roots_with_multiplicity(f)
+            assert roots == sorted(want.items())
+            assert cof.coeffs == cofactor.coeffs
+            rest = f
+            for r, m in roots:
+                for _ in range(m):
+                    assert rest.eval(r) == field.zero()
+                    rest = rest.deflate(r)
+                assert rest.eval(r) != field.zero()
+            assert rest.coeffs == cof.coeffs
+
+
 def test_roots_eval_consistency_over_f5():
     rng = random.Random(3)
     F5 = GF(5)
