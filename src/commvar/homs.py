@@ -14,13 +14,14 @@ first dim(Hom) points of the search, which skips the points with at most
 one nonzero coefficient (zero, or a multiple of a basis element already
 tried).  These settle most isomorphic pairs, so only after they all fail
 is dim Hom(s, t) = dim End(s) = dim End(t), which any isomorphism forces,
-checked; unequal dimensions answer "absent".  Otherwise the search goes on.  It decides existence by the rank of
-combinations of the basis on a finite grid of coefficient vectors: det of
-the combination is a polynomial of degree n in the coefficients, one that
-vanishes on a grid with n+1 values per axis is identically zero, and over
-F_p with p <= n the full cartesian power of the field is used instead,
-which enumerates the whole space.  The search never answers "absent" beyond
-its budget; it raises GRID_BUDGET_EXCEEDED.
+checked; unequal dimensions answer "absent".  Otherwise the search goes
+on.  It decides existence by the rank of combinations of the basis on a
+finite grid of coefficient vectors: det of the combination is a polynomial
+of degree n in the coefficients, one that vanishes on a grid with n+1
+values per axis is identically zero, and over F_p with p <= n the full
+cartesian power of the field is used instead, which enumerates the whole
+space.  The search never answers "absent" beyond its budget; it raises
+GRID_BUDGET_EXCEEDED.
 """
 from __future__ import annotations
 
@@ -188,12 +189,13 @@ def is_isomorphic(
     ``_candidates`` are tested on it in turn, each by the rank of its integer
     rows; the first invertible one is inverted once and is the certificate.
     Each basis element, their sum and the first dim(Hom) search points with
-    two or more nonzero coefficients come first.  Only when none of them is invertible are End(s) and End(t)
-    computed: dim Hom(s, t) = dim End(s) = dim End(t) holds for any
-    isomorphic pair, so unequal dimensions answer None.  Then the rest of
-    the grid of ``_search`` is scanned.  Beyond the configured grid
-    dimension its seeded draws cannot prove absence, so GRID_BUDGET_EXCEEDED
-    is raised instead; "absent" is only ever answered soundly.
+    two or more nonzero coefficients come first.  Only when none of them is
+    invertible are End(s) and End(t) computed: dim Hom(s, t) = dim End(s) =
+    dim End(t) holds for any isomorphic pair, so unequal dimensions answer
+    None.  Then the rest of the grid of ``_search`` is scanned.  Beyond the
+    configured grid dimension its seeded draws cannot prove absence, so
+    GRID_BUDGET_EXCEEDED is raised instead; "absent" is only ever answered
+    soundly.
     """
     _compatible(s, t)
     if s.n != t.n:

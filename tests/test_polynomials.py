@@ -142,13 +142,18 @@ def test_roots_of_scaled_products_seeded():
     for field, rootless in ((QQ, qpoly(2, 0, 3)), (GF(7), UniPoly.make(GF(7), [1, 0, 1]))):
         p = field.characteristic
         for _ in range(40):
-            c = field.of(Fraction(rng.choice([-5, -2, 1, 3, 7]), rng.randint(2, 6))) if not p \
-                else rng.randrange(1, p)
+            if p:
+                c = rng.randrange(1, p)
+            else:
+                c = Fraction(rng.choice([-5, -2, 1, 3, 7]), rng.randint(2, 6))
             f, scale, want = UniPoly.make(field, [c]), c, {}
             for _ in range(rng.randint(1, 4)):
-                b = rng.randint(2, 4) if not p else rng.randrange(1, p)
-                a = rng.randint(-6, 6) if not p else rng.randrange(p)
-                root = Fraction(a, b) if not p else a * pow(b, -1, p) % p
+                if p:
+                    a, b = rng.randrange(p), rng.randrange(1, p)
+                    root = a * pow(b, -1, p) % p
+                else:
+                    a, b = rng.randint(-6, 6), rng.randint(2, 4)
+                    root = Fraction(a, b)
                 f = f * UniPoly.make(field, [field.neg(field.of(a)), field.of(b)])
                 scale = field.mul(scale, field.of(b))
                 want[root] = want.get(root, 0) + 1
