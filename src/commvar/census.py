@@ -40,7 +40,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ArityMismatchError, BudgetExceededError, NonprimeQError, NotSplitError
 from .fields import GF, Field, is_prime
-from .matrices import Matrix, _dot_products, _eliminate, _intertwining_system, _kernel, block_diag, inverse
+from .matrices import Matrix, _intertwining_system, _kernel, block_diag, inverse
 from .modules import CommutingTuple, check_relations, companion
 from .cycles import cycle, stratum
 from .polynomials import MultiPoly, UniPoly
@@ -205,7 +205,7 @@ def _class_matrices(n: int, q: int) -> list[tuple[Matrix, int]]:
 
 def _centralizer_basis(prefix: Sequence[Matrix], fieldobj, n: int) -> list[Matrix]:
     """Basis of {X : A X = X A for all A in prefix}."""
-    vectors = _kernel(_intertwining_system(prefix, prefix), n * n, fieldobj.characteristic)
+    vectors = _kernel(_intertwining_system(prefix, prefix), n * n, fieldobj)
     return [Matrix(fieldobj, n, n, v) for v in vectors]
 
 
@@ -292,6 +292,7 @@ def _count(
     (walked for nilpotent tuples).
     """
     rest = _count(n, d - 1, q, nilpotent, classes) if d > 2 else 0
+    F = GF(q)
     total = 0
     for c in classes(n, q):
         if nilpotent and not c.nilpotent:
@@ -306,7 +307,7 @@ def _count(
         elif nilpotent:
             leaves = sum(1 for _ in _chains([c.representative()], d, _nilpotent))
         else:
-            leaves = sum(q ** (n * n - len(_eliminate(_intertwining_system(chain, chain), n * n, q)))
+            leaves = sum(q ** (n * n - len(F.eliminate(_intertwining_system(chain, chain), n * n)))
                          for chain in _chains([c.representative()], d - 1))
         total += c.weight * leaves
     return total
@@ -406,7 +407,7 @@ def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> 
 
     @cache
     def conjugates(a: tuple[int, ...]) -> list[tuple[int, ...]]:
-        out = _dot_products(q, [a], stacked)
+        out = F.dots([a], stacked)
         cuts = (tuple(out[g * size:(g + 1) * size]) for g in range(glo))
         return [interned.setdefault(c, c) for c in cuts]
 

@@ -5,13 +5,22 @@ over Q (always in lowest terms, positive denominator) and ``int`` residues
 in [0, p) over F_p.  Field objects supply the arithmetic and the canonical
 string syntax ("-3/2" or "4" over Q, a decimal residue over F_p).  Floating
 point never appears.
+
+Each field also owns the integer kernels that linear algebra runs on:
+``clear`` turns scalars into ints over a common denominator (the residues
+themselves over F_p, denominators cleared over Q), ``lift`` turns an int
+over a denominator back into a scalar, ``products`` and ``dots`` multiply,
+and ``eliminate`` runs Gauss-Jordan on int rows.  Callers pass the field
+and never read its characteristic to choose the arithmetic.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Union
+from math import gcd, lcm
+from operator import attrgetter, mul
+from typing import Optional, Sequence, Union
 
 from .errors import BudgetExceededError, NonprimeQError, ParseError
 
@@ -22,6 +31,7 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 # comma-separated lists of the same numerals, without spaces
 _RATS_RE = re.compile(r"[+-]?\d+(?:/\d+)?(?:,[+-]?\d+(?:/\d+)?)*")
 _INTS_RE = re.compile(r"[+-]?\d+(?:,[+-]?\d+)*")
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 # CPython refuses int <-> str conversions past sys.get_int_max_str_digits()
 # (4300 digits by default).  Only then do these two helpers split the number
@@ -119,9 +129,6 @@ class Field:
     def neg(self, a: Scalar) -> Scalar:
         raise NotImplementedError
 
-    def inv(self, a: Scalar) -> Scalar:
-        raise NotImplementedError
-
     def pow(self, a: Scalar, e: int) -> Scalar:
         """a ** e for an int e >= 0; pow with modulus None is plain a ** e."""
         return pow(a, e, self.characteristic or None)
@@ -154,6 +161,33 @@ class Field:
         # an int residue is its own numerator over 1
         num = int_to_decimal(a.numerator)
         return num if a.denominator == 1 else f"{num}/{int_to_decimal(a.denominator)}"
+
+    def clear(self, v: Sequence[Scalar], d: Optional[int] = None) -> tuple[int, list[int]]:
+        """(d, d·v as ints): d the lcm of the denominators of v, or the
+        given d, which every denominator must divide."""
+        raise NotImplementedError
+
+    def lift(self, x: int, d: int) -> Scalar:
+        """The scalar x/d for ints x and d, d a unit of the field."""
+        raise NotImplementedError
+
+    def products(self, rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[int]:
+        """The dot product of each int row with each int column, row-major,
+        as the ints that hold the field's scalars."""
+        raise NotImplementedError
+
+    def dots(
+        self, rows: Sequence[Sequence[Scalar]], cols: Sequence[Sequence[Scalar]]
+    ) -> list[Scalar]:
+        """The dot product of each row with each column, row-major, as
+        canonical scalars: the entries of the product rows · cols."""
+        raise NotImplementedError
+
+    def eliminate(self, rows: list[list[int]], ncols: int) -> list[int]:
+        """Gauss-Jordan on int rows in place; returns the pivot columns.
+        Row k < rank ends as row k of the reduced row echelon form R times
+        its pivot entry, and the rows below it as zeros."""
+        raise NotImplementedError
 
     # Field identity is structural so cached and ad-hoc instances agree.
     def __eq__(self, other) -> bool:
@@ -197,11 +231,6 @@ class RationalField(Field):
     def neg(self, a):
         return -a
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / Fraction(a)
-
     def parse(self, text: str) -> Fraction:
         s = text.strip()
         if not _RAT_RE.match(s):
@@ -211,6 +240,76 @@ class RationalField(Field):
         if den == 0:
             raise ParseError(f"zero denominator in {text!r}", scalar=text)
         return Fraction(int_from_decimal(num), den)
+
+    def clear(self, v, d=None):
+        dens = list(map(_denominator, v))
+        if d is None:
+            d = lcm(*dens)
+            if d == 1:
+                return 1, list(map(_numerator, v))
+        return d, [x * (d // e) for x, e in zip(map(_numerator, v), dens)]
+
+    def lift(self, x, d):
+        # a Fraction of one int needs no gcd
+        return Fraction(x) if d == 1 or not x else Fraction(x, d)
+
+    def products(self, rows, cols):
+        return [sum(map(mul, r, c)) for r in rows for c in cols]
+
+    def dots(self, rows, cols):
+        """Each row and each column is cleared of denominators once, and
+        each entry is the lift of an int dot product over the two."""
+        clear, lift = self.clear, self.lift
+        cleared_cols = [clear(c) for c in cols]
+        return [lift(sum(map(mul, r, c)), dr * dc)
+                for dr, r in map(clear, rows) for dc, c in cleared_cols]
+
+    def eliminate(self, rows, ncols):
+        """Fraction-free Gauss-Jordan: row k < rank ends as an integer
+        multiple of row k of R.
+
+        Each column pivots on its entry of smallest magnitude among the rows
+        not yet used, and the first +-1 ends the search.  A row whose entry f
+        the pivot pv divides loses f/pv times the pivot row, along the pivot
+        row's nonzero entries only.  Any other row becomes a*row - b*prow,
+        where a/b = pv/f in lowest terms, and is divided by its content, so
+        entries stay small.
+        """
+        nrows = len(rows)
+        pivots: list[int] = []
+        r = 0
+        for c in range(ncols):
+            best = size = 0
+            for i in range(r, nrows):
+                x = rows[i][c]
+                if x and (not size or abs(x) < size):
+                    best, size = i, abs(x)
+                    if size == 1:
+                        break
+            if not size:
+                continue
+            prow = rows[best]
+            rows[r], rows[best] = prow, rows[r]
+            pv = prow[c]
+            nz = [(j, y) for j, y in enumerate(prow) if y]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f and i != r:
+                    q, rem = divmod(f, pv)
+                    if rem:
+                        g = gcd(pv, f)
+                        a, b = pv // g, f // g
+                        row = [a * x - b * y for x, y in zip(row, prow)]
+                        g = gcd(*row)
+                        rows[i] = [x // g for x in row] if g > 1 else row
+                    else:
+                        for j, y in nz:
+                            row[j] -= q * y
+            pivots.append(c)
+            r += 1
+            if r == nrows:
+                break
+        return pivots
 
     def __repr__(self) -> str:
         return "QQ"
@@ -251,11 +350,6 @@ class PrimeField(Field):
     def neg(self, a):
         return (-a) % self.characteristic
 
-    def inv(self, a):
-        if a % self.characteristic == 0:
-            raise ZeroDivisionError(f"inverse of 0 in F_{self.characteristic}")
-        return pow(a, -1, self.characteristic)
-
     def parse(self, text: str) -> int:
         s = text.strip()
         if "/" in s:
@@ -267,8 +361,58 @@ class PrimeField(Field):
             raise ParseError(f"bad residue {text!r}", scalar=text)
         return int_from_decimal(s) % self.characteristic
 
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.characteristic))
+    def clear(self, v, d=None):
+        if d is None or d == 1:
+            return 1, list(v)
+        p = self.characteristic
+        return d, [x * d % p for x in v]
+
+    def lift(self, x, d):
+        p = self.characteristic
+        return x % p if d == 1 else x * pow(d, -1, p) % p
+
+    def products(self, rows, cols):
+        """Each entry is one int dot product, reduced once."""
+        p = self.characteristic
+        return [sum(map(mul, r, c)) % p for r in rows for c in cols]
+
+    # residues are their own ints
+    dots = products
+
+    def eliminate(self, rows, ncols):
+        """Gauss-Jordan on residue rows, pivoting on the first nonzero entry
+        down each column; pivots end as 1, so the rows are those of R.
+
+        Each update loops over the pivot row's nonzero entries only, since the
+        intertwining systems are sparse.
+        """
+        p = self.characteristic
+        nrows = len(rows)
+        pivots: list[int] = []
+        r = 0
+        for c in range(ncols):
+            for i in range(r, nrows):
+                if rows[i][c]:
+                    break
+            else:
+                continue
+            prow = rows[i]
+            rows[r], rows[i] = prow, rows[r]
+            pv = prow[c]
+            if pv != 1:
+                inv = pow(pv, -1, p)
+                prow[:] = [x * inv % p for x in prow]
+            nz = [(j, y) for j, y in enumerate(prow) if y]
+            for row in rows:
+                f = row[c]
+                if f and row is not prow:
+                    for j, y in nz:
+                        row[j] = (row[j] - f * y) % p
+            pivots.append(c)
+            r += 1
+            if r == nrows:
+                break
+        return pivots
 
     def __repr__(self) -> str:
         return f"GF({self.characteristic})"

@@ -28,8 +28,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
@@ -42,8 +40,6 @@ from .errors import (
 from .fields import Field
 from .matrices import (
     Matrix,
-    _clear_denominators,
-    _eliminate,
     _intertwining_system,
     _kernel,
     char_poly,
@@ -80,7 +76,7 @@ def hom_basis(s: CommutingTuple, t: CommutingTuple) -> HomSpace:
     rows of ``_intertwining_system``, in row-major coordinates.
     """
     _compatible(s, t)
-    vectors = _kernel(_intertwining_system(s.mats, t.mats), t.n * s.n, s.field.characteristic)
+    vectors = _kernel(_intertwining_system(s.mats, t.mats), t.n * s.n, s.field)
     return HomSpace(s, t, tuple(Matrix(s.field, t.n, s.n, v) for v in vectors))
 
 
@@ -88,7 +84,7 @@ def hom_dim(s: CommutingTuple, t: CommutingTuple) -> int:
     """dim Hom(s, t): the t.n * s.n unknowns less the rank of the int rows
     of ``_intertwining_system``."""
     _compatible(s, t)
-    pivots = _eliminate(_intertwining_system(s.mats, t.mats), t.n * s.n, s.field.characteristic)
+    pivots = s.field.eliminate(_intertwining_system(s.mats, t.mats), t.n * s.n)
     return t.n * s.n - len(pivots)
 
 
@@ -108,10 +104,10 @@ def _first_candidates(dim: int) -> Iterator[Sequence[int]]:
 def _search(field: Field, n: int, dim: int, config: RunConfig) -> Iterator[Sequence[int]]:
     """The coefficient grid in lexicographic order, or 1024 seeded draws
     from it beyond the grid budget.  The grid has the n + 1 values 0..n per
-    axis, enough to see a nonzero degree-n det, or all residues of F_p when
-    p <= n, which is the whole space."""
-    p = field.characteristic
-    values = range(p if p and p <= n else n + 1)
+    axis, enough to see a nonzero degree-n det, or 0..p-1 when 0..n hold
+    only p distinct scalars: all residues of F_p when p <= n, which is the
+    whole space."""
+    values = range(len(set(map(field.of, range(n + 1)))))
     if dim <= config.grid_budget:
         yield from itertools.product(values, repeat=dim)
         return
@@ -124,23 +120,21 @@ def _certify(hom: HomSpace, candidates: Iterable[Sequence[int]]) -> Optional[Gro
     """The first invertible combination of the Hom basis among the candidate
     integer coefficient vectors, re-verified exactly, or None.
 
-    The basis is cleared once into integer columns over one common
-    denominator D (residues, D = 1, over F_p), so each candidate is an
-    integer combination H = D h of them, whose rank ``_eliminate`` reads.
-    Only the first H of full rank becomes h = H / D and is inverted.
+    The field clears the basis once into int columns over one common
+    denominator D, so each candidate is an int combination H = D h of them,
+    the field's ``products``, whose rank the field's ``eliminate`` reads.
+    Only the first H of full rank is lifted to h = H / D and inverted.
     """
     s, t = hom.source, hom.target
     F, n = s.field, s.n
-    p = F.characteristic
-    entries = [x for b in hom.basis for x in b.entries]
-    den, cleared = (1, entries) if p else _clear_denominators(entries)
+    den, cleared = F.clear([x for b in hom.basis for x in b.entries])
     size = n * n
     columns = [cleared[e::size] for e in range(size)]  # entry e of each basis element
     for coeffs in candidates:
-        H = [sum(map(mul, coeffs, col)) % p if p else sum(map(mul, coeffs, col)) for col in columns]
-        if len(_eliminate([H[i * n : (i + 1) * n] for i in range(n)], n, p)) < n:
+        H = F.products([coeffs], columns)
+        if len(F.eliminate([H[i * n : (i + 1) * n] for i in range(n)], n)) < n:
             continue
-        h = Matrix(F, n, n, tuple(H) if p else tuple(Fraction(x, den) for x in H))
+        h = Matrix(F, n, n, tuple(F.lift(x, den) for x in H))
         h_inv = inverse(h)
         if h_inv is None:
             raise RuntimeError("full-rank certificate candidate has no inverse")

@@ -1,52 +1,41 @@
-"""Dense exact matrices and the elimination kernels.
+"""Dense exact matrices and the linear algebra on them.
 
 Everything is row-major over a single Field; 0x0 matrices are legal
 everywhere (det = 1, char poly = 1).  Outputs are deterministic.
 
-``_eliminate`` is the one elimination; ``rref``, ``rank``,
-``kernel_basis``, ``solve`` and ``inverse`` (``solve`` against the
-identity) read their answers off the int rows it leaves.  It runs one of
-two kernels on plain int rows: over F_p, residue rows updated in place
-along the pivot row's nonzero entries, pivoting on the first nonzero entry
-down each column; over Q, fraction-free Gauss-Jordan on rows cleared of
-denominators, pivoting on the entry of smallest magnitude (the first +-1
-ends the search), so that most updates subtract an integer multiple of the
-pivot row along its nonzero entries.  The reduced row echelon form is
-unique, so R, rank and pivots, down to the scalar types, are the same as
-those of textbook elimination with field operations, and so are the kernel
-vectors and solutions read off it.  "Is m invertible?" is asked of
-``inverse``, which answers it and returns the inverse in the same
-elimination, or, when only the answer is wanted, of the rank.
+The arithmetic runs on plain int rows, and the field owns it (see
+``fields``): ``clear`` holds scalars as ints, ``eliminate`` is the one
+Gauss-Jordan, ``products`` and ``dots`` multiply, and ``lift`` turns ints
+over a denominator back into scalars.  Nothing here reads the
+characteristic.  ``rref``, ``rank``, ``kernel_basis``, ``solve`` and
+``inverse`` (``solve`` against the identity) read their answers off the
+eliminated rows of ``_int_rows``.  The reduced row echelon form is unique,
+so R, rank and pivots, down to the scalar types, are the same as those of
+textbook elimination with field operations, and so are the kernel vectors
+and solutions read off it.  "Is m invertible?" is asked of ``inverse``,
+which answers it and returns the inverse in the same elimination, or, when
+only the answer is wanted, of the rank.
 
-Over Q, ``Fraction``s are made only where an answer holds them: ``rref``
-divides its integer rows by their pivots once at the end, ``kernel_basis``
-and ``solve`` divide only the entries they read, and ``rank`` reads the
-pivots of the integer rows.  ``rref`` is the only code that builds R, and
-no library code calls it: it is public API only.  The intertwining system
-h -> (h A_i - B_i h)_i (Hom spaces and centralizers) is built in one place,
-``_intertwining_system``, as integer rows, each coordinate pair scaled by
-its own common denominator; the tangent spaces in ``modules`` are built on
-the same per-pair rows, ``_intertwining_rows``.  Hom and tangent
-dimensions read the rank of those rows, and Hom and centralizer bases the
-kernel ``_kernel`` reads off them.
-``intertwines`` checks h a = b h on the cleared integer matrices.
+Scalars are made only where an answer holds them: ``rref`` lifts its rows
+over their pivots once at the end, ``kernel_basis`` and ``solve`` lift
+only the entries they read, and ``rank`` reads the pivots.  ``rref`` is the
+only code that builds R, and no library code calls it: it is public API
+only.  The intertwining system h -> (h A_i - B_i h)_i (Hom spaces and
+centralizers) is built in one place, ``_intertwining_system``, as int rows,
+each coordinate pair over its own common denominator; the tangent spaces
+in ``modules`` are built on the same per-pair rows, ``_intertwining_rows``.
+Hom and tangent dimensions read the rank of those rows, and Hom and
+centralizer bases the kernel ``_kernel`` reads off them.  ``intertwines``
+checks h a = b h on the cleared int matrices.
 
-Products have one kernel, ``_dot_products``, behind ``Matrix.__mul__`` and
-``Matrix.mat_vec``.  It also runs on plain ints: over F_p each entry is one
-integer dot product reduced once; over Q each row of the left factor and
-each column of the right is cleared of denominators once, and each entry is
-one ``Fraction`` of an integer dot product over the two denominators.
-Entries come out canonical, as ``Field`` arithmetic would give them.
-``char_poly`` runs the division-free Berkowitz recurrence on residues, or
-on the integer matrix D m over Q, and ``det`` is read off it.
+``Matrix.__mul__`` and ``Matrix.mat_vec`` are the field's ``dots``, whose
+entries come out canonical, as ``Field`` arithmetic would give them.
+``char_poly`` runs the division-free Berkowitz recurrence on the cleared
+int matrix with the field's ``products``, and ``det`` is read off it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import partial
-from math import gcd, lcm
-from operator import attrgetter, mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -153,10 +142,8 @@ class Matrix:
             )
         k, m = self.cols, other.cols
         a, b = self.entries, other.entries
-        entries = _dot_products(
-            self.field.characteristic,
-            [a[i * k : (i + 1) * k] for i in range(self.rows)],
-            [b[j::m] for j in range(m)],
+        entries = self.field.dots(
+            [a[i * k : (i + 1) * k] for i in range(self.rows)], [b[j::m] for j in range(m)]
         )
         return Matrix(self.field, self.rows, m, tuple(entries))
 
@@ -167,9 +154,7 @@ class Matrix:
     def mat_vec(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if len(v) != self.cols:
             raise SizeMismatchError(f"vector length {len(v)} vs {self.cols} columns")
-        return tuple(
-            _dot_products(self.field.characteristic, [self.row(i) for i in range(self.rows)], [v])
-        )
+        return tuple(self.field.dots([self.row(i) for i in range(self.rows)], [v]))
 
     def transpose(self) -> "Matrix":
         return Matrix(
@@ -219,64 +204,21 @@ class Matrix:
         ) + "]"
 
 
-def _dot_products(
-    p: int, rows: Sequence[Sequence[Scalar]], cols: Sequence[Sequence[Scalar]]
-) -> list[Scalar]:
-    """The product kernel: the dot product of each row with each column,
-    row-major, i.e. the entries of rows · cols over F_p (p > 0) or Q (p = 0).
-
-    Over F_p every entry is an integer sum reduced once.  Over Q every row
-    and every column is cleared of denominators once, and each entry is
-    ``Fraction(dot, d_row * d_col)``, which lowers it to canonical form
-    (``Fraction(dot)`` when that denominator is 1, which needs no gcd).
-    """
-    if p:
-        return [sum(map(mul, r, c)) % p for r in rows for c in cols]
-    zero = Fraction(0)
-    cleared_cols = [_clear_denominators(c) for c in cols]
-    out: list[Scalar] = []
-    for dr, r in map(_clear_denominators, rows):
-        for dc, c in cleared_cols:
-            s = sum(map(mul, r, c))
-            d = dr * dc
-            out.append(zero if not s else Fraction(s) if d == 1 else Fraction(s, d))
-    return out
-
-
-_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
-
-
-def _clear_denominators(v: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(d, w) with d the lcm of the denominators of v and w = d·v, in ints."""
-    dens = list(map(_denominator, v))
-    d = lcm(*dens)
-    if d == 1:
-        return 1, list(map(_numerator, v))
-    return d, [x * (d // e) for x, e in zip(map(_numerator, v), dens)]
-
-
-def _int_products(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[int]:
-    """rows · cols on plain ints, unreduced: the products of integer
-    matrices over Q."""
-    return [sum(map(mul, r, c)) for r in rows for c in cols]
-
-
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     return a * b - b * a
 
 
 def intertwines(h: Matrix, a: Matrix, b: Matrix) -> bool:
-    """Is h a = b h, for h of shape b.rows x a.rows?  Over Q it compares the
-    integer products H A db and B H da of the cleared matrices h = H/dh,
-    a = A/da and b = B/db, which dh divides out of."""
-    if h.field.characteristic:
-        return h * a == b * h
+    """Is h a = b h, for h of shape b.rows x a.rows?  It compares the int
+    products H A db and B H da of the cleared matrices h = H/dh, a = A/da
+    and b = B/db, which dh divides out of; no scalar is built."""
+    F = h.field
     ns, nt = a.rows, b.rows
-    H = _clear_denominators(h.entries)[1]
-    da, A = _clear_denominators(a.entries)
-    db, B = (da, A) if b is a else _clear_denominators(b.entries)
-    ha = _int_products([H[i * ns : (i + 1) * ns] for i in range(nt)], [A[j::ns] for j in range(ns)])
-    bh = _int_products([B[i * nt : (i + 1) * nt] for i in range(nt)], [H[j::ns] for j in range(ns)])
+    H = F.clear(h.entries)[1]
+    da, A = F.clear(a.entries)
+    db, B = (da, A) if b is a else F.clear(b.entries)
+    ha = F.products([H[i * ns : (i + 1) * ns] for i in range(nt)], [A[j::ns] for j in range(ns)])
+    bh = F.products([B[i * nt : (i + 1) * nt] for i in range(nt)], [H[j::ns] for j in range(ns)])
     if da == db:
         return ha == bh
     return all(x * db == y * da for x, y in zip(ha, bh))
@@ -337,8 +279,8 @@ def _intertwining_system(sources: Sequence[Matrix], targets: Sequence[Matrix]) -
     Unknowns are row-major: h_ab is column a*ns + b.  Rows are (i, r, c) in
     lexicographic order, one per entry (r, c) of h A_i - B_i h; the
     coefficient of h_ab there is [a = r] A_i[b, c] - B_i[r, a] [b = c],
-    times the lcm of the denominators of A_i and B_i over Q (residues over
-    F_p).  Its kernel is Hom(A, B).
+    held as ints by the field's ``clear`` over the common denominator of A_i
+    and B_i.  Its kernel is Hom(A, B).
     """
     if not sources or len(sources) != len(targets):
         raise ArityMismatchError(
@@ -349,38 +291,31 @@ def _intertwining_system(sources: Sequence[Matrix], targets: Sequence[Matrix]) -
 
 
 def _common_denominator(*mats: Matrix) -> int:
-    """The lcm of the denominators of the entries of mats (1 over F_p)."""
-    if mats[0].field.characteristic:
-        return 1
-    return lcm(*(x.denominator for m in mats for x in m.entries))
+    """The d of the field's ``clear`` on all the entries of mats."""
+    return mats[0].field.clear([x for m in mats for x in m.entries])[0]
 
 
 def _intertwining_rows(a: Matrix, b: Matrix, d: int) -> list[list[int]]:
     """One pair's rows of ``_intertwining_system``, those of h -> h a - b h,
-    times d, as ints.
+    times d, as the ints the field's ``clear`` holds them in; d must be a
+    multiple of every denominator of a and b.
 
-    Over Q, d is a multiple of every denominator of a and b; over F_p it is
-    +-1 and the rows are residues.  Entries are written directly; no matrix
-    products are formed.
+    Row (r, c) holds column c of d a in the block of unknowns h_r*, and row r
+    of -d b down column c of the blocks; the one entry in both, at h_rc,
+    holds d (a_cc - b_rr).  No matrix products are formed.
     """
-    p = a.field.characteristic
+    F = a.field
     ns, nt = a.rows, b.rows
-    if p:
-        ea = a.entries if d == 1 else [x * d % p for x in a.entries]
-        eb = b.entries if d == 1 else [x * d % p for x in b.entries]
-    else:
-        ea = [x.numerator * (d // x.denominator) for x in a.entries]
-        eb = [x.numerator * (d // x.denominator) for x in b.entries]
+    ea = F.clear(a.entries, d)[1]
+    eb = F.clear(b.entries, -d)[1]
+    diag = F.clear([F.sub(x, y) for y in b.entries[:: nt + 1] for x in a.entries[:: ns + 1]], d)[1]
     out = []
     for r in range(nt):
         for c in range(ns):
             row = [0] * (nt * ns)
             row[r * ns : (r + 1) * ns] = ea[c::ns]
-            for k in range(nt):
-                x = eb[r * nt + k]
-                if x:
-                    j = k * ns + c
-                    row[j] = (row[j] - x) % p if p else row[j] - x
+            row[c::ns] = eb[r * nt : (r + 1) * nt]
+            row[r * ns + c] = diag[r * ns + c]
             out.append(row)
     return out
 
@@ -388,130 +323,30 @@ def _intertwining_rows(a: Matrix, b: Matrix, d: int) -> list[list[int]]:
 def rref(m: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form; returns (R, rank, pivot columns).
 
-    The work runs on plain int rows: ``_rref_mod_p`` over F_p,
-    ``_rref_fraction_free`` over Q, whose row k < rank is then divided by
-    its pivot.  R is unique, so the output, including the scalar types
-    (``Fraction`` over Q, ``int`` in [0, p) over F_p), does not depend on
-    which kernel ran or where it pivoted.
+    The field eliminates the int rows of m, and R's row k < rank is the
+    lift of row k over its pivot entry.  R is unique, so the output,
+    including the scalar types (``Fraction`` over Q, ``int`` in [0, p) over
+    F_p), does not depend on where the field's kernel pivoted.
     """
     if not m.rows:
         return m, 0, ()
+    F = m.field
     rows = _int_rows(m)
-    pivots = _eliminate(rows, m.cols, m.field.characteristic)
-    if not m.field.characteristic:
-        zero = Fraction(0)
-        rows = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(rows, pivots)]
-        rows += [[zero] * m.cols] * (m.rows - len(pivots))
-    entries: list[Scalar] = []
-    for row in rows:
-        entries.extend(row)
-    return Matrix(m.field, m.rows, m.cols, tuple(entries)), len(pivots), tuple(pivots)
+    pivots = F.eliminate(rows, m.cols)
+    lift = F.lift
+    entries = [lift(x, row[c]) for row, c in zip(rows, pivots) for x in row]
+    entries += [F.zero()] * ((m.rows - len(pivots)) * m.cols)
+    return Matrix(F, m.rows, m.cols, tuple(entries)), len(pivots), tuple(pivots)
 
 
 def _int_rows(m: Matrix) -> list[list[int]]:
-    """The rows of m as int lists: residues over F_p, and over Q each row
-    cleared of its denominators."""
-    e, nc = m.entries, m.cols
-    rows = [e[i * nc : (i + 1) * nc] for i in range(m.rows)]
-    if m.field.characteristic:
-        return [list(row) for row in rows]
-    return [_clear_denominators(row)[1] for row in rows]
-
-
-def _eliminate(rows: list[list[int]], ncols: int, p: int) -> list[int]:
-    """Gauss-Jordan on int rows in place, by the kernel of F_p (p > 0) or
-    Q (p = 0); returns the pivot columns."""
-    return _rref_mod_p(rows, ncols, p) if p else _rref_fraction_free(rows, ncols)
-
-
-def _rref_mod_p(rows: list[list[int]], ncols: int, p: int) -> list[int]:
-    """Gauss-Jordan on residue rows, in place; returns the pivot columns.
-
-    Each update loops over the pivot row's nonzero entries only, since the
-    intertwining systems are sparse.
-    """
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        for i in range(r, nrows):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        prow = rows[i]
-        rows[r], rows[i] = prow, rows[r]
-        pv = prow[c]
-        if pv != 1:
-            inv = pow(pv, -1, p)
-            prow[:] = [x * inv % p for x in prow]
-        nz = [(j, y) for j, y in enumerate(prow) if y]
-        for row in rows:
-            f = row[c]
-            if f and row is not prow:
-                for j, y in nz:
-                    row[j] = (row[j] - f * y) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def _rref_fraction_free(rows: list[list[int]], ncols: int) -> list[int]:
-    """Gauss-Jordan over Q on integer rows, in place; returns the pivot
-    columns.  Row k < rank ends as an integer multiple of row k of R, and
-    the rows below it as zeros.
-
-    Each column pivots on its entry of smallest magnitude among the rows
-    not yet used, and the first +-1 ends the search.  A row whose entry f
-    the pivot pv divides loses f/pv times the pivot row, along the pivot
-    row's nonzero entries only.  Any other row becomes a*row - b*prow, where
-    a/b = pv/f in lowest terms, and is divided by its content, so entries
-    stay small.
-    """
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        best = size = 0
-        for i in range(r, nrows):
-            x = rows[i][c]
-            if x and (not size or abs(x) < size):
-                best, size = i, abs(x)
-                if size == 1:
-                    break
-        if not size:
-            continue
-        prow = rows[best]
-        rows[r], rows[best] = prow, rows[r]
-        pv = prow[c]
-        nz = [(j, y) for j, y in enumerate(prow) if y]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                q, rem = divmod(f, pv)
-                if rem:
-                    g = gcd(pv, f)
-                    a, b = pv // g, f // g
-                    rows[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
-                else:
-                    for j, y in nz:
-                        row[j] -= q * y
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def _primitive(row: list[int]) -> list[int]:
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+    """The rows of m as int lists, each cleared by the field."""
+    e, nc, clear = m.entries, m.cols, m.field.clear
+    return [clear(e[i * nc : (i + 1) * nc])[1] for i in range(m.rows)]
 
 
 def rank(m: Matrix) -> int:
-    return len(_eliminate(_int_rows(m), m.cols, m.field.characteristic))
+    return len(m.field.eliminate(_int_rows(m), m.cols))
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Scalar, ...]]:
@@ -520,18 +355,16 @@ def kernel_basis(m: Matrix) -> list[tuple[Scalar, ...]]:
     Vectors are ordered by ascending free-column index; each satisfies
     m v = 0 exactly.
     """
-    return _kernel(_int_rows(m), m.cols, m.field.characteristic)
+    return _kernel(_int_rows(m), m.cols, m.field)
 
 
-def _kernel(rows: list[list[int]], ncols: int, p: int) -> list[tuple[Scalar, ...]]:
-    """``kernel_basis`` of the int rows of an F_p (p > 0) or Q (p = 0)
-    system, which it eliminates in place.  The vector of a free column has 1
-    there and -R[k][free] at pivot column k, read off the eliminated rows:
-    -row[free] mod p over F_p, where pivots are 1, and
-    Fraction(-row[free], row[c]) over Q."""
-    pivots = _eliminate(rows, ncols, p)
+def _kernel(rows: list[list[int]], ncols: int, F: Field) -> list[tuple[Scalar, ...]]:
+    """``kernel_basis`` of int rows held by F, which F eliminates in place.
+    The vector of a free column has 1 there and -R[k][free] at pivot column
+    k, the lift of -row[free] over the pivot entry of row k."""
+    pivots = F.eliminate(rows, ncols)
     pivot_set = set(pivots)
-    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+    zero, one, lift = F.zero(), F.one(), F.lift
     basis = []
     for free in range(ncols):
         if free in pivot_set:
@@ -541,7 +374,7 @@ def _kernel(rows: list[list[int]], ncols: int, p: int) -> list[tuple[Scalar, ...
         for row, c in zip(rows, pivots):
             x = row[free]
             if x:
-                v[c] = -x % p if p else Fraction(-x, row[c])
+                v[c] = lift(-x, row[c])
         basis.append(tuple(v))
     return basis
 
@@ -565,46 +398,43 @@ def inverse(m: Matrix) -> Optional[Matrix]:
 def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """One exact solution X of a X = b, or None if inconsistent.
 
-    Free variables are set to zero, so the answer is deterministic.  It
-    eliminates the int rows of [a | b] and reads x[c] off the b-block of the
-    row whose pivot is c: as it stands over F_p, where pivots are 1, and
-    divided by the pivot over Q.
+    Free variables are set to zero, so the answer is deterministic.  The
+    field eliminates the int rows of [a | b], and x[c] is the lift of the
+    b-block of the row whose pivot is c over that pivot entry.
     """
     if a.field != b.field:
         raise MixedFieldsError("solve over different fields")
     if a.rows != b.rows:
         raise SizeMismatchError("solve with mismatched row counts")
-    p, n = a.field.characteristic, a.cols
+    F, n = a.field, a.cols
     rows = _int_rows(hstack([a, b]))
-    pivots = _eliminate(rows, n + b.cols, p)
+    pivots = F.eliminate(rows, n + b.cols)
     # pivots ascend, so a pivot in the b-block shows up last: inconsistent
     if pivots and pivots[-1] >= n:
         return None
-    zero = a.field.zero()
-    x = [(zero,) * b.cols] * n
+    lift = F.lift
+    x = [(F.zero(),) * b.cols] * n
     for row, c in zip(rows, pivots):
         pv = row[c]
-        x[c] = row[n:] if p else [Fraction(y, pv) if y else zero for y in row[n:]]
-    return Matrix(a.field, n, b.cols, tuple(y for row in x for y in row))
+        x[c] = [lift(y, pv) for y in row[n:]]
+    return Matrix(F, n, b.cols, tuple(y for row in x for y in row))
 
 
 def char_poly(m: Matrix) -> UniPoly:
     """Characteristic polynomial det(tI - m), by the division-free
     Berkowitz recurrence (valid over F_p for every p, including p <= n).
 
-    It runs on ints: residues over F_p, and over Q the integer matrix D m,
-    D the lcm of m's denominators, whose coefficient of t^(n-k) is D^k times
-    m's.  Each step reads R, C and the trailing submatrix as slices of the
-    entries, and the Toeplitz step p <- T p is one more product.
+    It runs on the ints D m that the field's ``clear`` gives, D a common
+    denominator of m, with the field's int ``products``: the coefficient of
+    t^(n-k) is D^k times m's, and it is lifted over D^k at the end.  Each
+    step reads R, C and the trailing submatrix as slices of the entries,
+    and the Toeplitz step p <- T p is one more product.
     """
     if m.rows != m.cols:
         raise NotSquareError(f"char poly of {m.rows}x{m.cols}")
     F = m.field
-    char = F.characteristic
-    if char:
-        den, e, dots = 1, m.entries, partial(_dot_products, char)
-    else:
-        (den, e), dots = _clear_denominators(m.entries), _int_products
+    den, e = F.clear(m.entries)
+    dots = F.products
     n = m.rows
     # coeffs descending for the trailing principal submatrix, starting empty
     p = [1]
@@ -620,9 +450,7 @@ def char_poly(m: Matrix) -> UniPoly:
                 w = dots(sub, [w])
         # p <- T p, T the (s+1) x s lower-triangular Toeplitz matrix with first column c
         p = dots([(c[i::-1] + [0] * s)[:s] for i in range(s + 1)], [p])
-    if not char:
-        p = [Fraction(x, den**k) for k, x in enumerate(p)]
-    return UniPoly.make(F, reversed(p))
+    return UniPoly.make(F, reversed([F.lift(x, den**k) for k, x in enumerate(p)]))
 
 
 def eval_multipoly(f: MultiPoly, mats: Sequence[Matrix]) -> Matrix:

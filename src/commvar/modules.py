@@ -27,7 +27,6 @@ from .fields import Field, Scalar
 from .matrices import (
     Matrix,
     _common_denominator,
-    _eliminate,
     _intertwining_rows,
     block_diag,
     commutator,
@@ -228,7 +227,7 @@ def tangent_space_dim(t: CommutingTuple) -> int:
             rows.append(
                 [0] * (i * n2) + on_i + [0] * ((j - i - 1) * n2) + on_j + [0] * ((d - j - 1) * n2)
             )
-    return d * n2 - len(_eliminate(rows, d * n2, t.field.characteristic))
+    return d * n2 - len(t.field.eliminate(rows, d * n2))
 
 
 @dataclass(frozen=True)

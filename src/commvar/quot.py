@@ -25,9 +25,7 @@ from .errors import (
     WrongFrameCountError,
 )
 from .fields import Scalar
-from .matrices import (
-    Matrix, _dot_products, _eliminate, _int_rows, columns_matrix, intertwines, inverse, rank,
-)
+from .matrices import Matrix, _int_rows, columns_matrix, intertwines, inverse, rank
 from .modules import CommutingTuple, GroupElement
 
 
@@ -66,21 +64,21 @@ def _krylov(f: FramedModule) -> tuple[list[tuple[Scalar, ...]], list[Word]]:
     once a level adds nothing.
     """
     t = f.module
-    p = t.field.characteristic
+    F = t.field
     basis: list[tuple[Scalar, ...]] = []
     words: list[Word] = []
     offers = [(None, j, v) for j, v in enumerate(f.frame)]
     while offers and len(basis) < t.n:
         b = len(basis)
         cols = basis + [v for _, _, v in offers]
-        for c in _eliminate(_int_rows(columns_matrix(t.field, t.n, cols)), len(cols), p)[b:]:
+        for c in F.eliminate(_int_rows(columns_matrix(F, t.n, cols)), len(cols))[b:]:
             i, k, v = offers[c - b]
             basis.append(v)
             words.append((i, k))
         if len(basis) < t.n:
             # one product per coordinate: column k of A_i [new vectors] is A_i v_k
             new = basis[b:]
-            images = [_dot_products(p, [a.row(r) for r in range(t.n)], new) for a in t.mats]
+            images = [F.dots([a.row(r) for r in range(t.n)], new) for a in t.mats]
             offers = [
                 (i, b + k, tuple(image[k::len(new)]))
                 for k in range(len(new)) for i, image in enumerate(images)

@@ -1,14 +1,13 @@
 import dataclasses
 import itertools
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from commvar import census, matrices
+from commvar import census
 from commvar.census import (
     CensusRequest,
     _all_matrices,
@@ -25,7 +24,7 @@ from commvar.census import (
 from commvar.config import DEFAULT_CONFIG
 from commvar.cycles import cycle, partition_notation, stratum
 from commvar.errors import BudgetExceededError, NonprimeQError, NotSplitError
-from commvar.fields import GF
+from commvar.fields import GF, PrimeField
 from commvar.matrices import Matrix, inverse, rank
 from commvar.modules import CommutingTuple, check_relations, is_punctual
 from commvar.polynomials import parse_multipoly
@@ -306,20 +305,16 @@ def test_census_scalar_prefixes_match_leaf_walk(n, d, q):
 def test_census_counts_from_class_data(monkeypatch, n, d, q, per_stratum, most):
     # pairs read dim Z(A) off the partitions; at d = 3 only the non-scalar
     # classes eliminate (90 eliminations at (2,3,3), 336 when every class
-    # walks).  Every elimination, each kernel and rank included, runs
-    # matrices._eliminate, so each binding of it in the package is counted.
-    real = matrices._eliminate
+    # walks).  Every elimination over F_q, each kernel and rank included, is
+    # the field's ``eliminate``, so patching the class counts them all.
+    real = PrimeField.eliminate
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(field, rows, ncols):
+        calls.append((rows, ncols))
+        return real(field, rows, ncols)
 
-    bound = [module for name, module in list(sys.modules.items())
-             if name.partition(".")[0] == "commvar" and getattr(module, "_eliminate", None) is real]
-    assert census in bound and matrices in bound
-    for module in bound:
-        monkeypatch.setattr(module, "_eliminate", counting)
+    monkeypatch.setattr(PrimeField, "eliminate", counting)
     enumerate_census(CensusRequest(n=n, d=d, q=q, per_stratum=per_stratum))
     assert len(calls) <= most
     if most:
@@ -474,24 +469,24 @@ def test_conjugation_map_matches_matrix_products(n, q, sample):
         mats = random.Random(1).sample(mats, sample)
     for a in mats:
         want = [x for g, _ in group for x in (g * a * inverse(g)).entries]
-        assert matrices._dot_products(q, [a.entries], stacked) == want
+        assert GF(q).products([a.entries], stacked) == want
 
 
 @pytest.mark.parametrize("n,d,q", [(2, 3, 2), (2, 2, 3)])
 def test_orbit_census_conjugates_each_distinct_matrix_in_one_product(monkeypatch, n, d, q):
-    # every call into the product kernel is counted, Matrix.__mul__'s too:
-    # at most one conjugation and one nilpotency test per distinct matrix,
-    # where conjugating each tuple by each g alone makes thousands
-    real = matrices._dot_products
+    # every call into the field's product kernels is counted, Matrix.__mul__'s
+    # too: at most one conjugation and one nilpotency test per distinct
+    # matrix, where conjugating each tuple by each g alone makes thousands
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(real):
+        def wrapped(field, rows, cols):
+            calls.append((rows, cols))
+            return real(field, rows, cols)
+        return wrapped
 
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "commvar" and getattr(module, "_dot_products", None) is real:
-            monkeypatch.setattr(module, "_dot_products", counting)
+    for name in ("products", "dots"):
+        monkeypatch.setattr(PrimeField, name, counting(getattr(PrimeField, name)))
     orbit_census(n, d, q)
     assert 0 < len(calls) <= 2 * q ** (n * n)
 

@@ -53,14 +53,23 @@ def test_field_arithmetic_mod_p():
     assert F7.add(5, 4) == 2
     assert F7.mul(3, 5) == 1
     assert F7.neg(2) == 5
-    # every nonzero element has a working inverse
+    # lift(x, a) is x/a: lift(1, a) inverts every nonzero a, also
+    # unreduced and negative ones, and lift(x, 1) reduces x
     for a in range(1, 7):
-        assert F7.mul(a, F7.inv(a)) == 1
+        assert F7.mul(a, F7.lift(1, a)) == 1
+        assert F7.lift(1, a) == F7.lift(1, a - 7) == F7.lift(1, a + 7 * 10**20)
+        assert F7.mul(a, F7.lift(4, a)) == 4
+    assert [F7.lift(x, 1) for x in (-1, 7, 10**30)] == [6, 0, 10**30 % 7]
 
 
 def test_rational_inverse_exact():
-    a = Fraction(3, 7)
-    assert QQ.mul(a, QQ.inv(a)) == 1
+    # lift(x, d) is x/d in lowest terms, a Fraction also when d = 1 or x = 0
+    assert QQ.mul(Fraction(3), QQ.lift(1, 3)) == 1
+    for x, d, want in [(3, 7, Fraction(3, 7)), (-6, 4, Fraction(-3, 2)), (6, -4, Fraction(-3, 2)),
+                       (5, 1, Fraction(5)), (0, 9, Fraction(0))]:
+        got = QQ.lift(x, d)
+        assert got == want and type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
 def test_field_identity_and_equality():
@@ -78,10 +87,6 @@ def test_field_names_round_trip():
         field_from_name("R")
     with pytest.raises(ParseError):
         field_from_name("Fp:abc")
-
-
-def test_elements_enumeration():
-    assert list(GF(3).elements()) == [0, 1, 2]
 
 
 def _trial_division(n):
@@ -120,7 +125,8 @@ def test_large_prime_field_tag_parses_quickly():
     F = field_from_name("Fp:2305843009213693951")
     assert time.perf_counter() - start < 1.0
     assert F.characteristic == 2**61 - 1
-    assert F.mul(F.inv(3), 3) == 1
+    assert F.mul(F.lift(1, 3), 3) == 1
+    assert F.lift(2**61 - 2, 2**61 - 2) == 1 and F.lift(-1, 2**61 - 2) == 1
 
 
 @pytest.mark.parametrize("digits", [1, 4300, 4301, 5000, 8601, 20000])

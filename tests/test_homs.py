@@ -16,7 +16,7 @@ from commvar.errors import (
     NotPunctualError,
     SingularGroupElementError,
 )
-from commvar.fields import GF, QQ
+from commvar.fields import GF, QQ, PrimeField, RationalField
 from commvar.homs import aut_dim, hom_basis, hom_dim, is_isomorphic, min_generators
 from commvar.matrices import Matrix, kernel_basis
 from commvar.modules import (
@@ -218,18 +218,18 @@ def test_dimension_check_decides_cube_of_maximal_ideal_against_its_dual(monkeypa
     dual = validate([a.transpose() for a in cube.mats])
     assert (aut_dim(cube), aut_dim(dual), hom_basis(cube, dual).dim) == (6, 6, 9)
     events = []
-    real_eliminate, real_aut_dim = homs._eliminate, homs.aut_dim
+    real_eliminate, real_aut_dim = RationalField.eliminate, homs.aut_dim
 
-    def eliminating(rows, ncols, p):
+    def eliminating(field, rows, ncols):
         if (len(rows), ncols) == (6, 6):
             events.append("rank")
-        return real_eliminate(rows, ncols, p)
+        return real_eliminate(field, rows, ncols)
 
     def counting(t):
         events.append("aut_dim")
         return real_aut_dim(t)
 
-    monkeypatch.setattr(homs, "_eliminate", eliminating)
+    monkeypatch.setattr(RationalField, "eliminate", eliminating)
     monkeypatch.setattr(homs, "aut_dim", counting)
     t0 = time.monotonic()
     assert is_isomorphic(cube, dual) is None
@@ -295,18 +295,18 @@ def test_grid_is_scanned_in_full_within_budget(monkeypatch):
     # 1/16 of Hom(s, t) is invertible, so the draws would all miss with
     # probability about (15/16)^1024.
     rank_tests, inverses = [], []
-    real_eliminate, real_inverse = homs._eliminate, homs.inverse
+    real_eliminate, real_inverse = PrimeField.eliminate, homs.inverse
 
-    def eliminating(rows, ncols, p):
-        if (len(rows), ncols) == (3, 3):  # not the 9-column End systems
+    def eliminating(field, rows, ncols):
+        if (len(rows), ncols) == (3, 3):  # not the 9-column Hom and End systems
             rank_tests.append(rows)
-        return real_eliminate(rows, ncols, p)
+        return real_eliminate(field, rows, ncols)
 
     def inverting(m):
         inverses.append(m)
         return real_inverse(m)
 
-    monkeypatch.setattr(homs, "_eliminate", eliminating)
+    monkeypatch.setattr(PrimeField, "eliminate", eliminating)
     monkeypatch.setattr(homs, "inverse", inverting)
     assert is_isomorphic(F2_S, F2_T) is None
     assert len(rank_tests) == 8

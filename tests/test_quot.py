@@ -211,22 +211,24 @@ def test_krylov_levels_eliminate_int_rows_and_build_no_r(monkeypatch, field):
     # each Krylov level is one elimination of int rows; ``rref``, which
     # divides the whole matrix into its reduced row echelon form R, is never
     # called.  Calls are counted by wrapping every binding of ``rref`` in the
-    # package and quot's binding of ``_eliminate``.
+    # package and the field's ``eliminate``, whose calls count as levels only
+    # when ``_krylov`` makes them (``inverse`` eliminates too).
     rref_calls, levels = [], []
-    real_rref, real_eliminate = matrices.rref, quot._eliminate
+    real_rref, real_eliminate = matrices.rref, type(field).eliminate
 
     def counting_rref(m):
         rref_calls.append(m)
         return real_rref(m)
 
-    def eliminating(rows, ncols, p):
-        levels.append(ncols)
-        return real_eliminate(rows, ncols, p)
+    def eliminating(F, rows, ncols):
+        if sys._getframe(1).f_code is quot._krylov.__code__:
+            levels.append(ncols)
+        return real_eliminate(F, rows, ncols)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "commvar" and getattr(module, "rref", None) is real_rref:
             monkeypatch.setattr(module, "rref", counting_rref)
-    monkeypatch.setattr(quot, "_eliminate", eliminating)
+    monkeypatch.setattr(type(field), "eliminate", eliminating)
     j3 = Matrix.from_rows(field, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     e2, e3 = (field.of(0), field.of(1), field.of(0)), (field.of(0), field.of(0), field.of(1))
     g0 = random_group_element(field, 3, random.Random(41))
