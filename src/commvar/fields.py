@@ -163,8 +163,9 @@ class Field:
         return num if a.denominator == 1 else f"{num}/{int_to_decimal(a.denominator)}"
 
     def clear(self, v: Sequence[Scalar], d: Optional[int] = None) -> tuple[int, list[int]]:
-        """(d, d·v as ints): d the lcm of the denominators of v, or the
-        given d, which every denominator must divide."""
+        """(d, d·v as the field's ints): d the lcm of the denominators of v,
+        or the given d, which every denominator must divide.  v holds
+        scalars, or ints standing for them."""
         raise NotImplementedError
 
     def lift(self, x: int, d: int) -> Scalar:
@@ -362,7 +363,7 @@ class PrimeField(Field):
         return int_from_decimal(s) % self.characteristic
 
     def clear(self, v, d=None):
-        if d is None or d == 1:
+        if d is None:
             return 1, list(v)
         p = self.characteristic
         return d, [x * d % p for x in v]

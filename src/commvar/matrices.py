@@ -287,33 +287,35 @@ def _intertwining_system(sources: Sequence[Matrix], targets: Sequence[Matrix]) -
             f"need matching nonempty tuples, got {len(sources)} and {len(targets)}"
         )
     return [row for a, b in zip(sources, targets)
-            for row in _intertwining_rows(a, b, _common_denominator(a, b))]
+            for row in _intertwining_rows(a, b)]
 
 
-def _common_denominator(*mats: Matrix) -> int:
-    """The d of the field's ``clear`` on all the entries of mats."""
-    return mats[0].field.clear([x for m in mats for x in m.entries])[0]
+def _common_denominator(a: Matrix, b: Matrix) -> int:
+    """The d of the field's ``clear`` on the entries of a and b together."""
+    return a.field.clear(a.entries + b.entries)[0]
 
 
-def _intertwining_rows(a: Matrix, b: Matrix, d: int) -> list[list[int]]:
+def _intertwining_rows(a: Matrix, b: Matrix, d: Optional[int] = None) -> list[list[int]]:
     """One pair's rows of ``_intertwining_system``, those of h -> h a - b h,
     times d, as the ints the field's ``clear`` holds them in; d must be a
-    multiple of every denominator of a and b.
+    multiple of every denominator of a and b, and is by default the
+    ``_common_denominator`` of a and b.
 
     Row (r, c) holds column c of d a in the block of unknowns h_r*, and row r
     of -d b down column c of the blocks; the one entry in both, at h_rc,
-    holds d (a_cc - b_rr).  No matrix products are formed.
+    holds d a_cc - d b_rr.  No matrix products are formed.
     """
     F = a.field
     ns, nt = a.rows, b.rows
-    ea = F.clear(a.entries, d)[1]
+    d, ea = F.clear(a.entries + b.entries, d)
     eb = F.clear(b.entries, -d)[1]
-    diag = F.clear([F.sub(x, y) for y in b.entries[:: nt + 1] for x in a.entries[:: ns + 1]], d)[1]
+    # the sums d a_cc + (-d b_rr) of held ints, held as the field holds ints
+    diag = F.clear([x + y for y in eb[:: nt + 1] for x in ea[: ns * ns : ns + 1]], 1)[1]
     out = []
     for r in range(nt):
         for c in range(ns):
             row = [0] * (nt * ns)
-            row[r * ns : (r + 1) * ns] = ea[c::ns]
+            row[r * ns : (r + 1) * ns] = ea[c : ns * ns : ns]
             row[c::ns] = eb[r * nt : (r + 1) * nt]
             row[r * ns + c] = diag[r * ns + c]
             out.append(row)
