@@ -165,7 +165,7 @@ class Field:
     def clear(self, v: Sequence[Scalar], d: Optional[int] = None) -> tuple[int, list[int]]:
         """(d, d·v as the field's ints): d the lcm of the denominators of v,
         or the given d, which every denominator must divide.  v holds
-        scalars, or ints standing for them."""
+        scalars; with a given d it may also hold ints standing for them."""
         raise NotImplementedError
 
     def lift(self, x: int, d: int) -> Scalar:
