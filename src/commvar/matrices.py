@@ -290,16 +290,11 @@ def _intertwining_system(sources: Sequence[Matrix], targets: Sequence[Matrix]) -
             for row in _intertwining_rows(a, b)]
 
 
-def _common_denominator(a: Matrix, b: Matrix) -> int:
-    """The d of the field's ``clear`` on the entries of a and b together."""
-    return a.field.clear(a.entries + b.entries)[0]
-
-
 def _intertwining_rows(a: Matrix, b: Matrix, d: Optional[int] = None) -> list[list[int]]:
     """One pair's rows of ``_intertwining_system``, those of h -> h a - b h,
     times d, as the ints the field's ``clear`` holds them in; d must be a
-    multiple of every denominator of a and b, and is by default the
-    ``_common_denominator`` of a and b.
+    multiple of every denominator of a and b, and is by default the d of
+    the field's ``clear`` on both.
 
     Row (r, c) holds column c of d a in the block of unknowns h_r*, and row r
     of -d b down column c of the blocks; the one entry in both, at h_rc,

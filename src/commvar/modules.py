@@ -26,7 +26,6 @@ from .errors import (
 from .fields import Field, Scalar
 from .matrices import (
     Matrix,
-    _common_denominator,
     _intertwining_rows,
     block_diag,
     commutator,
@@ -217,12 +216,13 @@ def tangent_space_dim(t: CommutingTuple) -> int:
         return d * n * n
     # The (i, j) row block is [X_i, A_j] + [A_i, X_j]; with K(A) the system
     # of X -> X A - A X, that is K(A_j) on X_i and -K(A_i) on X_j, both
-    # scaled by one common denominator D of A_i and A_j (-D gives -K(A_i)).
+    # scaled by one common denominator D of A_i and A_j (-D gives -K(A_i)),
+    # the d of the field's ``clear`` on both.
     n2 = n * n
     rows = []
     for i, j in pairs:
         a, b = t.mats[i], t.mats[j]
-        den = _common_denominator(a, b)
+        den = t.field.clear(a.entries + b.entries)[0]
         for on_i, on_j in zip(_intertwining_rows(b, b, den), _intertwining_rows(a, a, -den)):
             rows.append(
                 [0] * (i * n2) + on_i + [0] * ((j - i - 1) * n2) + on_j + [0] * ((d - j - 1) * n2)
