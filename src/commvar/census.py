@@ -10,23 +10,31 @@ The second coordinate ranges over the linear space Z(A) and is counted, not
 walked: q^dim Z(A) choices, or q^(dim Z(A) - (n - rank A)) nilpotent ones
 beside a nilpotent A (Fine-Herstein on each matrix algebra of Z(A) modulo
 its radical).  For d >= 3 a scalar A commutes with everything, so it adds
-the (d - 1)-census, counted once per request; beside any other A the census
-walks centralizer chains, each coordinate ranging over the joint
-centralizer of the prefix, so commutation never needs rechecking, and the
-last counted as q^dim Z(prefix).  Nilpotent tuples with d >= 3 walk every
-coordinate of those chains.  Relation filters read the whole tuple, so they
-walk every coordinate from one primary rational canonical form per class,
-weighted by its class size.  The per-stratum histogram follows the support
-morphism: a split tuple is a direct sum of punctual pieces at distinct
-points, so the stratum with parts lam holds |GL_n| C_lam prod_m P_m tuples,
-C_lam placing the parts at distinct points and P_m = punctual(m)/|GL_m|;
-the rest is unsplit.  Under relations the support cycle of each kept tuple
-files it.  ``orbit_census`` walks every tuple; conjugation by g is a linear
-map C_g on the n^2 entries, and each distinct coordinate matrix is
-conjugated by all of GL_n in one product with the maps C_g stacked.  A
-tuple's orbit is keyed on the entries of its coordinates' conjugates, each
-of which must lie in the walked variety.  A request whose nominal size
-q^(d n^2) exceeds the budget is refused whole; counts are never truncated.
+the (d - 1)-census, counted once per request; a cyclic A (dim Z(A) = n)
+has the commutative centralizer F_q[A], so it adds q^(n (d - 1)) tuples,
+or q^((n - 1)(d - 1)) beside a single nilpotent Jordan block.  Beside any
+other A the census walks centralizer chains, each coordinate ranging over
+the joint centralizer of the prefix, so commutation never needs
+rechecking, and the last counted as q^dim Z(prefix); each level eliminates
+only its new coordinate's rows against the prefix's eliminated rows.
+Nilpotent tuples with d >= 3 walk every coordinate of those chains.
+Relation filters read the whole tuple, so they walk every coordinate from
+one primary rational canonical form per class, weighted by its class size.
+The per-stratum histogram follows the support morphism: a split tuple is a
+direct sum of punctual pieces at distinct points, so the stratum with parts
+lam holds |GL_n| C_lam prod_m P_m tuples, C_lam placing the parts at
+distinct points and P_m = punctual(m)/|GL_m|; the rest is unsplit.  Under
+relations the support cycle of each kept tuple files it.
+``orbit_census`` also goes class by class: the lex-first tuple of an orbit
+starts with m_C, the lex-first matrix of the class C of its first
+coordinate, and its other coordinates form the lex-first tuple of an orbit
+of Z_GL(m_C) on the commuting tuples inside Z(m_C).  A d = 1 orbit is a
+class; a scalar c I prefixes c I to the (d - 1)-orbits; any other class
+walks the chains through Z(m_C) and acts by Z_GL(m_C) alone, conjugation
+by g being a linear map C_g on the n^2 entries and each distinct matrix
+conjugated by a whole group in one product with the maps C_g stacked.
+A request whose nominal size q^(d n^2) exceeds the budget is refused
+whole; counts are never truncated.
 """
 from __future__ import annotations
 
@@ -40,7 +48,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ArityMismatchError, BudgetExceededError, NonprimeQError, NotSplitError
 from .fields import GF, Field, is_prime
-from .matrices import Matrix, _intertwining_system, _kernel, block_diag, inverse
+from .matrices import Matrix, _intertwining_rows, _kernel, block_diag, inverse
 from .modules import CommutingTuple, check_relations, companion
 from .cycles import cycle, stratum
 from .polynomials import MultiPoly, UniPoly
@@ -94,11 +102,25 @@ class Orbit:
     nilpotent: bool
 
 
-def _all_matrices(n: int, q: int) -> list[tuple[Matrix, int]]:
-    """Every n x n matrix over F_q in entry-lexicographic order, each with
-    weight 1."""
+def _general_linear(n: int, q: int) -> list[tuple[Matrix, Optional[Matrix]]]:
+    """GL_n(F_q) in entry-lexicographic order, each g with inverse(g): row k
+    ranges over the vectors outside the span of rows 0..k-1, so only
+    invertible matrices are built and inverted."""
     F = GF(q)
-    return [(Matrix(F, n, n, e), 1) for e in itertools.product(range(q), repeat=n * n)]
+    vectors = list(itertools.product(range(q), repeat=n))
+
+    def rows(entries: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        k = len(entries) // n if n else 0
+        if k == n:
+            yield entries
+            return
+        span = {tuple(sum(c * entries[i * n + j] for i, c in enumerate(cs)) % q for j in range(n))
+                for cs in itertools.product(range(q), repeat=k)}
+        for v in vectors:
+            if v not in span:
+                yield from rows(entries + v)
+
+    return [(g, inverse(g)) for g in (Matrix(F, n, n, e) for e in rows(()))]
 
 
 def _irreducibles(F, n: int) -> list[UniPoly]:
@@ -203,10 +225,18 @@ def _class_matrices(n: int, q: int) -> list[tuple[Matrix, int]]:
                   key=lambda aw: aw[0].entries)
 
 
-def _centralizer_basis(prefix: Sequence[Matrix], fieldobj, n: int) -> list[Matrix]:
-    """Basis of {X : A X = X A for all A in prefix}."""
-    vectors = _kernel(_intertwining_system(prefix, prefix), n * n, fieldobj)
-    return [Matrix(fieldobj, n, n, v) for v in vectors]
+def _centralizer_basis(rows: list[list[int]], fieldobj, n: int) -> list[Matrix]:
+    """Basis of {X : A X = X A for all A in a prefix}, read off the rows of
+    the prefix's intertwining system, which it eliminates in place: the
+    first n^2 - len(basis) rows end as those of the reduced row echelon
+    form."""
+    return [Matrix(fieldobj, n, n, v) for v in _kernel(rows, n * n, fieldobj)]
+
+
+def _with_pair(reduced: Sequence[list[int]], a: Matrix) -> list[list[int]]:
+    """Copies of a prefix's eliminated intertwining rows, then the rows of
+    the pair (a, a)."""
+    return [row[:] for row in reduced] + _intertwining_rows(a, a)
 
 
 def _span_elements(basis: Sequence[Matrix], fieldobj, n: int) -> list[Matrix]:
@@ -238,18 +268,31 @@ def _check_request(n: int, d: int, q: int, config: RunConfig) -> int:
 
 
 def _chains(
-    chain: list[Matrix], length: int, keep: Callable[[Matrix], bool] = lambda m: True,
-) -> Iterator[list[Matrix]]:
+    chain: list[Matrix],
+    length: int,
+    keep: Callable[[Matrix], bool] = lambda m: True,
+    reduced: Sequence[list[int]] = (),
+) -> Iterator[tuple[list[Matrix], Sequence[list[int]]]]:
     """Chains of `length` commuting matrices extending the commuting chain,
-    every added one passing keep: each ranges over the joint centralizer of
-    those before it, in entry-lexicographic order."""
+    every added one passing keep, each with the eliminated intertwining rows
+    of all its coordinates but the last: each added one ranges over the
+    joint centralizer of those before it, in entry-lexicographic order.
+
+    reduced holds those rows for chain[:-1].  Each level eliminates only the
+    n^2 rows of its last coordinate against them; the reduced row echelon
+    form is unique, so the centralizer bases are those of the whole
+    prefix's system.
+    """
     if len(chain) == length:
-        yield chain
+        yield chain, reduced
         return
     F, n = chain[0].field, chain[0].rows
-    for c in _span_elements(_centralizer_basis(chain, F, n), F, n):
+    rows = _with_pair(reduced, chain[-1])
+    basis = _centralizer_basis(rows, F, n)
+    del rows[n * n - len(basis):]
+    for c in _span_elements(basis, F, n):
         if keep(c):
-            yield from _chains(chain + [c], length, keep)
+            yield from _chains(chain + [c], length, keep, rows)
 
 
 def _walk(
@@ -264,13 +307,13 @@ def _walk(
     among the (matrix, weight) pairs firsts(n, q).
 
     Each later coordinate ranges over the joint centralizer of the prefix
-    in entry-lexicographic order, so with _all_matrices the walk yields
-    every chain once, in lexicographic order of the concatenated row-major
-    coordinate entries.
+    in entry-lexicographic order, so with every matrix as a first
+    coordinate the walk yields every chain once, in lexicographic order of
+    the concatenated row-major coordinate entries.
     """
     for m, w in firsts(n, q):
         if keep(m):
-            for chain in _chains([m], length, keep):
+            for chain, _ in _chains([m], length, keep):
                 yield chain, w
 
 
@@ -287,6 +330,9 @@ def _count(
     Each class adds its weight times: 1 at d = 1; q^dim Z(A) second
     coordinates at d = 2, q^(dim Z(A) - (n - rank A)) nilpotent ones; the
     (d - 1)-census when A is scalar, since c I commutes with everything;
+    q^(n (d - 1)) when A is cyclic (dim Z(A) = n), since every later
+    coordinate ranges over the commutative Z(A) = F_q[A], and
+    q^((n - 1)(d - 1)) nilpotent ones beside a single Jordan block;
     otherwise the chains through Z(A), the last coordinate counted as
     q^dim Z(prefix), n^2 less the rank of the prefix's intertwining system
     (walked for nilpotent tuples).
@@ -304,11 +350,13 @@ def _count(
             leaves = q ** (c.dim - c.nullity if nilpotent else c.dim)
         elif c.scalar:
             leaves = rest
+        elif c.dim == n:
+            leaves = q ** ((n - 1 if nilpotent else n) * (d - 1))
         elif nilpotent:
             leaves = sum(1 for _ in _chains([c.representative()], d, _nilpotent))
         else:
-            leaves = sum(q ** (n * n - len(F.eliminate(_intertwining_system(chain, chain), n * n)))
-                         for chain in _chains([c.representative()], d - 1))
+            leaves = sum(q ** (n * n - len(F.eliminate(_with_pair(reduced, chain[-1]), n * n)))
+                         for chain, reduced in _chains([c.representative()], d - 1))
         total += c.weight * leaves
     return total
 
@@ -381,59 +429,99 @@ def _conjugation_map(group: Sequence[tuple[Matrix, Matrix]], n: int, q: int) -> 
 
 def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> list[Orbit]:
     """Full orbit decomposition of the commuting variety over F_q under
-    simultaneous conjugation.
+    simultaneous conjugation, class by class of the first coordinate.
 
-    Each distinct coordinate matrix a is conjugated by all of GL_n in one
-    product: the conjugation maps of the group, stacked, times vec(a).  The
-    g-th conjugate of a tuple is then the tuple of the g-th conjugates of
-    its coordinates, and orbits are keyed on those entries.  Deterministic:
-    representatives are the first tuples of their orbit in enumeration
-    order.  Each check raises RuntimeError: |GL_n(F_q)| group elements;
-    every conjugate in the walked variety; nilpotency constant along the
-    orbit (read on every conjugate); |orbit| * |Aut| = |GL_n(F_q)| against a
-    directly counted stabilizer; orbits partitioning the variety.
+    Each class's primary rational canonical form is conjugated by all of
+    GL_n in one product, the conjugation maps of the group stacked times its
+    entries; m_C is the least conjugate.  The d-orbits are then built from
+    the (d - 1)-orbits: at d = 1 the orbits are the classes; a scalar class
+    c I prefixes c I to each (d - 1)-orbit; any other class walks the chains
+    of length d through Z(m_C), whose units Z_GL(m_C) are the elements of
+    GL_n among their second coordinates, and keys each chain's
+    Z_GL(m_C)-orbit on the entries of its coordinates' conjugates, each
+    distinct matrix conjugated by Z_GL(m_C) in one product.  An orbit there
+    has size |C| |Z_GL(m_C)-orbit| and its stabilizer inside Z_GL(m_C) as
+    aut order.  Deterministic: representatives are the lex-first tuples of
+    their orbits, and the list is in their order.  Each check raises
+    RuntimeError: |GL_n(F_q)| invertible group elements; |C| distinct
+    conjugates of the form; |Z_GL(m_C)| |C| = |GL_n(F_q)|; every conjugate
+    among the walked chains; nilpotency constant along the orbit (read on
+    every conjugate); |orbit| * |stabilizer| = |Z_GL(m_C)|; orbits
+    partitioning the walked chains, |C| times over.
     """
     glo = _check_request(n, d, q, config)
     F = GF(q)
+    group = _general_linear(n, q)
+    if len(group) != glo or any(h is None for _, h in group):
+        raise RuntimeError("group enumeration disagrees with |GL_n|")
+    cells = n * n
     # one tuple object per distinct coordinate matrix, however often it recurs
     interned: dict[tuple[int, ...], tuple[int, ...]] = {}
-    variety = [tuple(interned.setdefault(a.entries, a.entries) for a in chain)
-               for chain, _ in _walk(n, d, q, _all_matrices)]
-    group = [(g, g_inv) for g, _ in _all_matrices(n, q) if (g_inv := inverse(g)) is not None]
-    if len(group) != glo:
-        raise RuntimeError("group enumeration disagrees with |GL_n|")
-    stacked = _conjugation_map(group, n, q)
-    size = n * n
 
-    @cache
-    def conjugates(a: tuple[int, ...]) -> list[tuple[int, ...]]:
-        out = F.dots([a], stacked)
-        cuts = (tuple(out[g * size:(g + 1) * size]) for g in range(glo))
-        return [interned.setdefault(c, c) for c in cuts]
+    def conjugator(group: Sequence[tuple[Matrix, Matrix]]) -> Callable:
+        stacked = _conjugation_map(group, n, q)
 
+        @cache
+        def conjugates(a: tuple[int, ...]) -> list[tuple[int, ...]]:
+            out = F.dots([a], stacked)
+            cuts = (tuple(out[g * cells:(g + 1) * cells]) for g in range(len(group)))
+            return [interned.setdefault(c, c) for c in cuts]
+        return conjugates
+
+    by_gl = conjugator(group)
+    firsts = []
+    for c in _classes(n, q):
+        members = set(by_gl(c.representative().entries))
+        if len(members) != c.weight:
+            raise RuntimeError("the conjugates of a class disagree with its size")
+        firsts.append((c, min(members)))
     nilpotent = cache(lambda a: _nilpotent(Matrix(F, n, n, a)))
-    walked = set(variety)
-    seen: set[tuple] = set()
-    orbits: list[Orbit] = []
-    for key in variety:
-        if key in seen:
-            continue
-        keys = list(zip(*map(conjugates, key)))
-        orbit = set(keys)
-        if not orbit <= walked:
-            raise RuntimeError("a conjugate lies outside the walked variety")
-        flags = {all(map(nilpotent, u)) for u in orbit}
-        if len(flags) != 1:
-            raise RuntimeError("nilpotency not orbit constant")
-        stabilizer = keys.count(key)
-        if len(orbit) * stabilizer != glo:
-            raise RuntimeError("orbit-stabilizer mismatch")
-        seen |= orbit
-        rep = CommutingTuple(F, n, d, tuple(Matrix(F, n, n, a) for a in key))
-        orbits.append(Orbit(rep, len(orbit), stabilizer, flags.pop()))
-    if sum(o.orbit_size for o in orbits) != len(variety):
-        raise RuntimeError("orbits do not partition the variety")
-    return orbits
+    by_centralizer: dict[tuple[int, ...], tuple[Callable, int]] = {}
+    orbits: list[tuple[tuple, int, int, bool]] = []  # key, orbit size, aut order, nilpotent
+    for k in range(1, d + 1):
+        below, orbits, walked = orbits, [], 0
+        for c, m in firsts:
+            if k == 1:
+                orbits.append(((m,), c.weight, glo // c.weight, c.nilpotent))
+                walked += c.weight
+                continue
+            if c.scalar:
+                orbits += [((m,) + key, size, aut, c.nilpotent and flag)
+                           for key, size, aut, flag in below]
+                walked += c.weight * sum(o[1] for o in below)
+                continue
+            chains = [tuple(interned.setdefault(a.entries, a.entries) for a in chain)
+                      for chain, _ in _chains([Matrix(F, n, n, m)], k)]
+            walked += c.weight * len(chains)
+            if m not in by_centralizer:
+                # the second coordinates range over Z(m_C); its units are Z_GL(m_C)
+                inside = {chain[1] for chain in chains}
+                centralizer = [(g, h) for g, h in group if g.entries in inside]
+                if len(centralizer) * c.weight != glo:
+                    raise RuntimeError("|Z_GL(m_C)| times the class size is not |GL_n|")
+                by_centralizer[m] = conjugator(centralizer), len(centralizer)
+            conjugates, order = by_centralizer[m]
+            chain_set = set(chains)
+            seen: set[tuple] = set()
+            for key in chains:
+                if key in seen:
+                    continue
+                keys = list(zip(*map(conjugates, key)))
+                orbit = set(keys)
+                if not orbit <= chain_set:
+                    raise RuntimeError("a conjugate lies outside the walked variety")
+                flags = {all(map(nilpotent, u)) for u in orbit}
+                if len(flags) != 1:
+                    raise RuntimeError("nilpotency not orbit constant")
+                stabilizer = keys.count(key)
+                if len(orbit) * stabilizer != order:
+                    raise RuntimeError("orbit-stabilizer mismatch")
+                seen |= orbit
+                orbits.append((key, c.weight * len(orbit), stabilizer, flags.pop()))
+        if sum(o[1] for o in orbits) != walked:
+            raise RuntimeError("orbits do not partition the variety")
+    return [Orbit(CommutingTuple(F, n, d, tuple(Matrix(F, n, n, a) for a in key)), size, aut, flag)
+            for key, size, aut, flag in sorted(orbits)]
 
 
 def burnside_count(orbits: Sequence[Orbit]) -> Fraction:

@@ -4,20 +4,30 @@ Everything here works on plain Python lists of scalars: Fraction over the
 rationals, small nonnegative ints mod p over a prime field (p passed
 explicitly, None means rationals).  The implementations are deliberately
 naive (cofactor expansions, textbook elimination) and share no code with
-the package under test, apart from ``census_leaf_walk``: it replays the
-census's earlier walk through the package's own walk and elimination, so
-it checks the class data and closed forms the census counts with, not the
-kernels.
+the package under test, apart from ``census_leaf_walk`` and
+``orbit_census_walk``: they replay the census's earlier walks through the
+package's own walk, elimination and conjugation maps, so they check the
+class data, closed forms and centralizer actions the census works with,
+not the kernels.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
-from commvar.census import _all_matrices, _centralizer_basis, _nilpotent, _walk
+from commvar.census import (
+    Orbit,
+    _centralizer_basis,
+    _conjugation_map,
+    _nilpotent,
+    _walk,
+    gl_order,
+)
 from commvar.fields import GF
-from commvar.matrices import rank
+from commvar.matrices import Matrix, _intertwining_system, inverse, rank
+from commvar.modules import CommutingTuple
 
 Rows = list  # list[list[scalar]]
 
@@ -423,7 +433,14 @@ def feit_fine_pairs(n: int, q: int, punctual: bool) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# the census's leaf walk, weight 1 over every first coordinate
+# the census's earlier walks, weight 1 over every first coordinate
+
+
+def all_matrices(n: int, q: int) -> list[tuple[Matrix, int]]:
+    """Every n x n matrix over F_q in entry-lexicographic order, each with
+    weight 1: the first coordinates of a walk over the whole variety."""
+    F = GF(q)
+    return [(Matrix(F, n, n, e), 1) for e in itertools.product(range(q), repeat=n * n)]
 
 
 def census_leaf_walk(n: int, d: int, q: int, nilpotent: bool) -> int:
@@ -436,16 +453,73 @@ def census_leaf_walk(n: int, d: int, q: int, nilpotent: bool) -> int:
     coordinate."""
     keep = _nilpotent if nilpotent else (lambda a: True)
     if nilpotent and d > 2:
-        return sum(1 for _ in _walk(n, d, q, _all_matrices, keep))
+        return sum(1 for _ in _walk(n, d, q, all_matrices, keep))
     if d == 1:
         return q ** (n * n - n if nilpotent else n * n)
     total = 0
-    for chain, _ in _walk(n, d - 1, q, _all_matrices, keep):
-        dim = len(_centralizer_basis(chain, GF(q), n))
+    for chain, _ in _walk(n, d - 1, q, all_matrices, keep):
+        dim = len(_centralizer_basis(_intertwining_system(chain, chain), GF(q), n))
         if nilpotent:
             dim -= n - rank(chain[0])
         total += q**dim
     return total
+
+
+def orbit_census_walk(n: int, d: int, q: int) -> list[Orbit]:
+    """The orbit census by walking every tuple of the commuting variety and
+    conjugating it by all of GL_n, found by inverting every matrix.
+
+    Each distinct coordinate matrix a is conjugated by all of GL_n in one
+    product: the conjugation maps of the group, stacked, times vec(a).  The
+    g-th conjugate of a tuple is then the tuple of the g-th conjugates of
+    its coordinates, and orbits are keyed on those entries.  Representatives
+    are the first tuples of their orbit in enumeration order.  Each check
+    raises RuntimeError: |GL_n(F_q)| group elements; every conjugate in the
+    walked variety; nilpotency constant along the orbit (read on every
+    conjugate); |orbit| * |Aut| = |GL_n(F_q)| against a directly counted
+    stabilizer; orbits partitioning the variety.
+    """
+    glo = gl_order(n, q)
+    F = GF(q)
+    # one tuple object per distinct coordinate matrix, however often it recurs
+    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+    variety = [tuple(interned.setdefault(a.entries, a.entries) for a in chain)
+               for chain, _ in _walk(n, d, q, all_matrices)]
+    group = [(g, g_inv) for g, _ in all_matrices(n, q) if (g_inv := inverse(g)) is not None]
+    if len(group) != glo:
+        raise RuntimeError("group enumeration disagrees with |GL_n|")
+    stacked = _conjugation_map(group, n, q)
+    size = n * n
+
+    @cache
+    def conjugates(a: tuple[int, ...]) -> list[tuple[int, ...]]:
+        out = F.dots([a], stacked)
+        cuts = (tuple(out[g * size:(g + 1) * size]) for g in range(glo))
+        return [interned.setdefault(c, c) for c in cuts]
+
+    nilpotent = cache(lambda a: _nilpotent(Matrix(F, n, n, a)))
+    walked = set(variety)
+    seen: set[tuple] = set()
+    orbits: list[Orbit] = []
+    for key in variety:
+        if key in seen:
+            continue
+        keys = list(zip(*map(conjugates, key)))
+        orbit = set(keys)
+        if not orbit <= walked:
+            raise RuntimeError("a conjugate lies outside the walked variety")
+        flags = {all(map(nilpotent, u)) for u in orbit}
+        if len(flags) != 1:
+            raise RuntimeError("nilpotency not orbit constant")
+        stabilizer = keys.count(key)
+        if len(orbit) * stabilizer != glo:
+            raise RuntimeError("orbit-stabilizer mismatch")
+        seen |= orbit
+        rep = CommutingTuple(F, n, d, tuple(Matrix(F, n, n, a) for a in key))
+        orbits.append(Orbit(rep, len(orbit), stabilizer, flags.pop()))
+    if sum(o.orbit_size for o in orbits) != len(variety):
+        raise RuntimeError("orbits do not partition the variety")
+    return orbits
 
 
 def _partitions(n: int, largest: int):

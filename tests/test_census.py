@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -10,10 +11,10 @@ import oracles
 from commvar import census
 from commvar.census import (
     CensusRequest,
-    _all_matrices,
     _centralizer_basis,
     _classes,
     _conjugation_map,
+    _general_linear,
     _nilpotent,
     _walk,
     burnside_count,
@@ -25,7 +26,8 @@ from commvar.config import DEFAULT_CONFIG
 from commvar.cycles import cycle, partition_notation, stratum
 from commvar.errors import BudgetExceededError, NonprimeQError, NotSplitError
 from commvar.fields import GF, PrimeField
-from commvar.matrices import Matrix, inverse, rank
+from commvar import matrices
+from commvar.matrices import Matrix, _intertwining_rows, inverse, rank
 from commvar.modules import CommutingTuple, check_relations, is_punctual
 from commvar.polynomials import parse_multipoly
 
@@ -75,7 +77,7 @@ def test_class_records_match_elimination(n, q):
     identity = Matrix.identity(F, n)
     for c in _classes(n, q):
         a = c.representative()
-        assert c.dim == len(_centralizer_basis([a], F, n))
+        assert c.dim == len(_centralizer_basis(_intertwining_rows(a, a), F, n))
         assert c.nilpotent == _nilpotent(a)
         assert c.scalar == any(a == identity.scale(x) for x in range(q))
         assert c.nullity == n - rank(a)
@@ -170,7 +172,7 @@ def test_census_unsplit_oracle_f2_pairs():
 
 def all_tuples(n, d, q):
     """every commuting d-tuple over F_q, in lexicographic order"""
-    return [CommutingTuple(GF(q), n, d, tuple(chain)) for chain, _ in _walk(n, d, q, _all_matrices)]
+    return [CommutingTuple(GF(q), n, d, tuple(chain)) for chain, _ in _walk(n, d, q, oracles.all_matrices)]
 
 
 def per_tuple_census(n, d, q, keep=lambda t: True):
@@ -301,12 +303,15 @@ def test_census_scalar_prefixes_match_leaf_walk(n, d, q):
 
 
 @pytest.mark.parametrize("n,d,q,per_stratum,most", [
-    (2, 2, 5, False, 0), (4, 2, 2, True, 0), (2, 3, 3, False, 100)])
+    (2, 2, 5, False, 0), (4, 2, 2, True, 0), (2, 3, 3, False, 0), (3, 3, 2, False, 132)])
 def test_census_counts_from_class_data(monkeypatch, n, d, q, per_stratum, most):
-    # pairs read dim Z(A) off the partitions; at d = 3 only the non-scalar
-    # classes eliminate (90 eliminations at (2,3,3), 336 when every class
-    # walks).  Every elimination over F_q, each kernel and rank included, is
-    # the field's ``eliminate``, so patching the class counts them all.
+    # pairs read dim Z(A) off the partitions; at d = 3 scalar and cyclic
+    # classes are counted in closed form, so at n = 2 nothing eliminates
+    # (90 eliminations at (2,3,3) when every non-scalar class walks), and at
+    # (3,3,2) only the four classes with dim Z(A) = 5 do, 1 + 2^5 each (204
+    # when the cyclic classes walk too).  Every elimination over F_q, each
+    # kernel and rank included, is the field's ``eliminate``, so patching the
+    # class counts them all.
     real = PrimeField.eliminate
     calls = []
 
@@ -321,6 +326,53 @@ def test_census_counts_from_class_data(monkeypatch, n, d, q, per_stratum, most):
         assert calls
 
 
+@pytest.mark.parametrize("nilpotent", [False, True])
+def test_cyclic_classes_counted_in_closed_form_match_leaf_walk(nilpotent):
+    # at (3,3,2) cyclic, scalar and other first coordinates mix; the cyclic
+    # ones add q^(n (d - 1)), or q^((n - 1)(d - 1)) beside a Jordan block
+    n, d, q = 3, 3, 2
+    kinds = {(c.scalar, c.dim == n) for c in _classes(n, q)
+             if c.nilpotent or not nilpotent}
+    assert kinds == {(True, False), (False, True), (False, False)}
+    res = enumerate_census(CensusRequest(n=n, d=d, q=q, nilpotent=nilpotent))
+    assert res.raw_count == oracles.census_leaf_walk(n, d, q, nilpotent)
+
+
+def _counting(monkeypatch, module, name, calls):
+    """Patch module.name to record each call's arguments in calls."""
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+@pytest.mark.parametrize("req", [
+    CensusRequest(n=3, d=3, q=2, nilpotent=True),
+    CensusRequest(n=3, d=3, q=2, relations=(parse_multipoly("x1*x2 + x3^2", GF(2), 3),)),
+], ids=["nilpotent", "relation"])
+def test_chains_eliminate_one_pair_per_extension(monkeypatch, req):
+    # each level of a chain eliminates only its new pair's n^2 rows against
+    # the prefix's eliminated rows: one _intertwining_rows block per
+    # centralizer kernel, where rebuilding the prefix's system takes one
+    # block per coordinate
+    blocks, kernels = [], []
+    real = matrices._intertwining_rows
+
+    def counting(*args):
+        blocks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(matrices, "_intertwining_rows", counting)
+    monkeypatch.setattr(census, "_intertwining_rows", counting, raising=False)
+    _counting(monkeypatch, census, "_kernel", kernels)
+    enumerate_census(req)
+    assert kernels
+    assert len(blocks) == len(kernels)
+
+
 _FILTERS = ["none", "nilpotent", "per_stratum", "relation", "all"]
 
 
@@ -330,7 +382,7 @@ def _by_leaf_walk(monkeypatch, req):
     with monkeypatch.context() as m:
         m.setattr(census, "_count", lambda n, d, q, nilpotent, classes: oracles.census_leaf_walk(
             n, d, q, nilpotent))
-        m.setattr(census, "_class_matrices", _all_matrices)
+        m.setattr(census, "_class_matrices", oracles.all_matrices)
         return enumerate_census(req)
 
 
@@ -429,18 +481,29 @@ def test_orbit_census_matches_brute_force_orbits(n, d, q):
 
 
 def test_orbit_census_refuses_a_walk_that_misses_a_tuple(monkeypatch):
-    # every conjugate of a walked tuple must itself have been walked
-    n, d, q = 2, 2, 2
-    real = census._walk
-    chains = [tuple(m.entries for m in c) for c, _ in real(n, d, q, census._all_matrices)]
-    assert chains[-1] not in {rep for rep, _, _ in oracles.orbits(n, d, q)}
+    # every conjugate of a walked chain must itself have been walked: each
+    # class's walk loses its last chain that is no orbit representative.
+    # Z(m_C) = F_q[m_C] is commutative for a cyclic m_C, so every orbit
+    # inside it is a point; the first sizes with others have n = 3
+    n, d, q = 3, 2, 2
+    reps = {tuple(m.entries for m in o.representative.mats)
+            for o in oracles.orbit_census_walk(n, d, q)}
+    real = census._chains
+    dropped = []
 
-    def dropping(*args, **kwargs):
-        yield from list(real(*args, **kwargs))[:-1]
+    def dropping(chain, length, *args):
+        out = list(real(chain, length, *args))
+        keys = [tuple(m.entries for m in c) for c, _ in out]
+        i = next((i for i in reversed(range(len(out))) if keys[i] not in reps), None)
+        if len(chain) == 1 and i is not None:
+            dropped.append(keys[i])
+            del out[i]
+        return out
 
-    monkeypatch.setattr(census, "_walk", dropping)
+    monkeypatch.setattr(census, "_chains", dropping)
     with pytest.raises(RuntimeError):
         orbit_census(n, d, q)
+    assert dropped
 
 
 def test_orbit_census_nilpotent_counts():
@@ -456,7 +519,7 @@ def test_orbit_census_nilpotent_counts():
 
 
 def _group(n, q):
-    return [(g, g_inv) for g, _ in _all_matrices(n, q) if (g_inv := inverse(g)) is not None]
+    return [(g, g_inv) for g, _ in oracles.all_matrices(n, q) if (g_inv := inverse(g)) is not None]
 
 
 @pytest.mark.parametrize("n,q,sample", [(2, 3, None), (3, 2, 20)])
@@ -464,7 +527,7 @@ def test_conjugation_map_matches_matrix_products(n, q, sample):
     # the stacked map times vec(a) is vec(g a g^-1) for each g in turn
     group = _group(n, q)
     stacked = _conjugation_map(group, n, q)
-    mats = [a for a, _ in _all_matrices(n, q)]
+    mats = [a for a, _ in oracles.all_matrices(n, q)]
     if sample:
         mats = random.Random(1).sample(mats, sample)
     for a in mats:
@@ -492,24 +555,68 @@ def test_orbit_census_conjugates_each_distinct_matrix_in_one_product(monkeypatch
 
 
 def test_orbit_census_refuses_a_corrupted_conjugation_map(monkeypatch):
-    # a non-identity element that acts as the identity breaks the
-    # orbit-stabilizer count; the checks are raises, so python -O keeps them
-    n, d, q = 2, 2, 2
+    # a non-identity element that acts as the identity breaks the class
+    # sizes when the map is GL_n's (first at q = 2, where some Z_GL(A) is
+    # trivial), and the orbit-stabilizer count when it is Z_GL(m_C)'s (first
+    # at n = 3, where some Z(m_C) is not commutative); each map is corrupted
+    # in the group order the census passes it.  The checks are raises, so
+    # python -O keeps them
     real = census._conjugation_map
-    group = _group(n, q)
-    e = next(i for i, (g, _) in enumerate(group) if g == Matrix.identity(GF(q), n))
-    other = next(i for i in range(len(group)) if i != e)
-    size = n * n
+    for n, d, q, centralizers_only, error in [(2, 2, 2, False, "conjugates of a class"),
+                                               (3, 2, 2, True, "orbit-stabilizer")]:
+        identity = Matrix.identity(GF(q), n)
 
-    def corrupted(group, n, q):
-        rows = real(group, n, q)
-        rows[other * size:(other + 1) * size] = rows[e * size:(e + 1) * size]
-        return rows
+        def corrupted(group, n, q, identity=identity, centralizers_only=centralizers_only):
+            rows = real(group, n, q)
+            e = next(i for i, (g, _) in enumerate(group) if g == identity)
+            other = next((i for i in range(len(group)) if i != e), None)
+            if other is not None and not (centralizers_only and len(group) == gl_order(n, q)):
+                rows[other * n * n:(other + 1) * n * n] = rows[e * n * n:(e + 1) * n * n]
+            return rows
 
-    orbit_census(n, d, q)
-    monkeypatch.setattr(census, "_conjugation_map", corrupted)
-    with pytest.raises(RuntimeError, match="orbit-stabilizer"):
+        monkeypatch.setattr(census, "_conjugation_map", real)
         orbit_census(n, d, q)
+        monkeypatch.setattr(census, "_conjugation_map", corrupted)
+        with pytest.raises(RuntimeError, match=error):
+            orbit_census(n, d, q)
+
+
+@pytest.mark.parametrize("n,d,q", [(3, 3, 2), (2, 2, 5), (2, 3, 3), (3, 2, 2)])
+def test_orbit_census_by_class_matches_the_whole_walk(n, d, q):
+    # representatives, orbit sizes, aut orders and nilpotent flags, in order
+    def flat(orbits):
+        return [(o.representative, o.orbit_size, o.aut_order, o.nilpotent) for o in orbits]
+
+    assert flat(orbit_census(n, d, q)) == flat(oracles.orbit_census_walk(n, d, q))
+
+
+@pytest.mark.parametrize("n,d,q,most", [(2, 3, 2, 24), (3, 3, 2, 216)])
+def test_orbit_census_walks_only_inside_the_centralizers(monkeypatch, n, d, q, most):
+    # one centralizer per chain prefix inside Z(m_C) for each non-scalar
+    # class, where walking the whole variety takes 104 and 7,968
+    calls = []
+    _counting(monkeypatch, census, "_centralizer_basis", calls)
+    orbit_census(n, d, q)
+    assert 0 < len(calls) <= most
+
+
+@pytest.mark.parametrize("n,q", [(0, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
+def test_general_linear_is_the_invertible_matrices(n, q):
+    assert _general_linear(n, q) == _group(n, q)
+
+
+def test_general_linear_inverts_only_group_elements(monkeypatch):
+    # rows outside the span of those before them: 168 inverses at (3,1,2),
+    # where inverting every matrix takes 512; every module that binds
+    # inverse is patched
+    calls = []
+    real = matrices.inverse
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("commvar") and getattr(module, "inverse", None) is real:
+            _counting(monkeypatch, module, "inverse", calls)
+    assert census.inverse is not real
+    orbit_census(3, 1, 2)
+    assert len(calls) == gl_order(3, 2) == 168
 
 
 def test_orbit_census_deterministic():

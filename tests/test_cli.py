@@ -112,6 +112,17 @@ def test_golden_census_stable_modulo_timing():
     assert got == want
 
 
+def test_golden_orbit_census_stable_modulo_timing():
+    # the class-by-class orbit census reproduces the whole-variety walk's
+    # report, orbit by orbit
+    code, out = run("orbit-census", "--n", "2", "--d", "3", "--q", "2")
+    assert code == 0
+    got = json.loads(out)
+    want = json.loads(read("orbit_census_2_3_2.golden.json"))
+    got["elapsed_ms"] = want["elapsed_ms"] = 0
+    assert got == want
+
+
 def test_reports_are_deterministic_under_rerun():
     a = run("cycle", str(GOLDEN / "companion12.json"))
     b = run("cycle", str(GOLDEN / "companion12.json"))

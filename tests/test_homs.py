@@ -185,9 +185,9 @@ def test_first_candidate_needs_one_hom_basis(monkeypatch):
 
 @pytest.mark.parametrize("n,d,q", [(2, 2, 2), (2, 3, 2), (2, 2, 3), (3, 1, 2)])
 def test_is_isomorphic_against_orbit_census(n, d, q):
-    # orbit_census finds its orbits by conjugating with all of GL_n, not
-    # from hom spaces: a verified certificate must come back exactly for
-    # the pairs in one orbit
+    # orbit_census finds its orbits by conjugating with GL_n and the
+    # centralizers in it, not from hom spaces: a verified certificate must
+    # come back exactly for the pairs in one orbit
     reps = [o.representative for o in orbit_census(n, d, q)]
     rng = random.Random(100 * n + 10 * d + q)
 
