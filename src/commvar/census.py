@@ -124,17 +124,24 @@ def _general_linear(n: int, q: int) -> list[tuple[Matrix, Optional[Matrix]]]:
 
 
 def _irreducibles(F, n: int) -> list[UniPoly]:
-    """The monic irreducibles of degree 1..n over F_q, by degree: a sieve
-    that strikes out each product of a lower-degree irreducible and a monic
-    cofactor."""
+    """The monic irreducibles of degree 1..n over F_q, by degree: a sieve on
+    coefficient tuples that strikes out each product of a lower-degree
+    irreducible and a monic cofactor."""
     q = F.characteristic
-    monic = {e: [UniPoly(F, c + (1,)) for c in itertools.product(range(q), repeat=e)]
-             for e in range(1, n + 1)}
-    irr: list[UniPoly] = []
+    monic = {e: [c + (1,) for c in itertools.product(range(q), repeat=e)] for e in range(1, n + 1)}
+
+    def times(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+        out = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+        return tuple(x % q for x in out)
+
+    irr: list[tuple[int, ...]] = []
     for e in range(1, n + 1):
-        reducible = {f * g for f in irr if 2 * f.degree <= e for g in monic[e - f.degree]}
+        reducible = {times(f, g) for f in irr if 2 * len(f) - 2 <= e for g in monic[e - len(f) + 1]}
         irr += [f for f in monic[e] if f not in reducible]
-    return irr
+    return [UniPoly(F, f) for f in irr]
 
 
 def _partitions(m: int, most: int) -> Iterator[tuple[int, ...]]:
@@ -191,26 +198,30 @@ def _classes(n: int, q: int) -> list[_Class]:
     (Macdonald, IV.2), and no representative is built."""
     F = GF(q)
     irr = _irreducibles(F, n)
-    t = UniPoly.x(F)
+    t = UniPoly.x(F).coeffs
     glo = gl_order(n, q)
+    # each partition of each size, with a_lam(q^e) and e (|lam| + 2 n(lam)), once per degree e
+    blocks = {(e, size): [(lam, _centralizer_order(lam, q**e), e * _centralizer_dim(lam))
+                          for lam in _partitions(size, size)]
+              for e in range(1, n + 1) for size in range(1, n // e + 1)}
     out: list[_Class] = []
     orders: list[int] = []
 
     def assign(start: int, room: int, parts: tuple, z: int, dim: int) -> None:
         if room == 0:
             orders.append(z)
-            nullity = next((len(lam) for phi, lam in parts if phi == t), 0)
+            nullity = next((len(lam) for phi, lam in parts if phi.coeffs == t), 0)
             out.append(_Class(F, parts, glo // z, dim, nullity,
-                              nilpotent=all(phi == t for phi, _ in parts), scalar=dim == n * n))
+                              nilpotent=all(phi.coeffs == t for phi, _ in parts),
+                              scalar=dim == n * n))
         for j in range(start, len(irr)):
             phi = irr[j]
             e = phi.degree
             if e > room:
                 break
             for size in range(1, room // e + 1):
-                for lam in _partitions(size, size):
-                    assign(j + 1, room - e * size, parts + ((phi, lam),),
-                           z * _centralizer_order(lam, q**e), dim + e * _centralizer_dim(lam))
+                for lam, z_lam, dim_lam in blocks[e, size]:
+                    assign(j + 1, room - e * size, parts + ((phi, lam),), z * z_lam, dim + dim_lam)
 
     assign(0, n, (), 1, 0)
     if sum(c.weight for c in out) != q ** (n * n) or any(glo % z for z in orders):
