@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from commvar import census
+from commvar import census, matrices
 from commvar.census import (
     CensusRequest,
     _centralizer_basis,
@@ -26,7 +26,6 @@ from commvar.config import DEFAULT_CONFIG
 from commvar.cycles import cycle, partition_notation, stratum
 from commvar.errors import BudgetExceededError, NonprimeQError, NotSplitError
 from commvar.fields import GF, PrimeField
-from commvar import matrices
 from commvar.matrices import Matrix, _intertwining_rows, inverse, rank
 from commvar.modules import CommutingTuple, check_relations, is_punctual
 from commvar.polynomials import parse_multipoly
@@ -172,7 +171,8 @@ def test_census_unsplit_oracle_f2_pairs():
 
 def all_tuples(n, d, q):
     """every commuting d-tuple over F_q, in lexicographic order"""
-    return [CommutingTuple(GF(q), n, d, tuple(chain)) for chain, _ in _walk(n, d, q, oracles.all_matrices)]
+    return [CommutingTuple(GF(q), n, d, tuple(chain))
+            for chain, _ in _walk(n, d, q, oracles.all_matrices)]
 
 
 def per_tuple_census(n, d, q, keep=lambda t: True):
@@ -359,14 +359,8 @@ def test_chains_eliminate_one_pair_per_extension(monkeypatch, req):
     # centralizer kernel, where rebuilding the prefix's system takes one
     # block per coordinate
     blocks, kernels = [], []
-    real = matrices._intertwining_rows
-
-    def counting(*args):
-        blocks.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(matrices, "_intertwining_rows", counting)
-    monkeypatch.setattr(census, "_intertwining_rows", counting, raising=False)
+    _counting(monkeypatch, matrices, "_intertwining_rows", blocks)
+    monkeypatch.setattr(census, "_intertwining_rows", matrices._intertwining_rows, raising=False)
     _counting(monkeypatch, census, "_kernel", kernels)
     enumerate_census(req)
     assert kernels
