@@ -28,11 +28,14 @@ relations the support cycle of each kept tuple files it.
 ``orbit_census`` also goes class by class: the lex-first tuple of an orbit
 starts with m_C, the lex-first matrix of the class C of its first
 coordinate, and its other coordinates form the lex-first tuple of an orbit
-of Z_GL(m_C) on the commuting tuples inside Z(m_C).  A d = 1 orbit is a
-class; a scalar c I prefixes c I to the (d - 1)-orbits; any other class
-walks the chains through Z(m_C) and acts by Z_GL(m_C) alone, conjugation
-by g being a linear map C_g on the n^2 entries and each distinct matrix
-conjugated by a whole group in one product with the maps C_g stacked.
+of Z_GL(m_C) on the commuting tuples inside Z(m_C).  m_C is the least
+element of C, found as the closure of its canonical form under conjugation
+by generators of GL_n, so no step lists GL_n; Z_GL(m_C) is the set of
+units of the walked Z(m_C).  A d = 1 orbit is a class; a scalar c I
+prefixes c I to the (d - 1)-orbits; any other class walks the chains
+through Z(m_C) and acts by Z_GL(m_C) alone.  Conjugation by g is a linear
+map C_g on the n^2 entries, so many matrices are conjugated by many g in
+one product, the maps C_g stacked.
 A request whose nominal size q^(d n^2) exceeds the budget is refused
 whole; counts are never truncated.
 """
@@ -48,8 +51,8 @@ from typing import Callable, Iterator, Optional, Sequence
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ArityMismatchError, BudgetExceededError, NonprimeQError, NotSplitError
 from .fields import GF, Field, is_prime
-from .matrices import Matrix, _intertwining_rows, _kernel, block_diag, inverse
-from .modules import CommutingTuple, check_relations, companion
+from .matrices import Matrix, _intertwining_rows, _kernel, inverse
+from .modules import CommutingTuple, check_relations
 from .cycles import cycle, stratum
 from .polynomials import MultiPoly, UniPoly
 
@@ -102,25 +105,13 @@ class Orbit:
     nilpotent: bool
 
 
-def _general_linear(n: int, q: int) -> list[tuple[Matrix, Optional[Matrix]]]:
-    """GL_n(F_q) in entry-lexicographic order, each g with inverse(g): row k
-    ranges over the vectors outside the span of rows 0..k-1, so only
-    invertible matrices are built and inverted."""
-    F = GF(q)
-    vectors = list(itertools.product(range(q), repeat=n))
-
-    def rows(entries: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        k = len(entries) // n if n else 0
-        if k == n:
-            yield entries
-            return
-        span = {tuple(sum(c * entries[i * n + j] for i, c in enumerate(cs)) % q for j in range(n))
-                for cs in itertools.product(range(q), repeat=k)}
-        for v in vectors:
-            if v not in span:
-                yield from rows(entries + v)
-
-    return [(g, inverse(g)) for g in (Matrix(F, n, n, e) for e in rows(()))]
+def _times(f: tuple[int, ...], g: tuple[int, ...], q: int) -> tuple[int, ...]:
+    """The product of two coefficient tuples (ascending degree) mod q."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return tuple(x % q for x in out)
 
 
 def _irreducibles(F, n: int) -> list[UniPoly]:
@@ -129,17 +120,10 @@ def _irreducibles(F, n: int) -> list[UniPoly]:
     irreducible and a monic cofactor."""
     q = F.characteristic
     monic = {e: [c + (1,) for c in itertools.product(range(q), repeat=e)] for e in range(1, n + 1)}
-
-    def times(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-        return tuple(x % q for x in out)
-
     irr: list[tuple[int, ...]] = []
     for e in range(1, n + 1):
-        reducible = {times(f, g) for f in irr if 2 * len(f) - 2 <= e for g in monic[e - len(f) + 1]}
+        reducible = {_times(f, g, q) for f in irr if 2 * len(f) - 2 <= e
+                     for g in monic[e - len(f) + 1]}
         irr += [f for f in monic[e] if f not in reducible]
     return [UniPoly(F, f) for f in irr]
 
@@ -187,9 +171,24 @@ class _Class:
 
     def representative(self) -> Matrix:
         """The block sum of the companion matrices of phi^k over the parts k
-        of each lam_phi: the primary rational canonical form."""
-        return block_diag([companion(phi.pow_int(k)).mats[0] for phi, lam in self.parts
-                           for k in lam], self.field)
+        of each lam_phi: the primary rational canonical form, each block
+        written from the coefficients of phi^k into one entry tuple."""
+        q = self.field.characteristic
+        n = sum(phi.degree * sum(lam) for phi, lam in self.parts)
+        entries = [0] * (n * n)
+        r = 0
+        for phi, lam in self.parts:
+            for k in lam:
+                f = (1,)
+                for _ in range(k):
+                    f = _times(f, phi.coeffs, q)
+                m = len(f) - 1
+                for i in range(1, m):
+                    entries[(r + i) * n + r + i - 1] = 1
+                for i in range(m):
+                    entries[(r + i) * n + r + m - 1] = -f[i] % q
+                r += m
+        return Matrix(self.field, n, n, tuple(entries))
 
 
 def _classes(n: int, q: int) -> list[_Class]:
@@ -438,36 +437,65 @@ def _conjugation_map(group: Sequence[tuple[Matrix, Matrix]], n: int, q: int) -> 
     ]
 
 
+def _generators(n: int, q: int) -> list[tuple[Matrix, Matrix]]:
+    """Generators of GL_n(F_q), each with its inverse: the transvections
+    I + E_{i,i+1} and I + E_{i+1,i}, and diag(w, 1, ..., 1) for the least
+    primitive root w mod q, left out at q = 2 (Taylor, The Geometry of the
+    Classical Groups, 1992)."""
+    F = GF(q)
+    one = Matrix.identity(F, n).entries
+    cells = [(k, 1, q - 1) for i in range(n - 1) for k in (i * n + i + 1, (i + 1) * n + i)]
+    if q > 2 and n:
+        primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+        w = next(w for w in range(2, q) if all(pow(w, (q - 1) // r, q) != 1 for r in primes))
+        cells.append((0, w, pow(w, -1, q)))
+
+    def at(k: int, x: int) -> Matrix:
+        return Matrix(F, n, n, one[:k] + (x,) + one[k + 1:])
+    return [(at(k, x), at(k, y)) for k, x, y in cells]
+
+
+def _class_closures(classes: Sequence[_Class], n: int, q: int) -> list[set[tuple[int, ...]]]:
+    """The entries of each class C: the closure of its canonical form under
+    conjugation by the generators of GL_n.  Each level conjugates every
+    class's frontier in one product with the generators' maps stacked;
+    RuntimeError unless each closure holds |C| matrices."""
+    F, cells, gens = GF(q), n * n, _generators(n, q)
+    stacked = _conjugation_map(gens, n, q)
+    closures = [{c.representative().entries} for c in classes]
+    frontiers = [list(s) for s in closures]
+    while gens and any(frontiers):
+        out = F.dots([a for f in frontiers for a in f], stacked)
+        images = (tuple(out[i:i + cells]) for i in range(0, len(out), cells))
+        for k, seen in enumerate(closures):
+            frontiers[k] = list(set(itertools.islice(images, len(gens) * len(frontiers[k]))) - seen)
+            seen.update(frontiers[k])
+    if any(len(s) != c.weight for c, s in zip(classes, closures)):
+        raise RuntimeError("the conjugates of a class disagree with its size")
+    return closures
+
+
 def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> list[Orbit]:
     """Full orbit decomposition of the commuting variety over F_q under
-    simultaneous conjugation, class by class of the first coordinate.
-
-    Each class's primary rational canonical form is conjugated by all of
-    GL_n in one product, the conjugation maps of the group stacked times its
-    entries; m_C is the least conjugate.  The d-orbits are then built from
-    the (d - 1)-orbits: at d = 1 the orbits are the classes; a scalar class
-    c I prefixes c I to each (d - 1)-orbit; any other class walks the chains
-    of length d through Z(m_C), whose units Z_GL(m_C) are the elements of
-    GL_n among their second coordinates, and keys each chain's
-    Z_GL(m_C)-orbit on the entries of its coordinates' conjugates, each
-    distinct matrix conjugated by Z_GL(m_C) in one product.  An orbit there
-    has size |C| |Z_GL(m_C)-orbit| and its stabilizer inside Z_GL(m_C) as
-    aut order.  Deterministic: representatives are the lex-first tuples of
-    their orbits, and the list is in their order.  Each check raises
-    RuntimeError: |GL_n(F_q)| invertible group elements; |C| distinct
-    conjugates of the form; |Z_GL(m_C)| |C| = |GL_n(F_q)|; every conjugate
-    among the walked chains; nilpotency constant along the orbit (read on
-    every conjugate); |orbit| * |stabilizer| = |Z_GL(m_C)|; orbits
-    partitioning the walked chains, |C| times over.
+    simultaneous conjugation, class by class of the first coordinate (see
+    the module docstring).  An orbit through a non-scalar class C has size
+    |C| |Z_GL(m_C)-orbit| and its stabilizer inside Z_GL(m_C) as aut order;
+    the orbits of Z_GL(m_C) are keyed on the entries of the conjugates of
+    each chain's coordinates, each distinct matrix conjugated in one
+    product.  Representatives are the lex-first tuples of their orbits, in
+    order, with one Matrix per distinct coordinate.  Each check raises
+    RuntimeError: |C| matrices in the closure of C's canonical form;
+    |Z_GL(m_C)| |C| = |GL_n(F_q)|; every conjugate among the walked chains;
+    nilpotency constant along the orbit (read on every conjugate);
+    |orbit| * |stabilizer| = |Z_GL(m_C)|; orbits partitioning the walked
+    chains, |C| times over.
     """
     glo = _check_request(n, d, q, config)
     F = GF(q)
-    group = _general_linear(n, q)
-    if len(group) != glo or any(h is None for _, h in group):
-        raise RuntimeError("group enumeration disagrees with |GL_n|")
     cells = n * n
     # one tuple object per distinct coordinate matrix, however often it recurs
     interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+    matrix = cache(lambda a: Matrix(F, n, n, a))
 
     def conjugator(group: Sequence[tuple[Matrix, Matrix]]) -> Callable:
         stacked = _conjugation_map(group, n, q)
@@ -479,14 +507,9 @@ def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> 
             return [interned.setdefault(c, c) for c in cuts]
         return conjugates
 
-    by_gl = conjugator(group)
-    firsts = []
-    for c in _classes(n, q):
-        members = set(by_gl(c.representative().entries))
-        if len(members) != c.weight:
-            raise RuntimeError("the conjugates of a class disagree with its size")
-        firsts.append((c, min(members)))
-    nilpotent = cache(lambda a: _nilpotent(Matrix(F, n, n, a)))
+    classes = _classes(n, q)
+    firsts = [(c, min(members)) for c, members in zip(classes, _class_closures(classes, n, q))]
+    nilpotent = cache(lambda a: _nilpotent(matrix(a)))
     by_centralizer: dict[tuple[int, ...], tuple[Callable, int]] = {}
     orbits: list[tuple[tuple, int, int, bool]] = []  # key, orbit size, aut order, nilpotent
     for k in range(1, d + 1):
@@ -502,15 +525,15 @@ def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> 
                 walked += c.weight * sum(o[1] for o in below)
                 continue
             chains = [tuple(interned.setdefault(a.entries, a.entries) for a in chain)
-                      for chain, _ in _chains([Matrix(F, n, n, m)], k)]
+                      for chain, _ in _chains([matrix(m)], k)]
             walked += c.weight * len(chains)
             if m not in by_centralizer:
-                # the second coordinates range over Z(m_C); its units are Z_GL(m_C)
-                inside = {chain[1] for chain in chains}
-                centralizer = [(g, h) for g, h in group if g.entries in inside]
-                if len(centralizer) * c.weight != glo:
+                # the second coordinates cover Z(m_C); its units are Z_GL(m_C)
+                units = [(g, h) for g in map(matrix, sorted({chain[1] for chain in chains}))
+                         if (h := inverse(g)) is not None]
+                if len(units) * c.weight != glo:
                     raise RuntimeError("|Z_GL(m_C)| times the class size is not |GL_n|")
-                by_centralizer[m] = conjugator(centralizer), len(centralizer)
+                by_centralizer[m] = conjugator(units), len(units)
             conjugates, order = by_centralizer[m]
             chain_set = set(chains)
             seen: set[tuple] = set()
@@ -531,13 +554,11 @@ def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> 
                 orbits.append((key, c.weight * len(orbit), stabilizer, flags.pop()))
         if sum(o[1] for o in orbits) != walked:
             raise RuntimeError("orbits do not partition the variety")
-    return [Orbit(CommutingTuple(F, n, d, tuple(Matrix(F, n, n, a) for a in key)), size, aut, flag)
+    return [Orbit(CommutingTuple(F, n, d, tuple(map(matrix, key))), size, aut, flag)
             for key, size, aut, flag in sorted(orbits)]
 
 
 def burnside_count(orbits: Sequence[Orbit]) -> Fraction:
     """sum 1/|Aut| over orbits; equals raw_count / |GL_n|."""
-    total = Fraction(0)
-    for o in orbits:
-        total += Fraction(1, o.aut_order)
-    return total
+    common = math.lcm(*(o.aut_order for o in orbits))
+    return Fraction(sum(common // o.aut_order for o in orbits), common)

@@ -28,6 +28,7 @@ from .documents import (
     parse_document,
     to_commuting_tuple,
     to_framed_module,
+    write_json,
 )
 from .errors import ArityMismatchError, CommvarError, ParseError, SizeMismatchError
 from .fields import GF, Field, field_from_name, field_name, int_to_decimal
@@ -322,6 +323,7 @@ def _cmd_orbit_census(args, cfg: RunConfig):
     orbits = orbit_census(args.n, args.d, args.q, cfg)
     elapsed_ms = int(round((time.monotonic() - t0) * 1000))
     total = burnside_count(orbits)
+    rows = functools.cache(format_matrix)  # each distinct matrix once
     return {
         "n": args.n,
         "d": args.d,
@@ -329,7 +331,7 @@ def _cmd_orbit_census(args, cfg: RunConfig):
         "orbit_count": len(orbits),
         "orbits": [
             {
-                "matrices": [format_matrix(m) for m in o.representative.mats],
+                "matrices": [rows(m) for m in o.representative.mats],
                 "orbit_size": str(o.orbit_size),
                 "aut_order": str(o.aut_order),
                 "nilpotent": o.nilpotent,
@@ -568,7 +570,7 @@ def run_command(argv=None) -> tuple[int, str]:
         result["provenance"] = _provenance(cfg)
         if args.pretty:
             return 0, _pretty(result) + "\n"
-        return 0, json.dumps(result, indent=2, ensure_ascii=False) + "\n"
+        return 0, write_json(result) + "\n"
     except ParseError as e:
         return 2, _error_text(e)
     except CommvarError as e:
@@ -584,7 +586,7 @@ def _error_text(e: CommvarError) -> str:
     # limit, so it goes as a decimal string
     detail.update({k: int_to_decimal(v) if isinstance(v, int) and v.bit_length() > 13_000 else v
                    for k, v in e.detail.items()})
-    return json.dumps({"error": e.code, "detail": detail}, indent=2, default=str) + "\n"
+    return write_json({"error": e.code, "detail": detail}, ensure_ascii=True, default=str) + "\n"
 
 
 def main(argv=None) -> int:

@@ -7,6 +7,7 @@ floating point never appears.  parse_document parses each scalar once into
 a ModuleDocument of field, matrices and frame values; emit_document formats
 each once, in canonical form, through format_matrix, the one writer of
 matrices as text.  So parse(emit(doc)) == doc and emit is byte-deterministic.
+write_json writes documents and CLI reports as json.dumps(indent=2) would.
 """
 from __future__ import annotations
 
@@ -115,6 +116,50 @@ def parse_document(text: str) -> ModuleDocument:
     )
 
 
+def write_json(obj, ensure_ascii: bool = False, default=None) -> str:
+    """json.dumps(obj, indent=2, ensure_ascii=ensure_ascii, default=default)
+    byte for byte, for acyclic obj, without the standard library's
+    pure-Python indent path: one recursion puts each piece on one list,
+    strings go through json's C encoder and floats through json.dumps."""
+    string = json.encoder.encode_basestring_ascii if ensure_ascii else json.encoder.encode_basestring
+    out: list[str] = []
+    put = out.append
+
+    def write(o, nl: str) -> None:
+        inner = nl + "  "
+        if isinstance(o, str):
+            put(string(o))
+        elif o is None or o is True or o is False:
+            put("null" if o is None else "true" if o else "false")
+        elif isinstance(o, int):
+            put(int.__repr__(o))
+        elif isinstance(o, float):
+            put(json.dumps(o))
+        elif isinstance(o, dict):
+            sep = "{" + inner
+            for k, v in o.items():
+                # a key that is no string gets json.dumps's own text, or its TypeError
+                key = string(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
+                put(sep + key + ": ")
+                write(v, inner)
+                sep = "," + inner
+            put(nl + "}" if o else "{}")
+        elif isinstance(o, (list, tuple)):
+            sep = "[" + inner
+            for v in o:
+                put(sep)
+                write(v, inner)
+                sep = "," + inner
+            put(nl + "]" if o else "[]")
+        elif default is None:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        else:
+            write(default(o), nl)
+
+    write(obj, "\n")
+    return "".join(out)
+
+
 def format_matrix(m: Matrix) -> list[list[str]]:
     """The rows of m as canonical scalar strings: how documents and CLI
     reports write a matrix."""
@@ -136,7 +181,7 @@ def emit_document(doc: ModuleDocument) -> str:
         payload["frame"] = [[F.format(x) for x in v] for v in doc.frame]
     if doc.metadata is not None:
         payload["metadata"] = doc.metadata
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    return write_json(payload) + "\n"
 
 
 def to_commuting_tuple(doc: ModuleDocument) -> CommutingTuple:

@@ -9,7 +9,8 @@ Gauss-Jordan, ``products`` and ``dots`` multiply, and ``lift`` turns ints
 over a denominator back into scalars.  Nothing here reads the
 characteristic.  ``rref``, ``rank``, ``kernel_basis``, ``solve`` and
 ``inverse`` (``solve`` against the identity) read their answers off the
-eliminated rows of ``_int_rows``.  The reduced row echelon form is unique,
+eliminated rows of ``_int_rows``, or, in ``solve``, of [a | b] cleared a
+row of a and a row of b at a time.  The reduced row echelon form is unique,
 so R, rank and pivots, down to the scalar types, are the same as those of
 textbook elimination with field operations, and so are the kernel vectors
 and solutions read off it.  "Is m invertible?" is asked of ``inverse``,
@@ -396,25 +397,27 @@ def solve(a: Matrix, b: Matrix) -> Optional[Matrix]:
     """One exact solution X of a X = b, or None if inconsistent.
 
     Free variables are set to zero, so the answer is deterministic.  The
-    field eliminates the int rows of [a | b], and x[c] is the lift of the
-    b-block of the row whose pivot is c over that pivot entry.
+    field eliminates the int rows of [a | b], each cleared from a row of a
+    and a row of b, and x[c] is the lift of the b-block of the row whose
+    pivot is c over that pivot entry.
     """
     if a.field != b.field:
         raise MixedFieldsError("solve over different fields")
     if a.rows != b.rows:
         raise SizeMismatchError("solve with mismatched row counts")
-    F, n = a.field, a.cols
-    rows = _int_rows(hstack([a, b]))
-    pivots = F.eliminate(rows, n + b.cols)
+    F, n, m = a.field, a.cols, b.cols
+    ea, eb, clear = a.entries, b.entries, F.clear
+    rows = [clear(ea[i * n:(i + 1) * n] + eb[i * m:(i + 1) * m])[1] for i in range(a.rows)]
+    pivots = F.eliminate(rows, n + m)
     # pivots ascend, so a pivot in the b-block shows up last: inconsistent
     if pivots and pivots[-1] >= n:
         return None
     lift = F.lift
-    x = [(F.zero(),) * b.cols] * n
+    x = [(F.zero(),) * m] * n
     for row, c in zip(rows, pivots):
         pv = row[c]
         x[c] = [lift(y, pv) for y in row[n:]]
-    return Matrix(F, n, b.cols, tuple(y for row in x for y in row))
+    return Matrix(F, n, m, tuple(y for row in x for y in row))
 
 
 def char_poly(m: Matrix) -> UniPoly:

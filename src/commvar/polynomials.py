@@ -91,14 +91,6 @@ class UniPoly:
         F = self.field
         return UniPoly.make(F, (F.mul(s, c) for c in self.coeffs))
 
-    def pow_int(self, k: int) -> "UniPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = UniPoly.one(self.field)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def eval(self, x: Scalar) -> Scalar:
         F = self.field
         acc = F.zero()

@@ -13,8 +13,9 @@ from commvar.census import (
     CensusRequest,
     _centralizer_basis,
     _classes,
+    _class_closures,
     _conjugation_map,
-    _general_linear,
+    _generators,
     _nilpotent,
     _walk,
     burnside_count,
@@ -26,9 +27,9 @@ from commvar.config import DEFAULT_CONFIG
 from commvar.cycles import cycle, partition_notation, stratum
 from commvar.errors import BudgetExceededError, NonprimeQError, NotSplitError
 from commvar.fields import GF, PrimeField
-from commvar.matrices import Matrix, _intertwining_rows, inverse, rank
-from commvar.modules import CommutingTuple, check_relations, is_punctual
-from commvar.polynomials import parse_multipoly
+from commvar.matrices import Matrix, _intertwining_rows, block_diag, inverse, rank
+from commvar.modules import CommutingTuple, check_relations, companion, is_punctual
+from commvar.polynomials import UniPoly, parse_multipoly
 
 
 def test_gl_order_small_values():
@@ -80,6 +81,22 @@ def test_class_records_match_elimination(n, q):
         assert c.nilpotent == _nilpotent(a)
         assert c.scalar == any(a == identity.scale(x) for x in range(q))
         assert c.nullity == n - rank(a)
+
+
+@pytest.mark.parametrize("n,q", [(n, q) for n in range(4) for q in (2, 3, 5, 7)] + [(4, 2), (4, 3)])
+def test_class_representative_is_the_block_sum_of_companions(n, q):
+    # the representative written from int coefficients is the block sum of
+    # the companion matrices of phi^k, built from polynomials and matrices
+    F = GF(q)
+    for c in _classes(n, q):
+        blocks = []
+        for phi, lam in c.parts:
+            for k in lam:
+                f = UniPoly.one(F)
+                for _ in range(k):
+                    f = f * phi
+                blocks.append(companion(f).mats[0])
+        assert c.representative() == block_diag(blocks, F)
 
 
 def test_census_n1_is_affine_space():
@@ -549,23 +566,26 @@ def test_orbit_census_conjugates_each_distinct_matrix_in_one_product(monkeypatch
 
 
 def test_orbit_census_refuses_a_corrupted_conjugation_map(monkeypatch):
-    # a non-identity element that acts as the identity breaks the class
-    # sizes when the map is GL_n's (first at q = 2, where some Z_GL(A) is
-    # trivial), and the orbit-stabilizer count when it is Z_GL(m_C)'s (first
-    # at n = 3, where some Z(m_C) is not commutative); each map is corrupted
-    # in the group order the census passes it.  The checks are raises, so
-    # python -O keeps them
+    # a generator that acts as the identity leaves the closures short of
+    # their classes (at q = 2, two transvections generate GL_2); a
+    # non-identity element of Z_GL(m_C) that acts as the identity breaks the
+    # orbit-stabilizer count (first at n = 3, where some Z(m_C) is not
+    # commutative).  The checks are raises, so python -O keeps them
     real = census._conjugation_map
-    for n, d, q, centralizers_only, error in [(2, 2, 2, False, "conjugates of a class"),
-                                               (3, 2, 2, True, "orbit-stabilizer")]:
+    for n, d, q, centralizers, error in [(2, 2, 2, False, "conjugates of a class"),
+                                          (3, 2, 2, True, "orbit-stabilizer")]:
         identity = Matrix.identity(GF(q), n)
+        cells = n * n
 
-        def corrupted(group, n, q, identity=identity, centralizers_only=centralizers_only):
+        def corrupted(group, n, q, identity=identity, centralizers=centralizers, cells=cells):
             rows = real(group, n, q)
-            e = next(i for i, (g, _) in enumerate(group) if g == identity)
-            other = next((i for i in range(len(group)) if i != e), None)
-            if other is not None and not (centralizers_only and len(group) == gl_order(n, q)):
-                rows[other * n * n:(other + 1) * n * n] = rows[e * n * n:(e + 1) * n * n]
+            e = next((i for i, (g, _) in enumerate(group) if g == identity), None)
+            if not centralizers and e is None:
+                # the generators: the first acts as the identity
+                rows[:cells] = real([(identity, identity)], n, q)
+            elif centralizers and e is not None and len(group) > 1:
+                other = next(i for i in range(len(group)) if i != e)
+                rows[other * cells:(other + 1) * cells] = rows[e * cells:(e + 1) * cells]
             return rows
 
         monkeypatch.setattr(census, "_conjugation_map", real)
@@ -594,15 +614,39 @@ def test_orbit_census_walks_only_inside_the_centralizers(monkeypatch, n, d, q, m
     assert 0 < len(calls) <= most
 
 
-@pytest.mark.parametrize("n,q", [(0, 2), (1, 3), (2, 2), (2, 3), (3, 2)])
-def test_general_linear_is_the_invertible_matrices(n, q):
-    assert _general_linear(n, q) == _group(n, q)
+@pytest.mark.parametrize("n,q", [(0, 2), (1, 3), (2, 2), (2, 3), (2, 5), (3, 2)])
+def test_class_closures_are_the_conjugacy_classes(n, q):
+    # the closure of each canonical form under the generators is its
+    # conjugates by the whole group, each generator with its inverse
+    group = _group(n, q)
+    gens = _generators(n, q)
+    assert len(gens) == 2 * max(n - 1, 0) + (q > 2 and n > 0)
+    assert all(g * h == Matrix.identity(GF(q), n) for g, h in gens)
+    classes = _classes(n, q)
+    for c, closure in zip(classes, _class_closures(classes, n, q)):
+        a = c.representative()
+        assert closure == {(g * a * h).entries for g, h in group}
 
 
-def test_general_linear_inverts_only_group_elements(monkeypatch):
-    # rows outside the span of those before them: 168 inverses at (3,1,2),
-    # where inverting every matrix takes 512; every module that binds
-    # inverse is patched
+@pytest.mark.parametrize("n,q", [(3, 2), (2, 3), (2, 5)])
+def test_class_closures_conjugate_each_matrix_once_by_each_generator(monkeypatch, n, q):
+    # at d = 1 every product is a closure level: each n x n matrix is
+    # conjugated once by each of at most 2n - 1 generators
+    conjugations = []
+
+    def counting(field, rows, cols):
+        conjugations.append(len(rows) * len(cols) // (n * n))
+        return PrimeField.products(field, rows, cols)
+
+    monkeypatch.setattr(PrimeField, "dots", counting)
+    orbit_census(n, 1, q)
+    assert sum(conjugations) == len(_generators(n, q)) * q ** (n * n) <= (2 * n - 1) * q ** (n * n)
+
+
+def test_orbit_census_inverts_only_centralizer_elements(monkeypatch):
+    # the d = 1 orbits are the classes, so no group element is inverted;
+    # at d = 2, at most one inverse per element of each walked Z(m_C).
+    # Every module that binds inverse is patched
     calls = []
     real = matrices.inverse
     for module in list(sys.modules.values()):
@@ -610,7 +654,10 @@ def test_general_linear_inverts_only_group_elements(monkeypatch):
             _counting(monkeypatch, module, "inverse", calls)
     assert census.inverse is not real
     orbit_census(3, 1, 2)
-    assert len(calls) == gl_order(3, 2) == 168
+    assert calls == []
+    orbit_census(3, 2, 2)
+    walked = sum(2 ** c.dim for c in _classes(3, 2) if not c.scalar)
+    assert 0 < len(calls) <= walked
 
 
 def test_orbit_census_deterministic():

@@ -1,5 +1,6 @@
 import io
 import json
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -121,6 +122,50 @@ def test_golden_orbit_census_stable_modulo_timing():
     want = json.loads(read("orbit_census_2_3_2.golden.json"))
     got["elapsed_ms"] = want["elapsed_ms"] = 0
     assert got == want
+
+
+def test_golden_not_commuting_error_byte_identical():
+    # the error report, written with ensure_ascii and default=str
+    code, out = run("validate", str(GOLDEN / "noncommuting.json"))
+    assert code == 1
+    assert out == read("validate_noncommuting.golden.json")
+
+
+def test_error_report_escapes_non_ascii(tmp_path):
+    # error reports are written with ensure_ascii, as json.dumps(indent=2) would
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"field": "Q", "n": 1, "d": 1, "matrices": [[["\u00bd"]]]}))
+    code, out = run("validate", str(bad))
+    assert code == 2 and out.isascii() and "\\u00bd" in out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+_BENCH_REPORTS = """
+import json, sys, tempfile
+sys.path[:0] = sys.argv[1:]
+import workloads
+from commvar import cli
+count = 0
+with tempfile.TemporaryDirectory() as tmp:
+    for workload in ("census", "modules"):
+        for op in workloads.build(workload, 1, f"{tmp}/{workload}"):
+            code, out = cli.run_command(op.argv)
+            want = json.dumps(json.loads(out), indent=2, ensure_ascii=code != 0) + "\\n"
+            assert out == want, op.argv
+            count += 1
+print(count)
+"""
+
+
+def test_bench_reports_match_json_dumps():
+    # every seed-1 report of both bench workloads is what json.dumps(...,
+    # indent=2) writes; errors go with ensure_ascii.  A child process keeps
+    # the bench's own oracles module apart from the tests'
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _BENCH_REPORTS, str(root / "perfbench"), str(root / "src")],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 143
 
 
 def test_reports_are_deterministic_under_rerun():

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from commvar.documents import (
     parse_document,
     to_commuting_tuple,
     to_framed_module,
+    write_json,
 )
 from commvar.errors import NotCommutingError, ParseError, ValidationError
 from commvar.fields import GF, QQ
@@ -209,3 +211,66 @@ def test_emit_orders_keys_deterministically():
     assert out.endswith("\n")
     # metadata insertion order survives (json round trips dict order)
     assert out.index('"z"') < out.index('"a"')
+
+
+# ---------------------------------------------------------------------------
+# write_json: json.dumps(obj, indent=2, ...) byte for byte
+
+class _Int(int):
+    def __repr__(self):
+        return "not json"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not json"
+
+
+_WRITER_CASES = [
+    "plain",
+    "caf\u00e9 \u2203 \U0001d11e \"quoted\" back\\slash \x00\x01\x1f\x7f\t\n\r\u2028",
+    {"\u00e9": ["\"", "\\", "\n"], "k\u00e9y\u0007": {"inner": "\u00fc"}},
+    [], {}, (), [[]], [{}], {"a": [], "b": {}, "c": [[], {}, ()]}, [[[[]]], {"x": {"y": {}}}],
+    ("a", ("b", ["c"])), {"t": (1, ("x", None))},
+    0, -7, 10**40, True, False, None, 1.5, -0.0, 1e300, 2.5e-8, float("inf"), float("-inf"),
+    float("nan"), [1, True, None, 0.1, "s"], {"n": 2, "flag": False, "none": None, "f": 3.25},
+    {1: "int key", -2: [], 2.5: "float key", True: "bool key", None: "none key", "s": 0},
+    [_Int(5), _Float(0.5), {_Int(7): _Int(-1), _Float(1.5): None}],
+]
+
+
+@pytest.mark.parametrize("obj", _WRITER_CASES, ids=range(len(_WRITER_CASES)))
+@pytest.mark.parametrize("ensure_ascii", [False, True])
+def test_write_json_matches_json_dumps(obj, ensure_ascii):
+    want = json.dumps(obj, indent=2, ensure_ascii=ensure_ascii)
+    assert write_json(obj, ensure_ascii=ensure_ascii) == want
+
+
+def test_write_json_error_path_with_ensure_ascii_and_default_str():
+    # the error report's options: ensure_ascii, and default=str on leaves
+    # json cannot write, such as a Fraction or an exception
+    detail = {"message": "na\u00efve \u2260", "value": Fraction(3, 4), "pair": (1, 2),
+              "nested": [{"x": Fraction(-1, 2)}, ValidationError("caf\u00e9")]}
+    obj = {"error": "VALIDATION_ERROR", "detail": detail}
+    want = json.dumps(obj, indent=2, default=str)
+    assert write_json(obj, ensure_ascii=True, default=str) == want
+    assert want.isascii()
+
+
+@pytest.mark.parametrize("obj", [object(), {"a": [1, {2, 3}]}, [Fraction(1, 2)], {(1, 2): "tuple key"},
+                                 {"k": {frozenset(): 1}}])
+def test_write_json_raises_json_dumps_type_error(obj):
+    with pytest.raises(TypeError) as want:
+        json.dumps(obj, indent=2)
+    with pytest.raises(TypeError) as got:
+        write_json(obj)
+    assert str(got.value) == str(want.value)
+
+
+def test_write_json_matches_json_dumps_on_every_golden_payload():
+    golden = sorted((Path(__file__).parent / "golden").glob("*.json"))
+    assert len(golden) > 30
+    for path in golden:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        for ensure_ascii in (False, True):
+            assert write_json(obj, ensure_ascii) == json.dumps(obj, indent=2, ensure_ascii=ensure_ascii)
