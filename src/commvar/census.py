@@ -18,24 +18,27 @@ the joint centralizer of the prefix, so commutation never needs
 rechecking, and the last counted as q^dim Z(prefix); each level eliminates
 only its new coordinate's rows against the prefix's eliminated rows.
 Nilpotent tuples with d >= 3 walk every coordinate of those chains.
-Relation filters read the whole tuple, so they walk every coordinate from
-one primary rational canonical form per class, weighted by its class size.
 The per-stratum histogram follows the support morphism: a split tuple is a
 direct sum of punctual pieces at distinct points, so the stratum with parts
 lam holds |GL_n| C_lam prod_m P_m tuples, C_lam placing the parts at
-distinct points and P_m = punctual(m)/|GL_m|; the rest is unsplit.  Under
-relations the support cycle of each kept tuple files it.
-``orbit_census`` also goes class by class: the lex-first tuple of an orbit
-starts with m_C, the lex-first matrix of the class C of its first
-coordinate, and its other coordinates form the lex-first tuple of an orbit
-of Z_GL(m_C) on the commuting tuples inside Z(m_C).  m_C is the least
-element of C, found as the closure of its canonical form under conjugation
-by generators of GL_n, so no step lists GL_n; Z_GL(m_C) is the set of
-units of the walked Z(m_C).  A d = 1 orbit is a class; a scalar c I
-prefixes c I to the (d - 1)-orbits; any other class walks the chains
-through Z(m_C) and acts by Z_GL(m_C) alone.  Conjugation by g is a linear
-map C_g on the n^2 entries, so many matrices are conjugated by many g in
-one product, the maps C_g stacked.
+distinct points and P_m = punctual(m)/|GL_m|; the rest is unsplit.
+Orbits also go class by class of the first coordinate: a tuple's orbit
+meets the tuples that start with any one matrix m of the class C of its
+first coordinate, in one orbit of Z_GL(m) on the commuting tuples inside
+Z(m).  A d = 1 orbit is a class; a scalar c I prefixes c I to the
+(d - 1)-orbits; a cyclic m has the commutative Z(m) = F_q[m], so each
+chain through it is an orbit; any other class walks the chains through
+Z(m) and acts by Z_GL(m) alone, the set of units of the walked Z(m).
+Conjugation by g is a linear map C_g on the n^2 entries, so many matrices
+are conjugated by many g in one product, the maps C_g stacked.
+``orbit_census`` takes m = m_C, the least element of C, found as the
+closure of its canonical form under conjugation by generators of GL_n, so
+no step lists GL_n and each representative is the lex-first tuple of its
+orbit.  A relation f(x) = 0 and the support cycle are constant on orbits
+(f(g A g^-1) = g f(A) g^-1), so relation filters read one representative
+per orbit, walked from each class's canonical form (each nilpotent class's
+under the nilpotent filter), and add the orbit's size; the support cycle
+of each kept representative files its orbit.
 A request whose nominal size q^(d n^2) exceeds the budget is refused
 whole; counts are never truncated.
 """
@@ -228,13 +231,6 @@ def _classes(n: int, q: int) -> list[_Class]:
     return out
 
 
-def _class_matrices(n: int, q: int) -> list[tuple[Matrix, int]]:
-    """One representative per similarity class with the size of its class,
-    in entry-lexicographic order of the representatives."""
-    return sorted(((c.representative(), c.weight) for c in _classes(n, q)),
-                  key=lambda aw: aw[0].entries)
-
-
 def _centralizer_basis(rows: list[list[int]], fieldobj, n: int) -> list[Matrix]:
     """Basis of {X : A X = X A for all A in a prefix}, read off the rows of
     the prefix's intertwining system, which it eliminates in place: the
@@ -305,28 +301,6 @@ def _chains(
             yield from _chains(chain + [c], length, keep, rows)
 
 
-def _walk(
-    n: int,
-    length: int,
-    q: int,
-    firsts: Callable[[int, int], Sequence[tuple[Matrix, int]]],
-    keep: Callable[[Matrix], bool] = lambda m: True,
-) -> Iterator[tuple[list[Matrix], int]]:
-    """Chains of length >= 1 of commuting n x n matrices over F_q, every one
-    of them passing keep, each chain with the weight of its first coordinate
-    among the (matrix, weight) pairs firsts(n, q).
-
-    Each later coordinate ranges over the joint centralizer of the prefix
-    in entry-lexicographic order, so with every matrix as a first
-    coordinate the walk yields every chain once, in lexicographic order of
-    the concatenated row-major coordinate entries.
-    """
-    for m, w in firsts(n, q):
-        if keep(m):
-            for chain, _ in _chains([m], length, keep):
-                yield chain, w
-
-
 def _nilpotent(a: Matrix) -> bool:
     return a.power(a.rows).is_zero()
 
@@ -388,19 +362,21 @@ def enumerate_census(req: CensusRequest, config: RunConfig = DEFAULT_CONFIG) -> 
     unsplit = 0
     if req.relations:
         raw = 0
-        keep = _nilpotent if req.nilpotent else (lambda a: True)
-        for chain, weight in _walk(n, d, q, _class_matrices, keep):
-            t = CommutingTuple(GF(q), n, d, tuple(chain))
-            if not check_relations(t, req.relations):
+        # a nilpotent tuple starts with a nilpotent matrix
+        firsts = [(c, c.representative().entries) for c in _classes(n, q)
+                  if c.nilpotent or not req.nilpotent]
+        for o in _orbits(n, d, q, firsts):
+            t, size = o.representative, o.orbit_size
+            if (req.nilpotent and not o.nilpotent) or not check_relations(t, req.relations):
                 continue
-            raw += weight
+            raw += size
             if req.per_stratum:
                 try:
                     alpha = stratum(cycle(t))
                 except NotSplitError:
-                    unsplit += weight
+                    unsplit += size
                     continue
-                per[alpha] = per.get(alpha, 0) + weight
+                per[alpha] = per.get(alpha, 0) + size
     else:
         # the raw count and share(n) both read the n x n classes: build them once
         classes = cache(_classes)
@@ -475,22 +451,24 @@ def _class_closures(classes: Sequence[_Class], n: int, q: int) -> list[set[tuple
     return closures
 
 
-def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> list[Orbit]:
-    """Full orbit decomposition of the commuting variety over F_q under
-    simultaneous conjugation, class by class of the first coordinate (see
-    the module docstring).  An orbit through a non-scalar class C has size
-    |C| |Z_GL(m_C)-orbit| and its stabilizer inside Z_GL(m_C) as aut order;
-    the orbits of Z_GL(m_C) are keyed on the entries of the conjugates of
-    each chain's coordinates, each distinct matrix conjugated in one
-    product.  Representatives are the lex-first tuples of their orbits, in
-    order, with one Matrix per distinct coordinate.  Each check raises
-    RuntimeError: |C| matrices in the closure of C's canonical form;
-    |Z_GL(m_C)| |C| = |GL_n(F_q)|; every conjugate among the walked chains;
+def _orbits(n: int, d: int, q: int, firsts: Sequence[tuple[_Class, tuple[int, ...]]]) -> Iterator[Orbit]:
+    """The GL_n-orbits of the commuting d-tuples over F_q, class by class of
+    the first coordinate from one (class C, first matrix m) pair per class
+    (see the module docstring).  Through a cyclic m an orbit is one chain,
+    of size |C| with aut order |GL_n|/|C|; through any other non-scalar m
+    it has size |C| |Z_GL(m)-orbit| and its stabilizer inside Z_GL(m) as
+    aut order, the orbits of Z_GL(m) keyed on the entries of the conjugates
+    of each chain's coordinates, each distinct matrix conjugated in one
+    product.  Representatives are the first walked chains of their orbits,
+    in order, with one Matrix per distinct coordinate; every check has run
+    before the first Orbit is built.  Each check raises RuntimeError:
+    q^(n (k - 1)) chains of length k through a cyclic m;
+    |Z_GL(m)| |C| = |GL_n(F_q)|; every conjugate among the walked chains;
     nilpotency constant along the orbit (read on every conjugate);
-    |orbit| * |stabilizer| = |Z_GL(m_C)|; orbits partitioning the walked
+    |orbit| * |stabilizer| = |Z_GL(m)|; orbits partitioning the walked
     chains, |C| times over.
     """
-    glo = _check_request(n, d, q, config)
+    glo = gl_order(n, q)
     F = GF(q)
     cells = n * n
     # one tuple object per distinct coordinate matrix, however often it recurs
@@ -507,8 +485,6 @@ def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> 
             return [interned.setdefault(c, c) for c in cuts]
         return conjugates
 
-    classes = _classes(n, q)
-    firsts = [(c, min(members)) for c, members in zip(classes, _class_closures(classes, n, q))]
     nilpotent = cache(lambda a: _nilpotent(matrix(a)))
     by_centralizer: dict[tuple[int, ...], tuple[Callable, int]] = {}
     orbits: list[tuple[tuple, int, int, bool]] = []  # key, orbit size, aut order, nilpotent
@@ -527,8 +503,15 @@ def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> 
             chains = [tuple(interned.setdefault(a.entries, a.entries) for a in chain)
                       for chain, _ in _chains([matrix(m)], k)]
             walked += c.weight * len(chains)
+            if c.dim == n:
+                # Z(m) = F_q[m] is commutative, so Z_GL(m) fixes every chain
+                if len(chains) != q ** (n * (k - 1)):
+                    raise RuntimeError("the chains through a cyclic class are not q^(n (k - 1))")
+                orbits += [(key, c.weight, glo // c.weight, all(map(nilpotent, key)))
+                           for key in chains]
+                continue
             if m not in by_centralizer:
-                # the second coordinates cover Z(m_C); its units are Z_GL(m_C)
+                # the second coordinates cover Z(m); its units are Z_GL(m)
                 units = [(g, h) for g in map(matrix, sorted({chain[1] for chain in chains}))
                          if (h := inverse(g)) is not None]
                 if len(units) * c.weight != glo:
@@ -554,8 +537,22 @@ def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> 
                 orbits.append((key, c.weight * len(orbit), stabilizer, flags.pop()))
         if sum(o[1] for o in orbits) != walked:
             raise RuntimeError("orbits do not partition the variety")
-    return [Orbit(CommutingTuple(F, n, d, tuple(map(matrix, key))), size, aut, flag)
-            for key, size, aut, flag in sorted(orbits)]
+    orbits.sort()
+    return (Orbit(CommutingTuple(F, n, d, tuple(map(matrix, key))), size, aut, flag)
+            for key, size, aut, flag in orbits)
+
+
+def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> list[Orbit]:
+    """Full orbit decomposition of the commuting variety over F_q under
+    simultaneous conjugation: the orbits walked from m_C for each class C,
+    so each representative is the lex-first tuple of its orbit.  Raises
+    RuntimeError unless the closure of each class's canonical form holds
+    |C| matrices, and on each check of the walk (see ``_orbits``).
+    """
+    _check_request(n, d, q, config)
+    classes = _classes(n, q)
+    firsts = [(c, min(members)) for c, members in zip(classes, _class_closures(classes, n, q))]
+    return list(_orbits(n, d, q, firsts))
 
 
 def burnside_count(orbits: Sequence[Orbit]) -> Fraction:

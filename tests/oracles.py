@@ -4,25 +4,25 @@ Everything here works on plain Python lists of scalars: Fraction over the
 rationals, small nonnegative ints mod p over a prime field (p passed
 explicitly, None means rationals).  The implementations are deliberately
 naive (cofactor expansions, textbook elimination) and share no code with
-the package under test, apart from ``census_leaf_walk`` and
+the package under test, apart from ``walk``, ``census_leaf_walk`` and
 ``orbit_census_walk``: they replay the census's earlier walks through the
-package's own walk, elimination and conjugation maps, so they check the
-class data, closed forms and centralizer actions the census works with,
-not the kernels.
+package's own centralizer chains, elimination and conjugation maps, so
+they check the class data, closed forms and centralizer actions the census
+works with, not the kernels.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
 from functools import cache
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from commvar.census import (
     Orbit,
     _centralizer_basis,
+    _chains,
     _conjugation_map,
     _nilpotent,
-    _walk,
     gl_order,
 )
 from commvar.fields import GF
@@ -443,6 +443,28 @@ def all_matrices(n: int, q: int) -> list[tuple[Matrix, int]]:
     return [(Matrix(F, n, n, e), 1) for e in itertools.product(range(q), repeat=n * n)]
 
 
+def walk(
+    n: int,
+    length: int,
+    q: int,
+    firsts: Callable[[int, int], list[tuple[Matrix, int]]],
+    keep: Callable[[Matrix], bool] = lambda m: True,
+) -> Iterator[tuple[list[Matrix], int]]:
+    """Chains of length >= 1 of commuting n x n matrices over F_q, every one
+    of them passing keep, each chain with the weight of its first coordinate
+    among the (matrix, weight) pairs firsts(n, q).
+
+    Each later coordinate ranges over the joint centralizer of the prefix
+    in entry-lexicographic order, so with every matrix as a first
+    coordinate the walk yields every chain once, in lexicographic order of
+    the concatenated row-major coordinate entries.
+    """
+    for m, w in firsts(n, q):
+        if keep(m):
+            for chain, _ in _chains([m], length, keep):
+                yield chain, w
+
+
 def census_leaf_walk(n: int, d: int, q: int, nilpotent: bool) -> int:
     """Commuting d-tuples of n x n matrices over F_q, all of them or the
     nilpotent ones, with no class data: the first d - 1 coordinates walked
@@ -453,11 +475,11 @@ def census_leaf_walk(n: int, d: int, q: int, nilpotent: bool) -> int:
     coordinate."""
     keep = _nilpotent if nilpotent else (lambda a: True)
     if nilpotent and d > 2:
-        return sum(1 for _ in _walk(n, d, q, all_matrices, keep))
+        return sum(1 for _ in walk(n, d, q, all_matrices, keep))
     if d == 1:
         return q ** (n * n - n if nilpotent else n * n)
     total = 0
-    for chain, _ in _walk(n, d - 1, q, all_matrices, keep):
+    for chain, _ in walk(n, d - 1, q, all_matrices, keep):
         dim = len(_centralizer_basis(_intertwining_system(chain, chain), GF(q), n))
         if nilpotent:
             dim -= n - rank(chain[0])
@@ -484,7 +506,7 @@ def orbit_census_walk(n: int, d: int, q: int) -> list[Orbit]:
     # one tuple object per distinct coordinate matrix, however often it recurs
     interned: dict[tuple[int, ...], tuple[int, ...]] = {}
     variety = [tuple(interned.setdefault(a.entries, a.entries) for a in chain)
-               for chain, _ in _walk(n, d, q, all_matrices)]
+               for chain, _ in walk(n, d, q, all_matrices)]
     group = [(g, g_inv) for g, _ in all_matrices(n, q) if (g_inv := inverse(g)) is not None]
     if len(group) != glo:
         raise RuntimeError("group enumeration disagrees with |GL_n|")

@@ -11,13 +11,13 @@ import oracles
 from commvar import census, matrices
 from commvar.census import (
     CensusRequest,
+    CensusResult,
     _centralizer_basis,
     _classes,
     _class_closures,
     _conjugation_map,
     _generators,
     _nilpotent,
-    _walk,
     burnside_count,
     enumerate_census,
     gl_order,
@@ -186,17 +186,19 @@ def test_census_unsplit_oracle_f2_pairs():
     assert res.unsplit_count == brute
 
 
-def all_tuples(n, d, q):
-    """every commuting d-tuple over F_q, in lexicographic order"""
+def all_tuples(n, d, q, coordinates=lambda a: True):
+    """every commuting d-tuple over F_q with every coordinate passing
+    coordinates, in lexicographic order"""
     return [CommutingTuple(GF(q), n, d, tuple(chain))
-            for chain, _ in _walk(n, d, q, oracles.all_matrices)]
+            for chain, _ in oracles.walk(n, d, q, oracles.all_matrices, coordinates)]
 
 
-def per_tuple_census(n, d, q, keep=lambda t: True):
+def per_tuple_census(n, d, q, keep=lambda t: True, coordinates=lambda a: True):
     """raw count, per-stratum histogram (in first-seen order) and unsplit
-    count from cycle() on every kept tuple of the unfiltered enumeration"""
+    count from cycle() on every kept tuple of the enumeration of
+    all_tuples(n, d, q, coordinates)"""
     raw, per, unsplit = 0, Counter(), 0
-    for t in all_tuples(n, d, q):
+    for t in all_tuples(n, d, q, coordinates):
         if not keep(t):
             continue
         raw += 1
@@ -388,12 +390,22 @@ _FILTERS = ["none", "nilpotent", "per_stratum", "relation", "all"]
 
 
 def _by_leaf_walk(monkeypatch, req):
-    """enumerate_census(req) with no class data: every count from the leaf
-    walk over all matrices, weight 1, and every walk from all matrices"""
+    """enumerate_census(req) with no class data and no orbits: every count
+    from the leaf walk over all matrices, weight 1, and under relations
+    check_relations and cycle() on every tuple of the weight-1 walk, the
+    nilpotent filter applied to each coordinate"""
+    n, d, q = req.n, req.d, req.q
+    if req.relations:
+        raw, per, unsplit = per_tuple_census(
+            n, d, q, lambda t: check_relations(t, req.relations),
+            _nilpotent if req.nilpotent else lambda a: True)
+        glo = gl_order(n, q)
+        return CensusResult(n, d, q, raw, glo, Fraction(raw, glo),
+                            dict(per) if req.per_stratum else None,
+                            unsplit if req.per_stratum else None)
     with monkeypatch.context() as m:
         m.setattr(census, "_count", lambda n, d, q, nilpotent, classes: oracles.census_leaf_walk(
             n, d, q, nilpotent))
-        m.setattr(census, "_class_matrices", oracles.all_matrices)
         return enumerate_census(req)
 
 
@@ -414,6 +426,22 @@ def test_class_weighted_census_matches_all_matrices_walk(monkeypatch, n, d, q, n
     }[name]
     req = CensusRequest(n=n, d=d, q=q, **kw)
     assert enumerate_census(req) == _by_leaf_walk(monkeypatch, req)
+
+
+def test_relation_census_reads_one_representative_per_orbit(monkeypatch):
+    # a relation and the support cycle are constant on orbits, so each is
+    # read once per orbit, where walking every chain reads both per chain
+    n, d, q = 3, 3, 2
+    rels = (parse_multipoly("x1*x2 + x3^2", GF(q), d),)
+    orbits = orbit_census(n, d, q)
+    kept = sum(1 for o in orbits if check_relations(o.representative, rels))
+    checks, cycles = [], []
+    _counting(monkeypatch, census, "check_relations", checks)
+    _counting(monkeypatch, census, "cycle", cycles)
+    enumerate_census(CensusRequest(n=n, d=d, q=q, relations=rels))
+    assert 0 < len(checks) <= len(orbits) and cycles == []
+    enumerate_census(CensusRequest(n=n, d=d, q=q, per_stratum=True, relations=rels))
+    assert 0 < len(cycles) <= kept
 
 
 @pytest.mark.parametrize("d,nilpotent", [(2, False), (2, True), (3, False), (3, True)])
@@ -515,6 +543,16 @@ def test_orbit_census_refuses_a_walk_that_misses_a_tuple(monkeypatch):
     with pytest.raises(RuntimeError):
         orbit_census(n, d, q)
     assert dropped
+
+
+def test_orbit_census_refuses_a_cyclic_walk_that_misses_a_chain(monkeypatch):
+    # through a cyclic m_C every chain is its own orbit, so no conjugate can
+    # notice a lost one: the q^(n (k - 1)) count of the walk is the check.
+    # At n = 2 every non-scalar class is cyclic
+    real = census._chains
+    monkeypatch.setattr(census, "_chains", lambda *args: list(real(*args))[:-1])
+    with pytest.raises(RuntimeError, match="cyclic"):
+        orbit_census(2, 2, 3)
 
 
 def test_orbit_census_nilpotent_counts():
@@ -656,8 +694,13 @@ def test_orbit_census_inverts_only_centralizer_elements(monkeypatch):
     orbit_census(3, 1, 2)
     assert calls == []
     orbit_census(3, 2, 2)
-    walked = sum(2 ** c.dim for c in _classes(3, 2) if not c.scalar)
+    # a cyclic class's Z(m_C) = F_q[m_C] is commutative: it needs no group
+    walked = sum(2 ** c.dim for c in _classes(3, 2) if not c.scalar and c.dim != 3)
     assert 0 < len(calls) <= walked
+    # at n = 2 every non-scalar class is cyclic
+    calls.clear()
+    orbit_census(2, 3, 3)
+    assert calls == []
 
 
 def test_orbit_census_deterministic():

@@ -113,6 +113,19 @@ def test_golden_census_stable_modulo_timing():
     assert got == want
 
 
+def test_golden_relation_census_stable_modulo_timing():
+    # the relation census reads one representative per orbit and files the
+    # orbit by its support cycle; the golden was written by a walk that
+    # read every tuple
+    code, out = run("census", "--n", "3", "--d", "2", "--q", "2", "--relation", "x1^2 + x2",
+                    "--per-stratum")
+    assert code == 0
+    got = json.loads(out)
+    want = json.loads(read("census_relation_3_2_2.golden.json"))
+    got["elapsed_ms"] = want["elapsed_ms"] = 0
+    assert got == want
+
+
 def test_golden_orbit_census_stable_modulo_timing():
     # the class-by-class orbit census reproduces the whole-variety walk's
     # report, orbit by orbit
