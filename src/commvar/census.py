@@ -26,19 +26,23 @@ Orbits also go class by class of the first coordinate: a tuple's orbit
 meets the tuples that start with any one matrix m of the class C of its
 first coordinate, in one orbit of Z_GL(m) on the commuting tuples inside
 Z(m).  A d = 1 orbit is a class; a scalar c I prefixes c I to the
-(d - 1)-orbits; a cyclic m has the commutative Z(m) = F_q[m], so each
-chain through it is an orbit; any other class walks the chains through
-Z(m) and acts by Z_GL(m) alone, the set of units of the walked Z(m).
-Conjugation by g is a linear map C_g on the n^2 entries, so many matrices
-are conjugated by many g in one product, the maps C_g stacked.
-``orbit_census`` takes m = m_C, the least element of C, found as the
-closure of its canonical form under conjugation by generators of GL_n, so
-no step lists GL_n and each representative is the lex-first tuple of its
-orbit.  A relation f(x) = 0 and the support cycle are constant on orbits
-(f(g A g^-1) = g f(A) g^-1), so relation filters read one representative
-per orbit, walked from each class's canonical form (each nilpotent class's
-under the nilpotent filter), and add the orbit's size; the support cycle
-of each kept representative files its orbit.
+(d - 1)-orbits; a cyclic m has the commutative Z(m) = F_q[m], the span of
+I, m, ..., m^(n - 1), built once per class with no elimination, so each
+chain through it, m followed by elements of that span, is an orbit; any
+other class walks the chains through Z(m) and acts by Z_GL(m) alone, the
+set of units of the walked Z(m).  There conjugation by g is a linear map
+C_g on the n^2 entries, so many matrices are conjugated by many g in one
+product, the maps C_g stacked.  ``orbit_census`` takes m = m_C, the least
+element of C, found as the closure of its canonical form under
+conjugation by generators of GL_n, each a row move and then a column move
+on the entries, so no step lists GL_n or multiplies matrices, and each
+representative is the lex-first tuple of its orbit.  A relation f(x) = 0
+and the support cycle are constant on orbits (f(g A g^-1) = g f(A) g^-1),
+so relation filters read one representative per orbit, walked from each
+class's canonical form (each nilpotent class's under the nilpotent
+filter, a single Jordan block m then taking only the nilpotent span of
+m, ..., m^(n - 1)), and add the orbit's size; the support cycle of each
+kept representative files its orbit.
 A request whose nominal size q^(d n^2) exceeds the budget is refused
 whole; counts are never truncated.
 """
@@ -245,17 +249,13 @@ def _with_pair(reduced: Sequence[list[int]], a: Matrix) -> list[list[int]]:
     return [row[:] for row in reduced] + _intertwining_rows(a, a)
 
 
-def _span_elements(basis: Sequence[Matrix], fieldobj, n: int) -> list[Matrix]:
-    """Every F_q-combination of basis, in entry-lexicographic order."""
-    q = fieldobj.characteristic
-    elems = [(0,) * (n * n)]
-    for b in basis:
-        v = b.entries
-        elems = [
-            tuple((x + c * y) % q for x, y in zip(e, v)) for e in elems for c in range(q)
-        ]
-    elems.sort()
-    return [Matrix(fieldobj, n, n, e) for e in elems]
+def _span(vectors: Sequence[tuple[int, ...]], cells: int, q: int) -> list[tuple[int, ...]]:
+    """Every F_q-combination of the entry tuples of length cells, each once,
+    in lexicographic order."""
+    elems = [(0,) * cells]
+    for v in vectors:
+        elems = [tuple((x + c * y) % q for x, y in zip(e, v)) for e in elems for c in range(q)]
+    return sorted(set(elems))
 
 
 def _check_request(n: int, d: int, q: int, config: RunConfig) -> int:
@@ -296,7 +296,8 @@ def _chains(
     rows = _with_pair(reduced, chain[-1])
     basis = _centralizer_basis(rows, F, n)
     del rows[n * n - len(basis):]
-    for c in _span_elements(basis, F, n):
+    for e in _span([b.entries for b in basis], n * n, F.characteristic):
+        c = Matrix(F, n, n, e)
         if keep(c):
             yield from _chains(chain + [c], length, keep, rows)
 
@@ -365,7 +366,7 @@ def enumerate_census(req: CensusRequest, config: RunConfig = DEFAULT_CONFIG) -> 
         # a nilpotent tuple starts with a nilpotent matrix
         firsts = [(c, c.representative().entries) for c in _classes(n, q)
                   if c.nilpotent or not req.nilpotent]
-        for o in _orbits(n, d, q, firsts):
+        for o in _orbits(n, d, q, firsts, req.nilpotent):
             t, size = o.representative, o.orbit_size
             if (req.nilpotent and not o.nilpotent) or not check_relations(t, req.relations):
                 continue
@@ -431,42 +432,81 @@ def _generators(n: int, q: int) -> list[tuple[Matrix, Matrix]]:
     return [(at(k, x), at(k, y)) for k, x, y in cells]
 
 
+def _move(g: Matrix, h: Matrix, q: int) -> Callable[[list[Sequence[int]]], list[Sequence[int]]]:
+    """Conjugation a -> g a g^-1 by a generator g with inverse h, as one row
+    move and one column move read off the one entry k = (r, s) where g
+    differs from I: I + x E_rs adds x (row s) to row r, then h[k] = -x
+    times column r to column s; diag(x, 1, ..., 1) (r = s) multiplies row
+    r by x, then column r by h[k] = x^-1.  It moves a batch of matrices at
+    once, given as the n^2 columns of their row-major entries, and returns
+    the columns of their conjugates."""
+    n = g.rows
+    # the identity has its ones at the entries k with k = 0 mod n + 1
+    k = next(k for k, x in enumerate(g.entries) if x != int(k % (n + 1) == 0))
+    r, s = divmod(k, n)
+    x, y, keep = g.entries[k], h.entries[k], int(r != s)
+
+    def move(cols: list[Sequence[int]]) -> list[Sequence[int]]:
+        out = list(cols)
+        for j in range(n):
+            out[r * n + j] = [(keep * u + x * v) % q for u, v in zip(out[r * n + j], out[s * n + j])]
+        for i in range(n):
+            out[i * n + s] = [(keep * u + y * v) % q for u, v in zip(out[i * n + s], out[i * n + r])]
+        return out
+    return move
+
+
 def _class_closures(classes: Sequence[_Class], n: int, q: int) -> list[set[tuple[int, ...]]]:
     """The entries of each class C: the closure of its canonical form under
-    conjugation by the generators of GL_n.  Each level conjugates every
-    class's frontier in one product with the generators' maps stacked;
-    RuntimeError unless each closure holds |C| matrices."""
-    F, cells, gens = GF(q), n * n, _generators(n, q)
-    stacked = _conjugation_map(gens, n, q)
-    closures = [{c.representative().entries} for c in classes]
-    frontiers = [list(s) for s in closures]
-    while gens and any(frontiers):
-        out = F.dots([a for f in frontiers for a in f], stacked)
-        images = (tuple(out[i:i + cells]) for i in range(0, len(out), cells))
-        for k, seen in enumerate(closures):
-            frontiers[k] = list(set(itertools.islice(images, len(gens) * len(frontiers[k]))) - seen)
-            seen.update(frontiers[k])
+    conjugation by the generators of GL_n, found by one search from all the
+    canonical forms at once.  Each level moves the whole frontier by each
+    generator's row and column move (``_move``) in one batch, so each matrix
+    is moved once by each generator, and each matrix reached is filed under
+    the class of the one it was moved from; RuntimeError unless each closure
+    holds |C| matrices."""
+    moves = [_move(g, h, q) for g, h in _generators(n, q)]
+    frontier = [c.representative().entries for c in classes]
+    owners = list(range(len(classes)))
+    owner = dict(zip(frontier, owners))
+    while moves and frontier:
+        cols, sources = list(zip(*frontier)), owners
+        frontier, owners = [], []
+        for move in moves:
+            for b, k in zip(zip(*move(cols)), sources):
+                if b not in owner:
+                    owner[b] = k
+                    frontier.append(b)
+                    owners.append(k)
+    closures: list[set[tuple[int, ...]]] = [set() for _ in classes]
+    for a, k in owner.items():
+        closures[k].add(a)
     if any(len(s) != c.weight for c, s in zip(classes, closures)):
         raise RuntimeError("the conjugates of a class disagree with its size")
     return closures
 
 
-def _orbits(n: int, d: int, q: int, firsts: Sequence[tuple[_Class, tuple[int, ...]]]) -> Iterator[Orbit]:
+def _orbits(
+    n: int, d: int, q: int, firsts: Sequence[tuple[_Class, tuple[int, ...]]], nilpotent: bool = False,
+) -> Iterator[Orbit]:
     """The GL_n-orbits of the commuting d-tuples over F_q, class by class of
     the first coordinate from one (class C, first matrix m) pair per class
     (see the module docstring).  Through a cyclic m an orbit is one chain,
-    of size |C| with aut order |GL_n|/|C|; through any other non-scalar m
-    it has size |C| |Z_GL(m)-orbit| and its stabilizer inside Z_GL(m) as
-    aut order, the orbits of Z_GL(m) keyed on the entries of the conjugates
-    of each chain's coordinates, each distinct matrix conjugated in one
-    product.  Representatives are the first walked chains of their orbits,
-    in order, with one Matrix per distinct coordinate; every check has run
-    before the first Orbit is built.  Each check raises RuntimeError:
-    q^(n (k - 1)) chains of length k through a cyclic m;
-    |Z_GL(m)| |C| = |GL_n(F_q)|; every conjugate among the walked chains;
-    nilpotency constant along the orbit (read on every conjugate);
-    |orbit| * |stabilizer| = |Z_GL(m)|; orbits partitioning the walked
-    chains, |C| times over.
+    of size |C| with aut order |GL_n|/|C|: m followed by any k - 1 elements
+    of Z(m) = F_q[m], the span of I, m, ..., m^(n - 1), built once per class
+    with no elimination; with nilpotent set, of its nilpotent elements
+    only, the span of m, ..., m^(n - 1) (m is then a single Jordan block).
+    Through any other non-scalar m an orbit has size
+    |C| |Z_GL(m)-orbit| and its stabilizer inside Z_GL(m) as aut order, the
+    orbits of Z_GL(m) keyed on the entries of the conjugates of each walked
+    chain's coordinates, each distinct matrix conjugated in one product.
+    Representatives are the first chains of their orbits, in order, with
+    one Matrix per distinct coordinate; every check has run before the
+    first Orbit is built.  Each check raises RuntimeError: q^n elements in
+    the span through a cyclic m (q^(n - 1) with nilpotent set), so its
+    powers are independent; |Z_GL(m)| |C| = |GL_n(F_q)|; every conjugate
+    among the walked chains; nilpotency constant along the orbit (read on
+    every conjugate); |orbit| * |stabilizer| = |Z_GL(m)|; orbits
+    partitioning the chains, |C| times over.
     """
     glo = gl_order(n, q)
     F = GF(q)
@@ -485,7 +525,20 @@ def _orbits(n: int, d: int, q: int, firsts: Sequence[tuple[_Class, tuple[int, ..
             return [interned.setdefault(c, c) for c in cuts]
         return conjugates
 
-    nilpotent = cache(lambda a: _nilpotent(matrix(a)))
+    @cache
+    def cyclic_span(m: tuple[int, ...]) -> list[tuple[int, ...]]:
+        # I, m, ..., m^(n - 1); a cyclic class that is not scalar has n >= 2
+        powers = [Matrix.identity(F, n), matrix(m)]
+        while len(powers) < n:
+            powers.append(powers[-1] * powers[1])
+        if nilpotent:
+            powers = powers[1:]
+        span = [interned.setdefault(e, e) for e in _span([p.entries for p in powers], cells, q)]
+        if len(span) != q ** len(powers):
+            raise RuntimeError("the powers of a cyclic class's matrix are not independent")
+        return span
+
+    is_nilpotent = cache(lambda a: _nilpotent(matrix(a)))
     by_centralizer: dict[tuple[int, ...], tuple[Callable, int]] = {}
     orbits: list[tuple[tuple, int, int, bool]] = []  # key, orbit size, aut order, nilpotent
     for k in range(1, d + 1):
@@ -500,16 +553,17 @@ def _orbits(n: int, d: int, q: int, firsts: Sequence[tuple[_Class, tuple[int, ..
                            for key, size, aut, flag in below]
                 walked += c.weight * sum(o[1] for o in below)
                 continue
+            if c.dim == n:
+                # Z(m) = F_q[m] is commutative, so Z_GL(m) fixes every chain
+                span = cyclic_span(m)
+                walked += c.weight * len(span) ** (k - 1)
+                for rest in itertools.product(span, repeat=k - 1):
+                    flag = c.nilpotent and all(map(is_nilpotent, rest))
+                    orbits.append(((m,) + rest, c.weight, glo // c.weight, flag))
+                continue
             chains = [tuple(interned.setdefault(a.entries, a.entries) for a in chain)
                       for chain, _ in _chains([matrix(m)], k)]
             walked += c.weight * len(chains)
-            if c.dim == n:
-                # Z(m) = F_q[m] is commutative, so Z_GL(m) fixes every chain
-                if len(chains) != q ** (n * (k - 1)):
-                    raise RuntimeError("the chains through a cyclic class are not q^(n (k - 1))")
-                orbits += [(key, c.weight, glo // c.weight, all(map(nilpotent, key)))
-                           for key in chains]
-                continue
             if m not in by_centralizer:
                 # the second coordinates cover Z(m); its units are Z_GL(m)
                 units = [(g, h) for g in map(matrix, sorted({chain[1] for chain in chains}))
@@ -527,7 +581,7 @@ def _orbits(n: int, d: int, q: int, firsts: Sequence[tuple[_Class, tuple[int, ..
                 orbit = set(keys)
                 if not orbit <= chain_set:
                     raise RuntimeError("a conjugate lies outside the walked variety")
-                flags = {all(map(nilpotent, u)) for u in orbit}
+                flags = {all(map(is_nilpotent, u)) for u in orbit}
                 if len(flags) != 1:
                     raise RuntimeError("nilpotency not orbit constant")
                 stabilizer = keys.count(key)

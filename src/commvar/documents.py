@@ -118,12 +118,22 @@ def parse_document(text: str) -> ModuleDocument:
 
 def write_json(obj, ensure_ascii: bool = False, default=None) -> str:
     """json.dumps(obj, indent=2, ensure_ascii=ensure_ascii, default=default)
-    byte for byte, for acyclic obj, without the standard library's
-    pure-Python indent path: one recursion puts each piece on one list,
-    strings go through json's C encoder and floats through json.dumps."""
+    byte for byte, for acyclic obj and a default that gives the same value
+    for the same object, without the standard library's pure-Python indent
+    path: one recursion puts each piece on one list, strings go through
+    json's C encoder and floats through json.dumps.
+
+    Reports share matrices: the orbit census gives every orbit the same
+    rows for the same matrix.  In a list of matrices (its first item a list
+    of lists), an item list or tuple that comes up again, as the same
+    object at the same indent, is written once more, and its text is kept
+    and reused from then on.  Other lists pay only the test of their first
+    item: a list of scalars is cheaper to write again than to look up."""
     string = json.encoder.encode_basestring_ascii if ensure_ascii else json.encoder.encode_basestring
     out: list[str] = []
     put = out.append
+    seen: dict[int, object] = {}  # holds each item, so that no later object takes its id
+    texts: dict[tuple[int, str], str] = {}  # (id, indent) of an item seen twice -> its text
 
     def write(o, nl: str) -> None:
         inner = nl + "  "
@@ -146,10 +156,26 @@ def write_json(obj, ensure_ascii: bool = False, default=None) -> str:
             put(nl + "}" if o else "{}")
         elif isinstance(o, (list, tuple)):
             sep = "[" + inner
-            for v in o:
-                put(sep)
-                write(v, inner)
-                sep = "," + inner
+            if o and isinstance(o[0], (list, tuple)) and o[0] and isinstance(o[0][0], (list, tuple)):
+                for v in o:  # a list of matrices
+                    put(sep)
+                    sep = "," + inner
+                    if not isinstance(v, (list, tuple)):
+                        write(v, inner)
+                    elif id(v) not in seen:
+                        seen[id(v)] = v
+                        write(v, inner)
+                    elif (id(v), inner) in texts:
+                        put(texts[id(v), inner])
+                    else:
+                        start = len(out)
+                        write(v, inner)
+                        texts[id(v), inner] = "".join(out[start:])
+            else:
+                for v in o:
+                    put(sep)
+                    write(v, inner)
+                    sep = "," + inner
             put(nl + "]" if o else "[]")
         elif default is None:
             raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")

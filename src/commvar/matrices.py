@@ -56,6 +56,10 @@ class Matrix:
     cols: int
     entries: tuple[Scalar, ...]  # row-major
 
+    def __hash__(self) -> int:
+        # equal matrices have equal entries; the field and shape add little
+        return hash(self.entries)
+
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise SizeMismatchError("negative dimension")

@@ -49,7 +49,8 @@ class CommutingTuple:
         if len(self.mats) != self.d:
             raise ArityMismatchError(f"expected {self.d} matrices, got {len(self.mats)}")
         for m in self.mats:
-            if m.field != self.field:
+            # fields are cached, so identity settles the common case
+            if m.field is not self.field and m.field != self.field:
                 raise MixedFieldsError("coordinate matrices over different fields")
             if m.rows != m.cols:
                 raise NotSquareError("coordinate matrices must be square")

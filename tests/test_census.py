@@ -547,12 +547,45 @@ def test_orbit_census_refuses_a_walk_that_misses_a_tuple(monkeypatch):
 
 def test_orbit_census_refuses_a_cyclic_walk_that_misses_a_chain(monkeypatch):
     # through a cyclic m_C every chain is its own orbit, so no conjugate can
-    # notice a lost one: the q^(n (k - 1)) count of the walk is the check.
-    # At n = 2 every non-scalar class is cyclic
-    real = census._chains
-    monkeypatch.setattr(census, "_chains", lambda *args: list(real(*args))[:-1])
+    # notice a lost one: the q^n elements of the span of I, m_C, ...,
+    # m_C^(n - 1) are the check (q^(n - 1), of m_C, ..., m_C^(n - 1), under
+    # the nilpotent filter).  At n = 2 every non-scalar class is cyclic and
+    # no other walk takes a span
+    real = census._span
+    monkeypatch.setattr(census, "_span", lambda *args: real(*args)[:-1])
     with pytest.raises(RuntimeError, match="cyclic"):
         orbit_census(2, 2, 3)
+    x1x2 = parse_multipoly("x1*x2", GF(3), 2)
+    with pytest.raises(RuntimeError, match="cyclic"):
+        enumerate_census(CensusRequest(n=2, d=2, q=3, nilpotent=True, relations=(x1x2,)))
+
+
+@pytest.mark.parametrize("n,d,q,per_stratum,raw,per", [
+    (2, 5, 3, True, 969, {(0, 1): 969}),
+    (3, 2, 2, False, 316, None),
+])
+def test_nilpotent_relation_census_spans_only_the_nilpotent_powers(
+        monkeypatch, n, d, q, per_stratum, raw, per):
+    # under the nilpotent filter a cyclic first coordinate is one nilpotent
+    # Jordan block m, and the nilpotent elements of F_q[m] are the span of
+    # m, ..., m^(n - 1): q^(n - 1) of them, where F_q[m] has q^n.  At n = 2
+    # it is the only span taken.  The counts are those of the walk that took
+    # all of F_q[m]
+    sizes = []
+    real = census._span
+
+    def span(*args):
+        out = real(*args)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(census, "_span", span)
+    x1x2 = parse_multipoly("x1*x2", GF(q), d)
+    res = enumerate_census(CensusRequest(n=n, d=d, q=q, nilpotent=True, per_stratum=per_stratum,
+                                         relations=(x1x2,)))
+    assert (res.raw_count, res.per_stratum, res.unsplit_count) == (raw, per, 0 if per else None)
+    if n == 2:
+        assert sizes == [q ** (n - 1)]
 
 
 def test_orbit_census_nilpotent_counts():
@@ -604,33 +637,40 @@ def test_orbit_census_conjugates_each_distinct_matrix_in_one_product(monkeypatch
 
 
 def test_orbit_census_refuses_a_corrupted_conjugation_map(monkeypatch):
-    # a generator that acts as the identity leaves the closures short of
+    # a generator whose move is the identity leaves the closures short of
     # their classes (at q = 2, two transvections generate GL_2); a
     # non-identity element of Z_GL(m_C) that acts as the identity breaks the
     # orbit-stabilizer count (first at n = 3, where some Z(m_C) is not
     # commutative).  The checks are raises, so python -O keeps them
+    real_move = census._move
+
+    def corrupted_move(g, h, q):
+        # the first generator, I + E_01, moves nothing
+        return (lambda cols: cols) if g.entries[1] else real_move(g, h, q)
+
+    orbit_census(2, 2, 2)
+    monkeypatch.setattr(census, "_move", corrupted_move)
+    with pytest.raises(RuntimeError, match="conjugates of a class"):
+        orbit_census(2, 2, 2)
+    monkeypatch.setattr(census, "_move", real_move)
+
     real = census._conjugation_map
-    for n, d, q, centralizers, error in [(2, 2, 2, False, "conjugates of a class"),
-                                          (3, 2, 2, True, "orbit-stabilizer")]:
-        identity = Matrix.identity(GF(q), n)
-        cells = n * n
+    n, q = 3, 2
+    identity = Matrix.identity(GF(q), n)
+    cells = n * n
 
-        def corrupted(group, n, q, identity=identity, centralizers=centralizers, cells=cells):
-            rows = real(group, n, q)
-            e = next((i for i, (g, _) in enumerate(group) if g == identity), None)
-            if not centralizers and e is None:
-                # the generators: the first acts as the identity
-                rows[:cells] = real([(identity, identity)], n, q)
-            elif centralizers and e is not None and len(group) > 1:
-                other = next(i for i in range(len(group)) if i != e)
-                rows[other * cells:(other + 1) * cells] = rows[e * cells:(e + 1) * cells]
-            return rows
+    def corrupted(group, n, q):
+        rows = real(group, n, q)
+        e = next(i for i, (g, _) in enumerate(group) if g == identity)
+        if len(group) > 1:
+            other = next(i for i in range(len(group)) if i != e)
+            rows[other * cells:(other + 1) * cells] = rows[e * cells:(e + 1) * cells]
+        return rows
 
-        monkeypatch.setattr(census, "_conjugation_map", real)
-        orbit_census(n, d, q)
-        monkeypatch.setattr(census, "_conjugation_map", corrupted)
-        with pytest.raises(RuntimeError, match=error):
-            orbit_census(n, d, q)
+    orbit_census(n, 2, q)
+    monkeypatch.setattr(census, "_conjugation_map", corrupted)
+    with pytest.raises(RuntimeError, match="orbit-stabilizer"):
+        orbit_census(n, 2, q)
 
 
 @pytest.mark.parametrize("n,d,q", [(3, 3, 2), (2, 2, 5), (2, 3, 3), (3, 2, 2)])
@@ -642,14 +682,17 @@ def test_orbit_census_by_class_matches_the_whole_walk(n, d, q):
     assert flat(orbit_census(n, d, q)) == flat(oracles.orbit_census_walk(n, d, q))
 
 
-@pytest.mark.parametrize("n,d,q,most", [(2, 3, 2, 24), (3, 3, 2, 216)])
+@pytest.mark.parametrize("n,d,q,most", [(2, 3, 2, 0), (3, 3, 2, 216)])
 def test_orbit_census_walks_only_inside_the_centralizers(monkeypatch, n, d, q, most):
-    # one centralizer per chain prefix inside Z(m_C) for each non-scalar
-    # class, where walking the whole variety takes 104 and 7,968
+    # one centralizer per chain prefix inside Z(m_C) for each non-scalar,
+    # non-cyclic class, where walking the whole variety takes 104 and 7,968;
+    # a cyclic class takes the span of its powers, with no elimination, and
+    # at n = 2 every non-scalar class is cyclic
     calls = []
     _counting(monkeypatch, census, "_centralizer_basis", calls)
     orbit_census(n, d, q)
-    assert 0 < len(calls) <= most
+    assert len(calls) <= most
+    assert bool(calls) == bool(most)
 
 
 @pytest.mark.parametrize("n,q", [(0, 2), (1, 3), (2, 2), (2, 3), (2, 5), (3, 2)])
@@ -668,17 +711,26 @@ def test_class_closures_are_the_conjugacy_classes(n, q):
 
 @pytest.mark.parametrize("n,q", [(3, 2), (2, 3), (2, 5)])
 def test_class_closures_conjugate_each_matrix_once_by_each_generator(monkeypatch, n, q):
-    # at d = 1 every product is a closure level: each n x n matrix is
-    # conjugated once by each of at most 2n - 1 generators
-    conjugations = []
+    # at d = 1 every move is a closure level: each n x n matrix is moved
+    # once by each of at most 2n - 1 generators, and no product is taken
+    moved, products = [], []
+    real = census._move
 
-    def counting(field, rows, cols):
-        conjugations.append(len(rows) * len(cols) // (n * n))
-        return PrimeField.products(field, rows, cols)
+    def counting(g, h, q):
+        move = real(g, h, q)
 
-    monkeypatch.setattr(PrimeField, "dots", counting)
+        def counted(cols):
+            moved.append(len(cols[0]))
+            return move(cols)
+        return counted
+
+    monkeypatch.setattr(census, "_move", counting)
+    for name in ("products", "dots"):
+        _counting(monkeypatch, PrimeField, name, products)
+    monkeypatch.setattr(census, "_conjugation_map", None)
     orbit_census(n, 1, q)
-    assert sum(conjugations) == len(_generators(n, q)) * q ** (n * n) <= (2 * n - 1) * q ** (n * n)
+    assert sum(moved) == len(_generators(n, q)) * q ** (n * n) <= (2 * n - 1) * q ** (n * n)
+    assert products == []
 
 
 def test_orbit_census_inverts_only_centralizer_elements(monkeypatch):

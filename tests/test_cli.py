@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -135,6 +137,21 @@ def test_golden_orbit_census_stable_modulo_timing():
     want = json.loads(read("orbit_census_2_3_2.golden.json"))
     got["elapsed_ms"] = want["elapsed_ms"] = 0
     assert got == want
+
+
+@pytest.mark.parametrize("n,d,q,sha256", [
+    (3, 2, 2, "cf6fb43dcd49e50835d4f127339730202e45a5e51b2365c4955b2c0b26b9e5dd"),
+    (2, 2, 5, "5a5a222bff13fb2209e96b3ef12086ce4adee913064fb4e89f5dbe78bf58ceca"),
+    (3, 3, 2, "bcd31a79c619b58e8ae39b32075cd8665fac94433afffaa6cee55d83b5559c43"),
+], ids=["3-2-2", "2-2-5", "3-3-2"])
+def test_orbit_census_report_bytes_pinned(n, d, q, sha256):
+    # the whole report, byte for byte with elapsed_ms zeroed: n = 3 has
+    # classes that are neither scalar nor cyclic, and q = 5 a diagonal
+    # generator of GL_2
+    code, out = run("orbit-census", "--n", str(n), "--d", str(d), "--q", str(q))
+    assert code == 0
+    text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out, count=1)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
 
 
 def test_golden_not_commuting_error_byte_identical():

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -244,6 +245,47 @@ _WRITER_CASES = [
 def test_write_json_matches_json_dumps(obj, ensure_ascii):
     want = json.dumps(obj, indent=2, ensure_ascii=ensure_ascii)
     assert write_json(obj, ensure_ascii=ensure_ascii) == want
+
+
+def test_write_json_reuses_a_shared_list_only_at_its_own_indent():
+    # one matrix object at several depths, as the orbit census shares each
+    # distinct matrix's rows: each indent has its own text, and a shared
+    # row is written each time
+    row = ["1", "0"]
+    m = [row, ["0", "-1/2"], row]
+    obj = {"a": [m, m, m], "b": {"c": [m, [m, m, [m]]], "d": m}, "e": [[m], [m]], "f": m}
+    assert write_json(obj) == json.dumps(obj, indent=2)
+
+
+def test_write_json_reuses_a_shared_tuple():
+    t = (("1", 2), [3, None], ())
+    obj = [t, t, {"x": t, "y": [t, t]}, [t], t]
+    assert write_json(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("ensure_ascii", [False, True])
+def test_write_json_reuses_a_shared_list_with_ensure_ascii(ensure_ascii):
+    m = [["caf\u00e9", "\u2260"], ["\u00ef", "x"]]
+    obj = {"m": [m, m, m], "n": [[m, m]]}
+    assert write_json(obj, ensure_ascii=ensure_ascii) == json.dumps(obj, indent=2,
+                                                                    ensure_ascii=ensure_ascii)
+
+
+def test_write_json_does_not_reuse_the_text_of_a_freed_list():
+    # default returns a fresh list holding a fresh matrix on each call, each
+    # freed once written, so the next may take its id: a memo keyed on ids
+    # alone would write one text for several of them
+    class Leaf:
+        pass
+
+    def fresh():
+        count = itertools.count()
+        return lambda o: [[[next(count)]]]
+
+    obj = [Leaf() for _ in range(6)] + [{"k": Leaf()} for _ in range(3)]
+    want = json.dumps(obj, indent=2, default=fresh())
+    assert write_json(obj, default=fresh()) == want
+    assert [x[0][0][0] for x in json.loads(want)[:6]] == list(range(6))
 
 
 def test_write_json_error_path_with_ensure_ascii_and_default_str():
