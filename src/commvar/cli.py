@@ -100,13 +100,16 @@ def _pretty(obj, indent: int = 0) -> str:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}", path=path)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot read {path}: not UTF-8 ({e.reason} at byte {e.start})",
+                         path=path)
 
 
 def _load_doc(path: str) -> ModuleDocument:
@@ -408,27 +411,84 @@ def _cmd_sample(args, cfg: RunConfig):
     return emit_document(from_commuting_tuple(t, metadata=meta))
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "cycle": _cmd_cycle,
-    "stratum": _cmd_stratum,
-    "localize": _cmd_localize,
-    "isom": _cmd_isom,
-    "homdim": _cmd_homdim,
-    "autdim": _cmd_autdim,
-    "mingen": _cmd_mingen,
-    "tangent": _cmd_tangent,
-    "nilpotent": _cmd_nilpotent,
-    "potential": _cmd_potential,
-    "gradient": _cmd_gradient,
-    "translate": _cmd_translate,
-    "dsum": _cmd_dsum,
-    "frame-check": _cmd_frame_check,
-    "atlas-check": _cmd_atlas_check,
-    "quot-equal": _cmd_quot_equal,
-    "census": _cmd_census,
-    "orbit-census": _cmd_orbit_census,
-    "sample": _cmd_sample,
+def _one_doc(p: argparse.ArgumentParser) -> None:
+    p.add_argument("doc", help="module document path, or - for stdin")
+
+
+def _two_docs(p: argparse.ArgumentParser) -> None:
+    p.add_argument("left", help="first module document")
+    p.add_argument("right", help="second module document")
+
+
+def _translate_args(p: argparse.ArgumentParser) -> None:
+    _one_doc(p)
+    p.add_argument("shift", nargs="+", help="d scalars (use -- before negatives)")
+
+
+def _nqd_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--q", type=int, required=True, help="prime field size")
+
+
+def _census_args(p: argparse.ArgumentParser) -> None:
+    _nqd_args(p)
+    p.add_argument("--nilpotent", action="store_true", help="count punctual tuples only")
+    p.add_argument(
+        "--per-stratum", action="store_true", help="histogram counts by support stratum"
+    )
+    p.add_argument(
+        "--relation",
+        action="append",
+        metavar="POLY",
+        help="polynomial in x1..xd that must vanish on the tuple (repeatable)",
+    )
+
+
+def _sample_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--kind",
+        required=True,
+        choices=["staircase", "companion", "punctual", "split"],
+    )
+    p.add_argument("--field", default="Q", help='"Q" or "Fp:<p>" (default Q)')
+    p.add_argument("--n", type=int, help="size (punctual) / max piece size (split): default 3; "
+                   "staircase and companion: must match the cells or the degree")
+    p.add_argument("--d", type=int, help="number of coordinates (punctual, split: default 2)")
+    p.add_argument("--cells", help='staircase cells "i,j;i,j;..."')
+    p.add_argument("--coeffs", help="companion polynomial, ascending comma-separated")
+    p.add_argument("--pieces", type=int, default=3, help="max pieces (split)")
+    p.add_argument(
+        "--conjugate", action="store_true", help="conjugate by a seeded random element"
+    )
+
+
+# name -> (handler, help line, adds the subcommand's own arguments); the
+# order is the order of the subcommands in the help text
+_COMMANDS = {
+    "validate": (_cmd_validate, "check a document parses into a commuting tuple", _one_doc),
+    "cycle": (_cmd_cycle, "support cycle with multiplicities, plus its stratum", _one_doc),
+    "stratum": (_cmd_stratum, "partition stratum of the support cycle", _one_doc),
+    "localize": (_cmd_localize, "split into local summands along the support", _one_doc),
+    "isom": (_cmd_isom, "decide simultaneous-conjugation equivalence", _two_docs),
+    "homdim": (_cmd_homdim, "dimension of the intertwiner space", _two_docs),
+    "autdim": (_cmd_autdim, "dimension of the endomorphism algebra", _one_doc),
+    "mingen": (_cmd_mingen, "minimal generator count of a punctual module", _one_doc),
+    "tangent": (_cmd_tangent, "tangent space dimension at a commuting tuple", _one_doc),
+    "nilpotent": (_cmd_nilpotent, "is every coordinate matrix nilpotent?", _one_doc),
+    "potential": (_cmd_potential, "trace potential Tr(A(BC - CB)) of a matrix triple", _one_doc),
+    "gradient": (
+        _cmd_gradient, "gradient of the trace potential; vanishes iff commuting", _one_doc),
+    "translate": (_cmd_translate, "shift every coordinate by a scalar", _translate_args),
+    "dsum": (_cmd_dsum, "direct sum of two modules", _two_docs),
+    "frame-check": (_cmd_frame_check, "do the frame vectors generate the module?", _one_doc),
+    "atlas-check": (
+        _cmd_atlas_check, "is the framed module an atlas chart point (r = n)?", _one_doc),
+    "quot-equal": (
+        _cmd_quot_equal, "equality of framed modules as quotient-scheme points", _two_docs),
+    "census": (_cmd_census, "count commuting tuples over a prime field", _census_args),
+    "orbit-census": (_cmd_orbit_census, "full orbit list with stabilizer orders", _nqd_args),
+    "sample": (_cmd_sample, "generate example module documents", _sample_args),
 }
 
 
@@ -448,101 +508,60 @@ def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
         "--json",
         action="store_true",
         help="machine-readable JSON reports (default)",
-        **({"default": argparse.SUPPRESS} if suppress else {}),
+        **kw,
     )
     fmt.add_argument(
         "--pretty",
         action="store_true",
         help="human-readable text reports",
-        **({"default": argparse.SUPPRESS} if suppress else {}),
+        **kw,
     )
 
 
+class _NeedsFullParser(Exception):
+    """A one-subcommand parser met help or a usage error."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    # prints nothing: help and usage errors are left to the full parser,
+    # which alone knows every subcommand
+    def print_help(self, file=None):
+        raise _NeedsFullParser
+
+    def error(self, message):
+        raise _NeedsFullParser
+
+
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args never mutates the parser
-    p = argparse.ArgumentParser(
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or one that knows only ``command`` besides the
+    global flags.  Built once per process: parse_args never mutates it."""
+    p = (_OneCommandParser if command else argparse.ArgumentParser)(
         prog="commvar",
         description="Exact computations with commuting matrix tuples: "
         "support cycles, isomorphism, framed modules, finite-field censuses.",
     )
     _add_global_flags(p, suppress=False)
     sub = p.add_subparsers(dest="command", metavar="SUBCOMMAND")
-
-    def add_cmd(name: str, help_: str):
+    for name in [command] if command else _COMMANDS:
+        _, help_, add_arguments = _COMMANDS[name]
         sp = sub.add_parser(name, help=help_)
         _add_global_flags(sp, suppress=True)
-        return sp
-
-    def one_doc(name: str, help_: str):
-        sp = add_cmd(name, help_)
-        sp.add_argument("doc", help="module document path, or - for stdin")
-        return sp
-
-    def two_docs(name: str, help_: str):
-        sp = add_cmd(name, help_)
-        sp.add_argument("left", help="first module document")
-        sp.add_argument("right", help="second module document")
-        return sp
-
-    one_doc("validate", "check a document parses into a commuting tuple")
-    one_doc("cycle", "support cycle with multiplicities, plus its stratum")
-    one_doc("stratum", "partition stratum of the support cycle")
-    one_doc("localize", "split into local summands along the support")
-    two_docs("isom", "decide simultaneous-conjugation equivalence")
-    two_docs("homdim", "dimension of the intertwiner space")
-    one_doc("autdim", "dimension of the endomorphism algebra")
-    one_doc("mingen", "minimal generator count of a punctual module")
-    one_doc("tangent", "tangent space dimension at a commuting tuple")
-    one_doc("nilpotent", "is every coordinate matrix nilpotent?")
-    one_doc("potential", "trace potential Tr(A(BC - CB)) of a matrix triple")
-    one_doc("gradient", "gradient of the trace potential; vanishes iff commuting")
-
-    tr = one_doc("translate", "shift every coordinate by a scalar")
-    tr.add_argument("shift", nargs="+", help="d scalars (use -- before negatives)")
-
-    two_docs("dsum", "direct sum of two modules")
-    one_doc("frame-check", "do the frame vectors generate the module?")
-    one_doc("atlas-check", "is the framed module an atlas chart point (r = n)?")
-    two_docs("quot-equal", "equality of framed modules as quotient-scheme points")
-
-    ce = add_cmd("census", "count commuting tuples over a prime field")
-    ce.add_argument("--n", type=int, required=True)
-    ce.add_argument("--d", type=int, required=True)
-    ce.add_argument("--q", type=int, required=True, help="prime field size")
-    ce.add_argument("--nilpotent", action="store_true", help="count punctual tuples only")
-    ce.add_argument(
-        "--per-stratum", action="store_true", help="histogram counts by support stratum"
-    )
-    ce.add_argument(
-        "--relation",
-        action="append",
-        metavar="POLY",
-        help="polynomial in x1..xd that must vanish on the tuple (repeatable)",
-    )
-
-    oc = add_cmd("orbit-census", "full orbit list with stabilizer orders")
-    oc.add_argument("--n", type=int, required=True)
-    oc.add_argument("--d", type=int, required=True)
-    oc.add_argument("--q", type=int, required=True, help="prime field size")
-
-    sa = add_cmd("sample", "generate example module documents")
-    sa.add_argument(
-        "--kind",
-        required=True,
-        choices=["staircase", "companion", "punctual", "split"],
-    )
-    sa.add_argument("--field", default="Q", help='"Q" or "Fp:<p>" (default Q)')
-    sa.add_argument("--n", type=int, help="size (punctual) / max piece size (split): default 3; "
-                    "staircase and companion: must match the cells or the degree")
-    sa.add_argument("--d", type=int, help="number of coordinates (punctual, split: default 2)")
-    sa.add_argument("--cells", help='staircase cells "i,j;i,j;..."')
-    sa.add_argument("--coeffs", help="companion polynomial, ascending comma-separated")
-    sa.add_argument("--pieces", type=int, default=3, help="max pieces (split)")
-    sa.add_argument(
-        "--conjugate", action="store_true", help="conjugate by a seeded random element"
-    )
+        add_arguments(sp)
     return p
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    # the first token naming a subcommand picks the parser; when that guess
+    # is wrong (it may be an option's value) the narrow parse fails and the
+    # full parser decides, so argparse's rules live in argparse alone
+    command = next((a for a in argv if a in _COMMANDS), None)
+    if command:
+        try:
+            return _build_parser(command).parse_args(argv)
+        except _NeedsFullParser:
+            pass
+    return _build_parser().parse_args(argv)
 
 
 def _resolve_config(args) -> RunConfig:
@@ -554,17 +573,16 @@ def _resolve_config(args) -> RunConfig:
 
 def run_command(argv=None) -> tuple[int, str]:
     """Dispatch one CLI invocation; returns (exit code, stdout text)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return (int(e.code) if e.code else 0), ""
     if not args.command:
-        parser.print_usage(sys.stderr)
+        _build_parser().print_usage(sys.stderr)
         return 2, ""
     try:
         cfg = _resolve_config(args)
-        result = _HANDLERS[args.command](args, cfg)
+        result = _COMMANDS[args.command][0](args, cfg)
         if isinstance(result, str):
             return 0, result
         result["provenance"] = _provenance(cfg)

@@ -602,7 +602,7 @@ def test_criterion_11_cli_contract(tmp_path, monkeypatch):
         def boom(args, cfg):
             raise ValueError("wires crossed")
 
-        monkeypatch.setitem(cli._HANDLERS, "validate", boom)
+        monkeypatch.setitem(cli._COMMANDS, "validate", (boom, *cli._COMMANDS["validate"][1:]))
         code, out = cli.run_command(["validate", str(GOLDEN / "j2_zero.json")])
         monkeypatch.undo()
         assert code == 3 and json.loads(out)["error"] == "INTERNAL"

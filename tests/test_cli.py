@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -391,6 +392,18 @@ def test_parse_error_missing_file():
     assert code == 2 and rep["error"] == "PARSE_ERROR"
 
 
+def test_parse_error_document_not_utf8(tmp_path, monkeypatch):
+    # a UTF-16 byte-order mark is no UTF-8: a parse error naming the path, not a bug
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe" + read("j2_zero.json").encode("utf-16-le"))
+    code, rep = run_json("validate", str(p))
+    assert code == 2 and rep["error"] == "PARSE_ERROR"
+    assert rep["detail"]["path"] == str(p) and "UTF-8" in rep["detail"]["message"]
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(p.read_bytes()), "utf-8"))
+    code, rep = run_json("validate", "-")
+    assert code == 2 and rep["error"] == "PARSE_ERROR" and rep["detail"]["path"] == "-"
+
+
 def test_parse_error_bad_relation():
     code, rep = run_json(
         "census", "--n", "1", "--d", "1", "--q", "2", "--relation", "x9"
@@ -594,7 +607,7 @@ def test_internal_error_exit_3(monkeypatch):
     def boom(args, cfg):
         raise ValueError("wires crossed")
 
-    monkeypatch.setitem(cli._HANDLERS, "validate", boom)
+    monkeypatch.setitem(cli._COMMANDS, "validate", (boom, *cli._COMMANDS["validate"][1:]))
     code, rep = run_json("validate", str(GOLDEN / "j2_zero.json"))
     assert code == 3
     assert rep["error"] == "INTERNAL"
@@ -615,8 +628,14 @@ def test_help_exits_zero():
     assert code == 0
 
 
+def _subcommands(parser) -> set[str]:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return set(sub.choices)
+
+
 def test_parser_built_once_and_reused():
     assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser("validate") is cli._build_parser("validate")
     first = run("validate", str(GOLDEN / "j2_zero.json"))
     assert first[0] == 0
     assert run("validate", str(GOLDEN / "j2_zero.json")) == first
@@ -625,6 +644,73 @@ def test_parser_built_once_and_reused():
     assert run("validate")[0] == 2
     assert run("no-such-command")[0] == 2
     assert run("validate", str(GOLDEN / "j2_zero.json")) == first
+
+
+def test_a_call_builds_only_its_subcommand_parser(capsys):
+    cli._build_parser.cache_clear()
+    code, _ = run("census", "--n", "1", "--d", "1", "--q", "2")
+    assert code == 0
+    # one parser built, and it knows census alone: the next lookup hits it
+    assert cli._build_parser.cache_info().currsize == 1
+    assert _subcommands(cli._build_parser("census")) == {"census"}
+    assert cli._build_parser.cache_info().hits == 1
+    # help comes from the full parser, which lists every subcommand
+    assert run("-h")[0] == 0
+    assert _subcommands(cli._build_parser()) == set(cli._COMMANDS)
+    assert len(cli._COMMANDS) == 20
+    listing = capsys.readouterr().out
+    for name in cli._COMMANDS:
+        assert re.search(rf"^    {re.escape(name)}\b", listing, re.M), name
+
+
+def test_one_subcommand_parser_prints_nothing(capsys):
+    narrow = cli._build_parser("validate")
+    with pytest.raises(cli._NeedsFullParser):
+        narrow.print_help()
+    with pytest.raises(cli._NeedsFullParser):
+        narrow.error("the full parser words this")
+    with pytest.raises(cli._NeedsFullParser):
+        narrow.parse_args(["validate", "-h"])
+    assert capsys.readouterr() == ("", "")
+
+
+PARITY_ARGV = [
+    [],
+    ["-h"],
+    ["-h", "census"],
+    ["census", "-h"],
+    ["orbit-census", "--help"],
+    ["no-such-command"],
+    ["validate"],
+    ["census", "--n", "x", "--d", "1", "--q", "2"],
+    ["--seed", "3", "census", "--n", "2", "--d", "1", "--q", "2"],
+    ["--se", "4", "validate", "j2_zero.json"],
+    ["--config", "validate", "census", "--n", "2", "--d", "1", "--q", "2"],
+    ["--config", "census"],
+    ["--json", "validate", "j2_zero.json", "--pretty"],
+    ["validate", "j2_zero.json", "--json", "--pretty"],
+    ["validate", "j2_zero.json", "census"],
+    ["translate", "companion12.json", "--", "-1"],
+    ["translate", "companion12.json", "--", "-1", "2"],
+    ["sample", "--kind", "bogus"],
+]
+
+
+def _outcome(capsys, argv):
+    # a *.json token names a golden document
+    code, out = run(*(str(GOLDEN / a) if a.endswith(".json") else a for a in argv))
+    captured = capsys.readouterr()
+    return code, re.sub(r'"elapsed_ms": \d+', "", out), captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=lambda a: " ".join(a) or "bare")
+def test_one_subcommand_parser_matches_the_full_parser(capsys, monkeypatch, argv):
+    # exit code, report, help and usage text are those of the full parser,
+    # whatever the Python version's argparse prints
+    routed = _outcome(capsys, argv)
+    full = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full)
+    assert routed == _outcome(capsys, argv)
 
 
 def test_field_beyond_primality_bound_is_refused():
