@@ -5,6 +5,12 @@ writes a JSON report to stdout.  Exit codes: 0 success, 1 domain error
 (error JSON {"error": CODE, "detail": {...}}), 2 usage or parse error,
 3 internal failure (a bug).  All numeric payloads that can grow without
 bound travel as decimal strings; dimensions and multiplicities are ints.
+
+Each argument is declared once, as a (name, add_argument keywords) spec in
+``_COMMANDS`` or the global flag tables.  A plain argv is read straight from
+the specs without argparse (``_read_argv``); help, usage errors and every
+other form go to the argparse parser built from the same specs, so each help
+and usage text is argparse's own.
 """
 from __future__ import annotations
 
@@ -30,7 +36,7 @@ from .documents import (
     to_framed_module,
     write_json,
 )
-from .errors import ArityMismatchError, CommvarError, ParseError, SizeMismatchError
+from .errors import ArityMismatchError, CommvarError, NotMonicError, ParseError, SizeMismatchError
 from .fields import GF, Field, field_from_name, field_name, int_to_decimal
 from .homs import aut_dim, hom_dim, is_isomorphic, min_generators
 from .matrices import Matrix
@@ -386,6 +392,10 @@ def _cmd_sample(args, cfg: RunConfig):
                 "sample --kind companion needs --coeffs \"c0,c1,...,1\" (ascending, monic)"
             )
         coeffs = [F.parse(c.strip()) for c in args.coeffs.split(",")]
+        # the polynomial's degree is the number of coefficients given, less one
+        if coeffs[-1] != F.one():
+            raise NotMonicError(
+                f"sample --kind companion needs a last coefficient of 1, got {F.format(coeffs[-1])}")
         t = companion(UniPoly.make(F, coeffs))
         meta["coeffs"] = [F.format(c) for c in coeffs]
     elif args.kind == "punctual":
@@ -411,157 +421,176 @@ def _cmd_sample(args, cfg: RunConfig):
     return emit_document(from_commuting_tuple(t, metadata=meta))
 
 
-def _one_doc(p: argparse.ArgumentParser) -> None:
-    p.add_argument("doc", help="module document path, or - for stdin")
+# Each argument is (name, add_argument keywords).  The full parser is built
+# from these specs, and _read_argv reads plain argv from the same specs.
+_ONE_DOC = (("doc", dict(help="module document path, or - for stdin")),)
+_TWO_DOCS = (
+    ("left", dict(help="first module document")),
+    ("right", dict(help="second module document")),
+)
+_TRANSLATE_ARGS = _ONE_DOC + (
+    ("shift", dict(nargs="+", help="d scalars (use -- before negatives)")),
+)
+_NQD_ARGS = (
+    ("--n", dict(type=int, required=True)),
+    ("--d", dict(type=int, required=True)),
+    ("--q", dict(type=int, required=True, help="prime field size")),
+)
+_CENSUS_ARGS = _NQD_ARGS + (
+    ("--nilpotent", dict(action="store_true", help="count punctual tuples only")),
+    ("--per-stratum", dict(action="store_true", help="histogram counts by support stratum")),
+    ("--relation", dict(action="append", metavar="POLY",
+                        help="polynomial in x1..xd that must vanish on the tuple (repeatable)")),
+)
+_SAMPLE_ARGS = (
+    ("--kind", dict(required=True, choices=["staircase", "companion", "punctual", "split"])),
+    ("--field", dict(default="Q", help='"Q" or "Fp:<p>" (default Q)')),
+    ("--n", dict(type=int, help="size (punctual) / max piece size (split): default 3; "
+                 "staircase and companion: must match the cells or the degree")),
+    ("--d", dict(type=int, help="number of coordinates (punctual, split: default 2)")),
+    ("--cells", dict(help='staircase cells "i,j;i,j;..."')),
+    ("--coeffs", dict(help="companion polynomial, ascending comma-separated")),
+    ("--pieces", dict(type=int, default=3, help="max pieces (split)")),
+    ("--conjugate", dict(action="store_true", help="conjugate by a seeded random element")),
+)
 
-
-def _two_docs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("left", help="first module document")
-    p.add_argument("right", help="second module document")
-
-
-def _translate_args(p: argparse.ArgumentParser) -> None:
-    _one_doc(p)
-    p.add_argument("shift", nargs="+", help="d scalars (use -- before negatives)")
-
-
-def _nqd_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--q", type=int, required=True, help="prime field size")
-
-
-def _census_args(p: argparse.ArgumentParser) -> None:
-    _nqd_args(p)
-    p.add_argument("--nilpotent", action="store_true", help="count punctual tuples only")
-    p.add_argument(
-        "--per-stratum", action="store_true", help="histogram counts by support stratum"
-    )
-    p.add_argument(
-        "--relation",
-        action="append",
-        metavar="POLY",
-        help="polynomial in x1..xd that must vanish on the tuple (repeatable)",
-    )
-
-
-def _sample_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=["staircase", "companion", "punctual", "split"],
-    )
-    p.add_argument("--field", default="Q", help='"Q" or "Fp:<p>" (default Q)')
-    p.add_argument("--n", type=int, help="size (punctual) / max piece size (split): default 3; "
-                   "staircase and companion: must match the cells or the degree")
-    p.add_argument("--d", type=int, help="number of coordinates (punctual, split: default 2)")
-    p.add_argument("--cells", help='staircase cells "i,j;i,j;..."')
-    p.add_argument("--coeffs", help="companion polynomial, ascending comma-separated")
-    p.add_argument("--pieces", type=int, default=3, help="max pieces (split)")
-    p.add_argument(
-        "--conjugate", action="store_true", help="conjugate by a seeded random element"
-    )
-
-
-# name -> (handler, help line, adds the subcommand's own arguments); the
-# order is the order of the subcommands in the help text
+# name -> (handler, help line, the subcommand's own arguments); the order is
+# the order of the subcommands in the help text
 _COMMANDS = {
-    "validate": (_cmd_validate, "check a document parses into a commuting tuple", _one_doc),
-    "cycle": (_cmd_cycle, "support cycle with multiplicities, plus its stratum", _one_doc),
-    "stratum": (_cmd_stratum, "partition stratum of the support cycle", _one_doc),
-    "localize": (_cmd_localize, "split into local summands along the support", _one_doc),
-    "isom": (_cmd_isom, "decide simultaneous-conjugation equivalence", _two_docs),
-    "homdim": (_cmd_homdim, "dimension of the intertwiner space", _two_docs),
-    "autdim": (_cmd_autdim, "dimension of the endomorphism algebra", _one_doc),
-    "mingen": (_cmd_mingen, "minimal generator count of a punctual module", _one_doc),
-    "tangent": (_cmd_tangent, "tangent space dimension at a commuting tuple", _one_doc),
-    "nilpotent": (_cmd_nilpotent, "is every coordinate matrix nilpotent?", _one_doc),
-    "potential": (_cmd_potential, "trace potential Tr(A(BC - CB)) of a matrix triple", _one_doc),
+    "validate": (_cmd_validate, "check a document parses into a commuting tuple", _ONE_DOC),
+    "cycle": (_cmd_cycle, "support cycle with multiplicities, plus its stratum", _ONE_DOC),
+    "stratum": (_cmd_stratum, "partition stratum of the support cycle", _ONE_DOC),
+    "localize": (_cmd_localize, "split into local summands along the support", _ONE_DOC),
+    "isom": (_cmd_isom, "decide simultaneous-conjugation equivalence", _TWO_DOCS),
+    "homdim": (_cmd_homdim, "dimension of the intertwiner space", _TWO_DOCS),
+    "autdim": (_cmd_autdim, "dimension of the endomorphism algebra", _ONE_DOC),
+    "mingen": (_cmd_mingen, "minimal generator count of a punctual module", _ONE_DOC),
+    "tangent": (_cmd_tangent, "tangent space dimension at a commuting tuple", _ONE_DOC),
+    "nilpotent": (_cmd_nilpotent, "is every coordinate matrix nilpotent?", _ONE_DOC),
+    "potential": (_cmd_potential, "trace potential Tr(A(BC - CB)) of a matrix triple", _ONE_DOC),
     "gradient": (
-        _cmd_gradient, "gradient of the trace potential; vanishes iff commuting", _one_doc),
-    "translate": (_cmd_translate, "shift every coordinate by a scalar", _translate_args),
-    "dsum": (_cmd_dsum, "direct sum of two modules", _two_docs),
-    "frame-check": (_cmd_frame_check, "do the frame vectors generate the module?", _one_doc),
+        _cmd_gradient, "gradient of the trace potential; vanishes iff commuting", _ONE_DOC),
+    "translate": (_cmd_translate, "shift every coordinate by a scalar", _TRANSLATE_ARGS),
+    "dsum": (_cmd_dsum, "direct sum of two modules", _TWO_DOCS),
+    "frame-check": (_cmd_frame_check, "do the frame vectors generate the module?", _ONE_DOC),
     "atlas-check": (
-        _cmd_atlas_check, "is the framed module an atlas chart point (r = n)?", _one_doc),
+        _cmd_atlas_check, "is the framed module an atlas chart point (r = n)?", _ONE_DOC),
     "quot-equal": (
-        _cmd_quot_equal, "equality of framed modules as quotient-scheme points", _two_docs),
-    "census": (_cmd_census, "count commuting tuples over a prime field", _census_args),
-    "orbit-census": (_cmd_orbit_census, "full orbit list with stabilizer orders", _nqd_args),
-    "sample": (_cmd_sample, "generate example module documents", _sample_args),
+        _cmd_quot_equal, "equality of framed modules as quotient-scheme points", _TWO_DOCS),
+    "census": (_cmd_census, "count commuting tuples over a prime field", _CENSUS_ARGS),
+    "orbit-census": (_cmd_orbit_census, "full orbit list with stabilizer orders", _NQD_ARGS),
+    "sample": (_cmd_sample, "generate example module documents", _SAMPLE_ARGS),
 }
+
+# The global flags live on the root parser and on every subparser, so they may
+# be written on either side of the subcommand; the format flags exclude each other.
+_GLOBAL_FLAGS = (
+    ("--config", dict(metavar="PATH", help="JSON run configuration file")),
+    ("--seed", dict(type=int, help="override the configured seed")),
+)
+_FORMAT_FLAGS = (
+    ("--json", dict(action="store_true", help="machine-readable JSON reports (default)")),
+    ("--pretty", dict(action="store_true", help="human-readable text reports")),
+)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 
-def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
-    # the same flags live on the root parser and on every subparser so they
-    # may be written on either side of the subcommand; subparser copies
-    # default to SUPPRESS so they never overwrite a value parsed earlier
-    kw = {"default": argparse.SUPPRESS} if suppress else {}
-    p.add_argument("--config", metavar="PATH", help="JSON run configuration file", **kw)
-    p.add_argument("--seed", type=int, help="override the configured seed", **kw)
+def _add_global_flags(p: argparse.ArgumentParser, **extra) -> None:
+    for name, kwargs in _GLOBAL_FLAGS:
+        p.add_argument(name, **kwargs, **extra)
     fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument(
-        "--json",
-        action="store_true",
-        help="machine-readable JSON reports (default)",
-        **kw,
-    )
-    fmt.add_argument(
-        "--pretty",
-        action="store_true",
-        help="human-readable text reports",
-        **kw,
-    )
+    for name, kwargs in _FORMAT_FLAGS:
+        fmt.add_argument(name, **kwargs, **extra)
 
 
-class _NeedsFullParser(Exception):
-    """A one-subcommand parser met help or a usage error."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    # prints nothing: help and usage errors are left to the full parser,
-    # which alone knows every subcommand
-    def print_help(self, file=None):
-        raise _NeedsFullParser
-
-    def error(self, message):
-        raise _NeedsFullParser
-
-
-@functools.lru_cache(maxsize=None)
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The full parser, or one that knows only ``command`` besides the
-    global flags.  Built once per process: parse_args never mutates it."""
-    p = (_OneCommandParser if command else argparse.ArgumentParser)(
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser, built once per process: parse_args never mutates it."""
+    p = argparse.ArgumentParser(
         prog="commvar",
         description="Exact computations with commuting matrix tuples: "
         "support cycles, isomorphism, framed modules, finite-field censuses.",
     )
-    _add_global_flags(p, suppress=False)
+    _add_global_flags(p)
     sub = p.add_subparsers(dest="command", metavar="SUBCOMMAND")
-    for name in [command] if command else _COMMANDS:
-        _, help_, add_arguments = _COMMANDS[name]
+    for name, (_, help_, specs) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
-        _add_global_flags(sp, suppress=True)
-        add_arguments(sp)
+        # SUPPRESS: a flag not written after the subcommand keeps the root's value
+        _add_global_flags(sp, default=argparse.SUPPRESS)
+        for arg, kwargs in specs:
+            sp.add_argument(arg, **kwargs)
     return p
 
 
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_") if name.startswith("-") else name
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the full parser returns for a plain argv, read from the
+    argument specs; None for anything else.
+
+    Plain means: exact option strings, each given once unless it appends;
+    an option's value is the next token; no token starts with "-" but the
+    options and a lone "-"; global flags on either side of the subcommand,
+    its own options after it; no nargs, and ``--json`` and ``--pretty`` not
+    both.  Help, usage errors, ``--opt=value``, abbreviations and ``--`` are
+    left to the full parser, whose texts this never has to copy."""
+    specs = _GLOBAL_FLAGS + _FORMAT_FLAGS
+    known, waiting, values, command = dict(specs), [], {}, None
+    tokens = iter(argv)
+    for token in tokens:
+        if token in known:
+            name, kwargs = token, known[token]
+            if kwargs.get("action") == "store_true":
+                value = True
+            elif (value := next(tokens, "-")).startswith("-"):  # or missing
+                return None
+        elif token.startswith("-") and token != "-":
+            return None
+        elif command is None:  # the subcommand
+            if token not in _COMMANDS or any("nargs" in kw for _, kw in _COMMANDS[token][2]):
+                return None
+            command, own = token, _COMMANDS[token][2]
+            specs += own
+            known.update(arg for arg in own if arg[0].startswith("-"))
+            waiting = [arg for arg in own if not arg[0].startswith("-")]
+            continue
+        elif waiting:
+            (name, kwargs), value = waiting.pop(0), token
+        else:  # one positional too many
+            return None
+        if value is not True:
+            try:
+                value = kwargs.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in kwargs.get("choices", [value]):
+                return None
+        dest = _dest(name)
+        if kwargs.get("action") == "append":
+            values.setdefault(dest, []).append(value)
+        elif dest in values:
+            return None
+        else:
+            values[dest] = value
+    if command is None or waiting or (values.get("json") and values.get("pretty")):
+        return None
+    for name, kwargs in specs:
+        dest = _dest(name)
+        if dest not in values:
+            if kwargs.get("required"):
+                return None
+            store_true = kwargs.get("action") == "store_true"
+            values[dest] = kwargs.get("default", False if store_true else None)
+    return argparse.Namespace(command=command, **values)
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    # the first token naming a subcommand picks the parser; when that guess
-    # is wrong (it may be an option's value) the narrow parse fails and the
-    # full parser decides, so argparse's rules live in argparse alone
-    command = next((a for a in argv if a in _COMMANDS), None)
-    if command:
-        try:
-            return _build_parser(command).parse_args(argv)
-        except _NeedsFullParser:
-            pass
-    return _build_parser().parse_args(argv)
+    return _read_argv(argv) or _build_parser().parse_args(argv)
 
 
 def _resolve_config(args) -> RunConfig:

@@ -593,6 +593,17 @@ def test_not_monic():
     assert code == 1 and rep["error"] == "NOT_MONIC"
 
 
+@pytest.mark.parametrize("field,coeffs", [("Q", "2,1,0"), ("Fp:5", "1,5"), ("Fp:5", "3,1,10")])
+def test_companion_needs_a_last_given_coefficient_of_one(field, coeffs):
+    # a trailing zero coefficient is not dropped into a smaller, monic polynomial
+    code, rep = run_json("sample", "--kind", "companion", "--coeffs", coeffs, "--field", field)
+    assert code == 1 and rep["error"] == "NOT_MONIC"
+    code, rep = run_json("sample", "--kind", "companion", "--coeffs", "1", "--field", field)
+    assert code == 0 and rep["n"] == 0 and rep["metadata"]["coeffs"] == ["1"]
+    code, rep = run_json("sample", "--kind", "companion", "--coeffs", "0,6", "--field", "Fp:5")
+    assert code == 0 and rep["n"] == 1
+
+
 def test_bad_config_is_parse_error(tmp_path):
     # a retired key is refused like any other unknown key
     cfgp = tmp_path / "cfg.json"
@@ -635,7 +646,6 @@ def _subcommands(parser) -> set[str]:
 
 def test_parser_built_once_and_reused():
     assert cli._build_parser() is cli._build_parser()
-    assert cli._build_parser("validate") is cli._build_parser("validate")
     first = run("validate", str(GOLDEN / "j2_zero.json"))
     assert first[0] == 0
     assert run("validate", str(GOLDEN / "j2_zero.json")) == first
@@ -646,14 +656,28 @@ def test_parser_built_once_and_reused():
     assert run("validate", str(GOLDEN / "j2_zero.json")) == first
 
 
-def test_a_call_builds_only_its_subcommand_parser(capsys):
+_BENCH_ARGV = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+print(json.dumps([op.argv for w in ("census", "modules")
+                  for op in workloads.build(w, 1, f"{sys.argv[2]}/{w}")]))
+"""
+
+
+def test_workload_argv_builds_no_parser(capsys, tmp_path):
+    # the argv forms of both bench workloads are read without argparse; a
+    # child process keeps the bench's own oracles module apart from the tests'
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _BENCH_ARGV, str(root / "perfbench"), str(tmp_path)],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    argvs = json.loads(proc.stdout)
+    assert len(argvs) == 143
     cli._build_parser.cache_clear()
-    code, _ = run("census", "--n", "1", "--d", "1", "--q", "2")
-    assert code == 0
-    # one parser built, and it knows census alone: the next lookup hits it
-    assert cli._build_parser.cache_info().currsize == 1
-    assert _subcommands(cli._build_parser("census")) == {"census"}
-    assert cli._build_parser.cache_info().hits == 1
+    for argv in argvs:
+        assert run(*argv)[0] == 0, argv
+    assert cli._build_parser.cache_info().currsize == 0
     # help comes from the full parser, which lists every subcommand
     assert run("-h")[0] == 0
     assert _subcommands(cli._build_parser()) == set(cli._COMMANDS)
@@ -663,15 +687,78 @@ def test_a_call_builds_only_its_subcommand_parser(capsys):
         assert re.search(rf"^    {re.escape(name)}\b", listing, re.M), name
 
 
-def test_one_subcommand_parser_prints_nothing(capsys):
-    narrow = cli._build_parser("validate")
-    with pytest.raises(cli._NeedsFullParser):
-        narrow.print_help()
-    with pytest.raises(cli._NeedsFullParser):
-        narrow.error("the full parser words this")
-    with pytest.raises(cli._NeedsFullParser):
-        narrow.parse_args(["validate", "-h"])
-    assert capsys.readouterr() == ("", "")
+def _full_parse(capsys, argv):
+    try:
+        return vars(cli._build_parser().parse_args(argv))
+    except SystemExit:  # help or a usage error
+        return None
+    finally:
+        capsys.readouterr()
+
+
+def _given(arg, kwargs):
+    if kwargs.get("action") == "store_true":
+        return [arg]
+    value = kwargs["choices"][-1] if "choices" in kwargs else "2" if kwargs.get("type") is int else "x1"
+    return [arg, value] * (2 if kwargs.get("action") == "append" else 1)
+
+
+def _argv_corpus(name):
+    """Plain argv forms of one subcommand, and mutations of them, built from
+    its argument specs."""
+    specs = cli._COMMANDS[name][2]
+    paths = [f"{arg}.json" for arg, _ in specs if not arg.startswith("-")]
+    stdin = ["-", *paths[1:]] if paths else []
+    options = [_given(arg, kw) for arg, kw in specs if arg.startswith("-")]
+    required = [t for arg, kw in specs if kw.get("required") for t in _given(arg, kw)]
+    every = [t for option in options for t in option]
+    backwards = [t for option in reversed(options) for t in option]
+    plain = [
+        [name, *paths, *required],
+        [name, *required, *paths],
+        [name, *every, *stdin],
+        [name, *paths, *backwards],
+        ["--seed", "3", "--pretty", name, *paths, *required],
+        [name, *stdin, *required, "--config", "c.json", "--json"],
+        ["--config", "census", name, *every, *paths, "--seed", "3"],
+    ]
+    # each option in turn is abbreviated, repeated, dropped, left without its
+    # value, written as --opt=value, or given "-1", "-x", "bogus" or "--"
+    given = [*options, ["--seed", "3"]]
+    mutated = []
+    for i, (flag, *value) in enumerate(given):
+        for changed in ([flag[:-1], *value], [flag, *value] * 2, [], [flag], [f"{flag}=" + "".join(value[:1])],
+                        [flag, "-1"], [flag, "-x"], [flag, "bogus"], [flag, "--"]):
+            mutated.append([name, *paths, *(t for j, option in enumerate(given)
+                                             for t in (changed if j == i else option))])
+    argv = plain[0]
+    mutated += [
+        argv + ["-h"], ["-h", *argv], ["--help", *argv], argv + ["--help"],
+        argv + ["extra.json"], [name, *required], [name, "--", *paths, *required], argv + ["--"],
+        argv + ["--json", "--pretty"], ["--json", *argv, "--pretty"], ["--seed", "3", *argv, "--seed", "3"],
+        [*required, name, *paths], ["--seed", "3"], ["--config"], [], [name + "x", *argv[1:]],
+        [name, *paths, "-", *required], [name, *("-x" + p for p in paths), *required], argv + ["-1"],
+    ]
+    return plain, mutated
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_reader_answers_as_the_full_parser(capsys, name):
+    # the reader answers every plain form (unless the subcommand has an nargs
+    # argument) with the full parser's namespace, and leaves the rest to it
+    nargs = any("nargs" in kw for _, kw in cli._COMMANDS[name][2])
+    plain, mutated = _argv_corpus(name)
+    for argv in plain:
+        read, full = cli._read_argv(argv), _full_parse(capsys, argv)
+        assert full is not None, argv
+        assert (read is None) == nargs, argv
+        assert read is None or vars(read) == full, argv
+    refused = 0
+    for argv in mutated:
+        read, full = cli._read_argv(argv), _full_parse(capsys, argv)
+        assert read is None or vars(read) == full, argv
+        refused += full is None
+    assert refused >= 10
 
 
 PARITY_ARGV = [
@@ -693,11 +780,14 @@ PARITY_ARGV = [
     ["translate", "companion12.json", "--", "-1"],
     ["translate", "companion12.json", "--", "-1", "2"],
     ["sample", "--kind", "bogus"],
+    ["validate", "-"],
+    ["census", "--n=2", "--d", "1", "--q", "2"],
 ]
 
 
-def _outcome(capsys, argv):
-    # a *.json token names a golden document
+def _outcome(capsys, monkeypatch, argv):
+    # a *.json token names a golden document, and stdin holds j2_zero.json
+    monkeypatch.setattr(sys, "stdin", io.StringIO(read("j2_zero.json")))
     code, out = run(*(str(GOLDEN / a) if a.endswith(".json") else a for a in argv))
     captured = capsys.readouterr()
     return code, re.sub(r'"elapsed_ms": \d+', "", out), captured.out, captured.err
@@ -705,12 +795,11 @@ def _outcome(capsys, argv):
 
 @pytest.mark.parametrize("argv", PARITY_ARGV, ids=lambda a: " ".join(a) or "bare")
 def test_one_subcommand_parser_matches_the_full_parser(capsys, monkeypatch, argv):
-    # exit code, report, help and usage text are those of the full parser,
-    # whatever the Python version's argparse prints
-    routed = _outcome(capsys, argv)
-    full = cli._build_parser()
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full)
-    assert routed == _outcome(capsys, argv)
+    # exit code, report, help and usage text are those of the full parser
+    # alone, whatever the Python version's argparse prints
+    routed = _outcome(capsys, monkeypatch, argv)
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+    assert routed == _outcome(capsys, monkeypatch, argv)
 
 
 def test_field_beyond_primality_bound_is_refused():
