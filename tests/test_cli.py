@@ -155,6 +155,24 @@ def test_orbit_census_report_bytes_pinned(n, d, q, sha256):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
 
 
+@pytest.mark.parametrize("flags,sha256", [
+    (["--per-stratum"], "5653e1a1751d5411fbfbec1a0df6298ab39e64efb3d09fa9b60bb2591b8b2649"),
+    (["--nilpotent"], "0b3454cfd46f7a3be932cbd87e1fa63d1fbd3cdf8958941421cda579ca8184f1"),
+    (["--relation", "x1*x2+x3^2", "--per-stratum"],
+     "8386058e8af3997e0e2715eba0d4ceece96bbcf5e6531ae47cfe78c10cd23413"),
+    (["--relation", "x1*x2+x3^2", "--nilpotent"],
+     "948125392737be63dc6186d68e8cf3c0df5dbb04840b7780e154c82167e21c3b"),
+], ids=["per-stratum", "nilpotent", "relation-per-stratum", "relation-nilpotent"])
+def test_census_3_3_2_report_bytes_pinned(flags, sha256):
+    # at (3,3,2) four classes are neither scalar nor cyclic, so each report
+    # walks centralizer chains: counted, nilpotent, and as orbits under a
+    # relation
+    code, out = run("census", "--n", "3", "--d", "3", "--q", "2", *flags)
+    assert code == 0
+    text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out, count=1)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+
+
 def test_golden_not_commuting_error_byte_identical():
     # the error report, written with ensure_ascii and default=str
     code, out = run("validate", str(GOLDEN / "noncommuting.json"))
