@@ -13,11 +13,13 @@ its radical).  For d >= 3 a scalar A commutes with everything, so it adds
 the (d - 1)-census, counted once per request; a cyclic A (dim Z(A) = n)
 has the commutative centralizer F_q[A], so it adds q^(n (d - 1)) tuples,
 or q^((n - 1)(d - 1)) beside a single nilpotent Jordan block.  Beside any
-other A the census walks centralizer chains, each coordinate ranging over
-the joint centralizer of the prefix, so commutation never needs
-rechecking, and the last counted as q^dim Z(prefix); each level eliminates
-only its new coordinate's rows against the prefix's eliminated rows.
-Nilpotent tuples with d >= 3 walk every coordinate of those chains.
+other A one walk (``_walk``) serves counts, nilpotent counts and orbits:
+it yields each prefix of up to d - 1 coordinates from A with a basis of
+its joint centralizer Z(prefix), over which the next coordinate ranges,
+so commutation never needs rechecking; each level eliminates only its
+new coordinate's rows against the prefix's eliminated rows.  The count
+reads q^dim Z(prefix) last coordinates off each prefix of d - 1, or
+counts the nilpotent elements of Z(prefix) for nilpotent tuples.
 The per-stratum histogram follows the support morphism: a split tuple is a
 direct sum of punctual pieces at distinct points, so the stratum with parts
 lam holds |GL_n| C_lam prod_m P_m tuples, C_lam placing the parts at
@@ -29,14 +31,15 @@ Z(m).  A d = 1 orbit is a class; a scalar c I prefixes c I to the
 (d - 1)-orbits; a cyclic m has the commutative Z(m) = F_q[m], the span of
 I, m, ..., m^(n - 1), built once per class with no elimination, so each
 chain through it, m followed by elements of that span, is an orbit; any
-other class walks the chains through Z(m) and acts by Z_GL(m) alone, the
-set of units of the walked Z(m).  There conjugation by g is a linear map
-C_g on the n^2 entries, so many matrices are conjugated by many g in one
-product, the maps C_g stacked.  ``orbit_census`` takes m = m_C, the least
-element of C, found as the closure of its canonical form under
-conjugation by generators of GL_n, each a row move and then a column move
-on the entries, so no step lists GL_n or multiplies matrices, and each
-representative is the lex-first tuple of its orbit.  A relation f(x) = 0
+other class is walked once from m, its chains of k coordinates the
+prefixes of k - 1 each followed by an element of Z(prefix), and acts by
+Z_GL(m) alone, the set of units of Z(m).  There conjugation by g is a
+linear map C_g on the n^2 entries, so many matrices are conjugated by
+many g in one product, the maps C_g stacked.  ``orbit_census`` takes
+m = m_C, the least element of C, found as the closure of its canonical
+form under conjugation by generators of GL_n, each a row move and then a
+column move on the entries, so no step lists GL_n or multiplies
+matrices, and each representative is the lex-first tuple of its orbit.  A relation f(x) = 0
 and the support cycle are constant on orbits (f(g A g^-1) = g f(A) g^-1),
 so relation filters read one representative per orbit, walked from each
 class's canonical form (each nilpotent class's under the nilpotent
@@ -235,20 +238,6 @@ def _classes(n: int, q: int) -> list[_Class]:
     return out
 
 
-def _centralizer_basis(rows: list[list[int]], fieldobj, n: int) -> list[Matrix]:
-    """Basis of {X : A X = X A for all A in a prefix}, read off the rows of
-    the prefix's intertwining system, which it eliminates in place: the
-    first n^2 - len(basis) rows end as those of the reduced row echelon
-    form."""
-    return [Matrix(fieldobj, n, n, v) for v in _kernel(rows, n * n, fieldobj)]
-
-
-def _with_pair(reduced: Sequence[list[int]], a: Matrix) -> list[list[int]]:
-    """Copies of a prefix's eliminated intertwining rows, then the rows of
-    the pair (a, a)."""
-    return [row[:] for row in reduced] + _intertwining_rows(a, a)
-
-
 def _span(vectors: Sequence[tuple[int, ...]], cells: int, q: int) -> list[tuple[int, ...]]:
     """Every F_q-combination of the entry tuples of length cells, each once,
     in lexicographic order."""
@@ -273,33 +262,33 @@ def _check_request(n: int, d: int, q: int, config: RunConfig) -> int:
     return gl_order(n, q)
 
 
-def _chains(
+def _walk(
     chain: list[Matrix],
     length: int,
     keep: Callable[[Matrix], bool] = lambda m: True,
     reduced: Sequence[list[int]] = (),
-) -> Iterator[tuple[list[Matrix], Sequence[list[int]]]]:
-    """Chains of `length` commuting matrices extending the commuting chain,
-    every added one passing keep, each with the eliminated intertwining rows
-    of all its coordinates but the last: each added one ranges over the
-    joint centralizer of those before it, in entry-lexicographic order.
+) -> Iterator[tuple[list[Matrix], list[tuple[int, ...]]]]:
+    """Every commuting chain of at most `length` matrices extending the
+    commuting chain, every added one passing keep, each with the kernel
+    basis of its joint centralizer: each added coordinate ranges over that
+    of the prefix before it, in entry-lexicographic order, and each prefix
+    comes before its extensions.
 
-    reduced holds those rows for chain[:-1].  Each level eliminates only the
-    n^2 rows of its last coordinate against them; the reduced row echelon
-    form is unique, so the centralizer bases are those of the whole
-    prefix's system.
+    reduced holds the eliminated intertwining rows of chain[:-1].  Each
+    level eliminates only the n^2 rows of its last coordinate against them;
+    the reduced row echelon form is unique, so each basis is that of the
+    whole prefix's system.
     """
-    if len(chain) == length:
-        yield chain, reduced
-        return
     F, n = chain[0].field, chain[0].rows
-    rows = _with_pair(reduced, chain[-1])
-    basis = _centralizer_basis(rows, F, n)
-    del rows[n * n - len(basis):]
-    for e in _span([b.entries for b in basis], n * n, F.characteristic):
-        c = Matrix(F, n, n, e)
-        if keep(c):
-            yield from _chains(chain + [c], length, keep, rows)
+    rows = [row[:] for row in reduced] + _intertwining_rows(chain[-1], chain[-1])
+    basis = _kernel(rows, n * n, F)
+    yield chain, basis
+    if len(chain) < length:
+        del rows[n * n - len(basis):]
+        for e in _span(basis, n * n, F.characteristic):
+            c = Matrix(F, n, n, e)
+            if keep(c):
+                yield from _walk(chain + [c], length, keep, rows)
 
 
 def _nilpotent(a: Matrix) -> bool:
@@ -318,9 +307,9 @@ def _count(
     q^(n (d - 1)) when A is cyclic (dim Z(A) = n), since every later
     coordinate ranges over the commutative Z(A) = F_q[A], and
     q^((n - 1)(d - 1)) nilpotent ones beside a single Jordan block;
-    otherwise the chains through Z(A), the last coordinate counted as
-    q^dim Z(prefix), n^2 less the rank of the prefix's intertwining system
-    (walked for nilpotent tuples).
+    otherwise the walk's prefixes of d - 1 coordinates from A, the last
+    coordinate ranging over Z(prefix): q^dim Z(prefix) choices, or the
+    nilpotent elements of Z(prefix).
     """
     rest = _count(n, d - 1, q, nilpotent, classes) if d > 2 else 0
     F = GF(q)
@@ -337,11 +326,13 @@ def _count(
             leaves = rest
         elif c.dim == n:
             leaves = q ** ((n - 1 if nilpotent else n) * (d - 1))
-        elif nilpotent:
-            leaves = sum(1 for _ in _chains([c.representative()], d, _nilpotent))
         else:
-            leaves = sum(q ** (n * n - len(F.eliminate(_with_pair(reduced, chain[-1]), n * n)))
-                         for chain, reduced in _chains([c.representative()], d - 1))
+            keep = _nilpotent if nilpotent else (lambda a: True)
+            leaves = 0
+            for chain, basis in _walk([c.representative()], d - 1, keep):
+                if len(chain) == d - 1:
+                    leaves += (sum(_nilpotent(Matrix(F, n, n, e)) for e in _span(basis, n * n, q))
+                               if nilpotent else q ** len(basis))
         total += c.weight * leaves
     return total
 
@@ -414,37 +405,30 @@ def _conjugation_map(group: Sequence[tuple[Matrix, Matrix]], n: int, q: int) -> 
     ]
 
 
-def _generators(n: int, q: int) -> list[tuple[Matrix, Matrix]]:
-    """Generators of GL_n(F_q), each with its inverse: the transvections
-    I + E_{i,i+1} and I + E_{i+1,i}, and diag(w, 1, ..., 1) for the least
-    primitive root w mod q, left out at q = 2 (Taylor, The Geometry of the
-    Classical Groups, 1992)."""
-    F = GF(q)
-    one = Matrix.identity(F, n).entries
+def _generators(n: int, q: int) -> list[tuple[int, int, int]]:
+    """Generators of GL_n(F_q), each as (k, x, y): the one row-major entry k
+    where it differs from I, its value x there and its inverse's value y
+    there.  They are the transvections I + E_{i,i+1} and I + E_{i+1,i}, and
+    diag(w, 1, ..., 1) for the least primitive root w mod q, left out at
+    q = 2 (Taylor, The Geometry of the Classical Groups, 1992)."""
     cells = [(k, 1, q - 1) for i in range(n - 1) for k in (i * n + i + 1, (i + 1) * n + i)]
     if q > 2 and n:
         primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
         w = next(w for w in range(2, q) if all(pow(w, (q - 1) // r, q) != 1 for r in primes))
         cells.append((0, w, pow(w, -1, q)))
-
-    def at(k: int, x: int) -> Matrix:
-        return Matrix(F, n, n, one[:k] + (x,) + one[k + 1:])
-    return [(at(k, x), at(k, y)) for k, x, y in cells]
+    return cells
 
 
-def _move(g: Matrix, h: Matrix, q: int) -> Callable[[list[Sequence[int]]], list[Sequence[int]]]:
-    """Conjugation a -> g a g^-1 by a generator g with inverse h, as one row
-    move and one column move read off the one entry k = (r, s) where g
-    differs from I: I + x E_rs adds x (row s) to row r, then h[k] = -x
-    times column r to column s; diag(x, 1, ..., 1) (r = s) multiplies row
-    r by x, then column r by h[k] = x^-1.  It moves a batch of matrices at
-    once, given as the n^2 columns of their row-major entries, and returns
-    the columns of their conjugates."""
-    n = g.rows
-    # the identity has its ones at the entries k with k = 0 mod n + 1
-    k = next(k for k, x in enumerate(g.entries) if x != int(k % (n + 1) == 0))
+def _move(k: int, x: int, y: int, n: int, q: int) -> Callable[[list[Sequence[int]]], list[Sequence[int]]]:
+    """Conjugation a -> g a g^-1 by the generator (k, x, y) of
+    ``_generators``, with k = (r, s), as one row move and one column move:
+    I + x E_rs adds x (row s) to row r, then y = -x times column r to
+    column s; diag(x, 1, ..., 1) (r = s) multiplies row r by x, then column
+    r by y = x^-1.  It moves a batch of matrices at once, given as the n^2
+    columns of their row-major entries, and returns the columns of their
+    conjugates."""
     r, s = divmod(k, n)
-    x, y, keep = g.entries[k], h.entries[k], int(r != s)
+    keep = int(r != s)
 
     def move(cols: list[Sequence[int]]) -> list[Sequence[int]]:
         out = list(cols)
@@ -464,7 +448,7 @@ def _class_closures(classes: Sequence[_Class], n: int, q: int) -> list[set[tuple
     is moved once by each generator, and each matrix reached is filed under
     the class of the one it was moved from; RuntimeError unless each closure
     holds |C| matrices."""
-    moves = [_move(g, h, q) for g, h in _generators(n, q)]
+    moves = [_move(k, x, y, n, q) for k, x, y in _generators(n, q)]
     frontier = [c.representative().entries for c in classes]
     owners = list(range(len(classes)))
     owner = dict(zip(frontier, owners))
@@ -495,7 +479,10 @@ def _orbits(
     of Z(m) = F_q[m], the span of I, m, ..., m^(n - 1), built once per class
     with no elimination; with nilpotent set, of its nilpotent elements
     only, the span of m, ..., m^(n - 1) (m is then a single Jordan block).
-    Through any other non-scalar m an orbit has size
+    Any other non-scalar m is walked once (``_walk``) to depth d - 1: the
+    chains of k coordinates are its prefixes of k - 1, each followed by any
+    element of its centralizer, and Z_GL(m) is the set of units of Z(m),
+    the centralizer of the first prefix.  There an orbit has size
     |C| |Z_GL(m)-orbit| and its stabilizer inside Z_GL(m) as aut order, the
     orbits of Z_GL(m) keyed on the entries of the conjugates of each walked
     chain's coordinates, each distinct matrix conjugated in one product.
@@ -513,6 +500,10 @@ def _orbits(
     cells = n * n
     # one tuple object per distinct coordinate matrix, however often it recurs
     interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def intern(a: tuple[int, ...]) -> tuple[int, ...]:
+        return interned.setdefault(a, a)
+
     matrix = cache(lambda a: Matrix(F, n, n, a))
 
     def conjugator(group: Sequence[tuple[Matrix, Matrix]]) -> Callable:
@@ -522,7 +513,7 @@ def _orbits(
         def conjugates(a: tuple[int, ...]) -> list[tuple[int, ...]]:
             out = F.dots([a], stacked)
             cuts = (tuple(out[g * cells:(g + 1) * cells]) for g in range(len(group)))
-            return [interned.setdefault(c, c) for c in cuts]
+            return list(map(intern, cuts))
         return conjugates
 
     @cache
@@ -533,13 +524,14 @@ def _orbits(
             powers.append(powers[-1] * powers[1])
         if nilpotent:
             powers = powers[1:]
-        span = [interned.setdefault(e, e) for e in _span([p.entries for p in powers], cells, q)]
+        span = list(map(intern, _span([p.entries for p in powers], cells, q)))
         if len(span) != q ** len(powers):
             raise RuntimeError("the powers of a cyclic class's matrix are not independent")
         return span
 
     is_nilpotent = cache(lambda a: _nilpotent(matrix(a)))
-    by_centralizer: dict[tuple[int, ...], tuple[Callable, int]] = {}
+    # per class: its walk's prefixes with their centralizers, the conjugator and |Z_GL(m)|
+    by_class: dict[tuple[int, ...], tuple[list, Callable, int]] = {}
     orbits: list[tuple[tuple, int, int, bool]] = []  # key, orbit size, aut order, nilpotent
     for k in range(1, d + 1):
         below, orbits, walked = orbits, [], 0
@@ -561,17 +553,19 @@ def _orbits(
                     flag = c.nilpotent and all(map(is_nilpotent, rest))
                     orbits.append(((m,) + rest, c.weight, glo // c.weight, flag))
                 continue
-            chains = [tuple(interned.setdefault(a.entries, a.entries) for a in chain)
-                      for chain, _ in _chains([matrix(m)], k)]
-            walked += c.weight * len(chains)
-            if m not in by_centralizer:
-                # the second coordinates cover Z(m); its units are Z_GL(m)
-                units = [(g, h) for g in map(matrix, sorted({chain[1] for chain in chains}))
-                         if (h := inverse(g)) is not None]
+            if m not in by_class:
+                # each prefix of up to d - 1 coordinates with the elements of its centralizer
+                prefixes = [(tuple(intern(a.entries) for a in chain),
+                             list(map(intern, _span(basis, cells, q))))
+                            for chain, basis in _walk([matrix(m)], d - 1)]
+                # the first prefix is m alone: the units of Z(m) are Z_GL(m)
+                units = [(g, h) for g in map(matrix, prefixes[0][1]) if (h := inverse(g)) is not None]
                 if len(units) * c.weight != glo:
                     raise RuntimeError("|Z_GL(m_C)| times the class size is not |GL_n|")
-                by_centralizer[m] = conjugator(units), len(units)
-            conjugates, order = by_centralizer[m]
+                by_class[m] = prefixes, conjugator(units), len(units)
+            prefixes, conjugates, order = by_class[m]
+            chains = [key + (e,) for key, span in prefixes if len(key) == k - 1 for e in span]
+            walked += c.weight * len(chains)
             chain_set = set(chains)
             seen: set[tuple] = set()
             for key in chains:

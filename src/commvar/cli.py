@@ -536,15 +536,18 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     Plain means: exact option strings, each given once unless it appends;
     an option's value is the next token; no token starts with "-" but the
     options and a lone "-"; global flags on either side of the subcommand,
-    its own options after it; no nargs, and ``--json`` and ``--pretty`` not
-    both.  Help, usage errors, ``--opt=value``, abbreviations and ``--`` are
-    left to the full parser, whose texts this never has to copy."""
+    its own options after it; a nargs="+" positional, the last one, takes
+    one run of tokens that an option or the end closes; and ``--json`` and
+    ``--pretty`` not both.  Help, usage errors, ``--opt=value``,
+    abbreviations and ``--`` are left to the full parser, whose texts this
+    never has to copy."""
     specs = _GLOBAL_FLAGS + _FORMAT_FLAGS
     known, waiting, values, command = dict(specs), [], {}, None
+    filling = None  # the nargs="+" positional whose run of tokens is open
     tokens = iter(argv)
     for token in tokens:
         if token in known:
-            name, kwargs = token, known[token]
+            name, kwargs, filling = token, known[token], None
             if kwargs.get("action") == "store_true":
                 value = True
             elif (value := next(tokens, "-")).startswith("-"):  # or missing
@@ -552,15 +555,16 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
         elif token.startswith("-") and token != "-":
             return None
         elif command is None:  # the subcommand
-            if token not in _COMMANDS or any("nargs" in kw for _, kw in _COMMANDS[token][2]):
+            if token not in _COMMANDS:
                 return None
             command, own = token, _COMMANDS[token][2]
             specs += own
             known.update(arg for arg in own if arg[0].startswith("-"))
             waiting = [arg for arg in own if not arg[0].startswith("-")]
             continue
-        elif waiting:
-            (name, kwargs), value = waiting.pop(0), token
+        elif filling or waiting:
+            (name, kwargs), value = filling or waiting.pop(0), token
+            filling = (name, kwargs) if "nargs" in kwargs else None
         else:  # one positional too many
             return None
         if value is not True:
@@ -571,7 +575,7 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
             if value not in kwargs.get("choices", [value]):
                 return None
         dest = _dest(name)
-        if kwargs.get("action") == "append":
+        if kwargs.get("action") == "append" or "nargs" in kwargs:
             values.setdefault(dest, []).append(value)
         elif dest in values:
             return None
@@ -633,7 +637,7 @@ def _error_text(e: CommvarError) -> str:
     # limit, so it goes as a decimal string
     detail.update({k: int_to_decimal(v) if isinstance(v, int) and v.bit_length() > 13_000 else v
                    for k, v in e.detail.items()})
-    return write_json({"error": e.code, "detail": detail}, ensure_ascii=True, default=str) + "\n"
+    return json.dumps({"error": e.code, "detail": detail}, indent=2, ensure_ascii=True, default=str) + "\n"
 
 
 def main(argv=None) -> int:

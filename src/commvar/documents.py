@@ -7,7 +7,8 @@ floating point never appears.  parse_document parses each scalar once into
 a ModuleDocument of field, matrices and frame values; emit_document formats
 each once, in canonical form, through format_matrix, the one writer of
 matrices as text.  So parse(emit(doc)) == doc and emit is byte-deterministic.
-write_json writes documents and CLI reports as json.dumps(indent=2) would.
+write_json writes documents and CLI reports as json.dumps(indent=2,
+ensure_ascii=False) would.
 """
 from __future__ import annotations
 
@@ -116,23 +117,24 @@ def parse_document(text: str) -> ModuleDocument:
     )
 
 
-def write_json(obj, ensure_ascii: bool = False, default=None) -> str:
-    """json.dumps(obj, indent=2, ensure_ascii=ensure_ascii, default=default)
-    byte for byte, for acyclic obj and a default that gives the same value
-    for the same object, without the standard library's pure-Python indent
-    path: one recursion puts each piece on one list, strings go through
-    json's C encoder and floats through json.dumps.
+def write_json(obj) -> str:
+    """json.dumps(obj, indent=2, ensure_ascii=False) byte for byte, for
+    acyclic obj, without the standard library's pure-Python indent path:
+    one recursion puts each piece on one list, strings go through json's C
+    encoder and floats through json.dumps.
 
     Reports share matrices: the orbit census gives every orbit the same
     rows for the same matrix.  In a list of matrices (its first item a list
     of lists), an item list or tuple that comes up again, as the same
     object at the same indent, is written once more, and its text is kept
     and reused from then on.  Other lists pay only the test of their first
-    item: a list of scalars is cheaper to write again than to look up."""
-    string = json.encoder.encode_basestring_ascii if ensure_ascii else json.encoder.encode_basestring
+    item: a list of scalars is cheaper to write again than to look up.
+    Every list met stays reachable from obj until the end, so no id is
+    reused."""
+    string = json.encoder.encode_basestring
     out: list[str] = []
     put = out.append
-    seen: dict[int, object] = {}  # holds each item, so that no later object takes its id
+    seen: set[int] = set()
     texts: dict[tuple[int, str], str] = {}  # (id, indent) of an item seen twice -> its text
 
     def write(o, nl: str) -> None:
@@ -163,7 +165,7 @@ def write_json(obj, ensure_ascii: bool = False, default=None) -> str:
                     if not isinstance(v, (list, tuple)):
                         write(v, inner)
                     elif id(v) not in seen:
-                        seen[id(v)] = v
+                        seen.add(id(v))
                         write(v, inner)
                     elif (id(v), inner) in texts:
                         put(texts[id(v), inner])
@@ -177,10 +179,8 @@ def write_json(obj, ensure_ascii: bool = False, default=None) -> str:
                     write(v, inner)
                     sep = "," + inner
             put(nl + "]" if o else "[]")
-        elif default is None:
-            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
         else:
-            write(default(o), nl)
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
     write(obj, "\n")
     return "".join(out)

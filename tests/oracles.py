@@ -5,10 +5,11 @@ rationals, small nonnegative ints mod p over a prime field (p passed
 explicitly, None means rationals).  The implementations are deliberately
 naive (cofactor expansions, textbook elimination) and share no code with
 the package under test, apart from ``walk``, ``census_leaf_walk`` and
-``orbit_census_walk``: they replay the census's earlier walks through the
-package's own centralizer chains, elimination and conjugation maps, so
-they check the class data, closed forms and centralizer actions the census
-works with, not the kernels.
+``orbit_census_walk``: they walk their own centralizer chains, building
+each prefix's whole intertwining system and eliminating it with the
+package's kernel, and conjugate by the package's conjugation maps, so they
+check the class data, closed forms, incremental elimination and
+centralizer actions the census works with, not the kernels.
 """
 from __future__ import annotations
 
@@ -17,16 +18,9 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterator, Optional
 
-from commvar.census import (
-    Orbit,
-    _centralizer_basis,
-    _chains,
-    _conjugation_map,
-    _nilpotent,
-    gl_order,
-)
+from commvar.census import Orbit, _conjugation_map, _nilpotent, gl_order
 from commvar.fields import GF
-from commvar.matrices import Matrix, _intertwining_system, inverse, rank
+from commvar.matrices import Matrix, _intertwining_system, _kernel, inverse, rank
 from commvar.modules import CommutingTuple
 
 Rows = list  # list[list[scalar]]
@@ -443,6 +437,25 @@ def all_matrices(n: int, q: int) -> list[tuple[Matrix, int]]:
     return [(Matrix(F, n, n, e), 1) for e in itertools.product(range(q), repeat=n * n)]
 
 
+def _chains(chain: list[Matrix], length: int, keep: Callable[[Matrix], bool]) -> Iterator[list[Matrix]]:
+    """The chains of `length` extending chain, each added coordinate passing
+    keep and ranging over every matrix that commutes with each before it,
+    in entry-lexicographic order: the F_q-combinations of the kernel basis
+    of the prefix's whole intertwining system."""
+    if len(chain) == length:
+        yield chain
+        return
+    F, n = chain[0].field, chain[0].rows
+    q, cells = F.characteristic, n * n
+    basis = _kernel(_intertwining_system(chain, chain), cells, F)
+    span = {tuple(sum(c * v[i] for c, v in zip(coeffs, basis)) % q for i in range(cells))
+            for coeffs in itertools.product(range(q), repeat=len(basis))}
+    for e in sorted(span):
+        b = Matrix(F, n, n, e)
+        if keep(b):
+            yield from _chains(chain + [b], length, keep)
+
+
 def walk(
     n: int,
     length: int,
@@ -461,7 +474,7 @@ def walk(
     """
     for m, w in firsts(n, q):
         if keep(m):
-            for chain, _ in _chains([m], length, keep):
+            for chain in _chains([m], length, keep):
                 yield chain, w
 
 
@@ -480,7 +493,7 @@ def census_leaf_walk(n: int, d: int, q: int, nilpotent: bool) -> int:
         return q ** (n * n - n if nilpotent else n * n)
     total = 0
     for chain, _ in walk(n, d - 1, q, all_matrices, keep):
-        dim = len(_centralizer_basis(_intertwining_system(chain, chain), GF(q), n))
+        dim = len(_kernel(_intertwining_system(chain, chain), n * n, GF(q)))
         if nilpotent:
             dim -= n - rank(chain[0])
         total += q**dim

@@ -12,7 +12,6 @@ from commvar import census, matrices
 from commvar.census import (
     CensusRequest,
     CensusResult,
-    _centralizer_basis,
     _classes,
     _class_closures,
     _conjugation_map,
@@ -77,7 +76,7 @@ def test_class_records_match_elimination(n, q):
     identity = Matrix.identity(F, n)
     for c in _classes(n, q):
         a = c.representative()
-        assert c.dim == len(_centralizer_basis(_intertwining_rows(a, a), F, n))
+        assert c.dim == len(matrices._kernel(_intertwining_rows(a, a), n * n, F))
         assert c.nilpotent == _nilpotent(a)
         assert c.scalar == any(a == identity.scale(x) for x in range(q))
         assert c.nullity == n - rank(a)
@@ -520,27 +519,28 @@ def test_orbit_census_matches_brute_force_orbits(n, d, q):
 
 
 def test_orbit_census_refuses_a_walk_that_misses_a_tuple(monkeypatch):
-    # every conjugate of a walked chain must itself have been walked: each
-    # class's walk loses its last chain that is no orbit representative.
+    # every conjugate of a walked chain must itself have been walked: the
+    # centralizer of each class's first prefix, m_C alone, loses its last
+    # singular element that no orbit representative takes as its second
+    # coordinate, so Z_GL(m_C) stays whole and one chain is missed.
     # Z(m_C) = F_q[m_C] is commutative for a cyclic m_C, so every orbit
     # inside it is a point; the first sizes with others have n = 3
     n, d, q = 3, 2, 2
-    reps = {tuple(m.entries for m in o.representative.mats)
-            for o in oracles.orbit_census_walk(n, d, q)}
-    real = census._chains
+    seconds = {o.representative.mats[1].entries for o in oracles.orbit_census_walk(n, d, q)}
+    real = census._span
     dropped = []
 
-    def dropping(chain, length, *args):
-        out = list(real(chain, length, *args))
-        keys = [tuple(m.entries for m in c) for c, _ in out]
-        i = next((i for i in reversed(range(len(out))) if keys[i] not in reps), None)
-        if len(chain) == 1 and i is not None:
-            dropped.append(keys[i])
-            del out[i]
+    def dropping(vectors, cells, q):
+        out = real(vectors, cells, q)
+        # a cyclic class's span has at most n vectors, I, m, ..., m^(n - 1)
+        if len(vectors) > n:
+            i = next(i for i in reversed(range(len(out)))
+                     if out[i] not in seconds and rank(Matrix(GF(q), n, n, out[i])) < n)
+            dropped.append(out.pop(i))
         return out
 
-    monkeypatch.setattr(census, "_chains", dropping)
-    with pytest.raises(RuntimeError):
+    monkeypatch.setattr(census, "_span", dropping)
+    with pytest.raises(RuntimeError, match="outside the walked variety"):
         orbit_census(n, d, q)
     assert dropped
 
@@ -644,9 +644,9 @@ def test_orbit_census_refuses_a_corrupted_conjugation_map(monkeypatch):
     # commutative).  The checks are raises, so python -O keeps them
     real_move = census._move
 
-    def corrupted_move(g, h, q):
+    def corrupted_move(k, x, y, n, q):
         # the first generator, I + E_01, moves nothing
-        return (lambda cols: cols) if g.entries[1] else real_move(g, h, q)
+        return (lambda cols: cols) if k == 1 else real_move(k, x, y, n, q)
 
     orbit_census(2, 2, 2)
     monkeypatch.setattr(census, "_move", corrupted_move)
@@ -682,17 +682,29 @@ def test_orbit_census_by_class_matches_the_whole_walk(n, d, q):
     assert flat(orbit_census(n, d, q)) == flat(oracles.orbit_census_walk(n, d, q))
 
 
-@pytest.mark.parametrize("n,d,q,most", [(2, 3, 2, 0), (3, 3, 2, 216)])
-def test_orbit_census_walks_only_inside_the_centralizers(monkeypatch, n, d, q, most):
-    # one centralizer per chain prefix inside Z(m_C) for each non-scalar,
-    # non-cyclic class, where walking the whole variety takes 104 and 7,968;
-    # a cyclic class takes the span of its powers, with no elimination, and
-    # at n = 2 every non-scalar class is cyclic
+@pytest.mark.parametrize("n,d,q,kernels", [(2, 3, 2, 0), (3, 3, 2, 132)])
+def test_orbit_census_walks_only_inside_the_centralizers(monkeypatch, n, d, q, kernels):
+    # one walk per non-scalar, non-cyclic class to depth d - 1 = 2: one
+    # kernel for m_C and one per element of Z(m_C), where walking the whole
+    # variety takes 7,968; a cyclic class takes the span of its powers, with
+    # no elimination, and at n = 2 every non-scalar class is cyclic
     calls = []
-    _counting(monkeypatch, census, "_centralizer_basis", calls)
+    _counting(monkeypatch, census, "_kernel", calls)
     orbit_census(n, d, q)
-    assert len(calls) <= most
-    assert bool(calls) == bool(most)
+    assert len(calls) == kernels
+    assert kernels == sum(1 + q**c.dim for c in _classes(n, q) if not c.scalar and c.dim != n)
+
+
+def test_census_eliminates_only_inside_the_walk(monkeypatch):
+    # the count reads q^dim Z(prefix) off the kernel basis the walk found
+    # for each prefix of d - 1 coordinates, so every elimination is one of
+    # the walk's kernels: 1 + 2^dim Z(m_C) for each of the four classes that
+    # are neither scalar nor cyclic
+    kernels, eliminations = [], []
+    _counting(monkeypatch, census, "_kernel", kernels)
+    _counting(monkeypatch, PrimeField, "eliminate", eliminations)
+    enumerate_census(CensusRequest(n=3, d=3, q=2))
+    assert len(kernels) == len(eliminations) == 132
 
 
 @pytest.mark.parametrize("n,q", [(0, 2), (1, 3), (2, 2), (2, 3), (2, 5), (3, 2)])
@@ -700,9 +712,13 @@ def test_class_closures_are_the_conjugacy_classes(n, q):
     # the closure of each canonical form under the generators is its
     # conjugates by the whole group, each generator with its inverse
     group = _group(n, q)
-    gens = _generators(n, q)
+    one = Matrix.identity(GF(q), n)
+
+    def at(k, x):
+        return Matrix(GF(q), n, n, one.entries[:k] + (x,) + one.entries[k + 1:])
+    gens = [(at(k, x), at(k, y)) for k, x, y in _generators(n, q)]
     assert len(gens) == 2 * max(n - 1, 0) + (q > 2 and n > 0)
-    assert all(g * h == Matrix.identity(GF(q), n) for g, h in gens)
+    assert all(g != one and g * h == one for g, h in gens)
     classes = _classes(n, q)
     for c, closure in zip(classes, _class_closures(classes, n, q)):
         a = c.representative()
@@ -716,8 +732,8 @@ def test_class_closures_conjugate_each_matrix_once_by_each_generator(monkeypatch
     moved, products = [], []
     real = census._move
 
-    def counting(g, h, q):
-        move = real(g, h, q)
+    def counting(*args):
+        move = real(*args)
 
         def counted(cols):
             moved.append(len(cols[0]))
