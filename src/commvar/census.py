@@ -2,29 +2,37 @@
 
 Counts are exact; the groupoid count raw/|GL_n(F_q)| is a rational number
 and the Burnside identity sum(1/|Aut|) over orbits reproduces it.  Counts
-are read off the similarity classes of the first coordinate A: a partition
-lam_phi per monic irreducible phi, which gives the class size
-|GL_n|/|Z_GL(A)| and dim Z(A) = sum deg(phi) (|lam_phi| + 2 n(lam_phi)) in
-closed form (Macdonald, Symmetric Functions and Hall Polynomials, IV.2).
-The second coordinate ranges over the linear space Z(A) and is counted, not
-walked: q^dim Z(A) choices, or q^(dim Z(A) - (n - rank A)) nilpotent ones
-beside a nilpotent A (Fine-Herstein on each matrix algebra of Z(A) modulo
-its radical).  For d >= 3 a scalar A commutes with everything, so it adds
-the (d - 1)-census, counted once per request; a cyclic A (dim Z(A) = n)
-has the commutative centralizer F_q[A], so it adds q^(n (d - 1)) tuples,
-or q^((n - 1)(d - 1)) beside a single nilpotent Jordan block.  Beside any
-other A one walk (``_walk``) serves counts, nilpotent counts and orbits:
-it yields each prefix of up to d - 1 coordinates from A with a basis of
-its joint centralizer Z(prefix), over which the next coordinate ranges,
-so commutation never needs rechecking; each level eliminates only its
-new coordinate's rows against the prefix's eliminated rows.  The count
-reads q^dim Z(prefix) last coordinates off each prefix of d - 1, or
-counts the nilpotent elements of Z(prefix) for nilpotent tuples.
+are read off the class type of the first coordinate A (Green, Trans. AMS
+80, 1955; Macdonald, Symmetric Functions and Hall Polynomials, IV.2): the
+multiset of its blocks (e, lam), one per primary part, lam the partition
+of a monic irreducible phi of degree e.  As F_q[t]/(phi^k) is
+F_(q^e)[s]/(s^k), the type fixes the class size |GL_n|/prod a_lam(q^e)
+and Z(A), the product of its blocks' centralizer algebras, and so every
+count of commuting tuples inside Z(A); a type has
+prod_e perm(N_e, k_e)/prod (multiplicities)! classes, N_e the number of
+monic irreducibles of degree e.  So a count sums over types, listing no
+class and no irreducible, each block adding the commuting (d - 1)-tuples
+in its own algebra: 1 at d = 1; q^(e (|lam| + 2 n(lam))) at d = 2, its
+dimension; q^(e k (d - 1)) for lam = (k), the algebra being commutative;
+the (d - 1)-census at size j for the block t^(1^j), whose algebra is
+M_j(F_q); otherwise one walk (``_walk``) from the block's canonical form
+at size e |lam|, once per block per request.  Nilpotent counts go over the
+nilpotent classes, one per partition of n: q^(dim Z(A) - (n - rank A))
+nilpotent second coordinates beside A (Fine-Herstein on each matrix
+algebra of Z(A) modulo its radical), the nilpotent (d - 1)-census beside
+A = 0, q^((n - 1)(d - 1)) beside a single Jordan block, and otherwise the
+walk from A.  The walk serves counts, nilpotent counts and orbits: it
+yields each prefix of up to d - 1 coordinates from its first matrix with a
+basis of its joint centralizer Z(prefix), over which the next coordinate
+ranges, so commutation never needs rechecking; each level eliminates only
+its new coordinate's rows against the prefix's eliminated rows.  The count
+reads q^dim Z(prefix) last coordinates off each prefix of d - 1, or counts
+the nilpotent elements of Z(prefix) for nilpotent tuples.
 The per-stratum histogram follows the support morphism: a split tuple is a
 direct sum of punctual pieces at distinct points, so the stratum with parts
 lam holds |GL_n| C_lam prod_m P_m tuples, C_lam placing the parts at
 distinct points and P_m = punctual(m)/|GL_m|; the rest is unsplit.
-Orbits also go class by class of the first coordinate: a tuple's orbit
+Orbits go class by class of the first coordinate (``_classes``): a tuple's orbit
 meets the tuples that start with any one matrix m of the class C of its
 first coordinate, in one orbit of Z_GL(m) on the commuting tuples inside
 Z(m).  A d = 1 orbit is a class; a scalar c I prefixes c I to the
@@ -180,25 +188,31 @@ class _Class:
     scalar: bool
 
     def representative(self) -> Matrix:
-        """The block sum of the companion matrices of phi^k over the parts k
-        of each lam_phi: the primary rational canonical form, each block
-        written from the coefficients of phi^k into one entry tuple."""
-        q = self.field.characteristic
-        n = sum(phi.degree * sum(lam) for phi, lam in self.parts)
-        entries = [0] * (n * n)
-        r = 0
-        for phi, lam in self.parts:
-            for k in lam:
-                f = (1,)
-                for _ in range(k):
-                    f = _times(f, phi.coeffs, q)
-                m = len(f) - 1
-                for i in range(1, m):
-                    entries[(r + i) * n + r + i - 1] = 1
-                for i in range(m):
-                    entries[(r + i) * n + r + m - 1] = -f[i] % q
-                r += m
-        return Matrix(self.field, n, n, tuple(entries))
+        """The primary rational canonical form (``_canonical_form``)."""
+        return _canonical_form(self.field, [(phi.coeffs, lam) for phi, lam in self.parts])
+
+
+def _canonical_form(F: Field, parts: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]) -> Matrix:
+    """The block sum of the companion matrices of phi^k over the parts k of
+    each lam, for the (coefficients of phi, ascending; lam) in parts: the
+    primary rational canonical form, each block written from the
+    coefficients of phi^k into one entry tuple."""
+    q = F.characteristic
+    n = sum((len(phi) - 1) * sum(lam) for phi, lam in parts)
+    entries = [0] * (n * n)
+    r = 0
+    for phi, lam in parts:
+        for k in lam:
+            f = (1,)
+            for _ in range(k):
+                f = _times(f, phi, q)
+            m = len(f) - 1
+            for i in range(1, m):
+                entries[(r + i) * n + r + i - 1] = 1
+            for i in range(m):
+                entries[(r + i) * n + r + m - 1] = -f[i] % q
+            r += m
+    return Matrix(F, n, n, tuple(entries))
 
 
 def _classes(n: int, q: int) -> list[_Class]:
@@ -209,10 +223,9 @@ def _classes(n: int, q: int) -> list[_Class]:
     irr = _irreducibles(F, n)
     t = UniPoly.x(F).coeffs
     glo = gl_order(n, q)
-    # each partition of each size, with a_lam(q^e) and e (|lam| + 2 n(lam)), once per degree e
-    blocks = {(e, size): [(lam, _centralizer_order(lam, q**e), e * _centralizer_dim(lam))
-                          for lam in _partitions(size, size)]
-              for e in range(1, n + 1) for size in range(1, n // e + 1)}
+    blocks: dict[tuple[int, int], list[_Block]] = {}  # (e, |lam|) -> its blocks
+    for b in _blocks(n, q):
+        blocks.setdefault((b.e, sum(b.lam)), []).append(b)
     out: list[_Class] = []
     orders: list[int] = []
 
@@ -229,11 +242,70 @@ def _classes(n: int, q: int) -> list[_Class]:
             if e > room:
                 break
             for size in range(1, room // e + 1):
-                for lam, z_lam, dim_lam in blocks[e, size]:
-                    assign(j + 1, room - e * size, parts + ((phi, lam),), z * z_lam, dim + dim_lam)
+                for b in blocks[e, size]:
+                    assign(j + 1, room - e * size, parts + ((phi, b.lam),), z * b.order, dim + b.dim)
 
     assign(0, n, (), 1, 0)
     if sum(c.weight for c in out) != q ** (n * n) or any(glo % z for z in orders):
+        raise RuntimeError("class sizes do not partition the n x n matrices")
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """A primary block phi^(lam) of a matrix A: phi a monic irreducible of
+    degree e, with Jordan type lam over F_(q^e).  order is a_lam(q^e), the
+    order of its centralizer in GL, and dim = e (|lam| + 2 n(lam)) that of
+    its centralizer algebra."""
+    e: int
+    lam: tuple[int, ...]
+    order: int
+    dim: int
+
+
+def _blocks(n: int, q: int) -> list[_Block]:
+    """Every block (e, lam) of size e |lam| <= n over F_q, by size."""
+    return [_Block(e, lam, _centralizer_order(lam, q**e), e * _centralizer_dim(lam))
+            for size in range(1, n + 1) for e in range(1, size + 1) if size % e == 0
+            for lam in _partitions(size // e, size // e)]
+
+
+def _types(blocks: Sequence[_Block], n: int, q: int) -> list[tuple[tuple[_Block, ...], int, int]]:
+    """Every class type of n x n matrices over F_q, a multiset of blocks
+    from ``_blocks`` of sizes adding up to n, with its number of classes and
+    their size |GL_n| / prod a_lam(q^e), no class or irreducible listed.
+
+    A type with k_e blocks of degree e has prod_e perm(N_e, k_e) classes,
+    over the product of the factorials of its blocks' multiplicities: each
+    takes its own irreducibles, N_e of degree e, read off
+    q^e = sum_{k | e} k N_k (Green, Trans. AMS 80, 1955).  RuntimeError
+    unless each size divides |GL_n| and the classes' sizes add up to
+    q^(n^2), so the types partition the n x n matrices.
+    """
+    glo = gl_order(n, q)
+    free = [0] * (n + 1)  # the irreducibles of each degree no block has taken
+    for e in range(1, n + 1):
+        free[e] = (q**e - sum(k * free[k] for k in range(1, e) if e % k == 0)) // e
+    sizes = [b.e * sum(b.lam) for b in blocks]
+    out: list[tuple[tuple[_Block, ...], int, int]] = []
+
+    def extend(start: int, room: int, chosen: tuple, classes: int, z: int) -> None:
+        if room == 0:
+            if glo % z:
+                raise RuntimeError("a class's centralizer order does not divide |GL_n|")
+            out.append((chosen, classes, glo // z))
+        for j in range(start, len(blocks)):
+            b, size = blocks[j], sizes[j]
+            if size > room:
+                break
+            for r in range(1, min(room // size, free[b.e]) + 1):
+                free[b.e] -= r
+                extend(j + 1, room - r * size, chosen + (b,) * r,
+                       classes * math.comb(free[b.e] + r, r), z * b.order**r)
+                free[b.e] += r
+
+    extend(0, n, (), 1, 1)
+    if sum(classes * size for _, classes, size in out) != q ** (n * n):
         raise RuntimeError("class sizes do not partition the n x n matrices")
     return out
 
@@ -295,46 +367,67 @@ def _nilpotent(a: Matrix) -> bool:
     return a.power(a.rows).is_zero()
 
 
-def _count(
-    n: int, d: int, q: int, nilpotent: bool, classes: Callable[[int, int], Sequence[_Class]],
-) -> int:
-    """Commuting d-tuples of n x n matrices over F_q, all of them or the
-    nilpotent ones, summed over the classes(n, q) of the first coordinate A.
-
-    Each class adds its weight times: 1 at d = 1; q^dim Z(A) second
-    coordinates at d = 2, q^(dim Z(A) - (n - rank A)) nilpotent ones; the
-    (d - 1)-census when A is scalar, since c I commutes with everything;
-    q^(n (d - 1)) when A is cyclic (dim Z(A) = n), since every later
-    coordinate ranges over the commutative Z(A) = F_q[A], and
-    q^((n - 1)(d - 1)) nilpotent ones beside a single Jordan block;
-    otherwise the walk's prefixes of d - 1 coordinates from A, the last
-    coordinate ranging over Z(prefix): q^dim Z(prefix) choices, or the
-    nilpotent elements of Z(prefix).
+def _counts(n: int, q: int) -> Callable[[int, int, bool], int]:
+    """count(m, d, nilpotent) for m <= n: the commuting d-tuples of m x m
+    matrices over F_q, all of them, summed over class types, or the
+    nilpotent ones, summed over nilpotent classes (see the module
+    docstring).  It is memoized, so one request finds each census, each
+    type list and each walked block's leaves once.  RuntimeError unless the
+    nilpotent classes' sizes add up to the q^(m^2 - m) nilpotent matrices.
     """
-    rest = _count(n, d - 1, q, nilpotent, classes) if d > 2 else 0
     F = GF(q)
-    total = 0
-    for c in classes(n, q):
-        if nilpotent and not c.nilpotent:
-            continue
-        if d == 1:
-            leaves = 1
-        elif d == 2:
-            # Z(A)/rad is one M_m(F_q) per block size, m its Jordan blocks
-            leaves = q ** (c.dim - c.nullity if nilpotent else c.dim)
-        elif c.scalar:
-            leaves = rest
-        elif c.dim == n:
-            leaves = q ** ((n - 1 if nilpotent else n) * (d - 1))
-        else:
-            keep = _nilpotent if nilpotent else (lambda a: True)
-            leaves = 0
-            for chain, basis in _walk([c.representative()], d - 1, keep):
-                if len(chain) == d - 1:
-                    leaves += (sum(_nilpotent(Matrix(F, n, n, e)) for e in _span(basis, n * n, q))
-                               if nilpotent else q ** len(basis))
-        total += c.weight * leaves
-    return total
+    blocks = _blocks(n, q)
+    types = cache(lambda m: _types(blocks, m, q))
+
+    @cache
+    def walked(e: int, lam: tuple[int, ...], d: int, nilpotent: bool) -> int:
+        phi = (0, 1) if e == 1 else next(f.coeffs for f in _irreducibles(F, e) if f.degree == e)
+        m = _canonical_form(F, [(phi, lam)])
+        size, keep = m.rows, _nilpotent if nilpotent else (lambda a: True)
+        leaves = 0
+        for chain, basis in _walk([m], d - 1, keep):
+            if len(chain) == d - 1:
+                leaves += (sum(_nilpotent(Matrix(F, size, size, v)) for v in _span(basis, size * size, q))
+                           if nilpotent else q ** len(basis))
+        return leaves
+
+    @cache
+    def leaves(b: _Block, d: int) -> int:
+        if d <= 2:
+            return q ** b.dim if d == 2 else 1
+        if len(b.lam) == 1:
+            return q ** (b.dim * (d - 1))
+        if b.e == 1 and b.lam[0] == 1:
+            return count(len(b.lam), d - 1, False)
+        return walked(b.e, b.lam, d, False)
+
+    @cache
+    def count(m: int, d: int, nilpotent: bool) -> int:
+        if not nilpotent:
+            return sum(classes * size * math.prod(leaves(b, d) for b in chosen)
+                       for chosen, classes, size in types(m))
+        if m == 0:
+            return 1
+        glo = gl_order(m, q)
+        total = sizes = 0
+        for b in blocks:
+            if b.e == 1 and sum(b.lam) == m:  # the class of Jordan type b.lam
+                if d <= 2:
+                    leaf = q ** (b.dim - len(b.lam)) if d == 2 else 1
+                elif b.lam[0] == 1:
+                    leaf = count(m, d - 1, True)
+                elif len(b.lam) == 1:
+                    leaf = q ** ((m - 1) * (d - 1))
+                else:
+                    leaf = walked(1, b.lam, d, True)
+                size = glo // b.order
+                sizes += size
+                total += size * leaf
+        if sizes != q ** (m * m - m):
+            raise RuntimeError("nilpotent class sizes do not add up to the nilpotent matrices")
+        return total
+
+    return count
 
 
 def enumerate_census(req: CensusRequest, config: RunConfig = DEFAULT_CONFIG) -> CensusResult:
@@ -370,13 +463,12 @@ def enumerate_census(req: CensusRequest, config: RunConfig = DEFAULT_CONFIG) -> 
                     continue
                 per[alpha] = per.get(alpha, 0) + size
     else:
-        # the raw count and share(n) both read the n x n classes: build them once
-        classes = cache(_classes)
-        raw = _count(n, d, q, req.nilpotent, classes)
+        count = _counts(n, q)
+        raw = count(n, d, req.nilpotent)
         if req.per_stratum:
             # nilpotent tuples have the origin as their one point
             points = 1 if req.nilpotent else q**d
-            share = cache(lambda m: Fraction(_count(m, d, q, True, classes), gl_order(m, q)))
+            share = cache(lambda m: Fraction(count(m, d, True), gl_order(m, q)))
             for lam in _partitions(n, n):
                 if len(lam) <= points:
                     alpha = tuple(lam.count(i) for i in range(1, n + 1))

@@ -529,6 +529,15 @@ def _dest(name: str) -> str:
     return name.lstrip("-").replace("-", "_") if name.startswith("-") else name
 
 
+# per subcommand, (dest, required, default) of each of its arguments and the global flags
+_DEFAULTS = {
+    command: tuple((_dest(name), bool(kwargs.get("required")),
+                    kwargs.get("default", False if kwargs.get("action") == "store_true" else None))
+                   for name, kwargs in _GLOBAL_FLAGS + _FORMAT_FLAGS + specs)
+    for command, (_, _, specs) in _COMMANDS.items()
+}
+
+
 def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     """The namespace the full parser returns for a plain argv, read from the
     argument specs; None for anything else.
@@ -541,8 +550,7 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
     ``--pretty`` not both.  Help, usage errors, ``--opt=value``,
     abbreviations and ``--`` are left to the full parser, whose texts this
     never has to copy."""
-    specs = _GLOBAL_FLAGS + _FORMAT_FLAGS
-    known, waiting, values, command = dict(specs), [], {}, None
+    known, waiting, values, command = dict(_GLOBAL_FLAGS + _FORMAT_FLAGS), [], {}, None
     filling = None  # the nargs="+" positional whose run of tokens is open
     tokens = iter(argv)
     for token in tokens:
@@ -558,7 +566,6 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
             if token not in _COMMANDS:
                 return None
             command, own = token, _COMMANDS[token][2]
-            specs += own
             known.update(arg for arg in own if arg[0].startswith("-"))
             waiting = [arg for arg in own if not arg[0].startswith("-")]
             continue
@@ -583,13 +590,11 @@ def _read_argv(argv: list[str]) -> argparse.Namespace | None:
             values[dest] = value
     if command is None or waiting or (values.get("json") and values.get("pretty")):
         return None
-    for name, kwargs in specs:
-        dest = _dest(name)
+    for dest, required, default in _DEFAULTS[command]:
         if dest not in values:
-            if kwargs.get("required"):
+            if required:
                 return None
-            store_true = kwargs.get("action") == "store_true"
-            values[dest] = kwargs.get("default", False if store_true else None)
+            values[dest] = default
     return argparse.Namespace(command=command, **values)
 
 

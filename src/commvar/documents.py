@@ -121,7 +121,8 @@ def write_json(obj) -> str:
     """json.dumps(obj, indent=2, ensure_ascii=False) byte for byte, for
     acyclic obj, without the standard library's pure-Python indent path:
     one recursion puts each piece on one list, strings go through json's C
-    encoder and floats through json.dumps.
+    encoder and floats through json.dumps.  A string, bool or None inside a
+    dict or a list is written in place, with no call of its own.
 
     Reports share matrices: the orbit census gives every orbit the same
     rows for the same matrix.  In a list of matrices (its first item a list
@@ -132,6 +133,7 @@ def write_json(obj) -> str:
     Every list met stays reachable from obj until the end, so no id is
     reused."""
     string = json.encoder.encode_basestring
+    literal = {None: "null", True: "true", False: "false"}
     out: list[str] = []
     put = out.append
     seen: set[int] = set()
@@ -142,7 +144,7 @@ def write_json(obj) -> str:
         if isinstance(o, str):
             put(string(o))
         elif o is None or o is True or o is False:
-            put("null" if o is None else "true" if o else "false")
+            put(literal[o])
         elif isinstance(o, int):
             put(int.__repr__(o))
         elif isinstance(o, float):
@@ -152,8 +154,13 @@ def write_json(obj) -> str:
             for k, v in o.items():
                 # a key that is no string gets json.dumps's own text, or its TypeError
                 key = string(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]
-                put(sep + key + ": ")
-                write(v, inner)
+                if isinstance(v, str):
+                    put(sep + key + ": " + string(v))
+                elif v is None or v is True or v is False:
+                    put(sep + key + ": " + literal[v])
+                else:
+                    put(sep + key + ": ")
+                    write(v, inner)
                 sep = "," + inner
             put(nl + "}" if o else "{}")
         elif isinstance(o, (list, tuple)):
@@ -175,8 +182,13 @@ def write_json(obj) -> str:
                         texts[id(v), inner] = "".join(out[start:])
             else:
                 for v in o:
-                    put(sep)
-                    write(v, inner)
+                    if isinstance(v, str):
+                        put(sep + string(v))
+                    elif v is None or v is True or v is False:
+                        put(sep + literal[v])
+                    else:
+                        put(sep)
+                        write(v, inner)
                     sep = "," + inner
             put(nl + "]" if o else "[]")
         else:

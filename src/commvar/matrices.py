@@ -107,9 +107,6 @@ class Matrix:
     def col(self, j: int) -> tuple[Scalar, ...]:
         return self.entries[j :: self.cols] if self.cols else ()
 
-    def to_rows(self) -> list[list[Scalar]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def _same_shape(self, other: "Matrix") -> None:
         if self.field != other.field:
             raise MixedFieldsError("matrices over different fields")

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .errors import ArityMismatchError, MixedFieldsError, ParseError, ZeroPolyError
 from .fields import Field, Scalar, int_from_decimal, int_to_decimal
@@ -90,13 +90,6 @@ class UniPoly:
     def scale(self, s: Scalar) -> "UniPoly":
         F = self.field
         return UniPoly.make(F, (F.mul(s, c) for c in self.coeffs))
-
-    def eval(self, x: Scalar) -> Scalar:
-        F = self.field
-        acc = F.zero()
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
 
     def deflate(self, root: Scalar) -> "UniPoly":
         """Exact quotient by (t - root); root must actually be a root."""
@@ -271,20 +264,6 @@ class MultiPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def eval_at_point(self, point: Sequence[Scalar]) -> Scalar:
-        if len(point) != self.nvars:
-            raise ArityMismatchError(
-                f"point has {len(point)} coordinates, polynomial has {self.nvars} variables"
-            )
-        F = self.field
-        total = F.zero()
-        for exps, coeff in self.terms:
-            v = coeff
-            for x, e in zip(point, exps):
-                v = F.mul(v, F.pow(x, e))
-            total = F.add(total, v)
-        return total
 
     def __str__(self) -> str:
         return format_multipoly(self)

@@ -23,7 +23,7 @@ from .modules import (
     translate,
     validate,
 )
-from .polynomials import MultiPoly, UniPoly
+from .polynomials import UniPoly
 
 
 def random_scalar(field: Field, rng: random.Random, span: int = 3) -> Scalar:
@@ -121,24 +121,6 @@ def random_split_tuple(
         truth[p] = truth.get(p, 0) + size
     total = conjugate(total, random_group_element(field, total.n, rng))
     return total, sorted(truth.items())
-
-
-def random_multipoly(
-    field: Field, d: int, rng: random.Random, max_terms: int = 3, max_degree: int = 2
-) -> MultiPoly:
-    """A sparse random polynomial, nonzero constant term allowed."""
-    terms: dict[tuple[int, ...], Scalar] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        exps = [0] * d
-        for _ in range(rng.randint(0, max_degree)):
-            exps[rng.randrange(d)] += 1
-        c = random_scalar(field, rng, span=2)
-        if c != field.zero():
-            key = tuple(exps)
-            terms[key] = field.add(terms.get(key, field.zero()), c)
-    if not terms:
-        terms[(0,) * d] = field.one()
-    return MultiPoly.make(field, d, terms)
 
 
 def sample_companion_of_roots(field: Field, roots: list[Scalar]) -> CommutingTuple:

@@ -4,24 +4,30 @@ Everything here works on plain Python lists of scalars: Fraction over the
 rationals, small nonnegative ints mod p over a prime field (p passed
 explicitly, None means rationals).  The implementations are deliberately
 naive (cofactor expansions, textbook elimination) and share no code with
-the package under test, apart from ``walk``, ``census_leaf_walk`` and
-``orbit_census_walk``: they walk their own centralizer chains, building
-each prefix's whole intertwining system and eliminating it with the
-package's kernel, and conjugate by the package's conjugation maps, so they
-check the class data, closed forms, incremental elimination and
-centralizer actions the census works with, not the kernels.
+the package under test, apart from ``walk``, ``census_leaf_walk``,
+``census_by_classes`` and ``orbit_census_walk``: they walk their own
+centralizer chains, building each prefix's whole intertwining system and
+eliminating it with the package's kernel, and conjugate by the package's
+conjugation maps, so they check the class types, closed forms, incremental
+elimination and centralizer actions the census works with, not the
+kernels.  ``census_by_classes`` goes class by class over the package's
+class list, which the tests check against brute-force orbits, and
+``random_multipoly`` draws its coefficients with ``sampling.random_scalar``.
 """
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterator, Optional
 
-from commvar.census import Orbit, _conjugation_map, _nilpotent, gl_order
+from commvar.census import Orbit, _classes, _conjugation_map, _nilpotent, gl_order
 from commvar.fields import GF
 from commvar.matrices import Matrix, _intertwining_system, _kernel, inverse, rank
 from commvar.modules import CommutingTuple
+from commvar.polynomials import MultiPoly
+from commvar.sampling import random_scalar
 
 Rows = list  # list[list[scalar]]
 
@@ -252,6 +258,35 @@ def poly_eval(coeffs: list, x, p: Optional[int]):
     return acc
 
 
+def multipoly_eval(f: MultiPoly, point, p: Optional[int]):
+    """f at the point, each power taken as repeated products."""
+    total = s_zero(p)
+    for exps, coeff in f.terms:
+        term = coeff
+        for x, e in zip(point, exps):
+            for _ in range(e):
+                term = s_mul(term, x, p)
+        total = s_add(total, term, p)
+    return total
+
+
+def random_multipoly(field, d: int, rng: random.Random, max_terms: int = 3, max_degree: int = 2) -> MultiPoly:
+    """A sparse seeded random polynomial in d variables, nonzero constant
+    term allowed."""
+    terms: dict = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = [0] * d
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(d)] += 1
+        c = random_scalar(field, rng, span=2)
+        if c != field.zero():
+            key = tuple(exps)
+            terms[key] = field.add(terms.get(key, field.zero()), c)
+    if not terms:
+        terms[(0,) * d] = field.one()
+    return MultiPoly.make(field, d, terms)
+
+
 # ---------------------------------------------------------------------------
 # brute-force counting over F_2 / F_q
 
@@ -446,14 +481,20 @@ def _chains(chain: list[Matrix], length: int, keep: Callable[[Matrix], bool]) ->
         yield chain
         return
     F, n = chain[0].field, chain[0].rows
-    q, cells = F.characteristic, n * n
-    basis = _kernel(_intertwining_system(chain, chain), cells, F)
-    span = {tuple(sum(c * v[i] for c, v in zip(coeffs, basis)) % q for i in range(cells))
-            for coeffs in itertools.product(range(q), repeat=len(basis))}
-    for e in sorted(span):
+    for e in sorted(_centralizer(chain)):
         b = Matrix(F, n, n, e)
         if keep(b):
             yield from _chains(chain + [b], length, keep)
+
+
+def _centralizer(chain: list[Matrix]) -> set[tuple[int, ...]]:
+    """The entries of every matrix that commutes with each of chain: the
+    F_q-combinations of the kernel basis of its whole intertwining system."""
+    F, n = chain[0].field, chain[0].rows
+    q, cells = F.characteristic, n * n
+    basis = _kernel(_intertwining_system(chain, chain), cells, F)
+    return {tuple(sum(c * v[i] for c, v in zip(coeffs, basis)) % q for i in range(cells))
+            for coeffs in itertools.product(range(q), repeat=len(basis))}
 
 
 def walk(
@@ -497,6 +538,42 @@ def census_leaf_walk(n: int, d: int, q: int, nilpotent: bool) -> int:
         if nilpotent:
             dim -= n - rank(chain[0])
         total += q**dim
+    return total
+
+
+def census_by_classes(n: int, d: int, q: int, nilpotent: bool) -> int:
+    """Commuting d-tuples of n x n matrices over F_q, all of them or the
+    nilpotent ones, class by class of the first coordinate A over
+    ``census._classes`` (which the tests check against brute-force orbits):
+    each class adds its size times 1 at d = 1; q^dim Z(A) at d = 2, or
+    q^(dim Z(A) - (n - rank A)) nilpotent second coordinates; the
+    (d - 1)-census beside a scalar A; q^(n (d - 1)) beside a cyclic A, or
+    q^((n - 1)(d - 1)) beside a single nilpotent Jordan block; otherwise the
+    chains of d - 1 coordinates from A's canonical form, each adding its
+    whole centralizer, or that centralizer's nilpotent elements."""
+    rest = census_by_classes(n, d - 1, q, nilpotent) if d > 2 else 0
+    keep = _nilpotent if nilpotent else (lambda a: True)
+    F = GF(q)
+    total = 0
+    for c in _classes(n, q):
+        if nilpotent and not c.nilpotent:
+            continue
+        if d == 1:
+            leaves = 1
+        elif d == 2:
+            leaves = q ** (c.dim - c.nullity if nilpotent else c.dim)
+        elif c.scalar:
+            leaves = rest
+        elif c.dim == n:
+            leaves = q ** ((n - 1 if nilpotent else n) * (d - 1))
+        else:
+            leaves = 0
+            for chain in _chains([c.representative()], d - 1, keep):
+                if nilpotent:
+                    leaves += sum(_nilpotent(Matrix(F, n, n, e)) for e in _centralizer(chain))
+                else:
+                    leaves += q ** len(_kernel(_intertwining_system(chain, chain), n * n, F))
+        total += c.weight * leaves
     return total
 
 

@@ -51,7 +51,6 @@ from commvar.quot import (
 )
 from commvar.sampling import (
     random_group_element,
-    random_multipoly,
     random_scalar,
     random_split_tuple,
     random_staircase,
@@ -174,19 +173,8 @@ def _poly_battery(F, d: int, rng) -> list[MultiPoly]:
     if d >= 2:
         ladder.append(MultiPoly.variable(F, d, 1))
     while len(ladder) < 10:
-        ladder.append(random_multipoly(F, d, rng))
+        ladder.append(oracles.random_multipoly(F, d, rng))
     return ladder[:10]
-
-
-def _hand_eval_multipoly(f: MultiPoly, point, p):
-    total = oracles.s_zero(p)
-    for exps, coeff in f.terms:
-        term = coeff if p is None else coeff
-        for x, e in zip(point, exps):
-            for _ in range(e):
-                term = oracles.s_mul(term, x, p)
-        total = oracles.s_add(total, term, p)
-    return total
 
 
 def test_criterion_02_cycle_map_correctness():
@@ -213,7 +201,7 @@ def test_criterion_02_cycle_map_correctness():
             for f in _poly_battery(F, d, rng):
                 want = oracles.s_one(p)
                 for pt, m in truth:
-                    v = _hand_eval_multipoly(f, pt, p)
+                    v = oracles.multipoly_eval(f, pt, p)
                     for _ in range(m):
                         want = oracles.s_mul(want, v, p)
                 assert det_pushforward(f, t) == want

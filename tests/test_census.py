@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import random
 import sys
@@ -303,9 +304,9 @@ def test_census_all_pairs_feit_fine_beyond_brute_force(n, q):
     assert res.raw_count == {(3, 3): 809433, (4, 2): 2526976}[(n, q)]
 
 
-@pytest.mark.parametrize("n,q", [(5, 2), (6, 2), (4, 3), (5, 3)])
+@pytest.mark.parametrize("n,q", [(5, 2), (6, 2), (4, 3), (5, 3), (7, 2), (8, 2), (6, 3)])
 def test_census_pairs_feit_fine_past_the_default_budget(n, q):
-    # 2^72 nominal pairs at n = 6: the census reads one dimension per class
+    # 2^128 nominal pairs at n = 8: the census reads one dimension per block
     config = dataclasses.replace(DEFAULT_CONFIG, census_budget=q ** (2 * n * n))
     for nilpotent in (False, True):
         res = enumerate_census(CensusRequest(n=n, d=2, q=q, nilpotent=nilpotent), config)
@@ -321,13 +322,14 @@ def test_census_scalar_prefixes_match_leaf_walk(n, d, q):
 
 
 @pytest.mark.parametrize("n,d,q,per_stratum,most", [
-    (2, 2, 5, False, 0), (4, 2, 2, True, 0), (2, 3, 3, False, 0), (3, 3, 2, False, 132)])
+    (2, 2, 5, False, 0), (4, 2, 2, True, 0), (2, 3, 3, False, 0), (3, 3, 2, False, 33)])
 def test_census_counts_from_class_data(monkeypatch, n, d, q, per_stratum, most):
     # pairs read dim Z(A) off the partitions; at d = 3 scalar and cyclic
-    # classes are counted in closed form, so at n = 2 nothing eliminates
+    # blocks are counted in closed form, so at n = 2 nothing eliminates
     # (90 eliminations at (2,3,3) when every non-scalar class walks), and at
-    # (3,3,2) only the four classes with dim Z(A) = 5 do, 1 + 2^5 each (204
-    # when the cyclic classes walk too).  Every elimination over F_q, each
+    # (3,3,2) only the block t^(2,1) is walked, 1 + 2^5 eliminations (132
+    # when each of the four classes with dim Z(A) = 5 walks, 204 when the
+    # cyclic classes walk too).  Every elimination over F_q, each
     # kernel and rank included, is the field's ``eliminate``, so patching the
     # class counts them all.
     real = PrimeField.eliminate
@@ -402,10 +404,15 @@ def _by_leaf_walk(monkeypatch, req):
         return CensusResult(n, d, q, raw, glo, Fraction(raw, glo),
                             dict(per) if req.per_stratum else None,
                             unsplit if req.per_stratum else None)
+    return _with_counts(monkeypatch, req, oracles.census_leaf_walk)
+
+
+def _with_counts(monkeypatch, req, count, config=DEFAULT_CONFIG):
+    """enumerate_census(req, config) with every count of its request, raw
+    and per stratum, taken from count(n, d, q, nilpotent)"""
     with monkeypatch.context() as m:
-        m.setattr(census, "_count", lambda n, d, q, nilpotent, classes: oracles.census_leaf_walk(
-            n, d, q, nilpotent))
-        return enumerate_census(req)
+        m.setattr(census, "_counts", lambda n, q: lambda m, d, nilpotent: count(m, d, q, nilpotent))
+        return enumerate_census(req, config)
 
 
 # the weight-1 walk takes 12-15 s at (3,3,2) with the relation alone; "all"
@@ -445,14 +452,18 @@ def test_relation_census_reads_one_representative_per_orbit(monkeypatch):
 
 @pytest.mark.parametrize("d,nilpotent", [(2, False), (2, True), (3, False), (3, True)])
 def test_leaf_walk_comparison_sees_a_class_dim_off_by_one(monkeypatch, d, nilpotent):
-    # the comparison above must notice any one class whose dim is wrong
+    # the comparison above must notice any one block whose centralizer dim
+    # is wrong, and so the dim of every class that has that block: at
+    # d = 3 through the (d - 1)-census beside the scalar classes
     n, q = 2, 3
     req = CensusRequest(n=n, d=d, q=q, nilpotent=nilpotent)
     want = _by_leaf_walk(monkeypatch, req)
     assert enumerate_census(req) == want
-    real = census._classes
-    for i, c in enumerate(real(n, q)):
-        if nilpotent and not c.nilpotent:
+    real = census._blocks
+    blocks = real(n, q)
+    assert [(b.e, b.lam) for b in blocks] == [(1, (1,)), (1, (2,)), (1, (1, 1)), (2, (1,))]
+    for i, b in enumerate(blocks):
+        if nilpotent and (b.e, sum(b.lam)) != (1, n):  # not a nilpotent class
             continue
 
         def off_by_one(n, q, i=i):
@@ -460,8 +471,28 @@ def test_leaf_walk_comparison_sees_a_class_dim_off_by_one(monkeypatch, d, nilpot
             out[i] = dataclasses.replace(out[i], dim=out[i].dim + 1)
             return out
 
-        monkeypatch.setattr(census, "_classes", off_by_one)
-        assert enumerate_census(req) != want, c.parts
+        monkeypatch.setattr(census, "_blocks", off_by_one)
+        assert enumerate_census(req) != want, (b.e, b.lam)
+
+
+@pytest.mark.parametrize("nilpotent", [False, True])
+def test_census_refuses_a_centralizer_order_off_by_one(monkeypatch, nilpotent):
+    # the class sizes read off a_lam(q^e) must add up to all q^(n^2)
+    # matrices, or to the q^(n^2 - n) nilpotent ones, checked with no assert
+    n, q = 3, 2
+    real = census._blocks
+    for i, b in enumerate(real(n, q)):
+        if nilpotent and (b.e, sum(b.lam)) != (1, n):  # not a nilpotent class
+            continue
+
+        def off_by_one(n, q, i=i):
+            out = real(n, q)
+            out[i] = dataclasses.replace(out[i], order=out[i].order + 1)
+            return out
+
+        monkeypatch.setattr(census, "_blocks", off_by_one)
+        with pytest.raises(RuntimeError, match="class sizes|centralizer order"):
+            enumerate_census(CensusRequest(n=n, d=2, q=q, nilpotent=nilpotent))
 
 
 def test_census_with_relations():
@@ -698,13 +729,63 @@ def test_orbit_census_walks_only_inside_the_centralizers(monkeypatch, n, d, q, k
 def test_census_eliminates_only_inside_the_walk(monkeypatch):
     # the count reads q^dim Z(prefix) off the kernel basis the walk found
     # for each prefix of d - 1 coordinates, so every elimination is one of
-    # the walk's kernels: 1 + 2^dim Z(m_C) for each of the four classes that
-    # are neither scalar nor cyclic
+    # the walk's kernels: 1 + 2^5 for the one walked block, t^(2,1), that
+    # the two classes t^(2,1) and (t + 1)^(2,1) share (132 when each of the
+    # four classes that are neither scalar nor cyclic walks)
     kernels, eliminations = [], []
     _counting(monkeypatch, census, "_kernel", kernels)
     _counting(monkeypatch, PrimeField, "eliminate", eliminations)
     enumerate_census(CensusRequest(n=3, d=3, q=2))
-    assert len(kernels) == len(eliminations) == 132
+    assert len(kernels) == len(eliminations) == 33
+
+
+@pytest.mark.parametrize("n,d,q,blocks", [(3, 3, 2, [(1, (2, 1))]), (4, 3, 2, [
+    (1, (2, 1)), (1, (3, 1)), (1, (2, 2)), (1, (2, 1, 1)), (2, (1, 1))])])
+def test_census_walks_each_block_once(monkeypatch, n, d, q, blocks):
+    # one walk from the canonical form of each block (e, lam) that is
+    # neither cyclic nor t^(1^j), however many classes and types share it;
+    # the (2, (1, 1)) block at (4,3,2) takes an irreducible of degree 2
+    roots = []
+    _counting(monkeypatch, census, "_walk", roots)
+    config = dataclasses.replace(DEFAULT_CONFIG, census_budget=q ** (d * n * n))
+    res = enumerate_census(CensusRequest(n=n, d=d, q=q), config)
+    roots = [chain[0] for chain, *_ in roots if len(chain) == 1]
+    assert len(roots) == len(blocks)
+    F = GF(q)
+    want = [census._canonical_form(F, [((0, 1) if e == 1 else (1, 1, 1), lam)]) for e, lam in blocks]
+    assert sorted(roots, key=lambda m: (m.rows, m.entries)) == sorted(want, key=lambda m: (m.rows, m.entries))
+    assert res.raw_count == oracles.census_by_classes(n, d, q, False)
+
+
+# every rung of the benchmark's census ladder, and every filter a count takes
+_LADDER = [(2, 2, 2), (2, 2, 3), (3, 2, 2), (2, 2, 5), (2, 3, 2), (2, 3, 3)]
+_COUNT_FILTERS = [{}, {"nilpotent": True}, {"per_stratum": True}, {"nilpotent": True, "per_stratum": True}]
+
+
+@pytest.mark.parametrize("n,d,q", _LADDER)
+def test_counts_list_no_classes(monkeypatch, n, d, q):
+    # the counts sum over class types and nilpotent partitions: no class
+    # list, and no irreducible but for a walked block of degree >= 2
+    def refuse(*args):
+        raise AssertionError("the count path listed classes or irreducibles")
+
+    want = [enumerate_census(CensusRequest(n=n, d=d, q=q, **kw)) for kw in _COUNT_FILTERS]
+    monkeypatch.setattr(census, "_classes", refuse)
+    monkeypatch.setattr(census, "_irreducibles", refuse)
+    for kw, res in zip(_COUNT_FILTERS, want):
+        assert enumerate_census(CensusRequest(n=n, d=d, q=q, **kw)) == res
+
+
+@pytest.mark.parametrize("n,d,q", [(2, 3, 2), (2, 3, 3), (3, 3, 2), (2, 4, 2), (3, 3, 3), (4, 2, 3),
+                                   (4, 3, 2), (3, 4, 2)])
+def test_census_by_types_matches_class_by_class(monkeypatch, n, d, q):
+    # the type sum and the block walks against the count over every class
+    # of the first coordinate, each walked from its own canonical form
+    config = dataclasses.replace(DEFAULT_CONFIG, census_budget=q ** (d * n * n))
+    by_classes = functools.cache(oracles.census_by_classes)
+    for kw in _COUNT_FILTERS:
+        req = CensusRequest(n=n, d=d, q=q, **kw)
+        assert enumerate_census(req, config) == _with_counts(monkeypatch, req, by_classes, config), kw
 
 
 @pytest.mark.parametrize("n,q", [(0, 2), (1, 3), (2, 2), (2, 3), (2, 5), (3, 2)])

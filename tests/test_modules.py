@@ -282,7 +282,7 @@ def test_potential_gradient_is_first_order_expansion():
             for a in range(2):
                 for b in range(2):
                     bumped = [m for m in mats]
-                    e = Matrix.zero(QQ, 2, 2).to_rows()
+                    e = oracles.rows_of(Matrix.zero(QQ, 2, 2))
                     e[a][b] = QQ.one()
                     bumped[slot] = mats[slot] + Matrix.from_rows(QQ, e)
                     assert trace_potential(bumped) - w0 == grad[slot].entry(a, b)
