@@ -144,11 +144,14 @@ def test_golden_orbit_census_stable_modulo_timing():
     (3, 2, 2, "cf6fb43dcd49e50835d4f127339730202e45a5e51b2365c4955b2c0b26b9e5dd"),
     (2, 2, 5, "5a5a222bff13fb2209e96b3ef12086ce4adee913064fb4e89f5dbe78bf58ceca"),
     (3, 3, 2, "bcd31a79c619b58e8ae39b32075cd8665fac94433afffaa6cee55d83b5559c43"),
-], ids=["3-2-2", "2-2-5", "3-3-2"])
+    (3, 2, 3, "43df5540a2e24621b182380ca1a48b1c0bcfac821dd79d6baf1cd82b2856ec30"),
+    (2, 2, 13, "18b680376654509f966be2bfccf6d0087b70a6cb350692d2cbec269f8a7ada61"),
+], ids=["3-2-2", "2-2-5", "3-3-2", "3-2-3", "2-2-13"])
 def test_orbit_census_report_bytes_pinned(n, d, q, sha256):
     # the whole report, byte for byte with elapsed_ms zeroed: n = 3 has
     # classes that are neither scalar nor cyclic, and q = 5 a diagonal
-    # generator of GL_2
+    # generator of GL_2; (3,2,3) and (2,2,13) place many irreducibles of
+    # degree 1 and 2 on identical blocks
     code, out = run("orbit-census", "--n", str(n), "--d", str(d), "--q", str(q))
     assert code == 0
     text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out, count=1)
