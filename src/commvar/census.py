@@ -11,49 +11,50 @@ and Z(A), the product of its blocks' centralizer algebras, and so every
 count of commuting tuples inside Z(A); a type has
 prod_e perm(N_e, k_e)/prod (multiplicities)! classes, N_e the number of
 monic irreducibles of degree e.  So a count sums over types, listing no
-class and no irreducible, each block adding the commuting (d - 1)-tuples
-in its own algebra: 1 at d = 1; q^(e (|lam| + 2 n(lam))) at d = 2, its
-dimension; q^(e k (d - 1)) for lam = (k), the algebra being commutative;
-the (d - 1)-census at size j for the block t^(1^j), whose algebra is
-M_j(F_q); otherwise one walk (``_walk``) from the block's canonical form
-at size e |lam|, once per block per request.  Nilpotent counts go over the
-nilpotent classes, one per partition of n: q^(dim Z(A) - (n - rank A))
-nilpotent second coordinates beside A (Fine-Herstein on each matrix
-algebra of Z(A) modulo its radical), the nilpotent (d - 1)-census beside
-A = 0, q^((n - 1)(d - 1)) beside a single Jordan block, and otherwise the
-walk from A.  The walk serves counts, nilpotent counts and orbits: it
-yields each prefix of up to d - 1 coordinates from its first matrix with a
-basis of its joint centralizer Z(prefix), over which the next coordinate
-ranges, so commutation never needs rechecking; each level eliminates only
-its new coordinate's rows against the prefix's eliminated rows.  The count
-reads q^dim Z(prefix) last coordinates off each prefix of d - 1, or counts
-the nilpotent elements of Z(prefix) for nilpotent tuples.
+class and no irreducible, and a nilpotent count over the nilpotent
+classes t^lam, one per partition of n.  Each block then adds the
+commuting (d - 1)-tuples in its own algebra, of dimension
+dim = e (|lam| + 2 n(lam)), by one rule for both, nil being 1 for
+nilpotent tuples and 0 otherwise: 1 at d = 1; q^(dim - nil l(lam)) at
+d = 2 (Fine-Herstein on each matrix algebra of the block's algebra modulo
+its radical); q^((dim - nil)(d - 1)) for lam = (k), the algebra
+F_(q^e)[s]/(s^k) being commutative; the (d - 1)-census at size j, under
+the same filter, for the block t^(1^j), whose algebra is M_j(F_q);
+otherwise one walk (``_walk``) from the block's canonical form at size
+e |lam|, once per block, d and filter per request.  The walk serves
+counts, nilpotent counts and orbits: it yields each prefix of up to d - 1
+coordinates from its first matrix with a basis of its joint centralizer
+Z(prefix), over which the next coordinate ranges, so commutation never
+needs rechecking; each level eliminates only its new coordinate's rows
+against the prefix's eliminated rows.  The count reads q^dim Z(prefix)
+last coordinates off each prefix of d - 1, or counts the nilpotent
+elements of Z(prefix) for nilpotent tuples.
 The per-stratum histogram follows the support morphism: a split tuple is a
 direct sum of punctual pieces at distinct points, so the stratum with parts
 lam holds |GL_n| C_lam prod_m P_m tuples, C_lam placing the parts at
 distinct points and P_m = punctual(m)/|GL_m|; the rest is unsplit.
-Orbits go class by class of the first coordinate (``_classes``): a tuple's orbit
-meets the tuples that start with any one matrix m of the class C of its
-first coordinate, in one orbit of Z_GL(m) on the commuting tuples inside
-Z(m).  A d = 1 orbit is a class; a scalar c I prefixes c I to the
-(d - 1)-orbits; a cyclic m has the commutative Z(m) = F_q[m], the span of
-I, m, ..., m^(n - 1), built once per class with no elimination, so each
-chain through it, m followed by elements of that span, is an orbit; any
-other class is walked once from m, its chains of k coordinates the
-prefixes of k - 1 each followed by an element of Z(prefix), and acts by
-Z_GL(m) alone, the set of units of Z(m).  There conjugation by g is a
-linear map C_g on the n^2 entries, so many matrices are conjugated by
-many g in one product, the maps C_g stacked.  ``orbit_census`` takes
-m = m_C, the least element of C, found as the closure of its canonical
-form under conjugation by generators of GL_n, each a row move and then a
-column move on the entries, so no step lists GL_n or multiplies
-matrices, and each representative is the lex-first tuple of its orbit.  A relation f(x) = 0
-and the support cycle are constant on orbits (f(g A g^-1) = g f(A) g^-1),
-so relation filters read one representative per orbit, walked from each
-class's canonical form (each nilpotent class's under the nilpotent
-filter, a single Jordan block m then taking only the nilpotent span of
-m, ..., m^(n - 1)), and add the orbit's size; the support cycle of each
-kept representative files its orbit.
+Orbits go class by class of the first coordinate (``_classes``: each type
+with distinct irreducibles placed on its blocks): a tuple's orbit meets the
+tuples that start with any one matrix m of the class C of its first
+coordinate, in one orbit of Z_GL(m) on the commuting tuples inside Z(m).
+A d = 1 orbit is a class; a scalar c I prefixes c I to the (d - 1)-orbits;
+a cyclic m has the commutative Z(m) = F_q[m], the span of I, m, ...,
+m^(n - 1), built once per class with no elimination, so each chain through
+it, m followed by elements of that span, is an orbit; any other class is
+walked once from m, its chains of k coordinates the prefixes of k - 1 each
+followed by an element of Z(prefix), and acts by Z_GL(m) alone, the set of
+units of Z(m).  There conjugation by g is a linear map C_g on the n^2
+entries, so many matrices are conjugated by many g in one product, the
+maps C_g stacked.  ``orbit_census`` takes m = m_C, the least element of C,
+found as the closure of its canonical form under conjugation by generators
+of GL_n, each a row move and then a column move on the entries, so no step
+lists GL_n or multiplies matrices, and each representative is the
+lex-first tuple of its orbit.  A relation f(x) = 0 and the support cycle
+are constant on orbits (f(g A g^-1) = g f(A) g^-1), so relation filters
+read one representative per orbit, walked from each class's canonical form
+(each nilpotent class's under the nilpotent filter, a single Jordan block
+m then taking only the nilpotent span of m, ..., m^(n - 1)), and add the
+orbit's size; the support cycle of each kept representative files its orbit.
 A request whose nominal size q^(d n^2) exceeds the budget is refused
 whole; counts are never truncated.
 """
@@ -216,38 +217,33 @@ def _canonical_form(F: Field, parts: Sequence[tuple[tuple[int, ...], tuple[int, 
 
 
 def _classes(n: int, q: int) -> list[_Class]:
-    """Every similarity class of n x n matrices over F_q, from its
-    partitions alone: |Z_GL(A)| = prod_phi a_{lam_phi}(q^deg(phi))
-    (Macdonald, IV.2), and no representative is built."""
+    """Every similarity class of n x n matrices over F_q: each class type of
+    ``_types`` with distinct monic irreducibles of its blocks' degrees
+    placed on its blocks, identical blocks taking theirs as a combination,
+    so no class is listed twice and no representative is built.  Parts go
+    in the order of ``_irreducibles``.  RuntimeError unless each type has
+    as many placements as ``_types`` counts classes."""
     F = GF(q)
     irr = _irreducibles(F, n)
     t = UniPoly.x(F).coeffs
-    glo = gl_order(n, q)
-    blocks: dict[tuple[int, int], list[_Block]] = {}  # (e, |lam|) -> its blocks
-    for b in _blocks(n, q):
-        blocks.setdefault((b.e, sum(b.lam)), []).append(b)
+    of_degree = {e: [j for j, phi in enumerate(irr) if phi.degree == e] for e in range(1, n + 1)}
     out: list[_Class] = []
-    orders: list[int] = []
-
-    def assign(start: int, room: int, parts: tuple, z: int, dim: int) -> None:
-        if room == 0:
-            orders.append(z)
+    for chosen, classes, size in _types(_blocks(n, q), n, q):
+        placed: list[tuple[tuple[int, tuple[int, ...]], ...]] = [()]  # (index into irr, lam) per part
+        for b, same in itertools.groupby(chosen):
+            r = len(list(same))
+            placed = [p + tuple((j, b.lam) for j in js) for p in placed
+                      for js in itertools.combinations(
+                          [j for j in of_degree[b.e] if j not in {i for i, _ in p}], r)]
+        if len(placed) != classes:
+            raise RuntimeError("a class type's placements disagree with its number of classes")
+        dim = sum(b.dim for b in chosen)
+        for p in placed:
+            parts = tuple((irr[j], lam) for j, lam in sorted(p))
             nullity = next((len(lam) for phi, lam in parts if phi.coeffs == t), 0)
-            out.append(_Class(F, parts, glo // z, dim, nullity,
+            out.append(_Class(F, parts, size, dim, nullity,
                               nilpotent=all(phi.coeffs == t for phi, _ in parts),
                               scalar=dim == n * n))
-        for j in range(start, len(irr)):
-            phi = irr[j]
-            e = phi.degree
-            if e > room:
-                break
-            for size in range(1, room // e + 1):
-                for b in blocks[e, size]:
-                    assign(j + 1, room - e * size, parts + ((phi, b.lam),), z * b.order, dim + b.dim)
-
-    assign(0, n, (), 1, 0)
-    if sum(c.weight for c in out) != q ** (n * n) or any(glo % z for z in orders):
-        raise RuntimeError("class sizes do not partition the n x n matrices")
     return out
 
 
@@ -370,62 +366,47 @@ def _nilpotent(a: Matrix) -> bool:
 def _counts(n: int, q: int) -> Callable[[int, int, bool], int]:
     """count(m, d, nilpotent) for m <= n: the commuting d-tuples of m x m
     matrices over F_q, all of them, summed over class types, or the
-    nilpotent ones, summed over nilpotent classes (see the module
-    docstring).  It is memoized, so one request finds each census, each
-    type list and each walked block's leaves once.  RuntimeError unless the
-    nilpotent classes' sizes add up to the q^(m^2 - m) nilpotent matrices.
+    nilpotent ones, summed over nilpotent classes, each block adding its
+    leaves by the one rule of the module docstring.  It is memoized, so one
+    request finds each census, each type list and each block's leaves once.
+    RuntimeError unless the nilpotent classes' sizes add up to the
+    q^(m^2 - m) nilpotent matrices.
     """
     F = GF(q)
     blocks = _blocks(n, q)
     types = cache(lambda m: _types(blocks, m, q))
 
     @cache
-    def walked(e: int, lam: tuple[int, ...], d: int, nilpotent: bool) -> int:
-        phi = (0, 1) if e == 1 else next(f.coeffs for f in _irreducibles(F, e) if f.degree == e)
-        m = _canonical_form(F, [(phi, lam)])
+    def leaves(b: _Block, d: int, nilpotent: bool) -> int:
+        if d <= 2:
+            return q ** (b.dim - nilpotent * len(b.lam)) if d == 2 else 1
+        if len(b.lam) == 1:
+            return q ** ((b.dim - nilpotent) * (d - 1))
+        if b.e == 1 and b.lam[0] == 1:
+            return count(len(b.lam), d - 1, nilpotent)
+        phi = (0, 1) if b.e == 1 else next(f.coeffs for f in _irreducibles(F, b.e) if f.degree == b.e)
+        m = _canonical_form(F, [(phi, b.lam)])
         size, keep = m.rows, _nilpotent if nilpotent else (lambda a: True)
-        leaves = 0
+        out = 0
         for chain, basis in _walk([m], d - 1, keep):
             if len(chain) == d - 1:
-                leaves += (sum(_nilpotent(Matrix(F, size, size, v)) for v in _span(basis, size * size, q))
-                           if nilpotent else q ** len(basis))
-        return leaves
-
-    @cache
-    def leaves(b: _Block, d: int) -> int:
-        if d <= 2:
-            return q ** b.dim if d == 2 else 1
-        if len(b.lam) == 1:
-            return q ** (b.dim * (d - 1))
-        if b.e == 1 and b.lam[0] == 1:
-            return count(len(b.lam), d - 1, False)
-        return walked(b.e, b.lam, d, False)
+                out += (sum(_nilpotent(Matrix(F, size, size, v)) for v in _span(basis, size * size, q))
+                        if nilpotent else q ** len(basis))
+        return out
 
     @cache
     def count(m: int, d: int, nilpotent: bool) -> int:
-        if not nilpotent:
-            return sum(classes * size * math.prod(leaves(b, d) for b in chosen)
-                       for chosen, classes, size in types(m))
         if m == 0:
             return 1
-        glo = gl_order(m, q)
-        total = sizes = 0
-        for b in blocks:
-            if b.e == 1 and sum(b.lam) == m:  # the class of Jordan type b.lam
-                if d <= 2:
-                    leaf = q ** (b.dim - len(b.lam)) if d == 2 else 1
-                elif b.lam[0] == 1:
-                    leaf = count(m, d - 1, True)
-                elif len(b.lam) == 1:
-                    leaf = q ** ((m - 1) * (d - 1))
-                else:
-                    leaf = walked(1, b.lam, d, True)
-                size = glo // b.order
-                sizes += size
-                total += size * leaf
-        if sizes != q ** (m * m - m):
-            raise RuntimeError("nilpotent class sizes do not add up to the nilpotent matrices")
-        return total
+        if not nilpotent:
+            listed = types(m)
+        else:  # the class t^lam of each block (1, lam) of size m
+            glo = gl_order(m, q)
+            listed = [((b,), 1, glo // b.order) for b in blocks if b.e == 1 and sum(b.lam) == m]
+            if sum(size for _, _, size in listed) != q ** (m * m - m):
+                raise RuntimeError("nilpotent class sizes do not add up to the nilpotent matrices")
+        return sum(classes * size * math.prod(leaves(b, d, nilpotent) for b in chosen)
+                   for chosen, classes, size in listed)
 
     return count
 

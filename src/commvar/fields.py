@@ -129,10 +129,6 @@ class Field:
     def neg(self, a: Scalar) -> Scalar:
         raise NotImplementedError
 
-    def pow(self, a: Scalar, e: int) -> Scalar:
-        """a ** e for an int e >= 0; pow with modulus None is plain a ** e."""
-        return pow(a, e, self.characteristic or None)
-
     def parse(self, text: str) -> Scalar:
         raise NotImplementedError
 

@@ -61,12 +61,31 @@ def test_classes_match_brute_force_orbits(n, q):
 
 
 @pytest.mark.parametrize("n,q", [(0, 2), (1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5),
-                                 (3, 2), (3, 3), (4, 2)])
+                                 (3, 2), (3, 3), (3, 5), (4, 2), (4, 3)])
 def test_class_counts_match_closed_forms(n, q):
     classes = _classes(n, q)
     closed = [1, q, q**2 + q, q**3 + q**2 + q, q**4 + q**3 + 2 * q**2 + q][n]
     assert len(classes) == closed
+    assert len({c.parts for c in classes}) == closed
     assert sum(c.weight for c in classes) == q ** (n * n)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_classes_refuse_a_missing_irreducible(monkeypatch, degree):
+    # each class type places irreducibles on its blocks in exactly as many
+    # ways as _types counts classes, checked with no assert
+    real = census._irreducibles
+
+    def short(F, n):
+        out = real(F, n)
+        out.remove(next(f for f in out if f.degree == degree))
+        return out
+
+    monkeypatch.setattr(census, "_irreducibles", short)
+    with pytest.raises(RuntimeError, match="placements"):
+        _classes(3, 2)
+    with pytest.raises(RuntimeError, match="placements"):
+        orbit_census(3, 2, 2)
 
 
 @pytest.mark.parametrize("n,q", [(0, 2), (1, 3), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)])
@@ -478,8 +497,10 @@ def test_leaf_walk_comparison_sees_a_class_dim_off_by_one(monkeypatch, d, nilpot
 @pytest.mark.parametrize("nilpotent", [False, True])
 def test_census_refuses_a_centralizer_order_off_by_one(monkeypatch, nilpotent):
     # the class sizes read off a_lam(q^e) must add up to all q^(n^2)
-    # matrices, or to the q^(n^2 - n) nilpotent ones, checked with no assert
+    # matrices, or to the q^(n^2 - n) nilpotent ones, checked with no assert;
+    # the orbit and relation censuses list their classes through the types
     n, q = 3, 2
+    rel = (parse_multipoly("x1*x2", GF(q), 2),)
     real = census._blocks
     for i, b in enumerate(real(n, q)):
         if nilpotent and (b.e, sum(b.lam)) != (1, n):  # not a nilpotent class
@@ -493,6 +514,10 @@ def test_census_refuses_a_centralizer_order_off_by_one(monkeypatch, nilpotent):
         monkeypatch.setattr(census, "_blocks", off_by_one)
         with pytest.raises(RuntimeError, match="class sizes|centralizer order"):
             enumerate_census(CensusRequest(n=n, d=2, q=q, nilpotent=nilpotent))
+        with pytest.raises(RuntimeError, match="class sizes|centralizer order"):
+            orbit_census(n, 2, q)
+        with pytest.raises(RuntimeError, match="class sizes|centralizer order"):
+            enumerate_census(CensusRequest(n=n, d=2, q=q, nilpotent=nilpotent, relations=rel))
 
 
 def test_census_with_relations():

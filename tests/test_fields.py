@@ -156,10 +156,3 @@ def test_long_scalars_parse_and_format_exactly():
         field_from_name("Fp:" + "9" * 5000)
     with pytest.raises(ParseError):
         field_from_name("Fp:²")
-
-
-def test_pow_over_both_fields():
-    assert QQ.pow(Fraction(-2, 3), 3) == Fraction(-8, 27)
-    assert QQ.pow(Fraction(5, 7), 0) == 1
-    assert GF(5).pow(2, 99999999999) == pow(2, 99999999999, 5)
-    assert GF(7).pow(0, 0) == 1
