@@ -146,12 +146,15 @@ def test_golden_orbit_census_stable_modulo_timing():
     (3, 3, 2, "bcd31a79c619b58e8ae39b32075cd8665fac94433afffaa6cee55d83b5559c43"),
     (3, 2, 3, "43df5540a2e24621b182380ca1a48b1c0bcfac821dd79d6baf1cd82b2856ec30"),
     (2, 2, 13, "18b680376654509f966be2bfccf6d0087b70a6cb350692d2cbec269f8a7ada61"),
-], ids=["3-2-2", "2-2-5", "3-3-2", "3-2-3", "2-2-13"])
+    (3, 1, 3, "9d600c97c94b9e8d46f94ac1e1e6421af8b4b44c684eecd7c7baa41da26dc36d"),
+    (4, 1, 2, "cc97fb12d55b9a4bb8a283bf3abe0299c94cb195e93ada5365c1dc7e9492e673"),
+], ids=["3-2-2", "2-2-5", "3-3-2", "3-2-3", "2-2-13", "3-1-3", "4-1-2"])
 def test_orbit_census_report_bytes_pinned(n, d, q, sha256):
     # the whole report, byte for byte with elapsed_ms zeroed: n = 3 has
     # classes that are neither scalar nor cyclic, and q = 5 a diagonal
     # generator of GL_2; (3,2,3) and (2,2,13) place many irreducibles of
-    # degree 1 and 2 on identical blocks
+    # degree 1 and 2 on identical blocks; at d = 1 the orbits are the
+    # classes themselves, each represented by the least matrix of its closure
     code, out = run("orbit-census", "--n", str(n), "--d", str(d), "--q", str(q))
     assert code == 0
     text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out, count=1)
@@ -171,6 +174,22 @@ def test_census_3_3_2_report_bytes_pinned(flags, sha256):
     # walks centralizer chains: counted, nilpotent, and as orbits under a
     # relation
     code, out = run("census", "--n", "3", "--d", "3", "--q", "2", *flags)
+    assert code == 0
+    text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out, count=1)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("args,sha256", [
+    (["--n", "4", "--d", "1", "--q", "2", "--relation", "x1^2+x1", "--per-stratum"],
+     "8eb742c6b10d803b69fcb77b726317617c56987600f6effdb2e55ead18c9dc10"),
+    (["--n", "3", "--d", "2", "--q", "3", "--relation", "x1*x2", "--nilpotent", "--per-stratum"],
+     "bb1f447ae8f9116b19e912d916eaa01eaf882de02e9ec499334a8f85e64489e1"),
+], ids=["4-1-2-idempotent", "3-2-3-nilpotent"])
+def test_relation_census_report_bytes_pinned(args, sha256):
+    # a relation census reads one representative per orbit, walked from each
+    # class's canonical form: at d = 1 the classes themselves, and under the
+    # nilpotent filter at q = 3 only the nilpotent classes
+    code, out = run("census", *args)
     assert code == 0
     text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out, count=1)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == sha256
