@@ -33,20 +33,20 @@ The per-stratum histogram follows the support morphism: a split tuple is a
 direct sum of punctual pieces at distinct points, so the stratum with parts
 lam holds |GL_n| C_lam prod_m P_m tuples, C_lam placing the parts at
 distinct points and P_m = punctual(m)/|GL_m|; the rest is unsplit.
-Orbits go class by class of the first coordinate (``_classes``: each type
-with distinct irreducibles placed on its blocks): a tuple's orbit meets the
-tuples that start with any one matrix m of the class C of its first
-coordinate, in one orbit of Z_GL(m) on the commuting tuples inside Z(m).
-A d = 1 orbit is a class; a scalar c I prefixes c I to the (d - 1)-orbits;
-a cyclic m has the commutative Z(m) = F_q[m], the span of I, m, ...,
-m^(n - 1), built once per class with no elimination, so each chain through
-it, m followed by elements of that span, is an orbit; any other class is
-walked once from m, its chains of k coordinates the prefixes of k - 1 each
-followed by an element of Z(prefix), and acts by Z_GL(m) alone, the set of
-units of Z(m).  There conjugation by g is a linear map C_g on the n^2
-entries, so many matrices are conjugated by many g in one product, the
-maps C_g stacked.  ``orbit_census`` takes m = m_C, the least element of C,
-found as the closure of its canonical form under conjugation by generators
+Orbits go class by class of the first coordinate, each class C a row
+(m, |C|, dim Z(m), nilpotent) of ``_classes``, m its canonical form: a
+tuple's orbit meets the tuples that start with any one matrix m of C, in
+one orbit of Z_GL(m) on the commuting tuples inside Z(m).  A d = 1 orbit
+is a class; a scalar c I (dim Z = n^2) prefixes c I to the (d - 1)-orbits;
+a cyclic m (dim Z = n) has the commutative Z(m) = F_q[m], the span of I,
+m, ..., m^(n - 1), built once per class with no elimination, so each chain
+through it, m followed by elements of that span, is an orbit; any other
+class is walked once from m, its chains of k coordinates the prefixes of
+k - 1 each followed by an element of Z(prefix), and acts by Z_GL(m) alone,
+the set of units of Z(m).  There conjugation by g is a linear map C_g on
+the n^2 entries, so many matrices are conjugated by many g in one product,
+the maps C_g stacked.  ``orbit_census`` puts m_C, the least element of C,
+in place of m, found as the closure of m under conjugation by generators
 of GL_n, each a row move and then a column move on the entries, so no step
 lists GL_n or multiplies matrices, and each representative is the
 lex-first tuple of its orbit.  A relation f(x) = 0 and the support cycle
@@ -69,11 +69,11 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ArityMismatchError, BudgetExceededError, NonprimeQError, NotSplitError
-from .fields import GF, Field, is_prime
+from .fields import GF, is_prime
 from .matrices import Matrix, _intertwining_rows, _kernel, inverse
 from .modules import CommutingTuple, check_relations
 from .cycles import cycle, stratum
-from .polynomials import MultiPoly, UniPoly
+from .polynomials import MultiPoly
 
 
 def gl_order(n: int, q: int) -> int:
@@ -133,18 +133,17 @@ def _times(f: tuple[int, ...], g: tuple[int, ...], q: int) -> tuple[int, ...]:
     return tuple(x % q for x in out)
 
 
-def _irreducibles(F, n: int) -> list[UniPoly]:
-    """The monic irreducibles of degree 1..n over F_q, by degree: a sieve on
-    coefficient tuples that strikes out each product of a lower-degree
-    irreducible and a monic cofactor."""
-    q = F.characteristic
+def _irreducibles(q: int, n: int) -> list[tuple[int, ...]]:
+    """The coefficient tuples (ascending) of the monic irreducibles of degree
+    1..n over F_q, by degree: a sieve that strikes out each product of a
+    lower-degree irreducible and a monic cofactor."""
     monic = {e: [c + (1,) for c in itertools.product(range(q), repeat=e)] for e in range(1, n + 1)}
     irr: list[tuple[int, ...]] = []
     for e in range(1, n + 1):
         reducible = {_times(f, g, q) for f in irr if 2 * len(f) - 2 <= e
                      for g in monic[e - len(f) + 1]}
         irr += [f for f in monic[e] if f not in reducible]
-    return [UniPoly(F, f) for f in irr]
+    return irr
 
 
 def _partitions(m: int, most: int) -> Iterator[tuple[int, ...]]:
@@ -170,35 +169,11 @@ def _centralizer_order(lam: tuple[int, ...], Q: int) -> int:
     return Q ** (_centralizer_dim(lam) - sum(ks)) * math.prod(Q**k - 1 for k in ks)
 
 
-@dataclass(frozen=True)
-class _Class:
-    """A similarity class of n x n matrices over F_q: a partition lam_phi
-    for each monic irreducible phi with sum deg(phi) |lam_phi| = n.
-
-    weight is the class size |GL_n|/|Z_GL(A)|; dim is
-    dim Z(A) = sum deg(phi) (|lam_phi| + 2 n(lam_phi)); nullity is
-    n - rank A, the parts of lam_t; nilpotent means phi = t alone and
-    scalar means A = c I (one phi of degree 1 with lam = 1^n, or n = 0).
-    """
-    field: Field
-    parts: tuple[tuple[UniPoly, tuple[int, ...]], ...]
-    weight: int
-    dim: int
-    nullity: int
-    nilpotent: bool
-    scalar: bool
-
-    def representative(self) -> Matrix:
-        """The primary rational canonical form (``_canonical_form``)."""
-        return _canonical_form(self.field, [(phi.coeffs, lam) for phi, lam in self.parts])
-
-
-def _canonical_form(F: Field, parts: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]) -> Matrix:
-    """The block sum of the companion matrices of phi^k over the parts k of
-    each lam, for the (coefficients of phi, ascending; lam) in parts: the
-    primary rational canonical form, each block written from the
-    coefficients of phi^k into one entry tuple."""
-    q = F.characteristic
+def _canonical_form(q: int, parts: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]) -> tuple[int, ...]:
+    """The row-major entries of the block sum of the companion matrices of
+    phi^k over F_q, over the parts k of each lam, for the (coefficients of
+    phi, ascending; lam) in parts: the primary rational canonical form, each
+    block written from the coefficients of phi^k."""
     n = sum((len(phi) - 1) * sum(lam) for phi, lam in parts)
     entries = [0] * (n * n)
     r = 0
@@ -213,21 +188,19 @@ def _canonical_form(F: Field, parts: Sequence[tuple[tuple[int, ...], tuple[int, 
             for i in range(m):
                 entries[(r + i) * n + r + m - 1] = -f[i] % q
             r += m
-    return Matrix(F, n, n, tuple(entries))
+    return tuple(entries)
 
 
-def _classes(n: int, q: int) -> list[_Class]:
-    """Every similarity class of n x n matrices over F_q: each class type of
-    ``_types`` with distinct monic irreducibles of its blocks' degrees
-    placed on its blocks, identical blocks taking theirs as a combination,
-    so no class is listed twice and no representative is built.  Parts go
-    in the order of ``_irreducibles``.  RuntimeError unless each type has
-    as many placements as ``_types`` counts classes."""
-    F = GF(q)
-    irr = _irreducibles(F, n)
-    t = UniPoly.x(F).coeffs
-    of_degree = {e: [j for j, phi in enumerate(irr) if phi.degree == e] for e in range(1, n + 1)}
-    out: list[_Class] = []
+def _classes(n: int, q: int) -> list[tuple[tuple[int, ...], int, int, bool]]:
+    """Every similarity class C of n x n matrices over F_q, as a row
+    (m, |C|, dim Z(m), nilpotent) with m its primary rational canonical form
+    (``_canonical_form``): each type of ``_types`` takes distinct monic
+    irreducibles of its blocks' degrees in the order of ``_irreducibles``,
+    identical blocks a combination, so no class recurs.  RuntimeError
+    unless each type has as many placements as it has classes."""
+    irr = _irreducibles(q, n)
+    of_degree = {e: [j for j, phi in enumerate(irr) if len(phi) - 1 == e] for e in range(1, n + 1)}
+    out: list[tuple[tuple[int, ...], int, int, bool]] = []
     for chosen, classes, size in _types(_blocks(n, q), n, q):
         placed: list[tuple[tuple[int, tuple[int, ...]], ...]] = [()]  # (index into irr, lam) per part
         for b, same in itertools.groupby(chosen):
@@ -239,11 +212,8 @@ def _classes(n: int, q: int) -> list[_Class]:
             raise RuntimeError("a class type's placements disagree with its number of classes")
         dim = sum(b.dim for b in chosen)
         for p in placed:
-            parts = tuple((irr[j], lam) for j, lam in sorted(p))
-            nullity = next((len(lam) for phi, lam in parts if phi.coeffs == t), 0)
-            out.append(_Class(F, parts, size, dim, nullity,
-                              nilpotent=all(phi.coeffs == t for phi, _ in parts),
-                              scalar=dim == n * n))
+            parts = [(irr[j], lam) for j, lam in sorted(p)]
+            out.append((_canonical_form(q, parts), size, dim, all(phi == (0, 1) for phi, _ in parts)))
     return out
 
 
@@ -384,9 +354,9 @@ def _counts(n: int, q: int) -> Callable[[int, int, bool], int]:
             return q ** ((b.dim - nilpotent) * (d - 1))
         if b.e == 1 and b.lam[0] == 1:
             return count(len(b.lam), d - 1, nilpotent)
-        phi = (0, 1) if b.e == 1 else next(f.coeffs for f in _irreducibles(F, b.e) if f.degree == b.e)
-        m = _canonical_form(F, [(phi, b.lam)])
-        size, keep = m.rows, _nilpotent if nilpotent else (lambda a: True)
+        phi = (0, 1) if b.e == 1 else next(f for f in _irreducibles(q, b.e) if len(f) - 1 == b.e)
+        size, keep = b.e * sum(b.lam), _nilpotent if nilpotent else (lambda a: True)
+        m = Matrix(F, size, size, _canonical_form(q, [(phi, b.lam)]))
         out = 0
         for chain, basis in _walk([m], d - 1, keep):
             if len(chain) == d - 1:
@@ -429,8 +399,8 @@ def enumerate_census(req: CensusRequest, config: RunConfig = DEFAULT_CONFIG) -> 
     if req.relations:
         raw = 0
         # a nilpotent tuple starts with a nilpotent matrix
-        firsts = [(c, c.representative().entries) for c in _classes(n, q)
-                  if c.nilpotent or not req.nilpotent]
+        firsts = [(m, size, dim, nilpotent) for m, size, dim, nilpotent in _classes(n, q)
+                  if nilpotent or not req.nilpotent]
         for o in _orbits(n, d, q, firsts, req.nilpotent):
             t, size = o.representative, o.orbit_size
             if (req.nilpotent and not o.nilpotent) or not check_relations(t, req.relations):
@@ -513,16 +483,17 @@ def _move(k: int, x: int, y: int, n: int, q: int) -> Callable[[list[Sequence[int
     return move
 
 
-def _class_closures(classes: Sequence[_Class], n: int, q: int) -> list[set[tuple[int, ...]]]:
-    """The entries of each class C: the closure of its canonical form under
-    conjugation by the generators of GL_n, found by one search from all the
-    canonical forms at once.  Each level moves the whole frontier by each
-    generator's row and column move (``_move``) in one batch, so each matrix
-    is moved once by each generator, and each matrix reached is filed under
-    the class of the one it was moved from; RuntimeError unless each closure
-    holds |C| matrices."""
+def _class_closures(classes: Sequence[tuple[tuple[int, ...], int, int, bool]], n: int,
+                    q: int) -> list[set[tuple[int, ...]]]:
+    """The entries of each class C, from its row (m, size, dim, nilpotent)
+    of ``_classes``: the closure of m under conjugation by the generators of
+    GL_n, found by one search from all the canonical forms at once.  Each
+    level moves the whole frontier by each generator's row and column move
+    (``_move``) in one batch, so each matrix is moved once by each
+    generator, and each matrix reached is filed under the class of the one
+    it was moved from; RuntimeError unless each closure holds size matrices."""
     moves = [_move(k, x, y, n, q) for k, x, y in _generators(n, q)]
-    frontier = [c.representative().entries for c in classes]
+    frontier = [m for m, size, dim, nilpotent in classes]
     owners = list(range(len(classes)))
     owner = dict(zip(frontier, owners))
     while moves and frontier:
@@ -537,35 +508,37 @@ def _class_closures(classes: Sequence[_Class], n: int, q: int) -> list[set[tuple
     closures: list[set[tuple[int, ...]]] = [set() for _ in classes]
     for a, k in owner.items():
         closures[k].add(a)
-    if any(len(s) != c.weight for c, s in zip(classes, closures)):
+    if any(len(s) != size for (m, size, dim, nilpotent), s in zip(classes, closures)):
         raise RuntimeError("the conjugates of a class disagree with its size")
     return closures
 
 
 def _orbits(
-    n: int, d: int, q: int, firsts: Sequence[tuple[_Class, tuple[int, ...]]], nilpotent: bool = False,
+    n: int, d: int, q: int, firsts: Sequence[tuple[tuple[int, ...], int, int, bool]],
+    nilpotent: bool = False,
 ) -> Iterator[Orbit]:
     """The GL_n-orbits of the commuting d-tuples over F_q, class by class of
-    the first coordinate from one (class C, first matrix m) pair per class
-    (see the module docstring).  Through a cyclic m an orbit is one chain,
-    of size |C| with aut order |GL_n|/|C|: m followed by any k - 1 elements
-    of Z(m) = F_q[m], the span of I, m, ..., m^(n - 1), built once per class
-    with no elimination; with nilpotent set, of its nilpotent elements
-    only, the span of m, ..., m^(n - 1) (m is then a single Jordan block).
-    Any other non-scalar m is walked once (``_walk``) to depth d - 1: the
-    chains of k coordinates are its prefixes of k - 1, each followed by any
-    element of its centralizer, and Z_GL(m) is the set of units of Z(m),
-    the centralizer of the first prefix.  There an orbit has size
-    |C| |Z_GL(m)-orbit| and its stabilizer inside Z_GL(m) as aut order, the
-    orbits of Z_GL(m) keyed on the entries of the conjugates of each walked
-    chain's coordinates, each distinct matrix conjugated in one product.
-    Representatives are the first chains of their orbits, in order, with
-    one Matrix per distinct coordinate; every check has run before the
-    first Orbit is built.  Each check raises RuntimeError: q^n elements in
-    the span through a cyclic m (q^(n - 1) with nilpotent set), so its
-    powers are independent; |Z_GL(m)| |C| = |GL_n(F_q)|; every conjugate
-    among the walked chains; nilpotency constant along the orbit (read on
-    every conjugate); |orbit| * |stabilizer| = |Z_GL(m)|; orbits
+    the first coordinate from one row (m, size, dim, nilpotent) per class C
+    (``_classes``, m any matrix of C; see the module docstring), scalar if
+    dim = n^2 and cyclic if dim = n.  Through a cyclic m an orbit is one
+    chain, of size |C| with aut order |GL_n|/|C|: m followed by any k - 1
+    elements of Z(m) = F_q[m], the span of I, m, ..., m^(n - 1), built once
+    per class with no elimination; with nilpotent set, of its nilpotent
+    elements only, the span of m, ..., m^(n - 1) (m is then a single Jordan
+    block).  Any other non-scalar m is walked once (``_walk``) to depth
+    d - 1: the chains of k coordinates are its prefixes of k - 1, each
+    followed by any element of its centralizer, and Z_GL(m) is the set of
+    units of Z(m), the centralizer of the first prefix.  There an orbit has
+    size |C| |Z_GL(m)-orbit| and its stabilizer inside Z_GL(m) as aut
+    order, the orbits of Z_GL(m) keyed on the entries of the conjugates of
+    each walked chain's coordinates, each distinct matrix conjugated in one
+    product.  Representatives are the first chains of their orbits, in
+    order, with one Matrix per distinct coordinate; every check has run
+    before the first Orbit is built.  Each check raises RuntimeError: q^n
+    elements in the span through a cyclic m (q^(n - 1) with nilpotent set),
+    so its powers are independent; |Z_GL(m)| |C| = |GL_n(F_q)|; every
+    conjugate among the walked chains; nilpotency constant along the orbit
+    (read on every conjugate); |orbit| * |stabilizer| = |Z_GL(m)|; orbits
     partitioning the chains, |C| times over.
     """
     glo = gl_order(n, q)
@@ -608,23 +581,23 @@ def _orbits(
     orbits: list[tuple[tuple, int, int, bool]] = []  # key, orbit size, aut order, nilpotent
     for k in range(1, d + 1):
         below, orbits, walked = orbits, [], 0
-        for c, m in firsts:
+        for m, size, dim, nil in firsts:
             if k == 1:
-                orbits.append(((m,), c.weight, glo // c.weight, c.nilpotent))
-                walked += c.weight
+                orbits.append(((m,), size, glo // size, nil))
+                walked += size
                 continue
-            if c.scalar:
-                orbits += [((m,) + key, size, aut, c.nilpotent and flag)
-                           for key, size, aut, flag in below]
-                walked += c.weight * sum(o[1] for o in below)
+            if dim == cells:  # m = c I, a class of one
+                orbits += [((m,) + key, s, aut, nil and flag)
+                           for key, s, aut, flag in below]
+                walked += size * sum(o[1] for o in below)
                 continue
-            if c.dim == n:
+            if dim == n:
                 # Z(m) = F_q[m] is commutative, so Z_GL(m) fixes every chain
                 span = cyclic_span(m)
-                walked += c.weight * len(span) ** (k - 1)
+                walked += size * len(span) ** (k - 1)
                 for rest in itertools.product(span, repeat=k - 1):
-                    flag = c.nilpotent and all(map(is_nilpotent, rest))
-                    orbits.append(((m,) + rest, c.weight, glo // c.weight, flag))
+                    flag = nil and all(map(is_nilpotent, rest))
+                    orbits.append(((m,) + rest, size, glo // size, flag))
                 continue
             if m not in by_class:
                 # each prefix of up to d - 1 coordinates with the elements of its centralizer
@@ -633,12 +606,12 @@ def _orbits(
                             for chain, basis in _walk([matrix(m)], d - 1)]
                 # the first prefix is m alone: the units of Z(m) are Z_GL(m)
                 units = [(g, h) for g in map(matrix, prefixes[0][1]) if (h := inverse(g)) is not None]
-                if len(units) * c.weight != glo:
+                if len(units) * size != glo:
                     raise RuntimeError("|Z_GL(m_C)| times the class size is not |GL_n|")
                 by_class[m] = prefixes, conjugator(units), len(units)
             prefixes, conjugates, order = by_class[m]
             chains = [key + (e,) for key, span in prefixes if len(key) == k - 1 for e in span]
-            walked += c.weight * len(chains)
+            walked += size * len(chains)
             chain_set = set(chains)
             seen: set[tuple] = set()
             for key in chains:
@@ -655,7 +628,7 @@ def _orbits(
                 if len(orbit) * stabilizer != order:
                     raise RuntimeError("orbit-stabilizer mismatch")
                 seen |= orbit
-                orbits.append((key, c.weight * len(orbit), stabilizer, flags.pop()))
+                orbits.append((key, size * len(orbit), stabilizer, flags.pop()))
         if sum(o[1] for o in orbits) != walked:
             raise RuntimeError("orbits do not partition the variety")
     orbits.sort()
@@ -672,7 +645,8 @@ def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> 
     """
     _check_request(n, d, q, config)
     classes = _classes(n, q)
-    firsts = [(c, min(members)) for c, members in zip(classes, _class_closures(classes, n, q))]
+    firsts = [(min(members), size, dim, nilpotent)
+              for (m, size, dim, nilpotent), members in zip(classes, _class_closures(classes, n, q))]
     return list(_orbits(n, d, q, firsts))
 
 

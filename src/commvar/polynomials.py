@@ -41,10 +41,6 @@ class UniPoly:
     def one(cls, field: Field) -> "UniPoly":
         return cls(field, (field.one(),))
 
-    @classmethod
-    def x(cls, field: Field) -> "UniPoly":
-        return cls(field, (field.zero(), field.one()))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

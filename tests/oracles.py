@@ -11,7 +11,8 @@ eliminating it with the package's kernel, and conjugate by the package's
 conjugation maps, so they check the class types, closed forms, incremental
 elimination and centralizer actions the census works with, not the
 kernels.  ``census_by_classes`` goes class by class over the package's
-class list, which the tests check against brute-force orbits, and
+class list, which the tests check against brute-force orbits, reading
+only each class's canonical form and size, and
 ``random_multipoly`` draws its coefficients with ``sampling.random_scalar``.
 """
 from __future__ import annotations
@@ -544,8 +545,11 @@ def census_leaf_walk(n: int, d: int, q: int, nilpotent: bool) -> int:
 def census_by_classes(n: int, d: int, q: int, nilpotent: bool) -> int:
     """Commuting d-tuples of n x n matrices over F_q, all of them or the
     nilpotent ones, class by class of the first coordinate A over
-    ``census._classes`` (which the tests check against brute-force orbits):
-    each class adds its size times 1 at d = 1; q^dim Z(A) at d = 2, or
+    ``census._classes`` (which the tests check against brute-force orbits),
+    reading only its canonical form m and size: dim Z(m) (by elimination),
+    n - rank m and nilpotency (by a matrix power) are found here, and m is
+    scalar if dim Z(m) = n^2 and cyclic if dim Z(m) = n.  Each class adds
+    its size times 1 at d = 1; q^dim Z(A) at d = 2, or
     q^(dim Z(A) - (n - rank A)) nilpotent second coordinates; the
     (d - 1)-census beside a scalar A; q^(n (d - 1)) beside a cyclic A, or
     q^((n - 1)(d - 1)) beside a single nilpotent Jordan block; otherwise the
@@ -555,25 +559,27 @@ def census_by_classes(n: int, d: int, q: int, nilpotent: bool) -> int:
     keep = _nilpotent if nilpotent else (lambda a: True)
     F = GF(q)
     total = 0
-    for c in _classes(n, q):
-        if nilpotent and not c.nilpotent:
+    for m, size, _, _ in _classes(n, q):
+        a = Matrix(F, n, n, m)
+        if nilpotent and not a.power(n).is_zero():
             continue
+        dim = len(_kernel(_intertwining_system([a], [a]), n * n, F))
         if d == 1:
             leaves = 1
         elif d == 2:
-            leaves = q ** (c.dim - c.nullity if nilpotent else c.dim)
-        elif c.scalar:
+            leaves = q ** (dim - (n - rank(a)) if nilpotent else dim)
+        elif dim == n * n:
             leaves = rest
-        elif c.dim == n:
+        elif dim == n:
             leaves = q ** ((n - 1 if nilpotent else n) * (d - 1))
         else:
             leaves = 0
-            for chain in _chains([c.representative()], d - 1, keep):
+            for chain in _chains([a], d - 1, keep):
                 if nilpotent:
                     leaves += sum(_nilpotent(Matrix(F, n, n, e)) for e in _centralizer(chain))
                 else:
                     leaves += q ** len(_kernel(_intertwining_system(chain, chain), n * n, F))
-        total += c.weight * leaves
+        total += size * leaves
     return total
 
 

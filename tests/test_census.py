@@ -53,9 +53,9 @@ def test_classes_match_brute_force_orbits(n, q):
     orbits = oracles.similarity_classes(n, q)
     where = {key: i for i, orbit in enumerate(orbits) for key in orbit}
     hits = []
-    for c in _classes(n, q):
-        i = where[tuple(map(tuple, oracles.rows_of(c.representative())))]
-        assert c.weight == len(orbits[i])
+    for m, size, dim, nilpotent in _classes(n, q):
+        i = where[tuple(map(tuple, oracles.rows_of(Matrix(GF(q), n, n, m))))]
+        assert size == len(orbits[i])
         hits.append(i)
     assert sorted(hits) == list(range(len(orbits)))
 
@@ -66,8 +66,8 @@ def test_class_counts_match_closed_forms(n, q):
     classes = _classes(n, q)
     closed = [1, q, q**2 + q, q**3 + q**2 + q, q**4 + q**3 + 2 * q**2 + q][n]
     assert len(classes) == closed
-    assert len({c.parts for c in classes}) == closed
-    assert sum(c.weight for c in classes) == q ** (n * n)
+    assert len({m for m, size, dim, nilpotent in classes}) == closed
+    assert sum(size for m, size, dim, nilpotent in classes) == q ** (n * n)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -76,9 +76,9 @@ def test_classes_refuse_a_missing_irreducible(monkeypatch, degree):
     # ways as _types counts classes, checked with no assert
     real = census._irreducibles
 
-    def short(F, n):
-        out = real(F, n)
-        out.remove(next(f for f in out if f.degree == degree))
+    def short(q, n):
+        out = real(q, n)
+        out.remove(next(f for f in out if len(f) - 1 == degree))
         return out
 
     monkeypatch.setattr(census, "_irreducibles", short)
@@ -90,32 +90,49 @@ def test_classes_refuse_a_missing_irreducible(monkeypatch, degree):
 
 @pytest.mark.parametrize("n,q", [(0, 2), (1, 3), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (4, 2)])
 def test_class_records_match_elimination(n, q):
-    # the counts read dim, nullity, nilpotent and scalar off the partitions;
-    # each must be what elimination finds on the representative
+    # each class row (m, size, dim, nilpotent) reads dim and nilpotent off
+    # the partitions, and the orbits take dim = n^2 for scalar m; each must
+    # be what elimination and a matrix power find on m (the nullity the
+    # nilpotent counts read is checked in oracles.census_by_classes)
     F = GF(q)
     identity = Matrix.identity(F, n)
-    for c in _classes(n, q):
-        a = c.representative()
-        assert c.dim == len(matrices._kernel(_intertwining_rows(a, a), n * n, F))
-        assert c.nilpotent == _nilpotent(a)
-        assert c.scalar == any(a == identity.scale(x) for x in range(q))
-        assert c.nullity == n - rank(a)
+    for m, size, dim, nilpotent in _classes(n, q):
+        a = Matrix(F, n, n, m)
+        assert dim == len(matrices._kernel(_intertwining_rows(a, a), n * n, F))
+        assert nilpotent == _nilpotent(a)
+        assert (dim == n * n) == any(a == identity.scale(x) for x in range(q))
 
 
 @pytest.mark.parametrize("n,q", [(n, q) for n in range(4) for q in (2, 3, 5, 7)] + [(4, 2), (4, 3)])
 def test_class_representative_is_the_block_sum_of_companions(n, q):
-    # the representative written from int coefficients is the block sum of
-    # the companion matrices of phi^k, built from polynomials and matrices
+    # the canonical form written from int coefficients is the block sum of
+    # the companion matrices of phi^k, built from polynomials and matrices,
+    # for every list of parts (phi, lam) on distinct irreducibles in order;
+    # those forms are the classes' first matrices
     F = GF(q)
-    for c in _classes(n, q):
+
+    def parts_of(irr, size):
+        if size == 0:
+            yield []
+        for i, phi in enumerate(irr):
+            e = len(phi) - 1
+            for k in range(1, size // e + 1):
+                for lam in census._partitions(k, k):
+                    for rest in parts_of(irr[i + 1:], size - e * k):
+                        yield [(phi, lam)] + rest
+
+    forms = []
+    for parts in parts_of(census._irreducibles(q, n), n):
         blocks = []
-        for phi, lam in c.parts:
+        for phi, lam in parts:
             for k in lam:
                 f = UniPoly.one(F)
                 for _ in range(k):
-                    f = f * phi
+                    f = f * UniPoly(F, phi)
                 blocks.append(companion(f).mats[0])
-        assert c.representative() == block_diag(blocks, F)
+        forms.append(census._canonical_form(q, parts))
+        assert Matrix(F, n, n, forms[-1]) == block_diag(blocks, F)
+    assert sorted(forms) == sorted(m for m, size, dim, nilpotent in _classes(n, q))
 
 
 def test_census_n1_is_affine_space():
@@ -370,8 +387,8 @@ def test_cyclic_classes_counted_in_closed_form_match_leaf_walk(nilpotent):
     # at (3,3,2) cyclic, scalar and other first coordinates mix; the cyclic
     # ones add q^(n (d - 1)), or q^((n - 1)(d - 1)) beside a Jordan block
     n, d, q = 3, 3, 2
-    kinds = {(c.scalar, c.dim == n) for c in _classes(n, q)
-             if c.nilpotent or not nilpotent}
+    kinds = {(dim == n * n, dim == n) for m, size, dim, nil in _classes(n, q)
+             if nil or not nilpotent}
     assert kinds == {(True, False), (False, True), (False, False)}
     res = enumerate_census(CensusRequest(n=n, d=d, q=q, nilpotent=nilpotent))
     assert res.raw_count == oracles.census_leaf_walk(n, d, q, nilpotent)
@@ -748,7 +765,8 @@ def test_orbit_census_walks_only_inside_the_centralizers(monkeypatch, n, d, q, k
     _counting(monkeypatch, census, "_kernel", calls)
     orbit_census(n, d, q)
     assert len(calls) == kernels
-    assert kernels == sum(1 + q**c.dim for c in _classes(n, q) if not c.scalar and c.dim != n)
+    assert kernels == sum(1 + q**dim for m, size, dim, nilpotent in _classes(n, q)
+                          if dim not in (n * n, n))
 
 
 def test_census_eliminates_only_inside_the_walk(monkeypatch):
@@ -776,9 +794,8 @@ def test_census_walks_each_block_once(monkeypatch, n, d, q, blocks):
     res = enumerate_census(CensusRequest(n=n, d=d, q=q), config)
     roots = [chain[0] for chain, *_ in roots if len(chain) == 1]
     assert len(roots) == len(blocks)
-    F = GF(q)
-    want = [census._canonical_form(F, [((0, 1) if e == 1 else (1, 1, 1), lam)]) for e, lam in blocks]
-    assert sorted(roots, key=lambda m: (m.rows, m.entries)) == sorted(want, key=lambda m: (m.rows, m.entries))
+    want = [census._canonical_form(q, [((0, 1) if e == 1 else (1, 1, 1), lam)]) for e, lam in blocks]
+    assert sorted(m.entries for m in roots) == sorted(want)
     assert res.raw_count == oracles.census_by_classes(n, d, q, False)
 
 
@@ -826,8 +843,8 @@ def test_class_closures_are_the_conjugacy_classes(n, q):
     assert len(gens) == 2 * max(n - 1, 0) + (q > 2 and n > 0)
     assert all(g != one and g * h == one for g, h in gens)
     classes = _classes(n, q)
-    for c, closure in zip(classes, _class_closures(classes, n, q)):
-        a = c.representative()
+    for (m, size, dim, nilpotent), closure in zip(classes, _class_closures(classes, n, q)):
+        a = Matrix(GF(q), n, n, m)
         assert closure == {(g * a * h).entries for g, h in group}
 
 
@@ -869,7 +886,7 @@ def test_orbit_census_inverts_only_centralizer_elements(monkeypatch):
     assert calls == []
     orbit_census(3, 2, 2)
     # a cyclic class's Z(m_C) = F_q[m_C] is commutative: it needs no group
-    walked = sum(2 ** c.dim for c in _classes(3, 2) if not c.scalar and c.dim != 3)
+    walked = sum(2**dim for m, size, dim, nilpotent in _classes(3, 2) if dim not in (9, 3))
     assert 0 < len(calls) <= walked
     # at n = 2 every non-scalar class is cyclic
     calls.clear()
