@@ -45,16 +45,18 @@ class is walked once from m, its chains of k coordinates the prefixes of
 k - 1 each followed by an element of Z(prefix), and acts by Z_GL(m) alone,
 the set of units of Z(m).  There conjugation by g is a linear map C_g on
 the n^2 entries, so many matrices are conjugated by many g in one product,
-the maps C_g stacked.  ``orbit_census`` puts m_C, the least element of C,
-in place of m, found as the closure of m under conjugation by generators
-of GL_n, each a row move and then a column move on the entries, so no step
-lists GL_n or multiplies matrices, and each representative is the
-lex-first tuple of its orbit.  A relation f(x) = 0 and the support cycle
-are constant on orbits (f(g A g^-1) = g f(A) g^-1), so relation filters
-read one representative per orbit, walked from each class's canonical form
-(each nilpotent class's under the nilpotent filter, a single Jordan block
-m then taking only the nilpotent span of m, ..., m^(n - 1)), and add the
-orbit's size; the support cycle of each kept representative files its orbit.
+the maps C_g stacked.  Which tuple stands for an orbit is no part of the
+answer, so no step lists the matrices of a class: each representative
+starts with its class's canonical form m; its first non-scalar coordinate,
+if any, is the canonical form m' of that coordinate's class, and the
+representative is the lex-first tuple of its orbit with m' there (with m
+not scalar, m' = m: the lex-first tuple of its orbit that starts with m).
+A relation f(x) = 0 and the support cycle are constant on orbits
+(f(g A g^-1) = g f(A) g^-1), so relation filters read one representative
+per orbit (each nilpotent class's under the nilpotent filter, a single
+Jordan block m then taking only the nilpotent span of m, ..., m^(n - 1)),
+and add the orbit's size; the support cycle of each kept representative
+files its orbit.
 A request whose nominal size q^(d n^2) exceeds the budget is refused
 whole; counts are never truncated.
 """
@@ -64,7 +66,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, RunConfig
@@ -169,25 +171,26 @@ def _centralizer_order(lam: tuple[int, ...], Q: int) -> int:
     return Q ** (_centralizer_dim(lam) - sum(ks)) * math.prod(Q**k - 1 for k in ks)
 
 
-def _canonical_form(q: int, parts: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]) -> tuple[int, ...]:
+def _powers(phi: tuple[int, ...], most: int, q: int) -> list[tuple[int, ...]]:
+    """The coefficient tuples of phi, phi^2, ..., phi^most mod q."""
+    return list(itertools.accumulate(itertools.repeat(phi, most), partial(_times, q=q)))
+
+
+def _canonical_form(q: int, polys: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
     """The row-major entries of the block sum of the companion matrices of
-    phi^k over F_q, over the parts k of each lam, for the (coefficients of
-    phi, ascending; lam) in parts: the primary rational canonical form, each
-    block written from the coefficients of phi^k."""
-    n = sum((len(phi) - 1) * sum(lam) for phi, lam in parts)
+    the monic polys over F_q, each a coefficient tuple (ascending): with the
+    phi^k over the parts k of each lam, for each primary part (phi, lam),
+    the primary rational canonical form."""
+    n = sum(len(f) - 1 for f in polys)
     entries = [0] * (n * n)
     r = 0
-    for phi, lam in parts:
-        for k in lam:
-            f = (1,)
-            for _ in range(k):
-                f = _times(f, phi, q)
-            m = len(f) - 1
-            for i in range(1, m):
-                entries[(r + i) * n + r + i - 1] = 1
-            for i in range(m):
-                entries[(r + i) * n + r + m - 1] = -f[i] % q
-            r += m
+    for f in polys:
+        m = len(f) - 1
+        for i in range(1, m):
+            entries[(r + i) * n + r + i - 1] = 1
+        for i in range(m):
+            entries[(r + i) * n + r + m - 1] = -f[i] % q
+        r += m
     return tuple(entries)
 
 
@@ -196,9 +199,11 @@ def _classes(n: int, q: int) -> list[tuple[tuple[int, ...], int, int, bool]]:
     (m, |C|, dim Z(m), nilpotent) with m its primary rational canonical form
     (``_canonical_form``): each type of ``_types`` takes distinct monic
     irreducibles of its blocks' degrees in the order of ``_irreducibles``,
-    identical blocks a combination, so no class recurs.  RuntimeError
-    unless each type has as many placements as it has classes."""
+    identical blocks a combination, so no class recurs, and each power
+    phi^k the forms take is written once.  RuntimeError unless each type
+    has as many placements as it has classes."""
     irr = _irreducibles(q, n)
+    powers = [_powers(phi, n // (len(phi) - 1), q) for phi in irr]
     of_degree = {e: [j for j, phi in enumerate(irr) if len(phi) - 1 == e] for e in range(1, n + 1)}
     out: list[tuple[tuple[int, ...], int, int, bool]] = []
     for chosen, classes, size in _types(_blocks(n, q), n, q):
@@ -212,8 +217,9 @@ def _classes(n: int, q: int) -> list[tuple[tuple[int, ...], int, int, bool]]:
             raise RuntimeError("a class type's placements disagree with its number of classes")
         dim = sum(b.dim for b in chosen)
         for p in placed:
-            parts = [(irr[j], lam) for j, lam in sorted(p)]
-            out.append((_canonical_form(q, parts), size, dim, all(phi == (0, 1) for phi, _ in parts)))
+            parts = sorted(p)
+            out.append((_canonical_form(q, [powers[j][k - 1] for j, lam in parts for k in lam]),
+                        size, dim, all(irr[j] == (0, 1) for j, _ in parts)))
     return out
 
 
@@ -356,7 +362,8 @@ def _counts(n: int, q: int) -> Callable[[int, int, bool], int]:
             return count(len(b.lam), d - 1, nilpotent)
         phi = (0, 1) if b.e == 1 else next(f for f in _irreducibles(q, b.e) if len(f) - 1 == b.e)
         size, keep = b.e * sum(b.lam), _nilpotent if nilpotent else (lambda a: True)
-        m = Matrix(F, size, size, _canonical_form(q, [(phi, b.lam)]))
+        powers = _powers(phi, b.lam[0], q)
+        m = Matrix(F, size, size, _canonical_form(q, [powers[k - 1] for k in b.lam]))
         out = 0
         for chain, basis in _walk([m], d - 1, keep):
             if len(chain) == d - 1:
@@ -446,71 +453,6 @@ def _conjugation_map(group: Sequence[tuple[Matrix, Matrix]], n: int, q: int) -> 
         tuple(g.entries[i * n + k] * h.entries[l * n + j] % q for k in range(n) for l in range(n))
         for g, h in group for i in range(n) for j in range(n)
     ]
-
-
-def _generators(n: int, q: int) -> list[tuple[int, int, int]]:
-    """Generators of GL_n(F_q), each as (k, x, y): the one row-major entry k
-    where it differs from I, its value x there and its inverse's value y
-    there.  They are the transvections I + E_{i,i+1} and I + E_{i+1,i}, and
-    diag(w, 1, ..., 1) for the least primitive root w mod q, left out at
-    q = 2 (Taylor, The Geometry of the Classical Groups, 1992)."""
-    cells = [(k, 1, q - 1) for i in range(n - 1) for k in (i * n + i + 1, (i + 1) * n + i)]
-    if q > 2 and n:
-        primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
-        w = next(w for w in range(2, q) if all(pow(w, (q - 1) // r, q) != 1 for r in primes))
-        cells.append((0, w, pow(w, -1, q)))
-    return cells
-
-
-def _move(k: int, x: int, y: int, n: int, q: int) -> Callable[[list[Sequence[int]]], list[Sequence[int]]]:
-    """Conjugation a -> g a g^-1 by the generator (k, x, y) of
-    ``_generators``, with k = (r, s), as one row move and one column move:
-    I + x E_rs adds x (row s) to row r, then y = -x times column r to
-    column s; diag(x, 1, ..., 1) (r = s) multiplies row r by x, then column
-    r by y = x^-1.  It moves a batch of matrices at once, given as the n^2
-    columns of their row-major entries, and returns the columns of their
-    conjugates."""
-    r, s = divmod(k, n)
-    keep = int(r != s)
-
-    def move(cols: list[Sequence[int]]) -> list[Sequence[int]]:
-        out = list(cols)
-        for j in range(n):
-            out[r * n + j] = [(keep * u + x * v) % q for u, v in zip(out[r * n + j], out[s * n + j])]
-        for i in range(n):
-            out[i * n + s] = [(keep * u + y * v) % q for u, v in zip(out[i * n + s], out[i * n + r])]
-        return out
-    return move
-
-
-def _class_closures(classes: Sequence[tuple[tuple[int, ...], int, int, bool]], n: int,
-                    q: int) -> list[set[tuple[int, ...]]]:
-    """The entries of each class C, from its row (m, size, dim, nilpotent)
-    of ``_classes``: the closure of m under conjugation by the generators of
-    GL_n, found by one search from all the canonical forms at once.  Each
-    level moves the whole frontier by each generator's row and column move
-    (``_move``) in one batch, so each matrix is moved once by each
-    generator, and each matrix reached is filed under the class of the one
-    it was moved from; RuntimeError unless each closure holds size matrices."""
-    moves = [_move(k, x, y, n, q) for k, x, y in _generators(n, q)]
-    frontier = [m for m, size, dim, nilpotent in classes]
-    owners = list(range(len(classes)))
-    owner = dict(zip(frontier, owners))
-    while moves and frontier:
-        cols, sources = list(zip(*frontier)), owners
-        frontier, owners = [], []
-        for move in moves:
-            for b, k in zip(zip(*move(cols)), sources):
-                if b not in owner:
-                    owner[b] = k
-                    frontier.append(b)
-                    owners.append(k)
-    closures: list[set[tuple[int, ...]]] = [set() for _ in classes]
-    for a, k in owner.items():
-        closures[k].add(a)
-    if any(len(s) != size for (m, size, dim, nilpotent), s in zip(classes, closures)):
-        raise RuntimeError("the conjugates of a class disagree with its size")
-    return closures
 
 
 def _orbits(
@@ -607,7 +549,7 @@ def _orbits(
                 # the first prefix is m alone: the units of Z(m) are Z_GL(m)
                 units = [(g, h) for g in map(matrix, prefixes[0][1]) if (h := inverse(g)) is not None]
                 if len(units) * size != glo:
-                    raise RuntimeError("|Z_GL(m_C)| times the class size is not |GL_n|")
+                    raise RuntimeError("|Z_GL(m)| times the class size is not |GL_n|")
                 by_class[m] = prefixes, conjugator(units), len(units)
             prefixes, conjugates, order = by_class[m]
             chains = [key + (e,) for key, span in prefixes if len(key) == k - 1 for e in span]
@@ -638,16 +580,16 @@ def _orbits(
 
 def orbit_census(n: int, d: int, q: int, config: RunConfig = DEFAULT_CONFIG) -> list[Orbit]:
     """Full orbit decomposition of the commuting variety over F_q under
-    simultaneous conjugation: the orbits walked from m_C for each class C,
-    so each representative is the lex-first tuple of its orbit.  Raises
-    RuntimeError unless the closure of each class's canonical form holds
-    |C| matrices, and on each check of the walk (see ``_orbits``).
+    simultaneous conjugation, walked from the canonical form m of each class
+    of ``_classes``, in ascending order of representatives.  Each starts
+    with m; its first non-scalar coordinate, if any, is the canonical form
+    m' of that coordinate's class, and the representative is the lex-first
+    tuple of its orbit with m' there, so with m not scalar the lex-first
+    tuple of its orbit that starts with m.  Raises RuntimeError on each
+    check of the walk (see ``_orbits``).
     """
     _check_request(n, d, q, config)
-    classes = _classes(n, q)
-    firsts = [(min(members), size, dim, nilpotent)
-              for (m, size, dim, nilpotent), members in zip(classes, _class_closures(classes, n, q))]
-    return list(_orbits(n, d, q, firsts))
+    return list(_orbits(n, d, q, _classes(n, q)))
 
 
 def burnside_count(orbits: Sequence[Orbit]) -> Fraction:

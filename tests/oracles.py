@@ -324,17 +324,22 @@ def similarity_classes(n: int, q: int) -> list[set]:
     return orbits
 
 
-def orbits(n: int, d: int, q: int) -> list[tuple]:
+def orbits(n: int, d: int, q: int) -> list[tuple[frozenset, int, bool]]:
     """The orbits of GL_n(F_q) acting on commuting d-tuples of n x n
-    matrices by simultaneous conjugation, as (representative, orbit size,
-    stabilizer order).
-
-    Tuples are met in lexicographic order of their concatenated row-major
-    entries, and each orbit is represented by its first tuple met, as a
-    tuple of row-major entry tuples, one per matrix.
+    matrices by simultaneous conjugation, as (orbit, stabilizer order,
+    nilpotent): the orbit as the set of its tuples, each a tuple of
+    row-major entry tuples, one per matrix, and nilpotent when the n-th
+    power of every coordinate is zero.  Orbits come in lexicographic order
+    of their first tuple met.
     """
     def flat(rows: Rows) -> tuple:
         return tuple(x for row in rows for x in row)
+
+    def nilpotent(a: Rows) -> bool:
+        power = mat_identity(n, q)
+        for _ in range(n):
+            power = mat_mul(power, a, q)
+        return mat_is_zero(power, q)
 
     mats = [
         [list(e[i * n : (i + 1) * n]) for i in range(n)]
@@ -346,14 +351,14 @@ def orbits(n: int, d: int, q: int) -> list[tuple]:
     for t in itertools.product(mats, repeat=d):
         if not all(mat_is_zero(mat_commutator(a, b, q), q) for a, b in itertools.combinations(t, 2)):
             continue
-        rep = tuple(map(flat, t))
-        if rep in seen:
+        if tuple(map(flat, t)) in seen:
             continue
         images = [
             tuple(flat(mat_mul(mat_mul(g, a, q), g_inv, q)) for a in t) for g, g_inv in group
         ]
-        seen |= set(images)
-        out.append((rep, len(set(images)), images.count(rep)))
+        orbit = frozenset(images)
+        seen |= orbit
+        out.append((orbit, images.count(tuple(map(flat, t))), all(map(nilpotent, t))))
     return out
 
 
@@ -583,9 +588,10 @@ def census_by_classes(n: int, d: int, q: int, nilpotent: bool) -> int:
     return total
 
 
-def orbit_census_walk(n: int, d: int, q: int) -> list[Orbit]:
+def orbit_census_walk(n: int, d: int, q: int) -> list[tuple[Orbit, frozenset]]:
     """The orbit census by walking every tuple of the commuting variety and
-    conjugating it by all of GL_n, found by inverting every matrix.
+    conjugating it by all of GL_n, found by inverting every matrix, each
+    Orbit with its orbit as the set of its tuples' coordinate entries.
 
     Each distinct coordinate matrix a is conjugated by all of GL_n in one
     product: the conjugation maps of the group, stacked, times vec(a).  The
@@ -618,7 +624,7 @@ def orbit_census_walk(n: int, d: int, q: int) -> list[Orbit]:
     nilpotent = cache(lambda a: _nilpotent(Matrix(F, n, n, a)))
     walked = set(variety)
     seen: set[tuple] = set()
-    orbits: list[Orbit] = []
+    orbits: list[tuple[Orbit, frozenset]] = []
     for key in variety:
         if key in seen:
             continue
@@ -634,8 +640,8 @@ def orbit_census_walk(n: int, d: int, q: int) -> list[Orbit]:
             raise RuntimeError("orbit-stabilizer mismatch")
         seen |= orbit
         rep = CommutingTuple(F, n, d, tuple(Matrix(F, n, n, a) for a in key))
-        orbits.append(Orbit(rep, len(orbit), stabilizer, flags.pop()))
-    if sum(o.orbit_size for o in orbits) != len(variety):
+        orbits.append((Orbit(rep, len(orbit), stabilizer, flags.pop()), frozenset(orbit)))
+    if sum(len(orbit) for _, orbit in orbits) != len(variety):
         raise RuntimeError("orbits do not partition the variety")
     return orbits
 

@@ -14,9 +14,7 @@ from commvar.census import (
     CensusRequest,
     CensusResult,
     _classes,
-    _class_closures,
     _conjugation_map,
-    _generators,
     _nilpotent,
     burnside_count,
     enumerate_census,
@@ -123,14 +121,15 @@ def test_class_representative_is_the_block_sum_of_companions(n, q):
 
     forms = []
     for parts in parts_of(census._irreducibles(q, n), n):
-        blocks = []
+        blocks, polys = [], []
         for phi, lam in parts:
             for k in lam:
                 f = UniPoly.one(F)
                 for _ in range(k):
                     f = f * UniPoly(F, phi)
                 blocks.append(companion(f).mats[0])
-        forms.append(census._canonical_form(q, parts))
+                polys.append(f.coeffs)
+        forms.append(census._canonical_form(q, polys))
         assert Matrix(F, n, n, forms[-1]) == block_diag(blocks, F)
     assert sorted(forms) == sorted(m for m, size, dim, nilpotent in _classes(n, q))
 
@@ -582,24 +581,50 @@ _BRUTE_FORCE_ORBITS = [(0, 1, 2), (0, 2, 3), (1, 2, 3), (2, 1, 2), (2, 1, 3), (2
                        (2, 2, 3), (2, 3, 2), (3, 1, 2)]
 
 
+def _assert_orbits_from_canonical_forms(n, d, q, want):
+    # want holds (orbit, aut order, nilpotent) per orbit, the orbit as the
+    # set of its tuples.  The census finds the same orbits, with the same
+    # sizes, aut orders and flags, in ascending order of representatives.
+    # Each representative starts with its class's canonical form.  Its first
+    # non-scalar coordinate, if any, is a canonical form m, and it is the
+    # lex-first tuple of its orbit with m there; conjugation fixes the
+    # scalars before m, so with a non-scalar first coordinate that is the
+    # lex-first tuple of its orbit starting with that form
+    forms = {m for m, size, dim, nilpotent in _classes(n, q)}
+    one = Matrix.identity(GF(q), n).entries
+    scalars = {tuple(c * x for x in one) for c in range(q)}
+    where = {t: orbit for orbit, _, _ in want for t in orbit}
+    keys, got = [], {}
+    for o in orbit_census(n, d, q):
+        key = tuple(m.entries for m in o.representative.mats)
+        orbit = where[key]
+        assert key[0] in forms
+        j = next((j for j, a in enumerate(key) if a not in scalars), None)
+        if j is None:
+            assert orbit == {key}
+        else:
+            assert key[j] in forms
+            assert key == min(t for t in orbit if t[j] == key[j])
+        keys.append(key)
+        got[orbit] = (o.orbit_size, o.aut_order, o.nilpotent)
+    assert keys == sorted(keys) and len(keys) == len(want)
+    assert got == {orbit: (len(orbit), aut, nilpotent) for orbit, aut, nilpotent in want}
+
+
 @pytest.mark.parametrize("n,d,q", _BRUTE_FORCE_ORBITS)
 def test_orbit_census_matches_brute_force_orbits(n, d, q):
-    got = [
-        (tuple(m.entries for m in o.representative.mats), o.orbit_size, o.aut_order)
-        for o in orbit_census(n, d, q)
-    ]
-    assert got == oracles.orbits(n, d, q)
+    _assert_orbits_from_canonical_forms(n, d, q, oracles.orbits(n, d, q))
 
 
 def test_orbit_census_refuses_a_walk_that_misses_a_tuple(monkeypatch):
     # every conjugate of a walked chain must itself have been walked: the
-    # centralizer of each class's first prefix, m_C alone, loses its last
+    # centralizer of each class's first prefix, m alone, loses its last
     # singular element that no orbit representative takes as its second
-    # coordinate, so Z_GL(m_C) stays whole and one chain is missed.
-    # Z(m_C) = F_q[m_C] is commutative for a cyclic m_C, so every orbit
-    # inside it is a point; the first sizes with others have n = 3
+    # coordinate, so Z_GL(m) stays whole and one chain is missed.
+    # Z(m) = F_q[m] is commutative for a cyclic m, so every orbit inside it
+    # is a point; the first sizes with others have n = 3
     n, d, q = 3, 2, 2
-    seconds = {o.representative.mats[1].entries for o in oracles.orbit_census_walk(n, d, q)}
+    seconds = {o.representative.mats[1].entries for o in orbit_census(n, d, q)}
     real = census._span
     dropped = []
 
@@ -619,10 +644,10 @@ def test_orbit_census_refuses_a_walk_that_misses_a_tuple(monkeypatch):
 
 
 def test_orbit_census_refuses_a_cyclic_walk_that_misses_a_chain(monkeypatch):
-    # through a cyclic m_C every chain is its own orbit, so no conjugate can
-    # notice a lost one: the q^n elements of the span of I, m_C, ...,
-    # m_C^(n - 1) are the check (q^(n - 1), of m_C, ..., m_C^(n - 1), under
-    # the nilpotent filter).  At n = 2 every non-scalar class is cyclic and
+    # through a cyclic m every chain is its own orbit, so no conjugate can
+    # notice a lost one: the q^n elements of the span of I, m, ...,
+    # m^(n - 1) are the check (q^(n - 1), of m, ..., m^(n - 1), under the
+    # nilpotent filter).  At n = 2 every non-scalar class is cyclic and
     # no other walk takes a span
     real = census._span
     monkeypatch.setattr(census, "_span", lambda *args: real(*args)[:-1])
@@ -710,23 +735,9 @@ def test_orbit_census_conjugates_each_distinct_matrix_in_one_product(monkeypatch
 
 
 def test_orbit_census_refuses_a_corrupted_conjugation_map(monkeypatch):
-    # a generator whose move is the identity leaves the closures short of
-    # their classes (at q = 2, two transvections generate GL_2); a
-    # non-identity element of Z_GL(m_C) that acts as the identity breaks the
-    # orbit-stabilizer count (first at n = 3, where some Z(m_C) is not
-    # commutative).  The checks are raises, so python -O keeps them
-    real_move = census._move
-
-    def corrupted_move(k, x, y, n, q):
-        # the first generator, I + E_01, moves nothing
-        return (lambda cols: cols) if k == 1 else real_move(k, x, y, n, q)
-
-    orbit_census(2, 2, 2)
-    monkeypatch.setattr(census, "_move", corrupted_move)
-    with pytest.raises(RuntimeError, match="conjugates of a class"):
-        orbit_census(2, 2, 2)
-    monkeypatch.setattr(census, "_move", real_move)
-
+    # a non-identity element of Z_GL(m) that acts as the identity breaks
+    # the orbit-stabilizer count (first at n = 3, where some Z(m) is not
+    # commutative).  The check is a raise, so python -O keeps it
     real = census._conjugation_map
     n, q = 3, 2
     identity = Matrix.identity(GF(q), n)
@@ -748,17 +759,14 @@ def test_orbit_census_refuses_a_corrupted_conjugation_map(monkeypatch):
 
 @pytest.mark.parametrize("n,d,q", [(3, 3, 2), (2, 2, 5), (2, 3, 3), (3, 2, 2)])
 def test_orbit_census_by_class_matches_the_whole_walk(n, d, q):
-    # representatives, orbit sizes, aut orders and nilpotent flags, in order
-    def flat(orbits):
-        return [(o.representative, o.orbit_size, o.aut_order, o.nilpotent) for o in orbits]
-
-    assert flat(orbit_census(n, d, q)) == flat(oracles.orbit_census_walk(n, d, q))
+    want = [(orbit, o.aut_order, o.nilpotent) for o, orbit in oracles.orbit_census_walk(n, d, q)]
+    _assert_orbits_from_canonical_forms(n, d, q, want)
 
 
 @pytest.mark.parametrize("n,d,q,kernels", [(2, 3, 2, 0), (3, 3, 2, 132)])
 def test_orbit_census_walks_only_inside_the_centralizers(monkeypatch, n, d, q, kernels):
     # one walk per non-scalar, non-cyclic class to depth d - 1 = 2: one
-    # kernel for m_C and one per element of Z(m_C), where walking the whole
+    # kernel for m and one per element of Z(m), where walking the whole
     # variety takes 7,968; a cyclic class takes the span of its powers, with
     # no elimination, and at n = 2 every non-scalar class is cyclic
     calls = []
@@ -794,7 +802,9 @@ def test_census_walks_each_block_once(monkeypatch, n, d, q, blocks):
     res = enumerate_census(CensusRequest(n=n, d=d, q=q), config)
     roots = [chain[0] for chain, *_ in roots if len(chain) == 1]
     assert len(roots) == len(blocks)
-    want = [census._canonical_form(q, [((0, 1) if e == 1 else (1, 1, 1), lam)]) for e, lam in blocks]
+    # t^k, or phi = t^2 + t + 1 for the one block (2, (1, 1))
+    want = [census._canonical_form(q, [(0,) * k + (1,) if e == 1 else (1, 1, 1) for k in lam])
+            for e, lam in blocks]
     assert sorted(m.entries for m in roots) == sorted(want)
     assert res.raw_count == oracles.census_by_classes(n, d, q, False)
 
@@ -830,62 +840,23 @@ def test_census_by_types_matches_class_by_class(monkeypatch, n, d, q):
         assert enumerate_census(req, config) == _with_counts(monkeypatch, req, by_classes, config), kw
 
 
-@pytest.mark.parametrize("n,q", [(0, 2), (1, 3), (2, 2), (2, 3), (2, 5), (3, 2)])
-def test_class_closures_are_the_conjugacy_classes(n, q):
-    # the closure of each canonical form under the generators is its
-    # conjugates by the whole group, each generator with its inverse
-    group = _group(n, q)
-    one = Matrix.identity(GF(q), n)
-
-    def at(k, x):
-        return Matrix(GF(q), n, n, one.entries[:k] + (x,) + one.entries[k + 1:])
-    gens = [(at(k, x), at(k, y)) for k, x, y in _generators(n, q)]
-    assert len(gens) == 2 * max(n - 1, 0) + (q > 2 and n > 0)
-    assert all(g != one and g * h == one for g, h in gens)
-    classes = _classes(n, q)
-    for (m, size, dim, nilpotent), closure in zip(classes, _class_closures(classes, n, q)):
-        a = Matrix(GF(q), n, n, m)
-        assert closure == {(g * a * h).entries for g, h in group}
-
-
-@pytest.mark.parametrize("n,q", [(3, 2), (2, 3), (2, 5)])
-def test_class_closures_conjugate_each_matrix_once_by_each_generator(monkeypatch, n, q):
-    # at d = 1 every move is a closure level: each n x n matrix is moved
-    # once by each of at most 2n - 1 generators, and no product is taken
-    moved, products = [], []
-    real = census._move
-
-    def counting(*args):
-        move = real(*args)
-
-        def counted(cols):
-            moved.append(len(cols[0]))
-            return move(cols)
-        return counted
-
-    monkeypatch.setattr(census, "_move", counting)
-    for name in ("products", "dots"):
-        _counting(monkeypatch, PrimeField, name, products)
-    monkeypatch.setattr(census, "_conjugation_map", None)
-    orbit_census(n, 1, q)
-    assert sum(moved) == len(_generators(n, q)) * q ** (n * n) <= (2 * n - 1) * q ** (n * n)
-    assert products == []
-
-
 def test_orbit_census_inverts_only_centralizer_elements(monkeypatch):
-    # the d = 1 orbits are the classes, so no group element is inverted;
-    # at d = 2, at most one inverse per element of each walked Z(m_C).
-    # Every module that binds inverse is patched
-    calls = []
+    # the d = 1 orbits are the classes, so no group element is inverted and
+    # no product is taken; at d = 2, at most one inverse per element of
+    # each walked Z(m).  Every module that binds inverse is patched
+    calls, products = [], []
     real = matrices.inverse
     for module in list(sys.modules.values()):
         if module.__name__.startswith("commvar") and getattr(module, "inverse", None) is real:
             _counting(monkeypatch, module, "inverse", calls)
     assert census.inverse is not real
-    orbit_census(3, 1, 2)
-    assert calls == []
+    with monkeypatch.context() as m:
+        for name in ("products", "dots"):
+            _counting(m, PrimeField, name, products)
+        orbit_census(3, 1, 2)
+    assert calls == [] and products == []
     orbit_census(3, 2, 2)
-    # a cyclic class's Z(m_C) = F_q[m_C] is commutative: it needs no group
+    # a cyclic class's Z(m) = F_q[m] is commutative: it needs no group
     walked = sum(2**dim for m, size, dim, nilpotent in _classes(3, 2) if dim not in (9, 3))
     assert 0 < len(calls) <= walked
     # at n = 2 every non-scalar class is cyclic

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from commvar import cli
+from commvar.census import _classes
 from commvar.documents import emit_document, parse_document
 from commvar.fields import Field, int_from_decimal
 
@@ -141,20 +142,20 @@ def test_golden_orbit_census_stable_modulo_timing():
 
 
 @pytest.mark.parametrize("n,d,q,sha256", [
-    (3, 2, 2, "cf6fb43dcd49e50835d4f127339730202e45a5e51b2365c4955b2c0b26b9e5dd"),
-    (2, 2, 5, "5a5a222bff13fb2209e96b3ef12086ce4adee913064fb4e89f5dbe78bf58ceca"),
-    (3, 3, 2, "bcd31a79c619b58e8ae39b32075cd8665fac94433afffaa6cee55d83b5559c43"),
-    (3, 2, 3, "43df5540a2e24621b182380ca1a48b1c0bcfac821dd79d6baf1cd82b2856ec30"),
-    (2, 2, 13, "18b680376654509f966be2bfccf6d0087b70a6cb350692d2cbec269f8a7ada61"),
-    (3, 1, 3, "9d600c97c94b9e8d46f94ac1e1e6421af8b4b44c684eecd7c7baa41da26dc36d"),
-    (4, 1, 2, "cc97fb12d55b9a4bb8a283bf3abe0299c94cb195e93ada5365c1dc7e9492e673"),
+    (3, 2, 2, "1d034816449617d17be9bccb2938e476d79e1f09c7900a9686e52cea0b40728a"),
+    (2, 2, 5, "11027201a2617feaf27063eee267c27f2e7f954d9a16a4fd7717fdb597e8b124"),
+    (3, 3, 2, "8c033759eaca7b0ddbd95890b3e09e1fffbb16f28b3a9e7e66b0d30b2ff23489"),
+    (3, 2, 3, "f405913a4abf955ab24393d7dba970ffee420faa67c79f3e9eeac0b9667c7762"),
+    (2, 2, 13, "b360ecf542127189b921804ddaacef09944ead630b71825c4d2eac32e52086ed"),
+    (3, 1, 3, "1db964264720dc2845b7a488d26d304567d254bd3975e9bf6d9dd560ee18e9ce"),
+    (4, 1, 2, "3027934fc9d383098aebc5a59d3ad458eb6c2e01a299ed67f25bd683cab5f5e0"),
 ], ids=["3-2-2", "2-2-5", "3-3-2", "3-2-3", "2-2-13", "3-1-3", "4-1-2"])
 def test_orbit_census_report_bytes_pinned(n, d, q, sha256):
     # the whole report, byte for byte with elapsed_ms zeroed: n = 3 has
     # classes that are neither scalar nor cyclic, and q = 5 a diagonal
     # generator of GL_2; (3,2,3) and (2,2,13) place many irreducibles of
     # degree 1 and 2 on identical blocks; at d = 1 the orbits are the
-    # classes themselves, each represented by the least matrix of its closure
+    # classes themselves, each represented by its canonical form
     code, out = run("orbit-census", "--n", str(n), "--d", str(d), "--q", str(q))
     assert code == 0
     text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out, count=1)
@@ -969,6 +970,25 @@ def test_isom_over_large_prime_field_returns(tmp_path):
     code, rep = result[0]
     assert code == 0
     assert rep["certificate"] == [["0", "1"], ["1", "0"]]
+
+
+@pytest.mark.parametrize("n,q,orbits", [(4, 3, 129), (5, 2, 74)])
+def test_orbit_census_of_classes_returns(n, q, orbits):
+    # at d = 1 the orbits are the classes, each represented by its canonical
+    # form with its class size, and no step grows with the q^(n^2) matrices
+    # (3^16 at (4,1,3), inside the default budget).  A thread keeps a
+    # regression from hanging the suite.
+    result = []
+    worker = threading.Thread(target=lambda: result.append(run_json(
+        "orbit-census", "--n", str(n), "--d", "1", "--q", str(q))), daemon=True)
+    worker.start()
+    worker.join(timeout=1.0)
+    assert not worker.is_alive()
+    code, rep = result[0]
+    assert (code, rep["orbit_count"]) == (0, orbits)
+    got = [(tuple(int(x) for row in o["matrices"][0] for x in row), int(o["orbit_size"]))
+           for o in rep["orbits"]]
+    assert got == sorted((m, size) for m, size, dim, nilpotent in _classes(n, q))
 
 
 # ---------------------------------------------------------------------------
