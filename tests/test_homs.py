@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 import time
@@ -26,13 +27,14 @@ from commvar.modules import (
     empty_tuple,
     from_staircase,
     group_element,
+    is_punctual,
     staircase,
     tangent_space_dim,
     translate,
     validate,
 )
 from commvar.polynomials import UniPoly
-from commvar.sampling import random_group_element, random_split_tuple
+from commvar.sampling import random_group_element, random_punctual_tuple, random_split_tuple
 
 
 def qmat(rows):
@@ -580,3 +582,41 @@ def test_certificate_is_the_first_candidate_with_nonzero_hand_determinant(monkey
     assert _hand_certificate(hom, 3) == (None, 4 + 2**3)
     del inverses[:]
     assert is_isomorphic(F2_S, F2_T) is None and inverses == []
+
+
+# ---------------------------------------------------------------------------
+# byte pins of every output read off the Hom, End and tangent systems
+
+
+def _pinned_lines():
+    """Each seeded module's End and tangent dimensions (and generator count,
+    when punctual), then for pairs of them and their conjugates the Hom
+    dimension, the Hom basis and the certificate, as text."""
+    for field in (QQ, GF(2), GF(5)):
+        for d in (1, 2, 3):
+            rng = random.Random(3700 + 10 * d + field.characteristic)
+            mods = []
+            for _ in range(3):
+                mods.append(random_split_tuple(field, d, rng, max_pieces=2, max_piece_size=3)[0])
+                mods.append(random_punctual_tuple(field, d, rng.randint(1, 6), rng))
+            for m in mods:
+                yield f"{field.kind} d={d} n={m.n} aut={aut_dim(m)} tangent={tangent_space_dim(m)}"
+                if is_punctual(m):
+                    yield f"mingen={min_generators(m)}"
+            pairs = [(m, conjugate(m, random_group_element(field, m.n, rng))) for m in mods]
+            pairs += [(s, t) for s in mods for t in mods if s is not t and s.n == t.n]
+            for s, t in pairs:
+                hom = hom_basis(s, t)
+                yield f"hom={hom_dim(s, t)} " + " ".join(map(str, hom.basis))
+                cert = is_isomorphic(s, t)
+                yield "absent" if cert is None else f"{cert.matrix} {cert.inv}"
+
+
+def test_hom_end_tangent_generator_and_certificate_outputs_are_pinned():
+    # 286 lines over Q, F_2 and F_5 at d = 1..3 and n <= 6: 62 certificates
+    # and 38 absent pairs
+    lines = list(_pinned_lines())
+    assert (len(lines), lines.count("absent")) == (286, 38)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "f6def27a03a23db731df0903fc61b272d630afa3c37aee607eebc1946bf001ae"
+    )
