@@ -8,11 +8,12 @@ deterministic: compute the intertwiner space and try each basis element,
 their sum, and then the first dim Hom(s, t) vectors of a fixed grid of
 coefficient vectors, skipping zero and multiples of one basis element,
 which were tried already.  When none is invertible, answer "absent" if
-dim Hom(s, t), dim End(s) and dim End(t) differ (an isomorphism would make
-them equal), and otherwise scan the rest of the grid for an invertible
-combination.  A certificate is returned and can be re-verified
-independently; "absent" is only ever reported from the characteristic
-polynomials, from the dimensions or after the full grid came up empty.
+dim Hom(s, t), dim End(s), dim End(t) and dim Hom(t, s) are not all equal
+(an isomorphism would make them equal), and otherwise scan the rest of the
+grid for an invertible combination.  A certificate is returned and can be
+re-verified independently; "absent" is only ever reported from the
+characteristic polynomials, from the dimensions or after the full grid
+came up empty.
 """
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from commvar import (
     min_generators,
     validate,
 )
+from commvar import homs
 
 J2 = Matrix.from_rows(QQ, [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]])
 Z = Matrix.zero(QQ, 2, 2)
@@ -70,15 +72,25 @@ g = is_isomorphic(s, t, RunConfig(grid_budget=1))
 print("J3 pair isomorphic with grid budget 1?", g is not None)
 assert g is None
 
-# soundness over speed: this F_2 pair passes the dimension check (hom and
-# both aut dims are 3), so only the certificate search can tell; when the
-# intertwiner space is too big for the configured grid, the tool refuses
-# instead of guessing
+# the fourth dimension: this F_2 pair has hom and both aut dims 3, and only
+# dim Hom(t, s) = 4 tells it apart, again before the grid and within any
+# budget
 F2 = GF(2)
 A = Matrix.from_rows(F2, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 s = validate([A, Matrix.from_rows(F2, [[0, 0, 0], [1, 0, 1], [0, 0, 0]])])
 t = validate([A, Matrix.from_rows(F2, [[0, 1, 0], [0, 0, 0], [0, 1, 0]])])
-print("F_2 pair: hom dim", hom_basis(s, t).dim, "vs aut dims", aut_dim(s), aut_dim(t))
+print("F_2 pair: hom dims", hom_basis(s, t).dim, "and", hom_basis(t, s).dim,
+      "vs aut dims", aut_dim(s), aut_dim(t))
+g = is_isomorphic(s, t, RunConfig(grid_budget=1))
+print("F_2 pair isomorphic with grid budget 1?", g is not None)
+assert g is None
+
+# soundness over speed: no non-isomorphic pair with four equal dimensions is
+# known, so pretend dim Hom(t, s) were 3 to reach the certificate search.
+# When the intertwiner space is too big for the configured grid, the tool
+# refuses instead of guessing
+real_hom_dim = homs.hom_dim
+homs.hom_dim = lambda a, b: 3 if (a, b) == (t, s) else real_hom_dim(a, b)
 try:
     is_isomorphic(s, t, RunConfig(grid_budget=1))
     raise SystemExit("a grid of one axis cannot prove absence here")
@@ -87,3 +99,4 @@ except GridBudgetExceededError as e:
 g = is_isomorphic(s, t)
 print("default budget (the whole hom space over F_2) answers isomorphic?", g is not None)
 assert g is None
+homs.hom_dim = real_hom_dim

@@ -2,26 +2,28 @@
 
 Hom(s, t) is the space of matrices h with h A_i = B_i h for every
 coordinate; s and t are isomorphic exactly when that space contains an
-invertible element.  ``hom_basis`` reads a basis off the kernel of the
-intertwining system's integer rows; ``hom_dim`` and ``aut_dim`` read only
-their rank and build no basis.  A candidate isomorphism is an integer
-combination of the Hom basis cleared over one common denominator, and it is
-tested by the rank of its integer rows: a singular candidate costs no
-``Fraction`` and no ``inverse``, and only the first invertible one is
-divided back and inverted.  All candidates come in one stream over one
-cleared Hom basis: first each element of the basis and their sum, then the
-first dim(Hom) points of the search, which skips the points with at most
-one nonzero coefficient (zero, or a multiple of a basis element already
-tried).  These settle most isomorphic pairs, so only after they all fail
-is dim Hom(s, t) = dim End(s) = dim End(t), which any isomorphism forces,
-checked; unequal dimensions answer "absent".  Otherwise the search goes
-on.  It decides existence by the rank of combinations of the basis on a
-finite grid of coefficient vectors: det of the combination is a polynomial
-of degree n in the coefficients, one that vanishes on a grid with n+1
-values per axis is identically zero, and over F_p with p <= n the full
-cartesian power of the field is used instead, which enumerates the whole
-space.  The search never answers "absent" beyond its budget; it raises
-GRID_BUDGET_EXCEEDED.
+invertible element.  It is the kernel of delta^0, the first Koszul
+differential h -> (h A_i - B_i h)_i of ``matrices._koszul_rows``:
+``hom_basis`` reads a basis off it, while ``hom_dim``, ``aut_dim`` and
+``min_generators`` (dim Hom(t, k_0), k_0 the point module at the origin)
+read only its rank.  A candidate isomorphism is an integer combination of
+the Hom basis cleared over one common denominator, and it is tested by the
+rank of its integer rows: a singular candidate costs no ``Fraction`` and no
+``inverse``, and only the first invertible one is divided back and
+inverted.  All candidates come in one stream over one cleared Hom basis:
+first each element of the basis and their sum, then the first dim(Hom)
+points of the search, which skips the points with at most one nonzero
+coefficient (zero, or a multiple of a basis element already tried).  These
+settle most isomorphic pairs, so only after they all fail are
+dim Hom(s, t), dim End(s), dim End(t) and dim Hom(t, s) compared, in that
+order; any isomorphism makes the four equal, so unequal ones answer "absent".
+Otherwise the search goes on.  It decides existence by the rank of
+combinations of the basis on a finite grid of coefficient vectors: det of
+the combination is a polynomial of degree n in the coefficients, one that
+vanishes on a grid with n+1 values per axis is identically zero, and over
+F_p with p <= n the full cartesian power of the field is used instead,
+which enumerates the whole space.  The search never answers "absent" beyond
+its budget; it raises GRID_BUDGET_EXCEEDED.
 """
 from __future__ import annotations
 
@@ -38,16 +40,7 @@ from .errors import (
     NotPunctualError,
 )
 from .fields import Field
-from .matrices import (
-    Matrix,
-    _intertwining_system,
-    _kernel,
-    char_poly,
-    hstack,
-    intertwines,
-    inverse,
-    rank,
-)
+from .matrices import Matrix, _kernel, _koszul_rows, char_poly, intertwines, inverse
 from .modules import CommutingTuple, GroupElement, is_punctual
 
 
@@ -73,19 +66,18 @@ def hom_basis(s: CommutingTuple, t: CommutingTuple) -> HomSpace:
     """Basis of {h : h A_i^s = A_i^t h for all i}, an (t.n x s.n)-matrix space.
 
     Deterministic: vectors are the kernel ``_kernel`` reads off the int
-    rows of ``_intertwining_system``, in row-major coordinates.
+    rows of the Koszul differential delta^0, ``_koszul_rows(..., 0)``, in
+    row-major coordinates.
     """
     _compatible(s, t)
-    vectors = _kernel(_intertwining_system(s.mats, t.mats), t.n * s.n, s.field)
+    vectors = _kernel(_koszul_rows(s.mats, t.mats, 0), t.n * s.n, s.field)
     return HomSpace(s, t, tuple(Matrix(s.field, t.n, s.n, v) for v in vectors))
 
 
 def hom_dim(s: CommutingTuple, t: CommutingTuple) -> int:
-    """dim Hom(s, t): the t.n * s.n unknowns less the rank of the int rows
-    of ``_intertwining_system``."""
+    """dim Hom(s, t): the t.n * s.n unknowns less the rank of delta^0."""
     _compatible(s, t)
-    pivots = s.field.eliminate(_intertwining_system(s.mats, t.mats), t.n * s.n)
-    return t.n * s.n - len(pivots)
+    return t.n * s.n - len(s.field.eliminate(_koszul_rows(s.mats, t.mats, 0), t.n * s.n))
 
 
 def aut_dim(t: CommutingTuple) -> int:
@@ -151,8 +143,9 @@ def _candidates(
 ) -> Iterator[Sequence[int]]:
     """The coefficient vectors ``is_isomorphic`` tests, in order: the first
     candidates, then the first dim points of ``_search``; then, only if
-    dim Hom(s, t) = dim End(s) = dim End(t) (else the stream ends), the rest
-    of the search, and GRID_BUDGET_EXCEEDED once its seeded draws run out.
+    dim Hom(s, t) = dim End(s) = dim End(t) = dim Hom(t, s) (else the stream
+    ends), the rest of the search, and GRID_BUDGET_EXCEEDED once its seeded
+    draws run out.  Each dimension is computed only if those before agree.
 
     Search points with at most one nonzero coefficient are skipped: the zero
     vector, and multiples c·e_i of a basis element, which the first
@@ -160,7 +153,7 @@ def _candidates(
     yield from _first_candidates(dim)
     points = (c for c in _search(s.field, s.n, dim, config) if len(c) - c.count(0) > 1)
     yield from itertools.islice(points, dim)
-    if not dim == aut_dim(s) == aut_dim(t):
+    if not dim == aut_dim(s) == aut_dim(t) == hom_dim(t, s):
         return
     yield from points
     if dim > config.grid_budget:
@@ -180,16 +173,16 @@ def is_isomorphic(
 
     Unequal coordinate characteristic polynomials answer None at once.
     Otherwise one Hom(s, t) basis is computed and the candidates of
-    ``_candidates`` are tested on it in turn, each by the rank of its integer
-    rows; the first invertible one is inverted once and is the certificate.
-    Each basis element, their sum and the first dim(Hom) search points with
-    two or more nonzero coefficients come first.  Only when none of them is
-    invertible are End(s) and End(t) computed: dim Hom(s, t) = dim End(s) =
-    dim End(t) holds for any isomorphic pair, so unequal dimensions answer
-    None.  Then the rest of the grid of ``_search`` is scanned.  Beyond the
-    configured grid dimension its seeded draws cannot prove absence, so
-    GRID_BUDGET_EXCEEDED is raised instead; "absent" is only ever answered
-    soundly.
+    ``_candidates`` are tested on it in turn, each by the rank of its
+    integer rows; the first invertible one is inverted once and is the
+    certificate.  Each basis element, their sum and the first dim(Hom)
+    search points with two or more nonzero coefficients come first.  Only
+    when none of them is invertible are dim End(s), dim End(t) and
+    dim Hom(t, s) computed: the four dimensions are equal for any isomorphic
+    pair, so unequal ones decide absence and answer None.  Then the rest of
+    the grid of ``_search`` is scanned.  Beyond the configured grid
+    dimension its seeded draws cannot prove absence, so GRID_BUDGET_EXCEEDED
+    is raised instead; "absent" is only ever answered soundly.
     """
     _compatible(s, t)
     if s.n != t.n:
@@ -205,7 +198,8 @@ def is_isomorphic(
 
 
 def min_generators(t: CommutingTuple) -> int:
-    """Minimal generator count of a punctual module: n - rank [A_1|...|A_d].
+    """Minimal generator count of a punctual module: dim Hom(t, k_0), k_0
+    the one-dimensional module at the origin, where every coordinate is 0.
 
     That is dim of the quotient by the image of the maximal ideal at 0.
     Non-punctual input raises NOT_PUNCTUAL; localize first and sum over
@@ -213,6 +207,5 @@ def min_generators(t: CommutingTuple) -> int:
     """
     if not is_punctual(t):
         raise NotPunctualError("min_generators needs a punctual tuple; localize first")
-    if t.n == 0:
-        return 0
-    return t.n - rank(hstack(list(t.mats)))
+    point = Matrix.zero(t.field, 1, 1)
+    return hom_dim(t, CommutingTuple(t.field, 1, t.d, (point,) * t.d))

@@ -21,13 +21,15 @@ Scalars are made only where an answer holds them: ``rref`` lifts its rows
 over their pivots once at the end, ``kernel_basis`` and ``solve`` lift
 only the entries they read, and ``rank`` reads the pivots.  ``rref`` is the
 only code that builds R, and no library code calls it: it is public API
-only.  The intertwining system h -> (h A_i - B_i h)_i (Hom spaces and
-centralizers) is built in one place, ``_intertwining_system``, as int rows,
-each coordinate pair over its own common denominator; the tangent spaces
-in ``modules`` are built on the same per-pair rows, ``_intertwining_rows``.
-Hom and tangent dimensions read the rank of those rows, and Hom and
-centralizer bases the kernel ``_kernel`` reads off them.  ``intertwines``
-checks h a = b h on the cleared int matrices.
+only.  The Koszul differentials delta^i on Hom(M, N) (x) L^i k^d, whose
+cohomology is Ext^i(M, N), are built in one place, ``_koszul_rows``, as int
+rows, from the rows ``_intertwining_rows`` of h -> h A - B h for one pair
+of coordinates, which the census walk adds one coordinate at a time.
+delta^0 is h -> (h A_i - B_i h)_i: Hom and centralizer bases are the
+kernel ``_kernel`` reads off it, and Hom and End dimensions and generator
+counts (Hom into the point module) read its rank.  Tangent dimensions read
+the rank of delta^1 on Hom(M, M).  ``intertwines`` checks h a = b h on the
+cleared int matrices.
 
 ``Matrix.__mul__`` and ``Matrix.mat_vec`` are the field's ``dots``, whose
 entries come out canonical, as ``Field`` arithmetic would give them.
@@ -36,6 +38,7 @@ int matrix with the field's ``products``, and ``det`` is read off it.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -274,26 +277,43 @@ def columns_matrix(field: Field, n: int, cols: Sequence[Sequence[Scalar]]) -> Ma
     )
 
 
-def _intertwining_system(sources: Sequence[Matrix], targets: Sequence[Matrix]) -> list[list[int]]:
-    """The linear map h -> (h A_i - B_i h)_i as int rows, where
-    A_i = sources[i] is ns x ns, B_i = targets[i] is nt x nt and h is nt x ns.
+def _koszul_rows(sources: Sequence[Matrix], targets: Sequence[Matrix], i: int) -> list[list[int]]:
+    """The Koszul differential delta^i : Hom(M, N) (x) L^i -> Hom(M, N) (x) L^(i+1)
+    as int rows, L^i the i-th exterior power of k^d, M and N the modules of
+    A = sources (ns x ns) and B = targets (nt x nt).  On an (i+1)-subset
+    K = (k_0 < ... < k_i) of the d coordinates it is
+    (delta phi)_K = sum_s (-1)^s (phi_{K - k_s} A_{k_s} - B_{k_s} phi_{K - k_s}).
 
-    Unknowns are row-major: h_ab is column a*ns + b.  Rows are (i, r, c) in
-    lexicographic order, one per entry (r, c) of h A_i - B_i h; the
-    coefficient of h_ab there is [a = r] A_i[b, c] - B_i[r, a] [b = c],
-    held as ints by the field's ``clear`` over the common denominator of A_i
-    and B_i.  Its kernel is Hom(A, B).
+    Unknowns are the i-subsets J in lexicographic order, each a block of
+    nt*ns columns holding phi_J row-major; rows are the (i+1)-subsets K in
+    the same order, nt*ns per K, one per entry of (delta phi)_K.  Each K's
+    rows are the ``_intertwining_rows`` of its pairs over one common
+    denominator, the d of the field's ``clear`` on them, negated for odd s.
+    delta^0 is h -> (h A_k - B_k h)_k, whose kernel is Hom(M, N); its rows
+    are those of each pair as they come, over each pair's own denominator.
     """
-    if not sources or len(sources) != len(targets):
-        raise ArityMismatchError(
-            f"need matching nonempty tuples, got {len(sources)} and {len(targets)}"
-        )
-    return [row for a, b in zip(sources, targets)
-            for row in _intertwining_rows(a, b)]
+    d = len(sources)
+    if not d or d != len(targets):
+        raise ArityMismatchError(f"need matching nonempty tuples, got {d} and {len(targets)}")
+    if i == 0:
+        return [row for a, b in zip(sources, targets) for row in _intertwining_rows(a, b)]
+    F, size = sources[0].field, targets[0].rows * sources[0].rows
+    block = {J: c * size for c, J in enumerate(itertools.combinations(range(d), i))}
+    out = []
+    for K in itertools.combinations(range(d), i + 1):
+        den = F.clear([x for k in K for x in sources[k].entries + targets[k].entries])[0]
+        rows = [[0] * (len(block) * size) for _ in range(size)]
+        for s, k in enumerate(K):
+            c = block[K[:s] + K[s + 1 :]]
+            part = _intertwining_rows(sources[k], targets[k], -den if s % 2 else den)
+            for row, x in zip(rows, part):
+                row[c : c + size] = x
+        out += rows
+    return out
 
 
 def _intertwining_rows(a: Matrix, b: Matrix, d: Optional[int] = None) -> list[list[int]]:
-    """One pair's rows of ``_intertwining_system``, those of h -> h a - b h,
+    """The rows of h -> h a - b h, one pair's rows of ``_koszul_rows``,
     times d, as the ints the field's ``clear`` holds them in; d must be a
     multiple of every denominator of a and b, and is by default the d of
     the field's ``clear`` on both.

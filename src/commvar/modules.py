@@ -26,7 +26,7 @@ from .errors import (
 from .fields import Field, Scalar
 from .matrices import (
     Matrix,
-    _intertwining_rows,
+    _koszul_rows,
     block_diag,
     commutator,
     eval_multipoly,
@@ -206,29 +206,13 @@ def potential_gradient(mats: Sequence[Matrix]) -> tuple[Matrix, Matrix, Matrix]:
 
 def tangent_space_dim(t: CommutingTuple) -> int:
     """Dimension of the solution space of the linearized commutation system
-    {[X_i, A_j] + [A_i, X_j] = 0, i < j} in d*n^2 unknowns: the unknowns
-    less the rank of the system, built and eliminated on integer rows.
-
-    For d = 1 there are no equations and the answer is n^2.
+    {[X_i, A_j] + [A_i, X_j] = 0, i < j} in d*n^2 unknowns X: the unknowns
+    less the rank of the Koszul differential delta^1 on Hom(M, M) (x) k^d,
+    whose rows for i < j are those of -([X_i, A_j] + [A_i, X_j]).  For
+    d = 1 it has no rows and the answer is n^2.
     """
-    n, d = t.n, t.d
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    if not pairs or n == 0:
-        return d * n * n
-    # The (i, j) row block is [X_i, A_j] + [A_i, X_j]; with K(A) the system
-    # of X -> X A - A X, that is K(A_j) on X_i and -K(A_i) on X_j, both
-    # scaled by one common denominator D of A_i and A_j (-D gives -K(A_i)),
-    # the d of the field's ``clear`` on both.
-    n2 = n * n
-    rows = []
-    for i, j in pairs:
-        a, b = t.mats[i], t.mats[j]
-        den = t.field.clear(a.entries + b.entries)[0]
-        for on_i, on_j in zip(_intertwining_rows(b, b, den), _intertwining_rows(a, a, -den)):
-            rows.append(
-                [0] * (i * n2) + on_i + [0] * ((j - i - 1) * n2) + on_j + [0] * ((d - j - 1) * n2)
-            )
-    return d * n2 - len(t.field.eliminate(rows, d * n2))
+    n2 = t.n * t.n
+    return t.d * n2 - len(t.field.eliminate(_koszul_rows(t.mats, t.mats, 1), t.d * n2))
 
 
 @dataclass(frozen=True)

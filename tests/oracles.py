@@ -14,6 +14,8 @@ kernels.  ``census_by_classes`` goes class by class over the package's
 class list, which the tests check against brute-force orbits, reading
 only each class's canonical form and size, and
 ``random_multipoly`` draws its coefficients with ``sampling.random_scalar``.
+``ext_dims`` reads ranks of the package's Koszul rows by hand elimination,
+so that identities between Ext dimensions check the rows.
 """
 from __future__ import annotations
 
@@ -21,11 +23,12 @@ import itertools
 import random
 from fractions import Fraction
 from functools import cache
+from math import comb
 from typing import Callable, Iterator, Optional
 
 from commvar.census import Orbit, _classes, _conjugation_map, _nilpotent, gl_order
 from commvar.fields import GF
-from commvar.matrices import Matrix, _intertwining_system, _kernel, inverse, rank
+from commvar.matrices import Matrix, _kernel, _koszul_rows, inverse, rank
 from commvar.modules import CommutingTuple
 from commvar.polynomials import MultiPoly
 from commvar.sampling import random_scalar
@@ -498,7 +501,7 @@ def _centralizer(chain: list[Matrix]) -> set[tuple[int, ...]]:
     F_q-combinations of the kernel basis of its whole intertwining system."""
     F, n = chain[0].field, chain[0].rows
     q, cells = F.characteristic, n * n
-    basis = _kernel(_intertwining_system(chain, chain), cells, F)
+    basis = _kernel(_koszul_rows(chain, chain, 0), cells, F)
     return {tuple(sum(c * v[i] for c, v in zip(coeffs, basis)) % q for i in range(cells))
             for coeffs in itertools.product(range(q), repeat=len(basis))}
 
@@ -540,7 +543,7 @@ def census_leaf_walk(n: int, d: int, q: int, nilpotent: bool) -> int:
         return q ** (n * n - n if nilpotent else n * n)
     total = 0
     for chain, _ in walk(n, d - 1, q, all_matrices, keep):
-        dim = len(_kernel(_intertwining_system(chain, chain), n * n, GF(q)))
+        dim = len(_kernel(_koszul_rows(chain, chain, 0), n * n, GF(q)))
         if nilpotent:
             dim -= n - rank(chain[0])
         total += q**dim
@@ -568,7 +571,7 @@ def census_by_classes(n: int, d: int, q: int, nilpotent: bool) -> int:
         a = Matrix(F, n, n, m)
         if nilpotent and not a.power(n).is_zero():
             continue
-        dim = len(_kernel(_intertwining_system([a], [a]), n * n, F))
+        dim = len(_kernel(_koszul_rows([a], [a], 0), n * n, F))
         if d == 1:
             leaves = 1
         elif d == 2:
@@ -583,7 +586,7 @@ def census_by_classes(n: int, d: int, q: int, nilpotent: bool) -> int:
                 if nilpotent:
                     leaves += sum(_nilpotent(Matrix(F, n, n, e)) for e in _centralizer(chain))
                 else:
-                    leaves += q ** len(_kernel(_intertwining_system(chain, chain), n * n, F))
+                    leaves += q ** len(_kernel(_koszul_rows(chain, chain, 0), n * n, F))
         total += size * leaves
     return total
 
@@ -682,6 +685,19 @@ def pair_strata(n: int, q: int) -> tuple[dict, Fraction]:
             strata[alpha] = count
     unsplit = feit_fine_pairs(n, q, punctual=False)[n] - sum(strata.values())
     return strata, unsplit
+
+
+# ---------------------------------------------------------------------------
+# Ext dimensions from the package's Koszul differentials
+
+
+def ext_dims(s: CommutingTuple, t: CommutingTuple) -> list[int]:
+    """dim Ext^i(s, t) for i = 0..d: the cohomology of the Koszul complex
+    Hom(s, t) (x) L^i k^d, dim ker delta^i - rank delta^(i-1), with each
+    rank the hand rank of the package's rows ``_koszul_rows(s, t, i)``."""
+    p, d, size = char_of_field(s.field), s.d, s.n * t.n
+    ranks = [hand_rank(_koszul_rows(s.mats, t.mats, i), p) for i in range(d)] + [0]
+    return [comb(d, i) * size - ranks[i] - (ranks[i - 1] if i else 0) for i in range(d + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -517,7 +517,7 @@ CLI_GOLDEN_TABLE = [
 ]
 
 
-def test_criterion_11_cli_contract(tmp_path, monkeypatch):
+def test_criterion_11_cli_contract(tmp_path, monkeypatch, equal_f2_dimensions):
     with criterion(11, "cli-contract"):
         # golden round trips, byte for byte
         for name, argv in CLI_GOLDEN_TABLE:
@@ -557,6 +557,8 @@ def test_criterion_11_cli_contract(tmp_path, monkeypatch):
                 "NOT_SURJECTIVE",
                 ["quot-equal", str(lazy_frame), str(GOLDEN / "j2_framed.json")],
             ),
+            # the F_2 pair reaches the grid only with dim Hom(t, s) reported
+            # as 3, by the fixture ``equal_f2_dimensions``
             (
                 1,
                 "GRID_BUDGET_EXCEEDED",

@@ -13,8 +13,11 @@ import pytest
 
 from commvar import cli
 from commvar.census import _classes
-from commvar.documents import emit_document, parse_document
-from commvar.fields import Field, int_from_decimal
+from commvar.documents import emit_document, from_commuting_tuple, parse_document
+from commvar.fields import QQ, Field, int_from_decimal
+from commvar.homs import aut_dim, hom_dim
+from commvar.matrices import Matrix
+from commvar.modules import direct_sum, validate
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -517,7 +520,8 @@ def test_not_surjective(tmp_path):
     assert code == 1 and rep["error"] == "NOT_SURJECTIVE"
 
 
-def test_grid_budget_exceeded(tmp_path):
+def test_grid_budget_exceeded(tmp_path, monkeypatch, equal_f2_dimensions):
+    # the F_2 pair reaches the grid only with dim Hom(t, s) reported as 3
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text('{"grid_budget": 1}')
     pair = [str(GOLDEN / "f2_grid_s.json"), str(GOLDEN / "f2_grid_t.json")]
@@ -525,6 +529,10 @@ def test_grid_budget_exceeded(tmp_path):
     assert code == 1 and rep["error"] == "GRID_BUDGET_EXCEEDED"
     assert rep["detail"]["hom_dim"] == 3
     code, rep = run_json("isom", *pair)
+    assert code == 0 and rep["isomorphic"] is False
+    # its real dim Hom(t, s) = 4 answers "absent" within any budget
+    monkeypatch.undo()
+    code, rep = run_json("isom", *pair, "--config", str(cfgp))
     assert code == 0 and rep["isomorphic"] is False
     # unequal hom and End dimensions answer "absent" within any budget
     code, rep = run_json(
@@ -970,6 +978,46 @@ def test_isom_over_large_prime_field_returns(tmp_path):
     code, rep = result[0]
     assert code == 0
     assert rep["certificate"] == [["0", "1"], ["1", "0"]]
+
+
+def _dual_pair(n):
+    """R/m^2 + X against its dual + X over Q, R = Q[x, y] with basis 1, x, y
+    and X the (n - 3)-dimensional Jordan block at (10, 0) with y = 0."""
+    def unit(r, c):
+        return Matrix(QQ, 3, 3, tuple(QQ.of(int((i, j) == (r, c))) for i in range(3) for j in range(3)))
+
+    m = n - 3
+    square = validate([unit(1, 0), unit(2, 0)])
+    dual = validate([a.transpose() for a in square.mats])
+    x = Matrix(QQ, m, m, tuple(QQ.of(10 * (i == j) + (j == i + 1)) for i in range(m) for j in range(m)))
+    jordan = validate([x, Matrix.zero(QQ, m, m)])
+    return direct_sum(square, jordan), direct_sum(dual, jordan)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_isom_of_square_and_dual_returns(tmp_path, n):
+    # dim Hom(s, t) = dim End(s) = dim End(t) = n but dim Hom(t, s) = n + 1,
+    # which answers "absent" before the grid; the grid alone took 4.9 s at
+    # n = 6 and did not end at n = 7.  The n = 7 pair is golden.  A thread
+    # keeps a regression from hanging the suite.
+    s, t = _dual_pair(n)
+    assert (hom_dim(s, t), aut_dim(s), aut_dim(t), hom_dim(t, s)) == (n, n, n, n + 1)
+    paths = []
+    for name, m in zip("st", (s, t)):
+        text = emit_document(from_commuting_tuple(m))
+        if n == 7:
+            assert read(f"q_dual_{name}.json") == text
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(text)
+    result = []
+    worker = threading.Thread(
+        target=lambda: result.append(run_json("isom", *map(str, paths))), daemon=True
+    )
+    worker.start()
+    worker.join(timeout=1.0)
+    assert not worker.is_alive()
+    code, rep = result[0]
+    assert (code, rep["isomorphic"], rep["certificate"]) == (0, False, None)
 
 
 @pytest.mark.parametrize("n,q,orbits", [(4, 3, 129), (5, 2, 74)])

@@ -14,7 +14,7 @@ from commvar.errors import (
 from commvar.fields import GF, QQ
 from commvar.matrices import (
     Matrix,
-    _intertwining_system,
+    _koszul_rows,
     block_diag,
     char_poly,
     commutator,
@@ -381,7 +381,7 @@ def test_intertwining_system_applies_h_a_minus_b_h(field, d):
     for ns, nt in [(2, 3), (3, 2), (1, 4), (3, 3)]:
         sources = rand_commuting(rng, field, ns, d)
         targets = rand_commuting(rng, field, nt, d)
-        system = _intertwining_system(sources, targets)
+        system = _koszul_rows(sources, targets, 0)
         assert len(system) == d * nt * ns
         assert all(len(row) == nt * ns and all(type(x) is int for x in row) for row in system)
         if p:
@@ -401,9 +401,9 @@ def test_intertwining_system_applies_h_a_minus_b_h(field, d):
 def test_intertwining_system_guards():
     a = qmat([[1, 2], [3, 4]])
     with pytest.raises(ArityMismatchError):
-        _intertwining_system([a], [a, a])
+        _koszul_rows([a], [a, a], 0)
     with pytest.raises(ArityMismatchError):
-        _intertwining_system([], [])
+        _koszul_rows([], [], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +483,9 @@ def test_rref_kernels_on_intertwining_systems(field):
     for ns, nt, d in [(2, 3, 1), (3, 3, 2), (3, 2, 3), (4, 3, 2)]:
         sources = rand_commuting(rng, field, ns, d)
         targets = rand_commuting(rng, field, nt, d)
-        _assert_rref_matches_hand(Matrix.from_rows(field, _intertwining_system(sources, targets)))
+        _assert_rref_matches_hand(Matrix.from_rows(field, _koszul_rows(sources, targets, 0)))
         # the centralizer system has a kernel containing the identity
-        _assert_rref_matches_hand(Matrix.from_rows(field, _intertwining_system(sources, sources)))
+        _assert_rref_matches_hand(Matrix.from_rows(field, _koszul_rows(sources, sources, 0)))
 
 
 # ---------------------------------------------------------------------------
