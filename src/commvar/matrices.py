@@ -289,14 +289,12 @@ def _koszul_rows(sources: Sequence[Matrix], targets: Sequence[Matrix], i: int) -
     the same order, nt*ns per K, one per entry of (delta phi)_K.  Each K's
     rows are the ``_intertwining_rows`` of its pairs over one common
     denominator, the d of the field's ``clear`` on them, negated for odd s.
-    delta^0 is h -> (h A_k - B_k h)_k, whose kernel is Hom(M, N); its rows
-    are those of each pair as they come, over each pair's own denominator.
+    delta^0 is h -> (h A_k - B_k h)_k, whose kernel is Hom(M, N): each K is
+    one coordinate k, and its rows are the ``_intertwining_rows`` of A_k, B_k.
     """
     d = len(sources)
     if not d or d != len(targets):
         raise ArityMismatchError(f"need matching nonempty tuples, got {d} and {len(targets)}")
-    if i == 0:
-        return [row for a, b in zip(sources, targets) for row in _intertwining_rows(a, b)]
     F, size = sources[0].field, targets[0].rows * sources[0].rows
     block = {J: c * size for c, J in enumerate(itertools.combinations(range(d), i))}
     out = []
